@@ -5,11 +5,11 @@ engine and under ``Simulator.run(..., shards=k)`` for k ∈ {1, 2, 4},
 across system sizes n ∈ {128, 512, 1024} and the timed and clock
 pipelines. Every pair gets a *unique dyadic* ping interval
 (``0.5 + j * 2^-13``), so the global timeline is dense — each real
-instant wakes only a few entities, which is exactly the regime where the
-serial engine's O(system) time-advance sweep dominates and per-shard
-O(shard) sweeps win. Dyadic intervals keep cross-pair deadlines either
-exactly equal or separated by ≫ the engine tolerance, so the sharded
-trace-merge sees the same float instants the serial engine does.
+instant wakes only a few entities, which is exactly the regime where any
+O(system) work per time advance dominates. Dyadic intervals keep
+cross-pair deadlines either exactly equal or separated by ≫ the engine
+tolerance, so the sharded trace-merge sees the same float instants the
+serial engine does.
 
 For every (pipeline, n, shards) cell the benchmark asserts the sharded
 run's merged recorder trace is byte-identical to the serial engine's —
@@ -17,12 +17,21 @@ the correctness bar of ``repro.sim.sharded`` (the conservative window
 math is only an optimization while it reproduces the serial schedule
 exactly).
 
-The clock pipeline is the headline: each time advance moves every
-node's clock, so serial cost per advance is O(n) while a shard only
-moves its own O(n/k) — speedup grows with both n and k. The timed
-pipeline has almost no per-advance work and shows ~1x: sharding is not
-a win there, and the grid records that honestly (see
-``docs/performance.md``).
+Two numbers are read off the grid (see ``docs/performance.md``):
+
+- the **serial column as a function of n**. Clock nodes under the
+  granularity-free ``skewed`` drivers are evaluated lazily, so a time
+  advance costs the serial engine nothing per node and steps/sec at
+  n=1024 stays within 2x of n=128 — the ratio CI gates
+  (``tools/validate_bench_parallel.py --require-flat 2.0``);
+- the **sharded speedups**, which used to reach 5x on the clock pipeline
+  only because each in-process shard swept a fraction of the nodes per
+  advance. With the sweep gone they sit near 1x on both pipelines; the
+  grid records that.
+
+Every cell is the fastest of ``REPEATS`` runs: one run of a few tenths
+of a second varies by ±25% on a shared two-core box, more than the
+ratio being gated.
 
 Writes ``BENCH_parallel.json`` (repo root by default)::
 
@@ -34,9 +43,9 @@ Writes ``BENCH_parallel.json`` (repo root by default)::
                   "best_speedup": ..., "best_shards": 4,
                   "traces_identical": true}, ...]}
 
-``steps_per_sec`` is machine-dependent; ``speedup`` (sharded over serial
-in the same process) is the portable number the CI gate compares
-(``tools/validate_bench_parallel.py``).
+``steps_per_sec`` is machine-dependent; ratios within one file (serial
+at the smallest n over serial at the largest, sharded over serial) are
+the portable numbers (``tools/validate_bench_parallel.py``).
 
 Usage::
 
@@ -67,6 +76,7 @@ SIZES = (128, 512, 1024)
 QUICK_SIZES = (128,)
 SHARD_COUNTS = (1, 2, 4)
 PIPELINES = ("timed", "clock")
+REPEATS = 3
 
 D1, D2 = 0.2, 0.6
 EPS = 0.05
@@ -102,8 +112,8 @@ def build_spec(pipeline, n, quick):
     if pipeline == "timed":
         spec = build_timed_system(topo, procs, D1, D2)
     elif pipeline == "clock":
-        # skewed drivers are granularity-free (constant offset), the
-        # sharded-mode requirement for entities overriding advance()
+        # skewed drivers are granularity-free (constant offset): the
+        # sharded-mode requirement, and what makes the nodes lazy
         spec = build_clock_system(
             topo, procs, EPS, D1, D2, driver_factory("skewed", EPS)
         )
@@ -111,6 +121,15 @@ def build_spec(pipeline, n, quick):
         raise ValueError(f"unknown pipeline {pipeline!r}")
     horizon = count * MAX_INTERVAL + 3.0 * D2
     return spec, horizon
+
+
+def run_best(pipeline, n, quick, shards=None):
+    """Fastest of ``REPEATS`` fresh runs; returns (wall, steps, events)."""
+    runs = [
+        run_once(*build_spec(pipeline, n, quick), shards=shards)
+        for _ in range(REPEATS)
+    ]
+    return min(runs, key=lambda run: run[0])
 
 
 def run_once(spec, horizon, shards=None):
@@ -132,8 +151,7 @@ def run_once(spec, horizon, shards=None):
 
 def measure(pipeline, n, quick):
     """Benchmark one (pipeline, n) row across all shard counts."""
-    spec, horizon = build_spec(pipeline, n, quick)
-    serial_wall, steps, serial_events = run_once(spec, horizon)
+    serial_wall, steps, serial_events = run_best(pipeline, n, quick)
     serial_rate = steps / serial_wall if serial_wall > 0 else 0.0
     row = {
         "pipeline": pipeline,
@@ -148,8 +166,7 @@ def measure(pipeline, n, quick):
     identical = True
     best_speedup, best_shards = 0.0, None
     for k in SHARD_COUNTS:
-        spec, horizon = build_spec(pipeline, n, quick)
-        wall, k_steps, events = run_once(spec, horizon, shards=k)
+        wall, k_steps, events = run_best(pipeline, n, quick, shards=k)
         if events != serial_events:
             identical = False
         rate = k_steps / wall if wall > 0 else 0.0

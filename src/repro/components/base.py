@@ -152,7 +152,9 @@ class Entity:
     #: Promise: absent ``fire``/``apply_input``, the ``enabled`` set only
     #: changes when time crosses the entity's current deadline. Only
     #: honored together with ``static_deadline``; lets the engine skip
-    #: re-scanning the entity after unrelated time advances.
+    #: re-scanning the entity after unrelated time advances. The engine
+    #: then skips the entity's ``advance`` as well: whatever it tracks
+    #: over time it must derive from the ``now`` its methods are handed.
     wakes_at_deadline: bool = False
 
     def __init__(self, name: str, signature: Signature):

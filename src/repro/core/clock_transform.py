@@ -13,6 +13,20 @@ incoming edge, sharing the node clock (Definition 2.7), with the internal
 within the ``C_eps`` envelope, and the machine's clock deadlines are
 mapped into real-time deadlines for the simulator.
 
+Both node entities evaluate their clock *lazily*: every method that is
+handed ``now`` first steps the clock from the instant it was last
+evaluated (``clock_at`` on the state) up to ``now``. A node observes
+nothing but its own clock (Definition 4.1), so when the driver is
+``granularity_free`` — the clock is a function of ``now``, however the
+interval is chopped into steps — and the process only wakes at a static
+deadline, nothing the node does between two events depends on the time
+advances in between. Such a node promises ``static_deadline`` and
+``wakes_at_deadline`` itself (its clock deadline mapped to real time
+through the driver's inverse, ``target_now``), and the engine neither
+advances nor re-scans it. Under any other driver the trajectory depends
+on the step sequence, so the promises stay ``False`` and the engine
+keeps stepping the clock once per time advance through ``advance``.
+
 :class:`NativeClockNodeEntity` runs a process *natively* on the clock —
 no buffers, raw messages — for algorithms that were designed directly in
 the clock model (the Section 6.3 baseline of [10]).
@@ -42,6 +56,38 @@ def _observed_skew(now: float, clock: float, eps: float) -> float:
     return skew
 
 
+def _step_clock(node, state, now: float, cap: float) -> None:
+    """One driver step of a node entity's clock, up to ``now``."""
+    state.clock = node.driver.step(state.clock_at, state.clock, now, cap)
+    state.clock_at = now
+    skew = _observed_skew(now, state.clock, node.driver.eps)
+    node._skew_hist.observe(skew)
+    node._skew_max.set_max(skew)
+
+
+def _evaluated_lazily(process: Process, driver: ClockDriver) -> bool:
+    """Whether nothing but the node's own events moves its clock.
+
+    Read off what the driver and the process declare, at the time the
+    engine asks — the chaos layer swaps drivers on copies of a node.
+
+    The promise leans on the clock being *on* the driver's trajectory
+    whenever a deadline is mapped. A clock below it with the cap within
+    the trajectory's reach (``target_now`` then falls back to
+    ``cap + eps``) would reach the cap at any earlier instant it is
+    stepped at. That takes a clock deadline below a positive offset
+    before the node's first step, or a crash recovery — and recovering
+    nodes live inside a :class:`~repro.faults.recovery.RecoverableEntity`,
+    which promises nothing and re-derives them after every time advance
+    (docs/performance.md, "Lazy node clocks").
+    """
+    return bool(
+        driver.granularity_free
+        and getattr(process, "static_deadline", False)
+        and getattr(process, "wakes_at_deadline", False)
+    )
+
+
 @dataclass
 class MachineState:
     """State of the node-level clock composition ``A^c_{i,eps}``."""
@@ -50,6 +96,8 @@ class MachineState:
     proc_state: Any
     send_buffers: Dict[int, SendBuffer]
     recv_buffers: Dict[int, ReceiveBuffer]
+    #: real time at which a node entity last evaluated ``clock``
+    clock_at: float = 0.0
 
 
 class ClockMachine:
@@ -211,11 +259,9 @@ class ClockNodeEntity(Entity):
     :meth:`~repro.sim.clock_drivers.ClockDriver.max_now`.
     """
 
-    # The deadline is driver-mediated (it reads ``now`` through
-    # target_now), so the deadline promises stay the conservative
-    # defaults regardless of the wrapped process's.
-    static_deadline = False
-    wakes_at_deadline = False
+    static_deadline = wakes_at_deadline = property(
+        lambda self: _evaluated_lazily(self.machine.process, self.driver)
+    )
 
     def __init__(
         self,
@@ -228,7 +274,8 @@ class ClockNodeEntity(Entity):
             f"{process.name}^c", _node_signature(process, process.node)
         )
         # enabled() delegates straight to the wrapped process, so its
-        # purity promise is the process's.
+        # purity promise is the process's (catching the clock up is
+        # idempotent at a given ``now``).
         self.pure_enabled = getattr(process, "pure_enabled", True)
         self.machine = ClockMachine(process, out_edges, in_edges)
         self.driver = driver
@@ -248,27 +295,33 @@ class ClockNodeEntity(Entity):
     def initial_state(self) -> MachineState:
         return self.machine.initial_state()
 
+    def _catch_up(self, state: MachineState, now: float) -> None:
+        """Step the clock from where it was last evaluated up to ``now``."""
+        if now > state.clock_at:
+            _step_clock(self, state, now, self.machine.clock_deadline(state))
+
     def apply_input(self, state: MachineState, action: Action, now: float) -> None:
+        self._catch_up(state, now)
         self.machine.apply_input(state, action)
 
     def enabled(self, state: MachineState, now: float) -> List[Action]:
+        self._catch_up(state, now)
         return self.machine.enabled(state)
 
     def fire(self, state: MachineState, action: Action, now: float) -> None:
+        self._catch_up(state, now)
         self.machine.fire(state, action)
 
     def deadline(self, state: MachineState, now: float) -> float:
+        self._catch_up(state, now)
         cap = self.machine.clock_deadline(state)
         return self.driver.target_now(now, state.clock, cap)
 
     def advance(self, state: MachineState, old_now: float, new_now: float) -> None:
-        cap = self.machine.clock_deadline(state)
-        state.clock = self.driver.step(old_now, state.clock, new_now, cap)
-        skew = _observed_skew(new_now, state.clock, self.driver.eps)
-        self._skew_hist.observe(skew)
-        self._skew_max.set_max(skew)
+        self._catch_up(state, new_now)
 
     def clock_value(self, state: MachineState, now: float) -> Optional[float]:
+        self._catch_up(state, now)
         return state.clock
 
     def on_recover(self, state: MachineState, now: float) -> None:
@@ -283,12 +336,15 @@ class ClockNodeEntity(Entity):
         (``target_now`` maps ``cap <= clock`` to ``now``), so overdue
         work fires at the resumed clock before time passes — processes
         with timetable semantics must tolerate firing late (see
-        :class:`~repro.detector.heartbeat.HeartbeatSender`). The
+        :class:`~repro.detector.heartbeat.HeartbeatSender`). The jumped
+        value counts as evaluated at ``now``: the next step starts from
+        here, not from the snapshot's crash instant. The
         snapshot round-trip also rebuilt the buffers as decoupled
         copies, so their metrics instruments are re-bound to the live
         registry.
         """
         state.clock = max(state.clock, now - self.driver.eps, 0.0)
+        state.clock_at = now
         if self.machine._metrics is not None:
             for sbuf in state.send_buffers.values():
                 sbuf.bind_instruments(self.machine._metrics)
@@ -306,6 +362,8 @@ class NativeState:
 
     clock: float
     proc_state: Any
+    #: real time at which the node entity last evaluated ``clock``
+    clock_at: float = 0.0
 
 
 class NativeClockNodeEntity(Entity):
@@ -317,10 +375,9 @@ class NativeClockNodeEntity(Entity):
     were hand-built for inaccurate clocks rather than transformed.
     """
 
-    # Deadlines are driver-mediated real-time values; keep the
-    # conservative defaults independent of the wrapped process.
-    static_deadline = False
-    wakes_at_deadline = False
+    static_deadline = wakes_at_deadline = property(
+        lambda self: _evaluated_lazily(self.process, self.driver)
+    )
 
     def __init__(self, process: Process, driver: ClockDriver):
         super().__init__(f"{process.name}@clock", process.signature)
@@ -343,27 +400,45 @@ class NativeClockNodeEntity(Entity):
     def initial_state(self) -> NativeState:
         return NativeState(clock=0.0, proc_state=self.process.initial_state())
 
+    def _catch_up(self, state: NativeState, now: float) -> None:
+        """Step the clock from where it was last evaluated up to ``now``."""
+        if now > state.clock_at:
+            cap = self.process.deadline(
+                state.proc_state, ProcessContext(state.clock)
+            )
+            _step_clock(self, state, now, cap)
+
     def apply_input(self, state: NativeState, action: Action, now: float) -> None:
+        self._catch_up(state, now)
         self.process.apply_input(
             state.proc_state, action, ProcessContext(state.clock)
         )
 
     def enabled(self, state: NativeState, now: float) -> List[Action]:
+        self._catch_up(state, now)
         return self.process.enabled(state.proc_state, ProcessContext(state.clock))
 
     def fire(self, state: NativeState, action: Action, now: float) -> None:
+        self._catch_up(state, now)
         self.process.fire(state.proc_state, action, ProcessContext(state.clock))
 
     def deadline(self, state: NativeState, now: float) -> float:
+        self._catch_up(state, now)
         cap = self.process.deadline(state.proc_state, ProcessContext(state.clock))
         return self.driver.target_now(now, state.clock, cap)
 
     def advance(self, state: NativeState, old_now: float, new_now: float) -> None:
-        cap = self.process.deadline(state.proc_state, ProcessContext(state.clock))
-        state.clock = self.driver.step(old_now, state.clock, new_now, cap)
-        skew = _observed_skew(new_now, state.clock, self.driver.eps)
-        self._skew_hist.observe(skew)
-        self._skew_max.set_max(skew)
+        self._catch_up(state, new_now)
 
     def clock_value(self, state: NativeState, now: float) -> Optional[float]:
+        self._catch_up(state, now)
         return state.clock
+
+    def on_recover(self, state: NativeState, now: float) -> None:
+        """Crash-recovery hook: the restored clock resumes from ``now``.
+
+        Unlike :meth:`ClockNodeEntity.on_recover` the clock value is
+        kept; the first step after the recovery moves it into the
+        envelope.
+        """
+        state.clock_at = now

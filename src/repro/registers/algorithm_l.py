@@ -114,6 +114,12 @@ class RegisterProcess(Process):
         the register's initial value ``v0``.
     """
 
+    # The deadline is the state's ``mintime`` and every ``enabled`` guard
+    # is ``now == scheduled`` for one of the instants ``mintime`` ranges
+    # over, so nothing becomes enabled before time reaches it.
+    static_deadline = True
+    wakes_at_deadline = True
+
     def __init__(
         self,
         node: int,

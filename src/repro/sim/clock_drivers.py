@@ -54,6 +54,9 @@ class ClockDriver:
     #: engine's window barriers) compose to the identity. False for
     #: trajectories with per-step randomness (RandomWalk) or phase
     #: logic sensitive to evaluation points (Sawtooth, FaultyClock).
+    #: Clock nodes read it to decide whether the engine must step them
+    #: at every time advance or may leave them until their next event
+    #: (:mod:`repro.core.clock_transform`).
     granularity_free = False
 
     def __init__(self, eps: float):

@@ -11,7 +11,9 @@ models:
 2. When no action is enabled, time advances to the minimum of all
    entities' deadlines (the operational reading of the ``nu``
    preconditions) capped by the horizon; entities update their
-   time-dependent state (clocks, timers) in ``advance``.
+   time-dependent state (clocks, timers) in ``advance`` — or, when
+   they only wake at a static deadline, from the ``now`` they are next
+   handed (lazy node clocks, :mod:`repro.core.clock_transform`).
 3. A deadline equal to the current time with no enabled action is a
    *timelock* — a modeling bug — and raises immediately rather than
    spinning.
@@ -223,7 +225,13 @@ class _EntityInfo:
             None if self.probe_always
             else _input_action_keys(entity.signature.inputs)
         )
-        self.advances = type(entity).advance is not Entity.advance
+        # An entity that only wakes at a static deadline is not looked at
+        # between its events, so it must bring its time-dependent state
+        # up to the ``now`` it is handed rather than rely on the sweep.
+        self.advances = (
+            type(entity).advance is not Entity.advance
+            and not self.wakes_at_deadline
+        )
 
     def may_accept(self, key: Tuple[str, Any]) -> bool:
         keys = self.input_keys
@@ -282,13 +290,6 @@ class Simulator:
         self._route_table: Dict[Tuple[str, Any], Tuple[_EntityInfo, ...]] = {}
 
     # -- internals ---------------------------------------------------------
-
-    def _is_visible(self, action: Action, owner: Entity) -> bool:
-        if not owner.signature.is_output(action):
-            return False
-        if self.hidden is not None and action in self.hidden:
-            return False
-        return True
 
     def _route_targets(self, action: Action) -> Tuple[_EntityInfo, ...]:
         """Entities that may accept the action (lazily filled table)."""

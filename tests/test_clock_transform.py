@@ -7,7 +7,12 @@ from repro.automata.actions import Action
 from repro.core.clock_transform import ClockMachine, ClockNodeEntity
 from repro.core.pipeline import build_clock_system, build_timed_system
 from repro.errors import TransitionError
-from repro.sim.clock_drivers import FastClockDriver, PerfectClockDriver, SlowClockDriver
+from repro.sim.clock_drivers import (
+    DriftingClockDriver,
+    FastClockDriver,
+    PerfectClockDriver,
+    SlowClockDriver,
+)
 from repro.sim.delay import ConstantFractionDelay, UniformDelay
 
 INFINITY = float("inf")
@@ -112,10 +117,31 @@ class TestClockNodeEntity:
         assert node.deadline(state, 0.0) == pytest.approx(1.25)
 
     def test_advance_moves_clock(self):
-        node = self.node(FastClockDriver(0.25))
-        state = node.initial_state()
-        node.advance(state, 0.0, 0.5)
+        # A granularity-free driver under a process that only wakes at
+        # its deadline: the engine never sends advance(); the clock moves
+        # when the node is next asked anything at the new time.
+        lazy = self.node(FastClockDriver(0.25))
+        assert lazy.static_deadline and lazy.wakes_at_deadline
+        state = lazy.initial_state()
+        assert lazy.clock_value(state, 0.5) == pytest.approx(0.75)
         assert state.clock == pytest.approx(0.75)
+        # the first ping is due at clock 1.0, which is real time 0.75
+        assert lazy.enabled(state, 0.7) == []
+        assert Action("PING", (0, 1)) in lazy.enabled(state, 0.75)
+        assert state.clock == pytest.approx(1.0)
+
+        # A drifting clock integrates over the steps it is given, so the
+        # engine keeps stepping it once per time advance.
+        eager = self.node(DriftingClockDriver(0.25, rho=1.1))
+        assert not eager.static_deadline and not eager.wakes_at_deadline
+        state = eager.initial_state()
+        eager.advance(state, 0.0, 0.5)
+        assert state.clock == pytest.approx(0.55)
+        assert eager.clock_value(state, 0.5) == pytest.approx(0.55)
+        assert eager.enabled(state, 0.5) == []
+        eager.advance(state, 0.5, 1.0)  # stops at the clock deadline
+        assert state.clock == pytest.approx(1.0)
+        assert Action("PING", (0, 1)) in eager.enabled(state, 1.0)
 
     def test_clock_value_exposed(self):
         node = self.node(SlowClockDriver(0.25))

@@ -115,29 +115,58 @@ class TestContractForwarding:
         assert entity.static_deadline is True
         assert entity.wakes_at_deadline is True
 
+    def clock_node_cases(self):
+        """``(process, driver, promises)``: the deadline promises hold
+        exactly when the clock is a function of ``now`` (a
+        granularity-free driver) *and* the process makes both itself."""
+        from repro.sim.clock_drivers import (
+            DriftingClockDriver,
+            FaultyClockDriver,
+            PerfectClockDriver,
+            RandomWalkClockDriver,
+            SkewedClockDriver,
+        )
+
+        class NoWake(ImpureScheduleProcess):
+            wakes_at_deadline = False
+
+        class MovingDeadline(ImpureScheduleProcess):
+            static_deadline = False
+
+        promising = self.make_process()
+        perfect = PerfectClockDriver(eps=0.1)
+        return [
+            (promising, perfect, True),
+            (promising, SkewedClockDriver(eps=0.1, beta=0.05), True),
+            (promising, DriftingClockDriver(eps=0.1, rho=1.01), False),
+            (promising, RandomWalkClockDriver(eps=0.1, seed=1), False),
+            (promising, FaultyClockDriver(perfect, []), False),
+            (NoWake(0, 1, count=2, interval=1.0), perfect, False),
+            (MovingDeadline(0, 1, count=2, interval=1.0), perfect, False),
+        ]
+
     def test_clock_node_forwards_purity_and_pins_deadline_flags(self):
         from repro.core.clock_transform import ClockNodeEntity
-        from repro.sim.clock_drivers import PerfectClockDriver
+        from repro.sim.clock_drivers import FaultyClockDriver
 
-        entity = ClockNodeEntity(
-            self.make_process(), PerfectClockDriver(eps=0.1), [1], [1]
-        )
-        assert entity.pure_enabled is False
-        # The driver-stepped clock makes the deadline a function of real
-        # time, so the deadline promises stay pinned conservative.
-        assert entity.static_deadline is False
-        assert entity.wakes_at_deadline is False
+        for process, driver, promises in self.clock_node_cases():
+            entity = ClockNodeEntity(process, driver, [1], [1])
+            assert entity.pure_enabled is False
+            assert entity.static_deadline is promises, driver
+            assert entity.wakes_at_deadline is promises, driver
+            # the chaos layer swaps drivers on a copy of the node
+            entity.driver = FaultyClockDriver(driver, [])
+            assert entity.static_deadline is False
+            assert entity.wakes_at_deadline is False
 
     def test_native_clock_node_forwards_purity(self):
         from repro.core.clock_transform import NativeClockNodeEntity
-        from repro.sim.clock_drivers import PerfectClockDriver
 
-        entity = NativeClockNodeEntity(
-            self.make_process(), PerfectClockDriver(eps=0.1)
-        )
-        assert entity.pure_enabled is False
-        assert entity.static_deadline is False
-        assert entity.wakes_at_deadline is False
+        for process, driver, promises in self.clock_node_cases():
+            entity = NativeClockNodeEntity(process, driver)
+            assert entity.pure_enabled is False
+            assert entity.static_deadline is promises, driver
+            assert entity.wakes_at_deadline is promises, driver
 
     def test_mmt_node_forwards_purity(self):
         from repro.core.clock_transform import ClockMachine

@@ -1,0 +1,193 @@
+"""Lazy node clocks are the eager node clocks, evaluated less often.
+
+A clock node under a ``granularity_free`` driver whose process only
+wakes at a static deadline is not advanced by the engine: it steps its
+clock when it is next asked something (``repro.core.clock_transform``).
+The same systems run here once under the stock drivers (lazy) and once
+under test-local subclasses whose only difference is
+``granularity_free = False`` (stepped at every time advance, as every
+clock node was before), on both engine cores and sharded: the recorder
+streams must be byte-identical and every node's clock must read the same
+at the horizon.
+"""
+
+import pytest
+
+from repro.chaos import apply_plan, conformance_corpus
+from repro.components.pinger import (
+    PingerProcess,
+    pinger_process_factory,
+    pinger_topology,
+)
+from repro.core.clock_transform import NativeClockNodeEntity
+from repro.core.pipeline import build_clock_system, build_native_clock_system
+from repro.errors import ShardingError
+from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
+from repro.registers.opstream import OpSchedule
+from repro.registers.system import clock_register_system
+from repro.registers.workload import RegisterWorkload
+from repro.sim.clock_drivers import (
+    DriftingClockDriver,
+    PerfectClockDriver,
+    SkewedClockDriver,
+)
+from repro.sim.delay import EdgeSeededDelay
+from repro.sim.engine import Simulator, _EngineCore
+from repro.sim.recorder import Recorder
+
+from test_sharded import _pair_processes, _pair_topology
+
+D1, D2, EPS = 0.2, 0.6, 0.05
+
+
+class SteppedSkewed(SkewedClockDriver):
+    granularity_free = False
+
+
+class SteppedPerfect(PerfectClockDriver):
+    granularity_free = False
+
+
+def _skewed(cls):
+    """Offsets spread over the whole envelope, both edges included."""
+    return lambda i: cls(EPS, EPS * ((i * 3) % 5 - 2) / 2.0)
+
+
+DRIVERS = [
+    ("skewed", _skewed(SkewedClockDriver), _skewed(SteppedSkewed)),
+    ("perfect", lambda i: PerfectClockDriver(EPS), lambda i: SteppedPerfect(EPS)),
+]
+
+
+def _pairs(drivers):
+    return build_clock_system(
+        _pair_topology(8), _pair_processes(), EPS, D1, D2, drivers
+    )
+
+
+def _native_pairs(drivers):
+    return build_native_clock_system(
+        _pair_topology(8), _pair_processes(), EPS, D1, D2, drivers
+    )
+
+
+def _register(drivers):
+    workload = RegisterWorkload(operations=4, seed=13)
+    return clock_register_system(
+        n=4, d1=D1, d2=1.0, c=0.3, eps=EPS, workload=workload,
+        drivers=drivers, delay_model=EdgeSeededDelay(seed=13),
+        schedules=[OpSchedule.generate(i, workload) for i in range(4)],
+    )
+
+
+def _chaos(plan):
+    def build(drivers):
+        spec = build_clock_system(
+            pinger_topology(), pinger_process_factory(8, 2.0), EPS, 0.1, 1.0,
+            drivers,
+        )
+        return apply_plan(spec, plan)
+
+    return build
+
+
+SYSTEMS = [
+    ("pairs", _pairs, 6.0),
+    ("native-pairs", _native_pairs, 6.0),
+    ("register", _register, 12.0),
+] + [
+    (f"chaos-{plan.name}", _chaos(plan), 20.0) for plan in conformance_corpus()
+]
+
+
+def _run(spec, horizon, **kwargs):
+    """``(recorder events, {node: clock at the horizon})``."""
+    shards = kwargs.pop("shards", None)
+    sim = Simulator(spec.entities, hidden=spec.hidden, **kwargs)
+    result = sim.run(horizon, recorder=Recorder(), shards=shards)
+    assert result.completed()
+    clocks = {
+        node: entity.clock_value(result.final_states[entity.name], result.now)
+        for node, entity in spec.node_entities.items()
+    }
+    return result.recorder.events, clocks
+
+
+@pytest.mark.parametrize("name,build,horizon", SYSTEMS, ids=[s[0] for s in SYSTEMS])
+@pytest.mark.parametrize("kind,lazy,stepped", DRIVERS, ids=[d[0] for d in DRIVERS])
+def test_lazy_equals_eager(name, build, horizon, kind, lazy, stepped):
+    nodes = build(lazy).node_entities.values()
+    assert any(n.wakes_at_deadline for n in nodes) or name.startswith("chaos")
+    assert not any(
+        n.wakes_at_deadline for n in build(stepped).node_entities.values()
+    )
+    # a clock_fault wraps the driver: that node must fall back to stepping
+    for node in nodes:
+        if not getattr(node, "inner", node).driver.granularity_free:
+            assert not node.wakes_at_deadline
+
+    events, clocks = _run(build(lazy), horizon)
+    assert events, name
+    runs = {
+        "lazy reference": _run(build(lazy), horizon, incremental=False),
+        "stepped": _run(build(stepped), horizon),
+        "stepped reference": _run(build(stepped), horizon, incremental=False),
+    }
+    for k in (1, 2, 4):
+        try:
+            runs[f"lazy shards={k}"] = _run(build(lazy), horizon, shards=k)
+        except ShardingError:
+            # crash/recover and clock_fault plans are not shard-safe
+            assert name.startswith("chaos")
+    for label, (other_events, other_clocks) in runs.items():
+        assert other_events == events, (name, label)
+        assert other_clocks == clocks, (name, label)
+
+
+@pytest.mark.parametrize("build", [_pairs, _native_pairs, _register])
+def test_engine_leaves_lazy_nodes_out_of_its_per_advance_sweeps(build):
+    for cls, swept in ((SkewedClockDriver, False), (SteppedSkewed, True)):
+        spec = build(_skewed(cls))
+        sim = Simulator(spec.entities, hidden=spec.hidden)
+        core = _EngineCore(sim, Recorder(), NULL_METRICS, NULL_TRACER)
+        nodes = {
+            info.index for info in core.infos
+            if info.entity in spec.node_entities.values()
+        }
+        assert len(nodes) == len(spec.node_entities)
+        for sweep in (core.advancing_idx, core.dynamic_idx, core.nonwake_idx):
+            assert (nodes <= set(sweep)) if swept else not (nodes & set(sweep))
+
+
+def test_recovery_leaves_the_evaluation_instant_at_the_jumped_clock():
+    """``on_recover`` jumps the clock to the envelope edge *at* the
+    recovery instant; a stale evaluation instant would step it again
+    from the crash time at the first query after the recovery."""
+    spec = build_clock_system(
+        pinger_topology(), pinger_process_factory(8, 10.0), EPS, 0.1, 1.0,
+        lambda i: SkewedClockDriver(EPS, EPS),
+    )
+    node = spec.node_entities[0]
+    state = node.initial_state()
+    assert node.clock_value(state, 1.0) == pytest.approx(1.0 + EPS)
+    node.on_recover(state, 5.0)
+    assert state.clock == pytest.approx(5.0 - EPS)
+    assert node.clock_value(state, 5.0) == pytest.approx(5.0 - EPS)
+    assert node.clock_value(state, 5.5) == pytest.approx(5.5 + EPS)
+
+
+def test_native_recovery_resumes_the_clock_from_the_recovery_instant():
+    """A native node keeps its restored clock value; the next step runs
+    from the recovery instant, not from the crash."""
+    node = NativeClockNodeEntity(
+        PingerProcess(0, 1, 8, 100.0), DriftingClockDriver(EPS, 1.01)
+    )
+    state = node.initial_state()
+    node.advance(state, 0.0, 1.0)
+    assert state.clock == pytest.approx(1.01)
+    node.on_recover(state, 5.0)
+    assert node.clock_value(state, 5.0) == pytest.approx(1.01)
+    node.advance(state, 5.0, 6.0)
+    # one second of drift, then pulled up to the envelope's lower edge
+    assert state.clock == pytest.approx(6.0 - EPS)

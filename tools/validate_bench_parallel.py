@@ -1,11 +1,10 @@
 #!/usr/bin/env python
-"""Validate ``BENCH_parallel.json`` and gate sharded-speedup regressions.
+"""Validate ``BENCH_parallel.json`` and gate the serial engine's flatness in n.
 
 Usage::
 
     python tools/validate_bench_parallel.py BENCH_parallel.json
-    python tools/validate_bench_parallel.py /tmp/fresh.json --baseline BENCH_parallel.json
-    python tools/validate_bench_parallel.py BENCH_parallel.json --require-speedup 1.5
+    python tools/validate_bench_parallel.py BENCH_parallel.json --require-flat 2.0
 
 Checks, in order:
 
@@ -14,17 +13,16 @@ Checks, in order:
    per-shard-count ``sharded`` map with ``steps_per_sec`` / ``wall_s`` /
    ``speedup``, a ``best_speedup``, and ``traces_identical``.
 2. **Conformance** — ``traces_identical`` must be true in every cell:
-   sharded execution is only a valid optimization while its merged
-   trace is byte-for-byte the serial engine's.
-3. **Speedup floor** (``--require-speedup X``) — at least one cell's
-   ``best_speedup`` must reach ``X``; ``--pipeline`` narrows the claim
-   to one pipeline (default ``clock``, the advance-dominated regime
-   sharding targets — the timed pipeline is expected to sit near 1x).
-4. **Regression vs baseline** (``--baseline PATH``) — for each
-   (pipeline, n) present in both files, the fresh ``best_speedup`` must
-   be at least 80% of the baseline's (``--tolerance`` to adjust).
-   Ratios, not absolute steps/sec, are compared because CI hardware
-   differs from the machine that produced the checked-in baseline.
+   sharded execution is only valid while its merged trace is
+   byte-for-byte the serial engine's.
+3. **Flatness** (``--require-flat X``) — the serial engine's steps/sec
+   at the smallest n of ``--pipeline`` (default ``clock``) may be at
+   most ``X`` times its steps/sec at the largest n: per-step cost must
+   not grow with the system. A ratio within one file, so it carries
+   over from the machine that produced the checked-in baseline to CI
+   hardware. (Sharded speedups are recorded but no longer gated: with
+   lazy node clocks in-process shards sit near 1x, see
+   ``docs/performance.md``.)
 
 Exits 0 when all checks pass, 1 on failures (printed one per line),
 2 on usage errors.
@@ -114,67 +112,37 @@ def check_conformance(doc, path):
     ]
 
 
-def check_speedup_floor(doc, path, floor, pipeline):
-    cells = [r for r in doc["results"] if r.get("pipeline") == pipeline]
-    if not cells:
+def check_flatness(doc, path, limit, pipeline):
+    rate_by_n = {
+        r["n"]: r["serial"]["steps_per_sec"]
+        for r in doc["results"]
+        if r.get("pipeline") == pipeline
+    }
+    if len(rate_by_n) < 2:
         return [
-            f"{path}: no {pipeline!r} results to check the speedup floor"
+            f"{path}: flatness needs {pipeline!r} results at two sizes or more"
         ]
-    best = max(cells, key=lambda r: r.get("best_speedup", 0))
-    if best.get("best_speedup", 0) < floor:
+    small, large = min(rate_by_n), max(rate_by_n)
+    if rate_by_n[small] > limit * rate_by_n[large]:
         return [
-            f"{path}: best {pipeline} speedup "
-            f"{best.get('best_speedup', 0):.2f}x (n={best.get('n')}) below "
-            f"required {floor:g}x"
+            f"{path}: serial {pipeline} steps/sec falls from "
+            f"{rate_by_n[small]:.0f} at n={small} to {rate_by_n[large]:.0f} "
+            f"at n={large}, more than the allowed {limit:g}x"
         ]
     return []
-
-
-def check_regression(doc, baseline, path, base_path, tolerance):
-    problems = []
-    base_by_cell = {
-        (r["pipeline"], r["n"]): r.get("best_speedup", 0)
-        for r in baseline["results"]
-    }
-    compared = 0
-    for r in doc["results"]:
-        key = (r.get("pipeline"), r.get("n"))
-        base = base_by_cell.get(key)
-        if base is None or base <= 0:
-            continue
-        compared += 1
-        floor = base * (1.0 - tolerance)
-        if r.get("best_speedup", 0) < floor:
-            problems.append(
-                f"{path}: {key[0]} n={key[1]}: best speedup "
-                f"{r['best_speedup']:.2f}x regressed more than "
-                f"{tolerance:.0%} from baseline {base:.2f}x ({base_path})"
-            )
-    if compared == 0:
-        problems.append(
-            f"{path}: no (pipeline, n) cells in common with {base_path}"
-        )
-    return problems
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("bench", help="BENCH_parallel.json to validate")
     parser.add_argument(
-        "--baseline",
-        help="checked-in BENCH_parallel.json to compare speedups against",
-    )
-    parser.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed fractional speedup regression vs baseline (default 0.20)",
-    )
-    parser.add_argument(
-        "--require-speedup", type=float, default=None,
-        help="minimum best_speedup some --pipeline cell must reach",
+        "--require-flat", type=float, default=None,
+        help="largest allowed ratio of serial steps/sec at the smallest n "
+        "to the largest n of --pipeline",
     )
     parser.add_argument(
         "--pipeline", default="clock",
-        help="pipeline the --require-speedup floor applies to (default clock)",
+        help="pipeline the --require-flat gate applies to (default clock)",
     )
     args = parser.parse_args(argv)
 
@@ -183,19 +151,10 @@ def main(argv=None):
         problems += check_schema(doc, args.bench)
     if not problems:
         problems += check_conformance(doc, args.bench)
-        if args.require_speedup is not None:
-            problems += check_speedup_floor(
-                doc, args.bench, args.require_speedup, args.pipeline
+        if args.require_flat is not None:
+            problems += check_flatness(
+                doc, args.bench, args.require_flat, args.pipeline
             )
-        if args.baseline:
-            base, base_problems = load(args.baseline)
-            if base is not None:
-                base_problems += check_schema(base, args.baseline)
-            problems += base_problems
-            if not base_problems:
-                problems += check_regression(
-                    doc, base, args.bench, args.baseline, args.tolerance
-                )
     if problems:
         for problem in problems:
             print(problem)
