@@ -45,6 +45,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.actions import (
@@ -156,7 +157,8 @@ def _input_action_keys(action_set: ActionSet) -> Optional[Set[Tuple[str, Any]]]:
     node (``RECVMSG_i``) or edge source, so keying on it sends each
     routed action straight to its few true recipients instead of every
     entity sharing the action name. ``_ANY_FIRST`` marks patterns that
-    accept any first parameter. Returns ``None`` when the set cannot be
+    accept any first parameter, or fix it to an unhashable value that
+    cannot key the routing index. Returns ``None`` when the set cannot be
     decomposed (predicate sets, unknown subclasses) — the owning entity
     is then probed for every routed action, exactly like the full scan.
     The keys may over-approximate the truly accepted actions (e.g. for
@@ -171,9 +173,10 @@ def _input_action_keys(action_set: ActionSet) -> Optional[Set[Tuple[str, Any]]]:
     if isinstance(action_set, PatternActionSet):
         keys: Set[Tuple[str, Any]] = set()
         for p in action_set.patterns:
-            if p.prefix and p.prefix[0] is not ANY:
-                keys.add((p.name, p.prefix[0]))
-            else:
+            first = p.prefix[0] if p.prefix else ANY
+            try:
+                keys.add((p.name, _ANY_FIRST if first is ANY else first))
+            except TypeError:
                 keys.add((p.name, _ANY_FIRST))
         return keys
     if isinstance(action_set, UnionActionSet):
@@ -233,11 +236,47 @@ class _EntityInfo:
             and not self.wakes_at_deadline
         )
 
-    def may_accept(self, key: Tuple[str, Any]) -> bool:
-        keys = self.input_keys
-        if keys is None:
-            return True
-        return key in keys or (key[0], _ANY_FIRST) in keys
+
+class _RouteIndex:
+    """Inverted index over the declared input keys: who may accept what.
+
+    The composition rule makes the recipients of an action a function
+    of the signatures alone, so this is built once per
+    :class:`Simulator`, in O(sum of ``len(input_keys)``).
+    """
+
+    __slots__ = ("by_name", "probe_always")
+
+    def __init__(self, infos: Sequence[_EntityInfo]):
+        #: ``name -> first param -> indices`` of the entities declaring
+        #: that key; ``_ANY_FIRST`` is a first param like any other here
+        self.by_name: Dict[str, Dict[Any, List[int]]] = {}
+        #: indices of the entities whose inputs are not decomposed
+        self.probe_always: List[int] = []
+        by_name = self.by_name
+        for info in infos:
+            index = info.index
+            if info.input_keys is None:
+                self.probe_always.append(index)
+                continue
+            for name, param in info.input_keys:
+                by_name.setdefault(name, {}).setdefault(param, []).append(index)
+
+    def consumers(self, name: str, param: Any) -> List[int]:
+        """Indices, ascending, of the entities that may accept the key.
+
+        ``param`` is a concrete first parameter (or ``_NO_PARAMS``), or
+        ``_ANY_FIRST`` for "any action of this name": the key of an
+        output pattern that leaves its first parameter open, and of an
+        action whose first parameter is unhashable. Raises ``TypeError``
+        for an unhashable concrete ``param``.
+        """
+        by_param = self.by_name.get(name, {})
+        if param is _ANY_FIRST:
+            named = chain.from_iterable(by_param.values())
+        else:
+            named = chain(by_param.get(param, ()), by_param.get(_ANY_FIRST, ()))
+        return sorted({*named, *self.probe_always})
 
 
 class Simulator:
@@ -284,34 +323,31 @@ class Simulator:
         self.strict = strict
         self.incremental = incremental
         self._infos = [_EntityInfo(e, i) for i, e in enumerate(self.entities)]
+        self._route_index = _RouteIndex(self._infos)
         # (action name, first param) -> tuple of _EntityInfo that may
         # accept it, in composition order (routing and injection
-        # delivery order).
+        # delivery order); filled per key from the index on first use.
         self._route_table: Dict[Tuple[str, Any], Tuple[_EntityInfo, ...]] = {}
 
     # -- internals ---------------------------------------------------------
 
     def _route_targets(self, action: Action) -> Tuple[_EntityInfo, ...]:
-        """Entities that may accept the action (lazily filled table)."""
+        """Entities that may accept the action, in composition order."""
+        name = action.name
         try:
-            key = _first_param_key(action.name, action.params)
+            key = _first_param_key(name, action.params)
             targets = self._route_table.get(key)
-            if targets is None:
-                targets = tuple(
-                    info for info in self._infos if info.may_accept(key)
-                )
-                self._route_table[key] = targets
-            return targets
         except TypeError:
-            # Unhashable first parameter: fall back to probing every
-            # entity whose keys mention the name at all.
-            name = action.name
-            return tuple(
-                info
-                for info in self._infos
-                if info.input_keys is None
-                or any(k[0] == name for k in info.input_keys)
+            # Unhashable first parameter: every entity whose keys
+            # mention the name at all.
+            key = (name, _ANY_FIRST)
+            targets = self._route_table.get(key)
+        if targets is None:
+            infos = self._infos
+            targets = self._route_table[key] = tuple(
+                infos[i] for i in self._route_index.consumers(*key)
             )
+        return targets
 
     def _route(
         self,

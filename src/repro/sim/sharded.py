@@ -179,27 +179,8 @@ def plan_shards(
     """
     _validate(sim, shards)
     infos = sim._infos
+    index = sim._route_index
     n = len(infos)
-
-    # Consumer indexes over the engine's (name, first-param) input keys.
-    exact: Dict[Tuple[str, Any], List[int]] = {}
-    name_any: Dict[str, List[int]] = {}
-    name_all: Dict[str, Set[int]] = {}
-    universal: List[int] = []
-    for info in infos:
-        if info.input_keys is None:
-            universal.append(info.index)
-            continue
-        for key in info.input_keys:
-            name, param = key
-            name_all.setdefault(name, set()).add(info.index)
-            if param is _ANY_FIRST:
-                name_any.setdefault(name, []).append(info.index)
-            else:
-                try:
-                    exact.setdefault(key, []).append(info.index)
-                except TypeError:
-                    name_any.setdefault(name, []).append(info.index)
 
     uf = _UnionFind(n)
     cut_candidates: List[Tuple[int, int, float]] = []
@@ -213,12 +194,7 @@ def plan_shards(
             continue
         consumers: Set[int] = set()
         for name, param in out_keys:
-            if isinstance(param, type(_ANY_FIRST)) or param is _ANY_FIRST:
-                consumers |= name_all.get(name, set())
-            else:
-                consumers.update(exact.get((name, param), ()))
-                consumers.update(name_any.get(name, ()))
-            consumers.update(universal)
+            consumers.update(index.consumers(name, param))
         for consumer in sorted(consumers):
             if consumer == info.index:
                 continue

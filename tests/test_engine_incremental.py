@@ -16,8 +16,17 @@ totals.
 
 import pytest
 
-from repro.automata.actions import Action
+from repro.automata.actions import (
+    Action,
+    ActionPattern,
+    FiniteActionSet,
+    PatternActionSet,
+    PredicateActionSet,
+)
+from repro.automata.signature import Signature
+from repro.chaos import conformance_corpus
 from repro.clocks.sources import DriftingClockSource
+from repro.components.base import Entity
 from repro.components.pinger import pinger_process_factory, pinger_topology
 from repro.core.pipeline import (
     build_clock_system,
@@ -41,6 +50,8 @@ from repro.sim.scheduler import (
     RandomScheduler,
     RoundRobinScheduler,
 )
+
+from test_lazy_clocks import _chaos as chaos_pinger
 
 HORIZON = 30.0
 
@@ -265,9 +276,6 @@ class TestRoutingTable:
     def test_custom_accepts_still_probed(self):
         # An entity that overrides accepts() beyond its signature must
         # keep receiving every routed action (wildcard routing).
-        from repro.automata.signature import Signature
-        from repro.components.base import Entity
-
         received = []
 
         class Sniffer(Entity):
@@ -293,3 +301,120 @@ class TestRoutingTable:
         sim.run(5.0)
         assert "SENDMSG" in received
         assert "RECVMSG" in received
+
+    def test_index_over_approximates_acceptance_in_index_order(self):
+        # for every action fired on the corpus, the prefilter must hold
+        # every true recipient, in strictly ascending composition order
+        specs = [build() for _, build in CORPUS] + [
+            chaos_pinger(plan)(driver_factory("perfect", 0.05))
+            for plan in conformance_corpus()
+        ]
+        for spec in specs:
+            recorder, _ = _run(spec, True, DeterministicScheduler())
+            sim = Simulator(spec.entities, hidden=spec.hidden)
+            actions = {event.action for event in recorder.events}
+            assert actions
+            for action in actions:
+                routed = [info.index for info in sim._route_targets(action)]
+                assert routed == sorted(set(routed))
+                accepting = {
+                    i for i, e in enumerate(spec.entities) if e.accepts(action)
+                }
+                assert accepting <= set(routed), action
+
+    @pytest.mark.parametrize("action,expected", [
+        # a wildcard and a predicate entity between two exact-key ones
+        (Action("X", (1,)), ["exact-a", "wildcard", "predicate", "exact-b"]),
+        (Action("X", ()), ["no-params", "wildcard", "predicate"]),
+        (Action("X", ([1, 2],)), ["wildcard", "unhashable", "predicate"]),
+    ], ids=["exact", "zero-param", "unhashable"])
+    def test_delivery_in_composition_order(self, action, expected):
+        def entities(log):
+            def sink(name, *prefix):
+                return _Sink(
+                    name, log, PatternActionSet([ActionPattern("X", prefix)])
+                )
+
+            sinks = [
+                sink("exact-a", 1),
+                sink("wildcard"),
+                sink("unhashable", [1, 2]),
+                _Sink("predicate", log, PredicateActionSet(
+                    lambda a: a.name == "X"
+                )),
+                sink("other", 2),
+                sink("exact-b", 1),
+            ]
+            if not action.params:
+                # the only way to declare a zero-parameter key; kept out
+                # of the other cases because FiniteActionSet membership
+                # hashes the action, unhashable parameter included
+                sinks.insert(0, _Sink(
+                    "no-params", log, FiniteActionSet([Action("X", ())])
+                ))
+            return [_Emitter(action)] + sinks
+
+        logs, traces = {}, {}
+        for incremental in (True, False):
+            log = logs[incremental] = []
+            sim = Simulator(entities(log), incremental=incremental)
+            traces[incremental] = sim.run(1.0).recorder.events
+        assert traces[True] == traces[False] != []
+        assert logs[True] == logs[False] == expected
+
+    def test_unseen_keys_are_filled_without_scanning_entities(self):
+        class NoScan(list):
+            def __iter__(self):
+                raise AssertionError("_route_targets iterated every entity")
+
+        spec = _pinger_timed()
+        sim = Simulator(spec.entities + [
+            _Sink("sniffer", [], PredicateActionSet(lambda a: True)),
+        ], hidden=spec.hidden)
+        sim._infos = NoScan(sim._infos)
+        for seen, action in enumerate((
+            Action("RECVMSG", (1, 0, "ping")),
+            Action("SENDMSG", (0, 1, "ping")),
+            Action("NOP", ()),
+            Action("RECVMSG", ([1], 0, "ping")),
+        )):
+            assert len(sim._route_table) == seen  # each one is a new key
+            targets = sim._route_targets(action)
+            assert targets[-1].name == "sniffer"
+            assert sim._route_targets(action) is targets  # memoized
+
+
+class _Emitter(Entity):
+    """Fires one output action at time 0."""
+
+    def __init__(self, action):
+        super().__init__(
+            "emitter", Signature(outputs=PatternActionSet([ActionPattern("X")]))
+        )
+        self.action = action
+
+    def initial_state(self):
+        return {"fired": False}
+
+    def enabled(self, state, now):
+        return [] if state["fired"] else [self.action]
+
+    def fire(self, state, action, now):
+        state["fired"] = True
+
+
+class _Sink(Entity):
+    """Logs its name whenever an input reaches it."""
+
+    def __init__(self, name, log, inputs):
+        super().__init__(name, Signature(inputs=inputs))
+        self.log = log
+
+    def initial_state(self):
+        return None
+
+    def apply_input(self, state, action, now):
+        self.log.append(self.name)
+
+    def enabled(self, state, now):
+        return []

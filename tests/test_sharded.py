@@ -9,6 +9,14 @@ cannot reproduce exactly are rejected up front with
 
 import pytest
 
+from repro.automata.actions import (
+    Action,
+    ActionPattern,
+    FiniteActionSet,
+    PatternActionSet,
+)
+from repro.automata.signature import Signature
+from repro.components.base import Entity
 from repro.components.pinger import EchoProcess, PingerProcess
 from repro.core.pipeline import build_clock_system, build_timed_system
 from repro.errors import ShardingError
@@ -102,6 +110,23 @@ class TestPlanning:
         sim = Simulator(spec.entities, hidden=spec.hidden)
         plan = plan_shards(sim, 16)
         assert len(plan.shards) == 4
+
+    def test_zero_parameter_output_is_not_a_wildcard(self):
+        # TICK() reaches whoever declares TICK with no parameters, never
+        # a consumer keyed on a first parameter it does not have
+        class Toy(Entity):
+            def initial_state(self):
+                return None
+
+        tick = FiniteActionSet([Action("TICK", ())])
+        sim = Simulator([
+            Toy("source", Signature(outputs=tick)),
+            Toy("listener", Signature(inputs=tick)),
+            Toy("unrelated", Signature(
+                inputs=PatternActionSet([ActionPattern("TICK", (3,))])
+            )),
+        ])
+        assert plan_shards(sim, 3).shards == [[0, 1], [2]]
 
     def test_window_override_must_fit_under_the_safe_width(self):
         spec = _register_spec()

@@ -15,8 +15,8 @@ Checks, in order:
 2. **Conformance** — ``traces_identical`` must be true in every cell:
    sharded execution is only valid while its merged trace is
    byte-for-byte the serial engine's.
-3. **Flatness** (``--require-flat X``) — the serial engine's steps/sec
-   at the smallest n of ``--pipeline`` (default ``clock``) may be at
+3. **Flatness** (``--require-flat X``) — for every pipeline in the
+   file, the serial engine's steps/sec at the smallest n may be at
    most ``X`` times its steps/sec at the largest n: per-step cost must
    not grow with the system. A ratio within one file, so it carries
    over from the machine that produced the checked-in baseline to CI
@@ -112,24 +112,29 @@ def check_conformance(doc, path):
     ]
 
 
-def check_flatness(doc, path, limit, pipeline):
-    rate_by_n = {
-        r["n"]: r["serial"]["steps_per_sec"]
-        for r in doc["results"]
-        if r.get("pipeline") == pipeline
-    }
-    if len(rate_by_n) < 2:
-        return [
-            f"{path}: flatness needs {pipeline!r} results at two sizes or more"
-        ]
-    small, large = min(rate_by_n), max(rate_by_n)
-    if rate_by_n[small] > limit * rate_by_n[large]:
-        return [
-            f"{path}: serial {pipeline} steps/sec falls from "
-            f"{rate_by_n[small]:.0f} at n={small} to {rate_by_n[large]:.0f} "
-            f"at n={large}, more than the allowed {limit:g}x"
-        ]
-    return []
+def check_flatness(doc, path, limit):
+    problems = []
+    for pipeline in sorted({r["pipeline"] for r in doc["results"]}):
+        rate_by_n = {
+            r["n"]: r["serial"]["steps_per_sec"]
+            for r in doc["results"]
+            if r["pipeline"] == pipeline
+        }
+        if len(rate_by_n) < 2:
+            problems.append(
+                f"{path}: flatness needs {pipeline!r} results at two sizes "
+                f"or more"
+            )
+            continue
+        small, large = min(rate_by_n), max(rate_by_n)
+        if rate_by_n[small] > limit * rate_by_n[large]:
+            problems.append(
+                f"{path}: serial {pipeline} steps/sec falls from "
+                f"{rate_by_n[small]:.0f} at n={small} to "
+                f"{rate_by_n[large]:.0f} at n={large}, more than the "
+                f"allowed {limit:g}x"
+            )
+    return problems
 
 
 def main(argv=None):
@@ -138,11 +143,7 @@ def main(argv=None):
     parser.add_argument(
         "--require-flat", type=float, default=None,
         help="largest allowed ratio of serial steps/sec at the smallest n "
-        "to the largest n of --pipeline",
-    )
-    parser.add_argument(
-        "--pipeline", default="clock",
-        help="pipeline the --require-flat gate applies to (default clock)",
+        "to the largest n, for every pipeline in the file",
     )
     args = parser.parse_args(argv)
 
@@ -152,9 +153,7 @@ def main(argv=None):
     if not problems:
         problems += check_conformance(doc, args.bench)
         if args.require_flat is not None:
-            problems += check_flatness(
-                doc, args.bench, args.require_flat, args.pipeline
-            )
+            problems += check_flatness(doc, args.bench, args.require_flat)
     if problems:
         for problem in problems:
             print(problem)
