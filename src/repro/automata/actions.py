@@ -137,7 +137,11 @@ class FiniteActionSet(ActionSet):
         object.__setattr__(self, "actions", frozenset(actions))
 
     def contains(self, action: Action) -> bool:
-        return action in self.actions
+        try:
+            return action in self.actions
+        except TypeError:
+            # unhashable parameter: it cannot be one of the (hashed) members
+            return False
 
     def is_empty_hint(self) -> bool:
         return not self.actions

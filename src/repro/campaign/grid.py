@@ -43,7 +43,6 @@ AXES: Tuple[str, ...] = (
     "fault",
     "p_drop",
     "plan_seed",
-    "shards",
     "seed",
 )
 """Canonical axis order; every grid point lists its config in this order."""
@@ -61,7 +60,6 @@ DEFAULTS: Dict[str, object] = {
     "fault": "none",
     "p_drop": 0.2,
     "plan_seed": 0,
-    "shards": 1,
     "seed": 0,
 }
 """Default value of every axis not swept (one register experiment)."""
@@ -79,10 +77,6 @@ DRIVERS = (
     "perfect", "fast", "slow", "skewed", "mixed", "random", "drift",
     "sawtooth",
 )
-GRANULARITY_FREE_DRIVERS = ("perfect", "fast", "slow", "skewed")
-"""Drivers whose ``advance()`` trajectory is independent of how a time
-interval is split — the only ones the sharded engine's window barriers
-can reproduce (see :mod:`repro.sim.sharded`)."""
 
 
 def point_key(config: Mapping[str, object]) -> str:
@@ -220,26 +214,6 @@ class Grid:
                 raise CampaignError(
                     f"axis 'c' values must be numbers or 'u' (= 2*eps), got {c!r}"
                 )
-        shard_values = self.axes.get("shards", [DEFAULTS["shards"]])
-        for shards in shard_values:
-            if not isinstance(shards, int) or isinstance(shards, bool) or shards < 1:
-                raise CampaignError(
-                    f"axis 'shards' values must be positive integers, got {shards!r}"
-                )
-        # Fail sharded sweeps at spec time, not one point at a time: a
-        # clock-model point under window barriers gets extra advance()
-        # calls, which only granularity-free drivers tolerate.
-        if any(s > 1 for s in shard_values if isinstance(s, int)):
-            if "clock" in self.axes.get("model", [DEFAULTS["model"]]):
-                for driver in self.axes.get("driver", [DEFAULTS["driver"]]):
-                    if driver not in GRANULARITY_FREE_DRIVERS:
-                        raise CampaignError(
-                            f"shards>1 clock-model points need a "
-                            f"granularity-free driver (one of "
-                            f"{GRANULARITY_FREE_DRIVERS}); got {driver!r} — "
-                            f"window barriers split advance() intervals, "
-                            f"which would change its clock trajectory"
-                        )
 
     # -- expansion -----------------------------------------------------------
 

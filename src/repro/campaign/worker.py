@@ -77,23 +77,12 @@ def _build_system(config: Dict, run: Dict):
     c = 2.0 * eps if config["c"] == "u" else float(config["c"])
     seed = int(config["seed"])
     delta = float(run["delta"])
-    shards = int(config.get("shards", 1))
     workload = RegisterWorkload(
         operations=int(config["ops"]),
         read_fraction=float(config["read_fraction"]),
         seed=seed,
     )
-    if shards > 1:
-        # Sharded points need a shard-safe system: per-edge seeded
-        # delays and replay-schedule (pure) clients. See repro.sim.sharded.
-        from repro.registers.opstream import OpSchedule
-        from repro.sim.delay import EdgeSeededDelay
-
-        delay = EdgeSeededDelay(seed=seed)
-        schedules = [OpSchedule.generate(i, workload) for i in range(n)]
-    else:
-        delay = UniformDelay(seed=seed)
-        schedules = None
+    delay = UniformDelay(seed=seed)
     drivers = driver_factory(config["driver"], eps, seed=seed)
     model = config["model"]
     fault = config["fault"]
@@ -101,11 +90,6 @@ def _build_system(config: Dict, run: Dict):
         raise CampaignError(
             f"fault model {fault!r} is only wired for model='clock', "
             f"got {model!r}"
-        )
-    if shards > 1 and (fault != "none" or model in ("baseline", "mmt")):
-        raise CampaignError(
-            f"shards={shards} needs model='clock' or 'timed' with "
-            f"fault='none' (got model={model!r}, fault={fault!r})"
         )
     if fault == "lossy":
         return _lossy_clock_system(
@@ -124,13 +108,11 @@ def _build_system(config: Dict, run: Dict):
         return clock_register_system(
             n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
             drivers=drivers, delta=delta, delay_model=delay,
-            schedules=schedules,
         )
     if model == "timed":
         return timed_register_system(
             n=n, d1_prime=d1, d2_prime=d2, c=c, workload=workload,
             algorithm="L", delta=delta, delay_model=delay,
-            schedules=schedules,
         )
     if model == "baseline":
         return baseline_register_system(
@@ -230,10 +212,9 @@ def run_point(point: Dict) -> Dict:
     start = time.perf_counter()
     spec = _build_system(config, run_params)
     metrics = MetricsRegistry()
-    shards = int(config.get("shards", 1))
     run = run_register_experiment(
         spec, float(run_params["horizon"]), max_steps=MAX_STEPS,
-        metrics=metrics, shards=shards if shards > 1 else None,
+        metrics=metrics,
     )
     wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
     linearizable = run.linearizable()

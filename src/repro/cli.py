@@ -142,32 +142,18 @@ def _build_register_spec(args):
         operations=args.ops, read_fraction=args.read_fraction, seed=args.seed
     )
     delta = getattr(args, "delta", 0.01)
-    sharded = getattr(args, "shards", None) is not None
-    if sharded:
-        # The sharded engine needs a shard-safe system: per-edge seeded
-        # delays (no cross-edge RNG coupling) and replay-schedule
-        # clients (pure entities). A non-granularity-free --driver is
-        # rejected by the engine with a ShardingError.
-        from repro.registers.opstream import OpSchedule
-        from repro.sim.delay import EdgeSeededDelay
-
-        delay = EdgeSeededDelay(seed=args.seed)
-        schedules = [OpSchedule.generate(i, workload) for i in range(args.n)]
-    else:
-        delay = UniformDelay(seed=args.seed)
-        schedules = None
+    delay = UniformDelay(seed=args.seed)
     if args.model == "timed":
         return timed_register_system(
             n=args.n, d1_prime=args.d1, d2_prime=args.d2, c=args.c,
             workload=workload, algorithm="L", delta=delta, delay_model=delay,
-            schedules=schedules,
         )
     drivers = driver_factory(args.driver, args.eps, seed=args.seed)
     if args.model == "clock":
         return clock_register_system(
             n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
             workload=workload, drivers=drivers, delta=delta,
-            delay_model=delay, schedules=schedules,
+            delay_model=delay,
         )
     if args.model == "baseline":
         return baseline_register_system(
@@ -194,13 +180,11 @@ def _register(args) -> int:
     if tracer is not None:
         tracer.meta(_register_params(args))
     run = run_register_experiment(
-        spec, args.horizon, max_steps=3_000_000, metrics=metrics, tracer=tracer,
-        shards=args.shards, window=args.window,
+        spec, args.horizon, max_steps=3_000_000, metrics=metrics, tracer=tracer
     )
     _finish_obs(args, metrics, tracer)
     linearizable = run.linearizable()
-    print(f"model={args.model} n={args.n} eps={args.eps:g} c={args.c:g}"
-          + (f" shards={args.shards}" if args.shards else ""))
+    print(f"model={args.model} n={args.n} eps={args.eps:g} c={args.c:g}")
     print(f"operations: {len(run.operations)} "
           f"({len(run.reads)} reads, {len(run.writes)} writes)")
     print(f"max read latency : {run.max_read_latency():.4f}")
@@ -386,7 +370,6 @@ _AXIS_FLAGS = (
     ("fault", "fault", str),
     ("p_drop", "p_drop", float),
     ("plan_seed", "plan_seed", int),
-    ("shards", "shards", int),
 )
 
 
@@ -870,13 +853,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=8)
     p.add_argument("--read-fraction", type=float, default=0.5)
     p.add_argument("--step-bound", type=float, default=0.05)
-    p.add_argument("--shards", type=int, default=None,
-                   help="run the sharded engine with this many shards "
-                        "(replay-schedule clients, per-edge seeded delays; "
-                        "needs a granularity-free --driver)")
-    p.add_argument("--window", type=float, default=None,
-                   help="override the sharded barrier window width "
-                        "(default: the min cut-edge d1)")
     p.set_defaults(func=_register)
 
     p = sub.add_parser(

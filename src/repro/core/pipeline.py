@@ -75,18 +75,10 @@ class SystemSpec:
         recorder=None,
         metrics=None,
         tracer=None,
-        shards=None,
-        window=None,
     ) -> SimulationResult:
-        """Build a simulator and run it to the horizon.
-
-        ``shards``/``window`` select the sharded execution mode (see
-        :mod:`repro.sim.sharded`); the default ``None`` is the serial
-        engine.
-        """
+        """Build a simulator and run it to the horizon."""
         return self.simulator(scheduler, max_steps).run(
-            horizon, recorder=recorder, metrics=metrics, tracer=tracer,
-            shards=shards, window=window,
+            horizon, recorder=recorder, metrics=metrics, tracer=tracer
         )
 
 

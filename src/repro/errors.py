@@ -88,15 +88,3 @@ class CampaignError(ReproError):
     different grid), and worker tasks that cannot be resolved to an
     importable callable.
     """
-
-
-class ShardingError(ReproError):
-    """Raised when a system cannot run under the sharded engine mode.
-
-    Sharded execution (``Simulator.run(..., shards=k)``) requires every
-    component to be window-composable: pure enabled sets, shard-safe
-    delay models and schedulers, granularity-free clock drivers, and a
-    positive cross-shard lookahead. A system that breaks one of those
-    preconditions raises this error up front instead of silently
-    diverging from the serial trace.
-    """

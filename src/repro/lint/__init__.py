@@ -13,11 +13,12 @@ unchecked:
   entities (:mod:`repro.components.base`) must match what their method
   bodies actually do — a violated promise silently desynchronizes the
   incremental engine from the full-scan reference.
-- **Shard isolation** (``ISO*``): the planned entity-sharded parallel
-  engine (ROADMAP item 1) assumes no state is reachable from two entity
-  instances; the isolation pass builds per-class read/write effect
-  summaries and reports shared globals, mutated class attributes, and
-  payload aliasing (the PR 5 lossy-channel bug class).
+- **Shard isolation** (``ISO*``): composed automata interact through
+  shared actions only, so no state may be reachable from two entity
+  instances (or survive from one run to the next in the same process);
+  the isolation pass builds per-class read/write effect summaries and
+  reports shared globals, mutated class attributes, and payload
+  aliasing (the PR 5 lossy-channel bug class).
 
 Findings carry stable rule IDs and ``file:line`` positions, can be
 suppressed inline with ``# repro: lint-ignore[RULE] -- justification``

@@ -1,20 +1,22 @@
 """Shard-isolation / race detector (``ISO001``–``ISO003``).
 
-The entity-sharded parallel engine (ROADMAP item 1) will advance entity
-shards through ``d1``-wide windows independently — which is only sound
-if no mutable state is reachable from two entity instances. Balaguer &
-Chatain's *Avoiding Shared Clocks* result makes the same point for
-timed automata: shared state must be eliminated *before* components may
-advance on their own clocks. This pass is the pre-flight race detector:
-it builds a read/write effect summary for every Entity/Process subclass
-and reports the three ways Python code shares state behind the
-engine's back:
+The engine composes entities through shared actions only, which is
+sound only if no mutable state is reachable from two entity instances —
+within one run, or from one run to the next inside one process (a
+campaign worker, a conformance test's incremental/reference pair).
+Balaguer & Chatain's *Avoiding Shared Clocks* result makes the same
+point for timed automata: shared state must be eliminated *before*
+components may advance on their own clocks. The pass was written as the
+pre-flight race detector of an entity-sharded engine mode, since
+measured and deleted (docs/performance.md); it builds a read/write
+effect summary for every Entity/Process subclass and reports the three
+ways Python code shares state behind the engine's back:
 
 ``ISO001``
     Writes to module-level globals from entity methods (``global x``
     rebinds, or in-place mutation of a module-level object). Globals
-    are process-wide: two sharded entities would race on them — and
-    even serially they leak state across runs.
+    are process-wide: every entity sees them, and they leak state
+    across runs.
 ``ISO002``
     Mutation of class attributes from instance methods (``type(self)``
     / ``self.__class__`` / ``ClassName.x`` writes, or in-place mutation
@@ -28,12 +30,11 @@ engine's back:
     scalar attribute rebind is overwritten wholesale; container-held
     references outlive the transition and fan out). Ownership-transfer
     sites — where the sender provably never touches the object again —
-    carry inline suppressions; cross-process sharding severs such
-    aliases anyway when payloads are pickled across the shard boundary.
+    carry inline suppressions.
 
 :func:`build_isolation_report` turns the same effect summaries into the
-machine-readable independence report the sharded engine will consume
-(committed at ``benchmarks/results/lint_isolation.json``, rendered in
+machine-readable independence report (committed at
+``benchmarks/results/lint_isolation.json``, rendered in
 ``docs/shard-isolation.md``).
 """
 
@@ -469,12 +470,11 @@ def build_isolation_report(
     """The machine-readable shard-independence report.
 
     Shared globals and class-attribute mutations are *blockers* for
-    entity-sharded execution; payload aliases are *transfer edges* —
-    documented hand-offs that in-process sharding must respect and that
-    cross-process sharding severs via serialization. When a
-    :class:`LintResult` is supplied, each blocker/edge is annotated
-    with its lint disposition (``suppressed`` + justification, or
-    ``open``).
+    entity independence; payload aliases are *transfer edges* —
+    documented by-reference hand-offs between a sender and a receiver.
+    When a :class:`LintResult` is supplied, each blocker/edge is
+    annotated with its lint disposition (``suppressed`` + justification,
+    or ``open``).
     """
     dispositions: Dict[Tuple[str, int, str], Tuple[str, str]] = {}
     if result is not None:

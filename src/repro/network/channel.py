@@ -174,18 +174,6 @@ class ChannelEntity(Entity):
             return INFINITY
         return min(item.deliver_at for item in state.buffer)
 
-    @property
-    def shard_lookahead(self) -> float:
-        """Conservative-PDES lookahead this entity grants a shard cut.
-
-        A message handed to the channel at ``s`` is not deliverable
-        before ``s + d1``, so when the sender and this channel live on
-        different shards the receiver's shard may run ``d1`` ahead
-        before it can possibly observe the send — the window width of
-        :mod:`repro.sim.sharded`.
-        """
-        return self.d1
-
     def __repr__(self) -> str:
         return f"<ChannelEntity {self.name} [{self.d1:g},{self.d2:g}]>"
 

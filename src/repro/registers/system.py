@@ -270,20 +270,11 @@ def run_register_experiment(
     recorder=None,
     metrics=None,
     tracer=None,
-    shards=None,
-    window=None,
 ) -> RegisterRun:
-    """Run a built register system and collect per-operation results.
-
-    ``shards`` selects the sharded engine mode; the system must be
-    shard-safe (replay-schedule clients, a shard-safe delay model, and
-    — for the clock model — granularity-free drivers), or
-    :class:`~repro.errors.ShardingError` is raised.
-    """
+    """Run a built register system and collect per-operation results."""
     result = spec.run(
         horizon, scheduler=scheduler, max_steps=max_steps,
         recorder=recorder, metrics=metrics, tracer=tracer,
-        shards=shards, window=window,
     )
     operations: List[CompletedOp] = []
     for name, state in result.final_states.items():

@@ -50,13 +50,12 @@ class ClockDriver:
 
     #: a granularity-free trajectory reaches the same clock value at a
     #: given real time no matter how the interval is chopped into
-    #: ``step`` calls — extra intermediate advances (the sharded
-    #: engine's window barriers) compose to the identity. False for
-    #: trajectories with per-step randomness (RandomWalk) or phase
-    #: logic sensitive to evaluation points (Sawtooth, FaultyClock).
-    #: Clock nodes read it to decide whether the engine must step them
-    #: at every time advance or may leave them until their next event
-    #: (:mod:`repro.core.clock_transform`).
+    #: ``step`` calls, so skipping the intermediate steps changes
+    #: nothing. False for trajectories with per-step randomness
+    #: (RandomWalk) or phase logic sensitive to evaluation points
+    #: (Sawtooth, FaultyClock). Clock nodes read it to decide whether
+    #: the engine must step them at every time advance or may leave
+    #: them until their next event (:mod:`repro.core.clock_transform`).
     granularity_free = False
 
     def __init__(self, eps: float):
@@ -186,10 +185,10 @@ class DriftingClockDriver(ClockDriver):
     """
 
     # NOT granularity-free: clock + rho*(b-a) + rho*(c-b) equals
-    # clock + rho*(c-a) in exact arithmetic but not in floats, and the
-    # sharded engine's trace-equality bar is bit-exact. Memoryless
-    # trajectories (perfect, skewed) survive interval splitting exactly;
-    # integrating ones do not.
+    # clock + rho*(c-a) in exact arithmetic but not in floats, and a
+    # lazily stepped node must reproduce the stepped trace bit for bit.
+    # Memoryless trajectories (perfect, skewed) survive interval
+    # splitting exactly; integrating ones do not.
 
     def __init__(self, eps: float, rho: float):
         super().__init__(eps)

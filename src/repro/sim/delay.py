@@ -17,13 +17,6 @@ from typing import Tuple
 class DelayModel:
     """Chooses per-message delays within ``[d1, d2]``."""
 
-    #: a shard-safe model's sample for a message depends only on the
-    #: edge and the per-edge message sequence, never on the global
-    #: cross-edge sampling order. Models drawing from one shared RNG
-    #: (UniformDelay, JitteredDelay) consume it in engine arrival order,
-    #: which differs between serial and sharded runs.
-    shard_safe = False
-
     def sample(
         self, edge: Tuple[int, int], message: object, send_time: float,
         d1: float, d2: float,
@@ -37,8 +30,6 @@ class DelayModel:
 
 class ConstantFractionDelay(DelayModel):
     """Every message takes ``d1 + fraction * (d2 - d1)``."""
-
-    shard_safe = True  # stateless
 
     def __init__(self, fraction: float = 0.5):
         if not 0.0 <= fraction <= 1.0:
@@ -80,8 +71,6 @@ class AlternatingExtremesDelay(DelayModel):
     messages on the same edge (the paper's channels may reorder).
     """
 
-    shard_safe = True  # per-edge state only; edges never span shards twice
-
     def __init__(self):
         self._toggle = {}
 
@@ -89,34 +78,6 @@ class AlternatingExtremesDelay(DelayModel):
         flip = self._toggle.get(edge, False)
         self._toggle[edge] = not flip
         return d2 if flip else d1
-
-
-class EdgeSeededDelay(DelayModel):
-    """Seeded uniform delays from an independent RNG per edge.
-
-    The sharded-mode replacement for :class:`UniformDelay`: each edge
-    derives its own ``random.Random`` from the seed, so a message's
-    delay depends only on the edge and its position in that edge's send
-    sequence — the cross-edge interleaving (which differs between the
-    serial engine and barrier-deferred sharded delivery) is irrelevant.
-    """
-
-    shard_safe = True  # per-edge RNG streams, no cross-edge coupling
-
-    def __init__(self, seed: int = 0):
-        self.seed = seed
-        self._rngs = {}
-
-    def _rng(self, edge) -> random.Random:
-        rng = self._rngs.get(edge)
-        if rng is None:
-            src, dst = edge
-            rng = random.Random(self.seed * 1_000_003 + src * 7919 + dst)
-            self._rngs[edge] = rng
-        return rng
-
-    def sample(self, edge, message, send_time, d1, d2) -> float:
-        return self._rng(edge).uniform(d1, d2)
 
 
 class JitteredDelay(DelayModel):

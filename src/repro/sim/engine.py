@@ -22,18 +22,17 @@ Every fired action is recorded with its real time and the owner's local
 clock, so the run yields both ``t-trace`` (real-time stamps) and the
 ``gamma`` sequences of Definition 4.2 (clock stamps).
 
-Two execution strategies share one loop (see docs/performance.md):
+This module holds the one loop production runs use: it tracks a *dirty
+set* of entities whose enabled set may have changed (seeded by fire,
+routing, injection and time-advance targets), consults a precomputed
+action-routing table instead of probing every entity per output, and
+keeps per-entity deadlines in a lazily-invalidated min-heap (see
+docs/performance.md). ``Simulator(..., incremental=False)`` runs the same
+system under the full-scan reference interpreter of
+:mod:`repro.sim.reference` instead, chosen once per run; setup and
+run-level publishing in :meth:`Simulator.run` are shared by both.
 
-- the **incremental** core (default) tracks a *dirty set* of entities
-  whose enabled set may have changed — seeded by fire, routing,
-  injection, and time-advance targets — consults a precomputed
-  action-routing table instead of probing every entity per output, and
-  keeps per-entity deadlines in a lazily-invalidated min-heap;
-- the **full-scan** reference path (``Simulator(..., incremental=False)``)
-  re-derives every entity's enabled set and deadline on every event,
-  exactly as the models' operational semantics are written down.
-
-Both produce identical traces for entities honoring the scheduling
+The two produce identical traces for entities honoring the scheduling
 contract declared on :class:`~repro.components.base.Entity`
 (``pure_enabled`` / ``static_deadline`` / ``wakes_at_deadline``);
 ``benchmarks/bench_engine_core.py`` and the conformance tests check
@@ -64,6 +63,7 @@ from repro.errors import ScheduleError, SimulationLimitError, TimelockError
 from repro.obs.metrics import MetricsRegistry, stats_from_metrics
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.recorder import Recorder
+from repro.sim.reference import run_reference
 from repro.sim.scheduler import DeterministicScheduler, Scheduler
 
 from repro.constants import TOLERANCE as _TOLERANCE
@@ -298,9 +298,10 @@ class Simulator:
         safety valve against runaway action loops.
     incremental:
         run the event-driven core (dirty-set scheduling, routing table,
-        deadline heap). ``False`` selects the full-scan reference path,
-        which re-derives everything per event; both yield identical
-        traces for entities honoring the declared scheduling contract.
+        deadline heap). ``False`` selects the full-scan reference
+        interpreter (:mod:`repro.sim.reference`), which re-derives
+        everything per event; both yield identical traces for entities
+        honoring the declared scheduling contract.
     """
 
     def __init__(
@@ -328,6 +329,18 @@ class Simulator:
         # accept it, in composition order (routing and injection
         # delivery order); filled per key from the index on first use.
         self._route_table: Dict[Tuple[str, Any], Tuple[_EntityInfo, ...]] = {}
+        # Which per-round and per-advance sweeps of the incremental loop
+        # each entity is part of, by the scheduling contract it declares.
+        infos = self._infos
+        self._impure_idx = [i.index for i in infos if not i.pure_enabled]
+        self._dynamic_idx = [i.index for i in infos if not i.static_deadline]
+        self._advancing_idx = [i.index for i in infos if i.advances]
+        self._nonwake_idx = [i.index for i in infos if not i.wakes_at_deadline]
+        self._nonwake_static_idx = [
+            i.index
+            for i in infos
+            if i.static_deadline and not i.wakes_at_deadline
+        ]
 
     # -- internals ---------------------------------------------------------
 
@@ -349,27 +362,6 @@ class Simulator:
             )
         return targets
 
-    def _route(
-        self,
-        action: Action,
-        owner: Entity,
-        states: Dict[str, Any],
-        now: float,
-    ) -> None:
-        """Deliver an output action to every entity accepting it.
-
-        The full-scan delivery used by the reference path and kept as
-        the public routing primitive; the incremental loop inlines the
-        routing-table equivalent so it can dirty the recipients.
-        """
-        if not owner.signature.is_output(action):
-            return
-        for entity in self.entities:
-            if entity is owner:
-                continue
-            if entity.accepts(action):
-                entity.apply_input(states[entity.name], action, now)
-
     # -- main loop -------------------------------------------------------------
 
     def run(
@@ -380,8 +372,6 @@ class Simulator:
         stop_when: Optional[Callable[[Recorder, float], bool]] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
-        shards: Optional[int] = None,
-        window: Optional[float] = None,
     ) -> SimulationResult:
         """Run the composed system until ``now`` reaches ``horizon``.
 
@@ -399,50 +389,28 @@ class Simulator:
         :data:`~repro.obs.metrics.NULL_METRICS` to disable collection
         entirely). ``tracer`` emits structured span/event records; the
         default null tracer makes every hook a no-op.
-
-        ``shards`` selects the sharded execution mode (see
-        :mod:`repro.sim.sharded`): entities are partitioned into up to
-        ``shards`` shards that advance independently through safe
-        windows of width derived from the channels' ``d1`` lookahead,
-        exchanging cross-shard messages at the window barriers. Traces
-        are byte-identical to the serial engine at every shard count;
-        the system must satisfy the shard-safety preconditions or
-        :class:`~repro.errors.ShardingError` is raised. ``None``
-        (the default) is the plain serial path; ``window`` optionally
-        narrows the barrier spacing below the derived safe width.
         """
-        if shards is not None:
-            from repro.sim.sharded import run_sharded
-
-            return run_sharded(
-                self,
-                horizon,
-                shards,
-                window=window,
-                recorder=recorder,
-                initial_inputs=initial_inputs,
-                stop_when=stop_when,
-                metrics=metrics,
-                tracer=tracer,
-            )
         if recorder is None:  # `or` would discard an empty (falsy) Recorder
             recorder = Recorder()
         if metrics is None:
             metrics = MetricsRegistry()
         tracer = tracer or NULL_TRACER
-        core = _EngineCore(
-            self, recorder, metrics, tracer, initial_inputs, stop_when
-        )
+        for entity in self.entities:
+            entity.instrument(metrics)
+        self.scheduler.instrument(metrics)
+        states = {e.name: e.initial_state() for e in self.entities}
+        injections = sorted(initial_inputs, key=lambda pair: pair[1])
+        loop = _run_incremental if self.incremental else run_reference
         # repro: lint-ignore[DET002] -- events/sec instrumentation; the
         # wall figures are published as volatile metrics, excluded from
         # the deterministic export (see below)
         wall_start = time.perf_counter()
         tracer.run_start(horizon)
         tracer.meta({"entities": [e.name for e in self.entities]})
-        core.run_until(horizon)
+        now, steps = loop(
+            self, horizon, states, injections, recorder, metrics, tracer, stop_when
+        )
         wall = time.perf_counter() - wall_start  # repro: lint-ignore[DET002] -- volatile wall-time figure
-        now = core.now
-        steps = core.steps
         tracer.run_end(now, steps)
 
         # Run-level publishing. Wall-clock figures are volatile (kept out
@@ -471,393 +439,221 @@ class Simulator:
             now=now,
             steps=steps,
             recorder=recorder,
-            final_states=core.states,
+            final_states=states,
             stats=stats_from_metrics(metrics),
             metrics=metrics.snapshot(),
         )
 
 
-class _EngineCore:
-    """Resumable execution state for one run (or one shard of one).
+def _run_incremental(
+    sim: Simulator,
+    horizon: float,
+    states: Dict[str, Any],
+    injections: Sequence[Tuple[Action, float]],
+    recorder: Recorder,
+    metrics: MetricsRegistry,
+    tracer: Tracer,
+    stop_when: Optional[Callable[[Recorder, float], bool]],
+) -> Tuple[float, int]:
+    """The event-driven loop, from time 0 to ``horizon``.
 
-    Owns everything the main loop keeps between events: per-entity
-    states, the enabled-set cache, the dirty sets, the deadline heap,
-    and the injection cursor. :meth:`run_until` advances the loop to a
-    time limit and may be called repeatedly — the serial path makes one
-    inclusive call to the horizon; the sharded driver
-    (:mod:`repro.sim.sharded`) drives one core per shard window by
-    window, feeding cross-shard outputs back in through
-    :meth:`apply_external` at the barriers.
-
-    ``emit``, when given, is called ``emit(action, now)`` for every
-    output action fired — the sharded driver's hook for capturing
-    messages that must cross a shard boundary. ``record_injections``
-    exists because every shard's core processes the *full* injection
-    list (each must deliver to its local acceptors and cap its time
-    advances at pending injection times), but only one shard may record
-    the environment events and bump the injection counters, or the
-    merged run would count them once per shard.
+    Same contract as :func:`repro.sim.reference.run_reference`:
+    ``states`` maps entity names to their (mutated in place) states,
+    ``injections`` is sorted by time, the result is ``(now, steps)``.
     """
+    now = 0.0
+    steps = 0
+    inject_idx = 0
+    n_injections = len(injections)
 
-    def __init__(
-        self,
-        sim: Simulator,
-        recorder: Recorder,
-        metrics: MetricsRegistry,
-        tracer: Tracer,
-        initial_inputs: Sequence[Tuple[Action, float]] = (),
-        stop_when: Optional[Callable[[Recorder, float], bool]] = None,
-        emit: Optional[Callable[[Action, float], None]] = None,
-        record_injections: bool = True,
-    ):
-        self.sim = sim
-        self.recorder = recorder
-        self.metrics = metrics
-        self.tracer = tracer
-        self.stop_when = stop_when
-        self.emit = emit
-        self.record_injections = record_injections
-        self.stopped = False
+    # Hot-loop bindings: one attribute lookup per run, not per event.
+    c_steps = metrics.counter("repro.engine.steps")
+    c_actions = metrics.counter("repro.engine.actions")
+    c_advances = metrics.counter("repro.engine.time_advances")
+    c_injections = metrics.counter("repro.engine.injections")
+    c_visible = metrics.counter("repro.engine.visible_events")
+    c_hidden = metrics.counter("repro.engine.hidden_events")
+    trace_action = tracer.action
+    trace_advance = tracer.advance
+    record = recorder.record
+    pick = sim.scheduler.pick
+    strict = sim.strict
+    max_steps = sim.max_steps
+    route_targets = sim._route_targets
+    hidden = sim.hidden
 
-        for entity in sim.entities:
-            entity.instrument(metrics)
-        sim.scheduler.instrument(metrics)
-        self.states: Dict[str, Any] = {
-            e.name: e.initial_state() for e in sim.entities
-        }
-        self.now = 0.0
-        self.steps = 0
-        self.injections = sorted(initial_inputs, key=lambda pair: pair[1])
-        self.inject_idx = 0
+    infos = sim._infos
+    info_by_name = {info.name: info for info in infos}
+    state_by_idx = list(states.values())  # composition order, as ``infos``
+    entity_by_idx = sim.entities
 
-        self.c_steps = metrics.counter("repro.engine.steps")
-        self.c_actions = metrics.counter("repro.engine.actions")
-        self.c_advances = metrics.counter("repro.engine.time_advances")
-        self.c_injections = metrics.counter("repro.engine.injections")
-        self.c_visible = metrics.counter("repro.engine.visible_events")
-        self.c_hidden = metrics.counter("repro.engine.hidden_events")
+    # Enabled-set cache: per-entity candidate lists, assembled into the
+    # scheduler's candidate sequence from the non-empty entries.
+    # Candidates carry an interned (entity name, action repr) sort key so
+    # schedulers never recompute repr() per pick.
+    active: Dict[int, List[Tuple[Entity, Action, Tuple[str, str]]]] = {}
+    # Entities whose enabled set must be re-derived before the next pick.
+    # Impure entities are re-marked every round so their enabled() call
+    # sequence matches the full scan's.
+    dirty: Set[int] = set(range(len(infos)))
+    impure_idx = sim._impure_idx
 
-        infos = sim._infos
-        self.infos = infos
-        self.info_by_name = {info.name: info for info in infos}
-        n_entities = len(infos)
-        self.all_idx = range(n_entities)
-        self.state_by_idx = [self.states[info.name] for info in infos]
-        self.entity_by_idx = [info.entity for info in infos]
+    # Min-deadline cache. Static-deadline entities live in a
+    # lazily-invalidated heap of (deadline, index, generation); dynamic
+    # ones are re-evaluated at every advance query.
+    dynamic_idx = sim._dynamic_idx
+    dl_gen: List[int] = [0] * len(infos)
+    dl_heap: List[Tuple[float, int, int]] = []
+    dl_dirty: Set[int] = {i.index for i in infos if i.static_deadline}
+    advancing_idx = sim._advancing_idx
+    nonwake_idx = sim._nonwake_idx
+    nonwake_static_idx = sim._nonwake_static_idx
 
-        # Enabled-set cache: per-entity candidate lists, assembled into
-        # the scheduler's candidate sequence from the non-empty entries.
-        # Candidates carry an interned (entity name, action repr) sort
-        # key so schedulers never recompute repr() per pick.
-        self.active: Dict[int, List[Tuple[Entity, Action, Tuple[str, str]]]] = {}
-        # Entities whose enabled set must be re-derived before the next
-        # pick. The full-scan path simply treats every entity as dirty
-        # every round; impure entities are re-marked every round so
-        # their enabled() call sequence matches the full scan's.
-        self.dirty: Set[int] = set(self.all_idx)
-        self.impure_idx = [i.index for i in infos if not i.pure_enabled]
+    def refresh(idx: int) -> None:
+        entity = entity_by_idx[idx]
+        name = infos[idx].name
+        enabled = entity.enabled(state_by_idx[idx], now)
+        if enabled:
+            active[idx] = [
+                (entity, action, (name, repr(action))) for action in enabled
+            ]
+        else:
+            active.pop(idx, None)
 
-        # Min-deadline cache (incremental path only). Static-deadline
-        # entities live in a lazily-invalidated heap of
-        # (deadline, index, generation); dynamic ones are re-evaluated
-        # at every advance query, as the full scan does for everyone.
-        static_idx = [i.index for i in infos if i.static_deadline]
-        self.dynamic_idx = [i.index for i in infos if not i.static_deadline]
-        self.dl_val: List[float] = [INFINITY] * n_entities
-        self.dl_gen: List[int] = [0] * n_entities
-        self.dl_heap: List[Tuple[float, int, int]] = []
-        self.dl_dirty: Set[int] = set(static_idx)
-        self.advancing_idx = [i.index for i in infos if i.advances]
-        self.nonwake_idx = [i.index for i in infos if not i.wakes_at_deadline]
-        self.nonwake_static_idx = [
-            i.index
-            for i in infos
-            if i.static_deadline and not i.wakes_at_deadline
-        ]
-
-    def mark_dirty(self, info: _EntityInfo) -> None:
-        """Queue an entity for enabled-set (and deadline) re-derivation."""
-        self.dirty.add(info.index)
+    def mark_dirty(info: _EntityInfo) -> None:
+        dirty.add(info.index)
         if info.static_deadline:
-            self.dl_dirty.add(info.index)
+            dl_dirty.add(info.index)
 
-    def apply_external(self, action: Action, at_time: float) -> None:
-        """Deliver a foreign shard's output action to local acceptors.
+    while True:
+        # Deliver any injections scheduled at (or before) this time.
+        if inject_idx < n_injections and injections[inject_idx][1] <= now + _TOLERANCE:
+            while (
+                inject_idx < n_injections
+                and injections[inject_idx][1] <= now + _TOLERANCE
+            ):
+                action, _ = injections[inject_idx]
+                inject_idx += 1
+                c_injections.inc()
+                for info in route_targets(action):
+                    if info.entity.accepts(action):
+                        info.entity.apply_input(
+                            state_by_idx[info.index], action, now
+                        )
+                        mark_dirty(info)
+                record(action, now, "environment", None, True)
+                c_visible.inc()
+                tracer.injection(now, action)
+            if stop_when is not None and stop_when(recorder, now):
+                break
 
-        ``at_time`` is the original fire time on the producing shard:
-        channels sample their delay against the true send time even
-        though the action crosses the shard boundary one window barrier
-        later, so ``deliver_at = send + delay`` is exactly the serial
-        engine's.
-        """
-        state_by_idx = self.state_by_idx
-        for info in self.sim._route_targets(action):
-            entity = info.entity
-            if entity.accepts(action):
-                entity.apply_input(state_by_idx[info.index], action, at_time)
-                self.mark_dirty(info)
+        # Re-derive enabled sets for entities whose state (or time) may
+        # have changed, then gather the candidate actions.
+        dirty.update(impure_idx)
+        if dirty:
+            for idx in sorted(dirty):
+                refresh(idx)
+            dirty.clear()
 
-    def run_until(self, limit: float, inclusive: bool = True) -> None:
-        """Advance the loop until ``now`` reaches ``limit``.
-
-        ``inclusive=True`` is the serial semantics: actions enabled
-        exactly *at* the limit still fire, and the call returns when
-        nothing is enabled there (the run's final state).
-
-        ``inclusive=False`` stops at the top of the loop as soon as
-        ``now`` has reached the limit — before delivering injections or
-        firing actions stamped exactly at it. Events on a window
-        barrier therefore belong to the *next* window, after the
-        barrier's mailbox exchange, which is what makes the sharded
-        schedule merge back into the serial order exactly once each.
-        """
-        sim = self.sim
-        recorder = self.recorder
-        tracer = self.tracer
-        stop_when = self.stop_when
-        emit = self.emit
-        record_injections = self.record_injections
-        states = self.states
-        injections = self.injections
-        n_injections = len(injections)
-        inject_idx = self.inject_idx
-        now = self.now
-        steps = self.steps
-
-        # Hot-loop bindings: one attribute lookup per call, not per event.
-        c_steps = self.c_steps
-        c_actions = self.c_actions
-        c_advances = self.c_advances
-        c_injections = self.c_injections
-        c_visible = self.c_visible
-        c_hidden = self.c_hidden
-        trace_action = tracer.action
-        trace_advance = tracer.advance
-        record = recorder.record
-        pick = sim.scheduler.pick
-        strict = sim.strict
-        max_steps = sim.max_steps
-        incremental = sim.incremental
-        route_targets = sim._route_targets
-        hidden = sim.hidden
-        entities = sim.entities
-
-        infos = self.infos
-        info_by_name = self.info_by_name
-        all_idx = self.all_idx
-        state_by_idx = self.state_by_idx
-        entity_by_idx = self.entity_by_idx
-        active = self.active
-        dirty = self.dirty
-        impure_idx = self.impure_idx
-        dynamic_idx = self.dynamic_idx
-        dl_val = self.dl_val
-        dl_gen = self.dl_gen
-        dl_heap = self.dl_heap
-        dl_dirty = self.dl_dirty
-        advancing_idx = self.advancing_idx
-        nonwake_idx = self.nonwake_idx
-        nonwake_static_idx = self.nonwake_static_idx
-
-        def refresh(idx: int) -> None:
-            entity = entity_by_idx[idx]
-            name = infos[idx].name
-            state = state_by_idx[idx]
-            enabled = entity.enabled(state, now)
-            if enabled:
-                active[idx] = [
-                    (entity, action, (name, repr(action))) for action in enabled
-                ]
+        if active:
+            if len(active) == 1:
+                (candidates,) = active.values()
             else:
-                active.pop(idx, None)
-
-        def mark_dirty(info: _EntityInfo) -> None:
-            dirty.add(info.index)
-            if info.static_deadline:
-                dl_dirty.add(info.index)
-
-        try:
-            while True:
-                # Window barrier: with ``inclusive=False`` every event
-                # stamped exactly at the limit — injection delivery
-                # included — is left for the next call.
-                if not inclusive and now >= limit - _TOLERANCE:
-                    break
-
-                # Deliver any injections scheduled at (or before) this time.
-                if inject_idx < n_injections and injections[inject_idx][1] <= now + _TOLERANCE:
-                    while (
-                        inject_idx < n_injections
-                        and injections[inject_idx][1] <= now + _TOLERANCE
-                    ):
-                        action, _ = injections[inject_idx]
-                        inject_idx += 1
-                        if record_injections:
-                            c_injections.inc()
-                        if incremental:
-                            for info in route_targets(action):
-                                if info.entity.accepts(action):
-                                    info.entity.apply_input(
-                                        state_by_idx[info.index], action, now
-                                    )
-                                    mark_dirty(info)
-                        else:
-                            for entity in entities:
-                                if entity.accepts(action):
-                                    entity.apply_input(states[entity.name], action, now)
-                        if record_injections:
-                            record(action, now, "environment", None, True)
-                            c_visible.inc()
-                            tracer.injection(now, action)
-                    if stop_when is not None and stop_when(recorder, now):
-                        self.stopped = True
-                        break
-
-                # Re-derive enabled sets for entities whose state (or time)
-                # may have changed, then gather the candidate actions.
-                if incremental:
-                    dirty.update(impure_idx)
-                    if dirty:
-                        for idx in sorted(dirty):
-                            refresh(idx)
-                        dirty.clear()
-                else:
-                    for idx in all_idx:
-                        refresh(idx)
-                if active:
-                    if len(active) == 1:
-                        (candidates,) = active.values()
-                    else:
-                        candidates = [
-                            cand for lst in active.values() for cand in lst
-                        ]
-                else:
-                    candidates = []
-
-                if candidates:
-                    if steps >= max_steps:
-                        raise SimulationLimitError(
-                            f"exceeded {max_steps} steps at now={now:g}"
+                candidates = [cand for lst in active.values() for cand in lst]
+            if steps >= max_steps:
+                raise SimulationLimitError(
+                    f"exceeded {max_steps} steps at now={now:g}"
+                )
+            picked = pick(candidates, now)
+            entity, action = picked[0], picked[1]
+            if strict and not (
+                entity.signature.is_output(action)
+                or entity.signature.is_internal(action)
+            ):
+                raise ScheduleError(
+                    f"{entity.name} offered {action}, which is not a "
+                    f"locally controlled action of its signature"
+                )
+            owner = info_by_name[entity.name]
+            state = state_by_idx[owner.index]
+            clock = entity.clock_value(state, now)
+            entity.fire(state, action, now)
+            is_output = entity.signature.is_output(action)
+            visible = is_output and (hidden is None or action not in hidden)
+            record(action, now, entity.name, clock, visible)
+            (c_visible if visible else c_hidden).inc()
+            trace_action(now, entity.name, action, clock, visible)
+            if is_output:
+                for info in route_targets(action):
+                    target_entity = info.entity
+                    if target_entity is entity:
+                        continue
+                    if target_entity.accepts(action):
+                        target_entity.apply_input(
+                            state_by_idx[info.index], action, now
                         )
-                    picked = pick(candidates, now)
-                    entity, action = picked[0], picked[1]
-                    if strict and not (
-                        entity.signature.is_output(action)
-                        or entity.signature.is_internal(action)
-                    ):
-                        raise ScheduleError(
-                            f"{entity.name} offered {action}, which is not a "
-                            f"locally controlled action of its signature"
-                        )
-                    state = states[entity.name]
-                    clock = entity.clock_value(state, now)
-                    entity.fire(state, action, now)
-                    is_output = entity.signature.is_output(action)
-                    visible = is_output and (
-                        hidden is None or action not in hidden
-                    )
-                    record(action, now, entity.name, clock, visible)
-                    (c_visible if visible else c_hidden).inc()
-                    trace_action(now, entity.name, action, clock, visible)
-                    if is_output:
-                        if emit is not None:
-                            emit(action, now)
-                        if incremental:
-                            for info in route_targets(action):
-                                target_entity = info.entity
-                                if target_entity is entity:
-                                    continue
-                                if target_entity.accepts(action):
-                                    target_entity.apply_input(
-                                        state_by_idx[info.index], action, now
-                                    )
-                                    mark_dirty(info)
-                        else:
-                            sim._route(action, entity, states, now)
-                    steps += 1
-                    c_steps.inc()
-                    c_actions.inc()
-                    if incremental:
-                        mark_dirty(info_by_name[entity.name])
-                    if stop_when is not None and stop_when(recorder, now):
-                        self.stopped = True
-                        break
-                    continue
+                        mark_dirty(info)
+            steps += 1
+            c_steps.inc()
+            c_actions.inc()
+            mark_dirty(owner)
+            if stop_when is not None and stop_when(recorder, now):
+                break
+            continue
 
-                # No action enabled: advance time. The target starts at the
-                # limit capped by the next injection and is pulled down by
-                # the minimum entity deadline; reaching the limit with
-                # nothing enabled ends the call (the former separate
-                # "horizon drain" is subsumed by the loop's candidate
-                # gathering above).
-                target = limit
-                if inject_idx < n_injections:
-                    inj_time = injections[inject_idx][1]
-                    if inj_time < target:
-                        target = inj_time
-                blocker = None
-                if incremental:
-                    if dl_dirty:
-                        for idx in sorted(dl_dirty):
-                            value = entity_by_idx[idx].deadline(state_by_idx[idx], now)
-                            dl_val[idx] = value
-                            dl_gen[idx] += 1
-                            heappush(dl_heap, (value, idx, dl_gen[idx]))
-                        dl_dirty.clear()
-                    while dl_heap and dl_heap[0][2] != dl_gen[dl_heap[0][1]]:
-                        heappop(dl_heap)
-                    best_val = INFINITY
-                    best_idx = -1
-                    if dl_heap:
-                        best_val, best_idx = dl_heap[0][0], dl_heap[0][1]
-                    for idx in dynamic_idx:
-                        value = entity_by_idx[idx].deadline(state_by_idx[idx], now)
-                        if value < best_val or (value == best_val and idx < best_idx):
-                            best_val = value
-                            best_idx = idx
-                    if best_val < target:
-                        target = best_val
-                        blocker = entity_by_idx[best_idx]
-                else:
-                    for entity in entities:
-                        entity_deadline = entity.deadline(states[entity.name], now)
-                        if entity_deadline < target:
-                            target = entity_deadline
-                            blocker = entity
-                if target <= now + _TOLERANCE:
-                    if now >= limit - _TOLERANCE:
-                        break
-                    tracer.timelock(now, blocker.name if blocker else None)
-                    raise TimelockError(
-                        f"timelock at now={now:g}: entity "
-                        f"{blocker.name if blocker else '?'} blocks time passage "
-                        f"but nothing is enabled"
-                    )
-                if incremental:
-                    for idx in advancing_idx:
-                        entity_by_idx[idx].advance(state_by_idx[idx], now, target)
-                else:
-                    for entity in entities:
-                        entity.advance(states[entity.name], now, target)
-                trace_advance(now, target, blocker.name if blocker else None)
-                now = target
-                c_advances.inc()
-                if incremental:
-                    # Time moved: re-derive every entity that has not
-                    # promised its enabled set only changes at its deadline,
-                    # plus the promised ones whose deadline just arrived.
-                    dirty.update(nonwake_idx)
-                    dl_dirty.update(nonwake_static_idx)
-                    while dl_heap and dl_heap[0][0] <= now + _TOLERANCE:
-                        value, idx, gen = heappop(dl_heap)
-                        if gen == dl_gen[idx]:
-                            dirty.add(idx)
-                            dl_dirty.add(idx)
-        finally:
-            # Scalars live in locals for the loop's sake; the mutable
-            # caches (states, active, dirty, heap) were mutated in
-            # place, so writing these three back fully resynchronizes
-            # the core for the next call.
-            self.now = now
-            self.steps = steps
-            self.inject_idx = inject_idx
+        # No action enabled: advance time. The target starts at the
+        # horizon capped by the next injection and is pulled down by the
+        # minimum entity deadline; reaching the horizon with nothing
+        # enabled ends the run.
+        target = horizon
+        if inject_idx < n_injections:
+            inj_time = injections[inject_idx][1]
+            if inj_time < target:
+                target = inj_time
+        blocker = None
+        if dl_dirty:
+            for idx in sorted(dl_dirty):
+                value = entity_by_idx[idx].deadline(state_by_idx[idx], now)
+                dl_gen[idx] += 1
+                heappush(dl_heap, (value, idx, dl_gen[idx]))
+            dl_dirty.clear()
+        while dl_heap and dl_heap[0][2] != dl_gen[dl_heap[0][1]]:
+            heappop(dl_heap)
+        best_val = INFINITY
+        best_idx = -1
+        if dl_heap:
+            best_val, best_idx = dl_heap[0][0], dl_heap[0][1]
+        for idx in dynamic_idx:
+            value = entity_by_idx[idx].deadline(state_by_idx[idx], now)
+            if value < best_val or (value == best_val and idx < best_idx):
+                best_val = value
+                best_idx = idx
+        if best_val < target:
+            target = best_val
+            blocker = entity_by_idx[best_idx]
+        if target <= now + _TOLERANCE:
+            if now >= horizon - _TOLERANCE:
+                break
+            tracer.timelock(now, blocker.name if blocker else None)
+            raise TimelockError(
+                f"timelock at now={now:g}: entity "
+                f"{blocker.name if blocker else '?'} blocks time passage "
+                f"but nothing is enabled"
+            )
+        for idx in advancing_idx:
+            entity_by_idx[idx].advance(state_by_idx[idx], now, target)
+        trace_advance(now, target, blocker.name if blocker else None)
+        now = target
+        c_advances.inc()
+        # Time moved: re-derive every entity that has not promised its
+        # enabled set only changes at its deadline, plus the promised
+        # ones whose deadline just arrived.
+        dirty.update(nonwake_idx)
+        dl_dirty.update(nonwake_static_idx)
+        while dl_heap and dl_heap[0][0] <= now + _TOLERANCE:
+            value, idx, gen = heappop(dl_heap)
+            if gen == dl_gen[idx]:
+                dirty.add(idx)
+                dl_dirty.add(idx)
+
+    return now, steps

@@ -42,13 +42,6 @@ class Scheduler:
     _picks = NULL_COUNTER
     _contention = NULL_HISTOGRAM
 
-    #: a shard-safe scheduler's choice depends only on the candidate set
-    #: handed to one pick (no cross-pick state, no RNG), so per-shard
-    #: instances reproduce the global schedule when each shard sees only
-    #: its own candidates. Stateful policies (random, round-robin) would
-    #: consume their state in per-shard order, not global order.
-    shard_safe = False
-
     def instrument(self, metrics) -> None:
         """Bind pick-count and contention instruments (engine hook)."""
         self._picks = metrics.counter("repro.scheduler.picks")
@@ -75,8 +68,6 @@ class DeterministicScheduler(Scheduler):
     Stable and fully reproducible; biases toward lexicographically early
     entities, which is fine for safety checking (any schedule is legal).
     """
-
-    shard_safe = True  # min() over the candidates: memoryless, no RNG
 
     def pick(self, candidates: Sequence[Candidate], now: float) -> Candidate:
         if not candidates:

@@ -79,22 +79,6 @@ def test_grid_rejects_bad_specs():
         Grid({}, run={"warmup": 1.0})  # unknown run parameter
 
 
-def test_sharded_points_need_a_granularity_free_driver():
-    # the default driver is "mixed" (random-walk): caught at spec time,
-    # not as N runtime ShardingError point failures
-    with pytest.raises(CampaignError, match="granularity-free"):
-        Grid({"shards": [1, 2]}, run=SMALL_RUN)
-    # timed-model points never touch a clock driver, so no constraint
-    Grid({"shards": [2], "model": ["timed"]}, run=SMALL_RUN)
-    # and a granularity-free driver sweeps cleanly through both values
-    grid = Grid(
-        {"shards": [1, 2], "driver": ["skewed"], "ops": [4]},
-        run=SMALL_RUN,
-    )
-    outcomes = CampaignRunner(workers=1).run(grid.points())
-    assert outcomes and all(o.ok for o in outcomes)
-
-
 def test_grid_from_json_spec_file(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
@@ -326,6 +310,18 @@ def test_cli_sweep_rejects_spec_plus_axis_flags(tmp_path):
     completed = run_cli(tmp_path, "--spec", str(spec))
     assert completed.returncode == 2
     assert "not both" in completed.stderr
+
+
+def test_shards_is_not_an_axis(tmp_path):
+    with pytest.raises(CampaignError, match="unknown grid axis 'shards'"):
+        Grid({"shards": [1]})
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"grid": {"shards": [1, 2], "driver": "skewed"}}')
+    with pytest.raises(CampaignError, match="unknown grid axis 'shards'"):
+        Grid.from_file(str(spec))
+    completed = run_cli(tmp_path, "--shards", "2")
+    assert completed.returncode == 2
+    assert "--shards" in completed.stderr
 
 
 def test_plan_fault_axis_runs_and_is_deterministic():

@@ -11,8 +11,6 @@ import json
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.registers.opstream import OpSchedule
 from repro.registers.system import (
     baseline_register_system,
     clock_register_system,
@@ -21,7 +19,7 @@ from repro.registers.system import (
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
-from repro.sim.delay import EdgeSeededDelay, UniformDelay
+from repro.sim.delay import UniformDelay
 from repro.sim.scheduler import RandomScheduler
 
 
@@ -97,79 +95,6 @@ class TestDeterminism:
         a, b = run_twice(build)
         assert a.max_read_latency() == b.max_read_latency()
         assert a.max_write_latency() == b.max_write_latency()
-
-
-class TestShardCountInvariance:
-    """The sharded engine's reproducibility bar (see repro.sim.sharded).
-
-    The trace — and the merged, volatile-excluded metrics snapshot —
-    must be byte-identical across shard counts and across repeated runs
-    at the same shard count. The system must be shard-safe: replay
-    (pure) clients, per-edge seeded delays, granularity-free drivers.
-    """
-
-    HORIZON = 40.0
-    SHARD_COUNTS = (1, 2, 4)
-
-    @staticmethod
-    def _build(model):
-        n, seed = 4, 11
-        workload = RegisterWorkload(operations=6, seed=seed)
-        schedules = [OpSchedule.generate(i, workload) for i in range(n)]
-        delay = EdgeSeededDelay(seed=seed)
-        if model == "clock":
-            return clock_register_system(
-                n=n, d1=0.2, d2=1.0, c=0.3, eps=0.1, workload=workload,
-                drivers=driver_factory("skewed", 0.1, seed=seed),
-                delay_model=delay, schedules=schedules,
-            )
-        return timed_register_system(
-            n=n, d1_prime=0.2, d2_prime=1.0, c=0.3, workload=workload,
-            delay_model=delay, schedules=schedules,
-        )
-
-    @classmethod
-    def _run(cls, model, shards):
-        metrics = MetricsRegistry()
-        run = run_register_experiment(
-            cls._build(model), cls.HORIZON, metrics=metrics, shards=shards
-        )
-        return run, metrics
-
-    @pytest.mark.parametrize("model", ["clock", "timed"])
-    def test_trace_and_metrics_invariant_across_shard_counts(self, model):
-        traces, snapshots, operations = [], [], []
-        for shards in self.SHARD_COUNTS:
-            run, metrics = self._run(model, shards)
-            traces.append(run.result.recorder.events)
-            snapshots.append(
-                json.dumps(metrics.snapshot(), sort_keys=True)
-            )
-            operations.append(
-                [(op.kind, op.value, op.inv_time, op.res_time)
-                 for op in run.operations]
-            )
-        for shards, trace in zip(self.SHARD_COUNTS[1:], traces[1:]):
-            assert trace == traces[0], f"trace diverges at shards={shards}"
-        assert len(set(snapshots)) == 1, "metrics diverge across shard counts"
-        assert all(ops == operations[0] for ops in operations[1:])
-
-    @pytest.mark.parametrize("model", ["clock", "timed"])
-    def test_repeated_runs_at_same_shard_count_identical(self, model):
-        for shards in (1, 4):
-            (run_a, metrics_a) = self._run(model, shards)
-            (run_b, metrics_b) = self._run(model, shards)
-            assert run_a.result.recorder.events == run_b.result.recorder.events
-            assert json.dumps(metrics_a.snapshot(), sort_keys=True) == (
-                json.dumps(metrics_b.snapshot(), sort_keys=True)
-            )
-
-    def test_sharded_trace_matches_serial_engine(self):
-        # shards=1 still routes through the barrier machinery; the
-        # events it records must equal the plain serial engine's
-        serial = run_register_experiment(self._build("clock"), self.HORIZON)
-        sharded, _ = self._run("clock", 1)
-        assert sharded.result.recorder.events == serial.result.recorder.events
 
 
 class TestLintDeterminism:

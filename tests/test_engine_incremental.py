@@ -323,8 +323,10 @@ class TestRoutingTable:
                 assert accepting <= set(routed), action
 
     @pytest.mark.parametrize("action,expected", [
-        # a wildcard and a predicate entity between two exact-key ones
-        (Action("X", (1,)), ["exact-a", "wildcard", "predicate", "exact-b"]),
+        # a wildcard, a finite-set and a predicate entity between two
+        # exact-key ones
+        (Action("X", (1,)),
+         ["exact-a", "wildcard", "finite", "predicate", "exact-b"]),
         (Action("X", ()), ["no-params", "wildcard", "predicate"]),
         (Action("X", ([1, 2],)), ["wildcard", "unhashable", "predicate"]),
     ], ids=["exact", "zero-param", "unhashable"])
@@ -335,24 +337,22 @@ class TestRoutingTable:
                     name, log, PatternActionSet([ActionPattern("X", prefix)])
                 )
 
-            sinks = [
+            return [
+                _Emitter(action),
+                # the only way to declare a zero-parameter key
+                _Sink("no-params", log, FiniteActionSet([Action("X", ())])),
                 sink("exact-a", 1),
                 sink("wildcard"),
                 sink("unhashable", [1, 2]),
+                # offered the unhashable action too (same name), and its
+                # membership test hashes what it is offered
+                _Sink("finite", log, FiniteActionSet([Action("X", (1,))])),
                 _Sink("predicate", log, PredicateActionSet(
                     lambda a: a.name == "X"
                 )),
                 sink("other", 2),
                 sink("exact-b", 1),
             ]
-            if not action.params:
-                # the only way to declare a zero-parameter key; kept out
-                # of the other cases because FiniteActionSet membership
-                # hashes the action, unhashable parameter included
-                sinks.insert(0, _Sink(
-                    "no-params", log, FiniteActionSet([Action("X", ())])
-                ))
-            return [_Emitter(action)] + sinks
 
         logs, traces = {}, {}
         for incremental in (True, False):

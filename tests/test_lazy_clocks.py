@@ -6,24 +6,23 @@ clock when it is next asked something (``repro.core.clock_transform``).
 The same systems run here once under the stock drivers (lazy) and once
 under test-local subclasses whose only difference is
 ``granularity_free = False`` (stepped at every time advance, as every
-clock node was before), on both engine cores and sharded: the recorder
-streams must be byte-identical and every node's clock must read the same
-at the horizon.
+clock node was before), on both engine cores: the recorder streams must
+be byte-identical and every node's clock must read the same at the
+horizon.
 """
 
 import pytest
 
 from repro.chaos import apply_plan, conformance_corpus
 from repro.components.pinger import (
+    EchoProcess,
     PingerProcess,
     pinger_process_factory,
     pinger_topology,
 )
 from repro.core.clock_transform import NativeClockNodeEntity
 from repro.core.pipeline import build_clock_system, build_native_clock_system
-from repro.errors import ShardingError
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.trace import NULL_TRACER
+from repro.network.topology import Topology
 from repro.registers.opstream import OpSchedule
 from repro.registers.system import clock_register_system
 from repro.registers.workload import RegisterWorkload
@@ -32,13 +31,28 @@ from repro.sim.clock_drivers import (
     PerfectClockDriver,
     SkewedClockDriver,
 )
-from repro.sim.delay import EdgeSeededDelay
-from repro.sim.engine import Simulator, _EngineCore
+from repro.sim.delay import UniformDelay
+from repro.sim.engine import Simulator
 from repro.sim.recorder import Recorder
 
-from test_sharded import _pair_processes, _pair_topology
-
 D1, D2, EPS = 0.2, 0.6, 0.05
+
+
+def _pair_topology(n):
+    edges = []
+    for k in range(0, n, 2):
+        edges.append((k, k + 1))
+        edges.append((k + 1, k))
+    return Topology(n, edges)
+
+
+def _pair_processes(count=4, interval=0.5):
+    def make(i):
+        if i % 2 == 0:
+            return PingerProcess(i, i + 1, count, interval)
+        return EchoProcess(i, i - 1)
+
+    return make
 
 
 class SteppedSkewed(SkewedClockDriver):
@@ -76,7 +90,7 @@ def _register(drivers):
     workload = RegisterWorkload(operations=4, seed=13)
     return clock_register_system(
         n=4, d1=D1, d2=1.0, c=0.3, eps=EPS, workload=workload,
-        drivers=drivers, delay_model=EdgeSeededDelay(seed=13),
+        drivers=drivers, delay_model=UniformDelay(seed=13),
         schedules=[OpSchedule.generate(i, workload) for i in range(4)],
     )
 
@@ -103,9 +117,8 @@ SYSTEMS = [
 
 def _run(spec, horizon, **kwargs):
     """``(recorder events, {node: clock at the horizon})``."""
-    shards = kwargs.pop("shards", None)
     sim = Simulator(spec.entities, hidden=spec.hidden, **kwargs)
-    result = sim.run(horizon, recorder=Recorder(), shards=shards)
+    result = sim.run(horizon, recorder=Recorder())
     assert result.completed()
     clocks = {
         node: entity.clock_value(result.final_states[entity.name], result.now)
@@ -134,12 +147,6 @@ def test_lazy_equals_eager(name, build, horizon, kind, lazy, stepped):
         "stepped": _run(build(stepped), horizon),
         "stepped reference": _run(build(stepped), horizon, incremental=False),
     }
-    for k in (1, 2, 4):
-        try:
-            runs[f"lazy shards={k}"] = _run(build(lazy), horizon, shards=k)
-        except ShardingError:
-            # crash/recover and clock_fault plans are not shard-safe
-            assert name.startswith("chaos")
     for label, (other_events, other_clocks) in runs.items():
         assert other_events == events, (name, label)
         assert other_clocks == clocks, (name, label)
@@ -150,13 +157,12 @@ def test_engine_leaves_lazy_nodes_out_of_its_per_advance_sweeps(build):
     for cls, swept in ((SkewedClockDriver, False), (SteppedSkewed, True)):
         spec = build(_skewed(cls))
         sim = Simulator(spec.entities, hidden=spec.hidden)
-        core = _EngineCore(sim, Recorder(), NULL_METRICS, NULL_TRACER)
         nodes = {
-            info.index for info in core.infos
+            info.index for info in sim._infos
             if info.entity in spec.node_entities.values()
         }
         assert len(nodes) == len(spec.node_entities)
-        for sweep in (core.advancing_idx, core.dynamic_idx, core.nonwake_idx):
+        for sweep in (sim._advancing_idx, sim._dynamic_idx, sim._nonwake_idx):
             assert (nodes <= set(sweep)) if swept else not (nodes & set(sweep))
 
 
