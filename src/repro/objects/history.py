@@ -8,22 +8,33 @@ names so both can coexist in one system):
 - ``ASK_i(query)`` — query invocation;
 - ``REPLY_i(value)`` — query response carrying the returned value.
 
-The checker generalizes :mod:`repro.traces.linearizability` from the
-read/write register to any :class:`~repro.objects.specs.SequentialSpec`:
-a history is linearizable iff there exist increasing representative
-points, one inside each operation's window, such that replaying the
-operations through the sequential spec in point order yields every
-query's recorded response.
+A history is linearizable against a
+:class:`~repro.objects.specs.SequentialSpec` iff there exist increasing
+representative points, one inside each operation's window, such that
+replaying the operations through the spec in point order yields every
+query's recorded response. There is one linearization search, one
+alternation checker and one invocation/response pairing in the code
+base, all in :mod:`repro.traces.linearizability`; this module binds them
+to the object action names and to ``spec.evaluate`` /
+``spec.apply_update``. The read/write register checked there is the
+instance :class:`~repro.objects.specs.RegisterSpec` of what is checked
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.automata.executions import TimedSequence
 from repro.objects.specs import SequentialSpec
-from repro.traces.linearizability import AlternationViolation
+from repro.traces.linearizability import (
+    TimedOperation,
+    alternation_verdict,
+    coerce_history,
+    paired_events,
+    search_linearization,
+)
 
 DO = "DO"
 DONE = "DONE"
@@ -32,7 +43,7 @@ REPLY = "REPLY"
 
 
 @dataclass(frozen=True)
-class ObjOperation:
+class ObjOperation(TimedOperation):
     """One complete operation on a generalized object."""
 
     op_id: int
@@ -42,14 +53,6 @@ class ObjOperation:
     response: object     # recorded response (None for updates)
     inv_time: float
     res_time: float
-
-    def window(self, min_after_inv: float = 0.0) -> Tuple[float, float]:
-        """The closed interval admissible for the linearization point."""
-        return (self.inv_time + min_after_inv, self.res_time)
-
-    @property
-    def latency(self) -> float:
-        return self.res_time - self.inv_time
 
     def __repr__(self) -> str:
         detail = f"{self.payload}"
@@ -61,68 +64,28 @@ class ObjOperation:
         )
 
 
+OBJECT_RESPONSES = {DO: DONE, ASK: REPLY}
+"""Name table of the object actions: invocation name -> response name."""
+
+
 def check_object_alternation(trace: TimedSequence) -> Optional[str]:
     """Alternation condition for DO/DONE/ASK/REPLY actions."""
-    pending: Dict[int, Optional[str]] = {}
-    for ev in trace:
-        name = ev.action.name
-        if name not in (DO, DONE, ASK, REPLY):
-            continue
-        node = ev.action.params[0]
-        outstanding = pending.get(node)
-        if name in (DO, ASK):
-            if outstanding is not None:
-                return "environment"
-            pending[node] = name
-        else:
-            if outstanding is None:
-                return "system"
-            expected = DONE if outstanding == DO else REPLY
-            if name != expected:
-                return "system"
-            pending[node] = None
-    return None
+    return alternation_verdict(trace, OBJECT_RESPONSES)
 
 
 def extract_object_operations(trace: TimedSequence) -> List[ObjOperation]:
-    """Pair invocations with responses; drop pending tails.
-
-    Raises :class:`AlternationViolation` (tagged with who violated
-    first) when invocations and responses do not alternate per node.
-    """
-    verdict = check_object_alternation(trace)
-    if verdict is not None:
-        raise AlternationViolation(
-            f"alternation condition violated by the {verdict}",
-            by_environment=(verdict == "environment"),
-        )
+    """Pair invocations with responses into :class:`ObjOperation` records
+    (pending tails dropped; raises ``AlternationViolation``)."""
     ops: List[ObjOperation] = []
-    pending: Dict[int, Tuple[str, Tuple, float]] = {}
-    next_id = 0
-    for ev in trace:
-        name = ev.action.name
-        if name == DO:
-            node, payload = ev.action.params[0], ev.action.params[1]
-            pending[node] = ("U", payload, ev.time)
-        elif name == ASK:
-            node, payload = ev.action.params[0], ev.action.params[1]
-            pending[node] = ("Q", payload, ev.time)
-        elif name == DONE:
-            node = ev.action.params[0]
-            kind, payload, inv_time = pending.pop(node)
-            ops.append(
-                ObjOperation(next_id, node, "U", payload, None, inv_time, ev.time)
-            )
-            next_id += 1
-        elif name == REPLY:
-            node, response = ev.action.params[0], ev.action.params[1]
-            kind, payload, inv_time = pending.pop(node)
-            ops.append(
-                ObjOperation(
-                    next_id, node, "Q", payload, response, inv_time, ev.time
-                )
-            )
-            next_id += 1
+    for inv, res in paired_events(trace, OBJECT_RESPONSES):
+        if inv.action.name == ASK:
+            kind, response = "Q", res.action.params[1]
+        else:
+            kind, response = "U", None
+        node, payload = inv.action.params[:2]
+        ops.append(
+            ObjOperation(len(ops), node, kind, payload, response, inv.time, res.time)
+        )
     return ops
 
 
@@ -132,74 +95,24 @@ def find_object_linearization(
     min_after_inv: float = 0.0,
     tolerance: float = 1e-9,
 ) -> Optional[List[Tuple[int, float]]]:
-    """Spec-driven linearization search.
-
-    Same structure as the register search: depth-first over "which
-    operation next", candidates restricted to windows opening before
-    every other window closes, memoized on (remaining set, object state,
-    time floor).
+    """Spec-driven linearization: :func:`search_linearization` with
+    ``spec`` as the step. Returns ``(op_id, point)`` pairs in
+    linearization order, or ``None``.
     """
-    windows = {op.op_id: op.window(min_after_inv) for op in ops}
-    for lo, hi in windows.values():
-        if lo > hi + tolerance:
-            return None
-    by_id = {op.op_id: op for op in ops}
-    memo: Dict[Tuple[FrozenSet[int], Hashable, float], bool] = {}
-    order: List[Tuple[int, float]] = []
 
-    def recurse(remaining: FrozenSet[int], state: Hashable, floor: float) -> bool:
-        if not remaining:
-            return True
-        key = (remaining, state, round(floor, 9))
-        if key in memo:
-            return False
-        min_hi = min(windows[i][1] for i in remaining)
-        candidates = sorted(
-            (i for i in remaining if windows[i][0] <= min_hi + tolerance),
-            key=lambda i: windows[i][0],
-        )
-        for i in candidates:
-            op = by_id[i]
-            point = max(windows[i][0], floor)
-            if point > windows[i][1] + tolerance:
-                continue
-            if op.kind == "Q":
-                if spec.evaluate(state, op.payload) != op.response:
-                    continue
-                new_state = state
-            else:
-                new_state = spec.apply_update(state, op.payload)
-            order.append((i, point))
-            if recurse(remaining - {i}, new_state, point):
-                return True
-            order.pop()
-        memo[key] = False
-        return False
+    def step(state: Hashable, op: ObjOperation) -> Tuple[bool, Hashable]:
+        if op.kind == "Q":
+            return spec.evaluate(state, op.payload) == op.response, state
+        return True, spec.apply_update(state, op.payload)
 
-    if recurse(frozenset(by_id), spec.initial(), 0.0):
-        return list(order)
-    return None
-
-
-def _coerce(history: Iterable, trace_ok: bool = True) -> Optional[List[ObjOperation]]:
-    if isinstance(history, TimedSequence):
-        try:
-            return extract_object_operations(history)
-        except AlternationViolation as violation:
-            if violation.by_environment:
-                return None
-            raise
-    return list(history)
+    return search_linearization(ops, step, spec.initial(), min_after_inv, tolerance)[0]
 
 
 def is_object_linearizable(
     history: Iterable, spec: SequentialSpec, tolerance: float = 1e-9
 ) -> bool:
     """Linearizability of a history against a sequential spec."""
-    ops = _coerce(history)
-    if ops is None:
-        return True
-    return find_object_linearization(ops, spec, 0.0, tolerance) is not None
+    return is_object_superlinearizable(history, spec, 0.0, tolerance)
 
 
 def is_object_superlinearizable(
@@ -209,9 +122,7 @@ def is_object_superlinearizable(
     tolerance: float = 1e-9,
 ) -> bool:
     """eps-superlinearizability: points at least ``2*eps`` after inv."""
-    ops = _coerce(history)
+    ops = coerce_history(history, extract_object_operations)
     if ops is None:
         return True
-    return (
-        find_object_linearization(ops, spec, 2.0 * eps, tolerance) is not None
-    )
+    return find_object_linearization(ops, spec, 2.0 * eps, tolerance) is not None

@@ -13,30 +13,36 @@ Register action conventions (matching :mod:`repro.registers`):
 - ``WRITE_i(v)`` — write invocation carrying the written value;
 - ``ACK_i()`` — write response.
 
-The checker reduces to: given one closed interval ``[lo, hi]`` per
-operation, does a system of increasing representative points exist whose
-order makes every read legal? This is decided by a depth-first search over
-"which operation is linearized next" with memoization; candidates at each
-step are restricted to operations whose window opens before every other
-remaining operation's window closes, which keeps the search shallow for
-realistic histories.
+This module holds the code base's one linearization search
+(:func:`search_linearization`), one alternation checker and
+invocation/response pairing (:func:`paired_events`) and one history
+coercion (:func:`coerce_history`). The search takes the sequential
+specification as a ``step(state, op) -> (legal, new_state)`` callable:
+the register entry points below pass the read/write step and
+:mod:`repro.objects.history` passes a ``SequentialSpec``.
 
-Long *live* histories (tens of thousands of operations recorded off a
-real service, see :mod:`repro.live`) need the search bounded: a
-pathological history could make the DFS visit exponentially many
-(remaining, value) states. Every entry point therefore accepts a
-``max_nodes`` budget on visited search nodes; exceeding it raises
-:class:`SearchBudgetExceeded` (a :class:`SpecificationError`) rather
-than spinning, and :func:`analyze_linearizability` reports the visited
-count either way so reports can show how hard the check worked.
+Given one closed interval ``[lo, hi]`` per operation, the search decides
+whether increasing representative points exist whose order is legal:
+depth-first over "which operation is linearized next" on an explicit
+stack (so depth is not bounded by the recursion limit), remembering
+failed nodes, with candidates restricted to operations whose window
+opens before every other remaining window closes.
+
+A pathological history can still cost exponentially many nodes, and
+live histories (:mod:`repro.live`) run to tens of thousands of
+operations, so the register entry points accept a ``max_nodes`` budget:
+exceeding it raises :class:`SearchBudgetExceeded` rather than spinning,
+and :func:`analyze_linearizability` reports the visited count either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from repro.automata.executions import TimedSequence
+from repro.automata.executions import TimedEvent, TimedSequence
 from repro.errors import SpecificationError
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -49,7 +55,7 @@ terminates in seconds rather than never.
 
 
 class SearchBudgetExceeded(SpecificationError):
-    """The linearization DFS exceeded its visited-node budget.
+    """The linearization search exceeded its visited-node budget.
 
     Not a verdict: the history may or may not be linearizable; the
     search was cut off after ``visited`` nodes (budget ``max_nodes``).
@@ -70,14 +76,9 @@ RETURN = "RETURN"
 ACK = "ACK"
 
 
-@dataclass(frozen=True)
-class Operation:
-    """One complete register operation extracted from a trace."""
+class TimedOperation:
+    """What the search reads off an operation record besides ``op_id``."""
 
-    op_id: int
-    node: int
-    kind: str  # "R" or "W"
-    value: object  # value read (for R) or written (for W)
     inv_time: float
     res_time: float
 
@@ -88,6 +89,18 @@ class Operation:
     @property
     def latency(self) -> float:
         return self.res_time - self.inv_time
+
+
+@dataclass(frozen=True)
+class Operation(TimedOperation):
+    """One complete register operation extracted from a trace."""
+
+    op_id: int
+    node: int
+    kind: str  # "R" or "W"
+    value: object  # value read (for R) or written (for W)
+    inv_time: float
+    res_time: float
 
     def __repr__(self) -> str:
         arrow = "->" if self.kind == "R" else "<-"
@@ -110,148 +123,170 @@ class AlternationViolation(SpecificationError):
         self.by_environment = by_environment
 
 
-def _is_invocation(name: str) -> bool:
-    return name in (READ, WRITE)
+REGISTER_RESPONSES = {READ: RETURN, WRITE: ACK}
+"""Name table of the register actions: invocation name -> response name."""
 
 
-def _is_response(name: str) -> bool:
-    return name in (RETURN, ACK)
+def paired_events(
+    trace: TimedSequence, response_of: Dict[str, str]
+) -> Iterator[Tuple[TimedEvent, TimedEvent]]:
+    """Yield ``(invocation event, response event)`` per complete operation.
+
+    ``response_of`` maps each invocation name to the response name that
+    must answer it. Pairs come in response order; operations still
+    pending at the end of the trace are dropped, the usual treatment of
+    a finite prefix. Raises :class:`AlternationViolation` at the first
+    violation of the alternation condition (Section 6.1): an invocation
+    at a node with one outstanding is the environment's, a response that
+    matches no outstanding invocation is the system's.
+    """
+    responses = frozenset(response_of.values())
+    pending: Dict[int, TimedEvent] = {}
+    for ev in trace:
+        name = ev.action.name
+        if name in response_of:
+            node = ev.action.params[0]
+            if node in pending:
+                raise AlternationViolation(
+                    "alternation condition violated by the environment", True
+                )
+            pending[node] = ev
+        elif name in responses:
+            inv = pending.pop(ev.action.params[0], None)
+            if inv is None or response_of[inv.action.name] != name:
+                raise AlternationViolation(
+                    "alternation condition violated by the system", False
+                )
+            yield inv, ev
+
+
+def alternation_verdict(
+    trace: TimedSequence, response_of: Dict[str, str]
+) -> Optional[str]:
+    """``None``, ``"environment"`` or ``"system"``: who broke alternation first."""
+    try:
+        for _ in paired_events(trace, response_of):
+            pass
+    except AlternationViolation as violation:
+        return "environment" if violation.by_environment else "system"
+    return None
 
 
 def check_alternation(trace: TimedSequence) -> Optional[str]:
     """Check the alternation condition (Section 6.1).
 
-    Returns ``None`` when invocations and responses alternate correctly
-    at every node; otherwise ``"environment"`` when the first violation
-    is a double invocation (the environment is at fault) or ``"system"``
-    when it is a response without a pending invocation or a mismatched
-    response kind.
+    ``None`` when invocations and responses alternate at every node,
+    else who violated first: ``"environment"`` (a double invocation) or
+    ``"system"`` (a response that matches no pending invocation).
     """
-    pending: Dict[int, Optional[str]] = {}
-    for ev in trace:
-        name = ev.action.name
-        if not (_is_invocation(name) or _is_response(name)):
-            continue
-        node = ev.action.params[0]
-        outstanding = pending.get(node)
-        if _is_invocation(name):
-            if outstanding is not None:
-                return "environment"
-            pending[node] = name
-        else:
-            if outstanding is None:
-                return "system"
-            expected = RETURN if outstanding == READ else ACK
-            if name != expected:
-                return "system"
-            pending[node] = None
-    return None
+    return alternation_verdict(trace, REGISTER_RESPONSES)
 
 
 def extract_operations(trace: TimedSequence) -> List[Operation]:
-    """Pair invocations with responses into :class:`Operation` records.
-
-    Incomplete (pending) operations at the end of the trace are dropped,
-    mirroring the usual treatment when checking safety of a finite prefix.
-    Raises :class:`AlternationViolation` when the alternation condition
-    fails, tagging who violated it first.
-    """
-    verdict = check_alternation(trace)
-    if verdict is not None:
-        raise AlternationViolation(
-            f"alternation condition violated by the {verdict}",
-            by_environment=(verdict == "environment"),
-        )
+    """Pair invocations with responses into :class:`Operation` records
+    (what is dropped and what raises: :func:`paired_events`)."""
     ops: List[Operation] = []
-    pending: Dict[int, Tuple[str, object, float]] = {}
-    next_id = 0
-    for ev in trace:
-        name = ev.action.name
-        if name == READ:
-            node = ev.action.params[0]
-            pending[node] = (READ, None, ev.time)
-        elif name == WRITE:
-            node, value = ev.action.params[0], ev.action.params[1]
-            pending[node] = (WRITE, value, ev.time)
-        elif name == RETURN:
-            node, value = ev.action.params[0], ev.action.params[1]
-            _, __, inv_time = pending.pop(node)
-            ops.append(Operation(next_id, node, "R", value, inv_time, ev.time))
-            next_id += 1
-        elif name == ACK:
-            node = ev.action.params[0]
-            _, value, inv_time = pending.pop(node)
-            ops.append(Operation(next_id, node, "W", value, inv_time, ev.time))
-            next_id += 1
+    for inv, res in paired_events(trace, REGISTER_RESPONSES):
+        if inv.action.name == READ:
+            kind, value = "R", res.action.params[1]
+        else:
+            kind, value = "W", inv.action.params[1]
+        node = inv.action.params[0]
+        ops.append(Operation(len(ops), node, kind, value, inv.time, res.time))
     return ops
 
 
-def _search_linearization(
-    ops: Sequence[Operation],
-    windows: Dict[int, Tuple[float, float]],
-    initial_value: object,
-    tolerance: float,
+def coerce_history(
+    history: Iterable,
+    extract: Callable[[TimedSequence], list] = extract_operations,
+) -> Optional[list]:
+    """Normalize a trace or operation list; ``None`` means vacuously OK
+    (alternation violated by the environment; by the system, it raises)."""
+    if isinstance(history, TimedSequence):
+        try:
+            return extract(history)
+        except AlternationViolation as violation:
+            if violation.by_environment:
+                return None
+            raise
+    return list(history)
+
+
+def search_linearization(
+    ops: Sequence,
+    step: Callable[[Hashable, object], Tuple[bool, Hashable]],
+    initial_state: Hashable,
+    min_after_inv: float = 0.0,
+    tolerance: float = 1e-9,
     max_nodes: Optional[int] = None,
-    counter: Optional[List[int]] = None,
-) -> Optional[List[Tuple[int, float]]]:
-    """Find increasing points, one per op window, making reads legal.
+) -> Tuple[Optional[List[Tuple[int, float]]], int]:
+    """The linearization search: ``(linearization or None, nodes visited)``.
 
-    Depth-first search with memoization on the (remaining set, value)
-    pair; the current time floor is implied by the chosen prefix and is
-    folded into the memo key. Returns the linearization as a list of
-    ``(op_id, point)`` pairs or ``None``.
-
-    ``max_nodes`` bounds the visited search nodes (each ``recurse`` call
-    counts one); exceeding it raises :class:`SearchBudgetExceeded`.
-    ``counter``, when given, is a one-element list the visited count is
-    accumulated into, so callers can report it.
+    Looks for increasing points, one inside each operation's window
+    ``[inv_time + min_after_inv, res_time]``, such that replaying the
+    operations in point order through ``step`` from ``initial_state`` is
+    legal throughout. A candidate must open before every other remaining
+    window closes and still fit above the time floor; candidates are
+    tried earliest-opening first (a heuristic: completeness comes from
+    trying them all). Failed ``(remaining, state, floor)`` nodes are
+    remembered. Every non-empty node entered counts as visited, a
+    remembered one included; more than ``max_nodes`` of them raise
+    :class:`SearchBudgetExceeded`.
     """
+    windows = {op.op_id: op.window(min_after_inv) for op in ops}
+    if any(lo > hi + tolerance for lo, hi in windows.values()):
+        return None, 0
     by_id = {op.op_id: op for op in ops}
-    all_ids = frozenset(by_id)
-    memo: Dict[Tuple[FrozenSet[int], object, float], bool] = {}
-    visited = counter if counter is not None else [0]
-
+    failed = set()
+    # one frame per open node, root first; order[k] leads out of frames[k]
+    frames: List[tuple] = []
     order: List[Tuple[int, float]] = []
-
-    def recurse(remaining: FrozenSet[int], value: object, floor: float) -> bool:
-        if not remaining:
-            return True
-        visited[0] += 1
-        if max_nodes is not None and visited[0] > max_nodes:
-            raise SearchBudgetExceeded(visited[0], max_nodes)
-        key = (remaining, value, round(floor, 9))
-        if key in memo:
-            return False  # memo only stores failures; successes return early
-        # A candidate must be placeable before every other remaining
-        # operation's window closes.
-        min_hi = min(windows[i][1] for i in remaining)
-        candidates = [
-            i
-            for i in remaining
-            if windows[i][0] <= min_hi + tolerance
-            and max(windows[i][0], floor) <= windows[i][1] + tolerance
-        ]
-        # Prefer earliest-opening windows: heuristics only, completeness
-        # comes from trying every candidate.
-        candidates.sort(key=lambda i: windows[i][0])
-        for i in candidates:
-            op = by_id[i]
-            if op.kind == "R" and op.value != value:
-                continue
-            point = max(windows[i][0], floor)
-            if point > windows[i][1] + tolerance:
-                continue
-            new_value = op.value if op.kind == "W" else value
-            order.append((i, point))
-            if recurse(remaining - {i}, new_value, point):
-                return True
+    visited = 0
+    remaining, state, floor = frozenset(by_id), initial_state, 0.0
+    while remaining:
+        visited += 1
+        if max_nodes is not None and visited > max_nodes:
+            raise SearchBudgetExceeded(visited, max_nodes)
+        key = (remaining, state, round(floor, 9))
+        if key in failed:
             order.pop()
-        memo[key] = False
-        return False
+        else:
+            min_hi = min(windows[i][1] for i in remaining)
+            candidates = [
+                i
+                for i in remaining
+                if windows[i][0] <= min_hi + tolerance
+                and max(windows[i][0], floor) <= windows[i][1] + tolerance
+            ]
+            candidates.sort(key=lambda i: windows[i][0])
+            frames.append((key, remaining, state, floor, iter(candidates)))
+        # descend into the next legal candidate of the deepest frame that
+        # has one; a frame that runs out has failed
+        while True:
+            key, remaining, state, floor, candidates = frames[-1]
+            for i in candidates:
+                legal, new_state = step(state, by_id[i])
+                if legal:
+                    break
+            else:
+                failed.add(key)
+                frames.pop()
+                if not frames:
+                    return None, visited
+                order.pop()
+                continue
+            floor = max(windows[i][0], floor)
+            order.append((i, floor))
+            remaining, state = remaining - {i}, new_state
+            break
+    return order, visited
 
-    if recurse(all_ids, initial_value, 0.0):
-        return list(order)
-    return None
+
+def _register_step(value: object, op: Operation) -> Tuple[bool, object]:
+    """The read/write register as a ``step``: reads return the last write."""
+    if op.kind == "W":
+        return True, op.value
+    return op.value == value, value
 
 
 def find_linearization(
@@ -268,13 +303,9 @@ def find_linearization(
     pairs in linearization order, or ``None``. ``max_nodes`` (optional)
     bounds the search; see :class:`SearchBudgetExceeded`.
     """
-    windows = {op.op_id: op.window(min_after_inv) for op in ops}
-    for op_id, (lo, hi) in windows.items():
-        if lo > hi + tolerance:
-            return None
-    return _search_linearization(
-        ops, windows, initial_value, tolerance, max_nodes=max_nodes
-    )
+    return analyze_linearizability(
+        ops, initial_value, min_after_inv, tolerance, max_nodes
+    ).linearization
 
 
 @dataclass(frozen=True)
@@ -304,29 +335,19 @@ def analyze_linearizability(
 ) -> LinearizationReport:
     """Budgeted linearizability check with visited-node statistics.
 
-    The entry point for long live histories: the DFS is bounded by
+    The entry point for long live histories: the search is bounded by
     ``max_nodes`` (default :data:`DEFAULT_NODE_BUDGET`; ``None``
     disables the guard) and the report carries the visited count, so a
     latency report can state how much work the verdict cost. Raises
     :class:`SearchBudgetExceeded` when the budget is exhausted.
     """
-    ops = _coerce_operations(history)
+    ops = coerce_history(history)
     if ops is None:
         return LinearizationReport(True, None, 0, 0, max_nodes)
-    windows = {op.op_id: op.window(min_after_inv) for op in ops}
-    counter = [0]
-    for op_id, (lo, hi) in windows.items():
-        if lo > hi + tolerance:
-            return LinearizationReport(
-                False, None, len(ops), counter[0], max_nodes
-            )
-    order = _search_linearization(
-        ops, windows, initial_value, tolerance,
-        max_nodes=max_nodes, counter=counter,
+    order, visited = search_linearization(
+        ops, _register_step, initial_value, min_after_inv, tolerance, max_nodes
     )
-    return LinearizationReport(
-        order is not None, order, len(ops), counter[0], max_nodes
-    )
+    return LinearizationReport(order is not None, order, len(ops), visited, max_nodes)
 
 
 def is_linearizable(
@@ -342,13 +363,7 @@ def is_linearizable(
     environment* is accepted, per the definition of problem ``P``) or an
     iterable of :class:`Operation`.
     """
-    ops = _coerce_operations(history)
-    if ops is None:
-        return True
-    return (
-        find_linearization(ops, initial_value, 0.0, tolerance, max_nodes)
-        is not None
-    )
+    return is_superlinearizable(history, 0.0, initial_value, tolerance, max_nodes)
 
 
 def is_superlinearizable(
@@ -363,25 +378,9 @@ def is_superlinearizable(
     Each linearization point must be at least ``2*eps`` after the
     operation's invocation and no later than its response.
     """
-    ops = _coerce_operations(history)
-    if ops is None:
-        return True
-    return (
-        find_linearization(ops, initial_value, 2.0 * eps, tolerance, max_nodes)
-        is not None
-    )
-
-
-def _coerce_operations(history: Iterable) -> Optional[List[Operation]]:
-    """Normalize a trace or operation list; ``None`` means vacuously OK."""
-    if isinstance(history, TimedSequence):
-        try:
-            return extract_operations(history)
-        except AlternationViolation as violation:
-            if violation.by_environment:
-                return None
-            raise
-    return list(history)
+    return analyze_linearizability(
+        history, initial_value, 2.0 * eps, tolerance, max_nodes
+    ).ok
 
 
 def shift_points_earlier(

@@ -10,23 +10,20 @@ legal for the register (every read returns the latest preceding write,
 or the initial value). Unlike linearizability there is *no* real-time
 constraint across nodes.
 
-The checker searches for such an order: depth-first over "which
-operation next", where a candidate must be the next program-order
-operation of its node, memoized on (per-node positions, register
-value). Histories come from the same ``READ``/``RETURN``/``WRITE``/
-``ACK`` traces the linearizability checker consumes.
+The checker searches for such an order: depth-first (on an explicit
+stack, so history length is not bounded by the recursion limit) over
+"which operation next", where a candidate must be the next
+program-order operation of its node; failed (per-node positions,
+register value) states are remembered. Histories come from the same
+``READ``/``RETURN``/``WRITE``/``ACK`` traces, through the same
+extractor, as the linearizability checker's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.automata.executions import TimedSequence
-from repro.traces.linearizability import (
-    AlternationViolation,
-    Operation,
-    extract_operations,
-)
+from repro.traces.linearizability import Operation, coerce_history
 
 
 def find_sequentialization(
@@ -40,54 +37,44 @@ def find_sequentialization(
     per_node: Dict[int, List[Operation]] = {}
     for op in sorted(ops, key=lambda o: o.inv_time):
         per_node.setdefault(op.node, []).append(op)
-    nodes = sorted(per_node)
-    total = len(ops)
-    memo = set()
+    programs = [per_node[node] for node in sorted(per_node)]
+    failed = set()
     order: List[int] = []
-
-    def recurse(positions: Tuple[int, ...], value: object) -> bool:
-        if len(order) == total:
-            return True
-        key = (positions, value)
-        if key in memo:
-            return False
-        for idx, node in enumerate(nodes):
+    # One frame per open (positions, value) state, root first; a frame's
+    # iterator walks the nodes whose next operation is still to be tried.
+    frames = [((0,) * len(programs), initial_value, iter(range(len(programs))))]
+    while len(order) < len(ops):
+        positions, value, choices = frames[-1]
+        for idx in choices:
             position = positions[idx]
-            if position >= len(per_node[node]):
+            if position >= len(programs[idx]):
                 continue
-            op = per_node[node][position]
+            op = programs[idx][position]
             if op.kind == "R" and op.value != value:
                 continue
-            new_value = op.value if op.kind == "W" else value
-            new_positions = (
-                positions[:idx] + (position + 1,) + positions[idx + 1:]
+            child = (
+                positions[:idx] + (position + 1,) + positions[idx + 1:],
+                op.value if op.kind == "W" else value,
             )
+            if child in failed:
+                continue
             order.append(op.op_id)
-            if recurse(new_positions, new_value):
-                return True
+            frames.append(child + (iter(range(len(programs))),))
+            break
+        else:
+            failed.add((positions, value))
+            frames.pop()
+            if not frames:
+                return None
             order.pop()
-        memo.add(key)
-        return False
-
-    if recurse(tuple(0 for _ in nodes), initial_value):
-        return list(order)
-    return None
+    return order
 
 
-def is_sequentially_consistent(
-    history: Iterable,
-    initial_value: object = None,
-) -> bool:
+def is_sequentially_consistent(history: Iterable, initial_value: object = None) -> bool:
     """Whether a history (trace or operation list) is sequentially
     consistent. Traces whose alternation condition is violated by the
     environment are vacuously accepted, mirroring problem ``P``."""
-    if isinstance(history, TimedSequence):
-        try:
-            ops: List[Operation] = extract_operations(history)
-        except AlternationViolation as violation:
-            if violation.by_environment:
-                return True
-            raise
-    else:
-        ops = list(history)
+    ops = coerce_history(history)
+    if ops is None:
+        return True
     return find_sequentialization(ops, initial_value) is not None

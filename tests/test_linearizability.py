@@ -4,6 +4,13 @@ import pytest
 
 from repro.automata.actions import Action
 from repro.automata.executions import timed_sequence
+from repro.registers.system import (
+    INITIAL_VALUE,
+    clock_register_system,
+    run_register_experiment,
+)
+from repro.registers.workload import RegisterWorkload
+from repro.sim.clock_drivers import driver_factory
 from repro.traces.linearizability import (
     AlternationViolation,
     DEFAULT_NODE_BUDGET,
@@ -17,6 +24,7 @@ from repro.traces.linearizability import (
     is_superlinearizable,
     shift_points_earlier,
 )
+from repro.traces.sequential_consistency import is_sequentially_consistent
 
 
 def op(op_id, node, kind, value, inv, res):
@@ -243,6 +251,17 @@ class TestSearchBudget:
         with pytest.raises(SearchBudgetExceeded):
             find_linearization(_adversarial_ops(6), max_nodes=50)
 
+    def test_budget_fires_at_exactly_max_nodes_plus_one(self):
+        # pinned: the node that breaks the budget is the one reported, and
+        # a budget equal to the work needed is enough
+        ops = _adversarial_ops(6)
+        assert analyze_linearizability(ops, max_nodes=487).visited == 487
+        for budget in (1, 50, 486):
+            with pytest.raises(SearchBudgetExceeded) as err:
+                analyze_linearizability(ops, max_nodes=budget)
+            assert (err.value.visited, err.value.max_nodes) == (budget + 1, budget)
+            assert f"visited {budget + 1} search nodes (budget {budget})" in str(err.value)
+
     def test_unlimited_budget_still_terminates(self):
         # max_nodes=None disables the guard entirely
         report = analyze_linearizability(
@@ -291,3 +310,27 @@ class TestLinearizationPoints:
         assert find_linearization(
             [op(0, 0, "R", None, 0.0, 0.1)], min_after_inv=0.5
         ) is None
+
+
+class TestLongHistories:
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        """3 clients x 700 operations of Algorithm S (the shape of
+        ``benchmarks/suite``'s ``_history(3, 700, 1)``): both searches are
+        2100 nodes deep, twice the default recursion limit, which a search
+        that recursed once per operation could not reach."""
+        d1, d2, c, eps, seed = 0.2, 0.6, 0.1, 0.05, 1
+        workload = RegisterWorkload(
+            operations=700, read_fraction=0.5,
+            think_min=0.0, think_max=0.3, seed=seed,
+        )
+        spec = clock_register_system(
+            3, d1, d2, c, eps, workload, driver_factory("mixed", eps, seed=seed)
+        )
+        run = run_register_experiment(
+            spec, 700 * (d2 + 4.0 * eps + 0.3) + 5.0, max_steps=10_000_000
+        )
+        ops = extract_operations(run.result.trace)
+        assert len(ops) == 2100
+        report = analyze_linearizability(ops, initial_value=INITIAL_VALUE)
+        assert report.ok and len(report.linearization) == 2100
+        assert is_sequentially_consistent(ops, INITIAL_VALUE)

@@ -8,10 +8,13 @@ that provably break linearizability must be rejected.
 """
 
 import random
+from itertools import permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.objects.history import ObjOperation, find_object_linearization
+from repro.objects.specs import RegisterSpec
 from repro.traces.linearizability import Operation, find_linearization, is_linearizable
 
 
@@ -109,3 +112,60 @@ class TestMutations:
             for op in ops
         ]
         assert not is_linearizable(mutated, initial_value=None)
+
+
+def _as_object_operations(ops):
+    """The same history in the generic vocabulary of ``RegisterSpec``."""
+    return [
+        ObjOperation(op.op_id, op.node, "U", ("write", op.value), None,
+                     op.inv_time, op.res_time)
+        if op.kind == "W"
+        else ObjOperation(op.op_id, op.node, "Q", ("read",), op.value,
+                          op.inv_time, op.res_time)
+        for op in ops
+    ]
+
+
+def _brute_force_linearizable(ops, tolerance=1e-9):
+    """Every permutation: legal for the register, and points fit greedily."""
+    for order in permutations(ops):
+        value, floor = None, 0.0
+        for op in order:
+            floor = max(op.inv_time, floor)
+            if floor > op.res_time + tolerance:
+                break
+            if op.kind == "W":
+                value = op.value
+            elif op.value != value:
+                break
+        else:
+            return True
+    return False
+
+
+class TestOneSearch:
+    @given(oracle_histories(max_ops=6), st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_register_spec_is_the_register_checker(self, ops, seed):
+        """The register API and ``RegisterSpec`` through the generic API
+        are one search: same verdict, same points, and the verdict is the
+        brute-force one, on a history and on a twin with one read's value
+        swapped for another written (or the initial) value."""
+        rng = random.Random(seed)
+        histories = [ops]
+        reads = [op for op in ops if op.kind == "R"]
+        if reads:
+            victim = rng.choice(reads)
+            value = rng.choice([None] + [op.value for op in ops if op.kind == "W"])
+            histories.append([
+                Operation(op.op_id, op.node, op.kind, value, op.inv_time, op.res_time)
+                if op is victim else op
+                for op in ops
+            ])
+        for history in histories:
+            lin = find_linearization(history, initial_value=None)
+            generic = find_object_linearization(
+                _as_object_operations(history), RegisterSpec(None)
+            )
+            assert generic == lin
+            assert (lin is not None) == _brute_force_linearizable(history)
