@@ -25,7 +25,7 @@ Writes ``BENCH_engine.json`` (repo root by default)::
 
 ``steps_per_sec`` is machine-dependent; ``speedup`` (incremental over
 full on the same machine, same process) is the portable number the CI
-gate compares (``tools/validate_bench.py``).
+gate compares (``python -m repro validate --baseline``).
 
 Usage::
 

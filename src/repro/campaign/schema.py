@@ -1,208 +1,104 @@
-"""Schema validation for campaign checkpoint and aggregate files.
+"""Shape and invariants of the campaign checkpoint and aggregate files.
 
-Same contract style as :mod:`repro.obs.schema`: the JSONL exports are
-validated line-by-line by a small hand-rolled checker (the library has
-no dependencies), and CI runs a tiny sweep end-to-end then validates
-the files here, so the formats cannot silently break.
-
-Run directly::
-
-    python -m repro.campaign.schema aggregate.jsonl [checkpoint.jsonl]
+Same contract style as :mod:`repro.obs.schema`: each JSONL format is a
+:class:`repro.validate.Format` — header and per-kind record shapes as
+plain data for the one structural walker, plus invariants — and CI runs
+a tiny sweep end-to-end, then ``python -m repro validate`` on both
+files, so the formats cannot silently break.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from typing import Dict, List
+from typing import List, Sequence
 
 from repro.campaign.aggregate import AGGREGATE_FORMAT, AGGREGATE_VERSION
 from repro.campaign.checkpoint import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
 from repro.obs.schema import validate_metrics
+from repro.validate import Format, Records, check_lines, validate_file
 
-_AGGREGATE_REQUIRED: Dict[str, tuple] = {
-    "header": ("format", "version", "campaign", "points"),
-    "point": ("index", "result"),
-    "group": ("config", "seeds", "violations", "read_latency", "write_latency"),
-    "curve": ("eps", "violations", "skew_max", "read_latency", "write_latency"),
-    "metrics": ("merged",),
-    "failure": ("index", "key", "error"),
-    "summary": ("points", "completed", "failed", "violations"),
-}
-
-_RESULT_REQUIRED = (
-    "key", "config", "operations", "reads", "writes", "read_latencies",
-    "write_latencies", "linearizable", "violations", "engine",
-)
-
-_PERCENTILE_KEYS = ("p50", "p90", "p99", "max")
+_PERCENTILES = {"p50": object, "p90": object, "p99": object, "max": object}
 
 
-def _check_percentiles(record: Dict, field: str, where: str) -> List[str]:
-    block = record.get(field)
-    if not isinstance(block, dict):
-        return [f"{where}: {field!r} is not an object"]
+def _summary_closes_the_file(header: dict, records: Records) -> List[str]:
+    summaries = [record for _, record in records if record["k"] == "summary"]
+    if not summaries:
+        return ["aggregate: missing the final summary record"]
+    points = sum(1 for _, record in records if record["k"] == "point")
     return [
-        f"{where}: {field!r} lacks {key!r}"
-        for key in _PERCENTILE_KEYS
-        if key not in block
+        f"aggregate: summary claims {summary['completed']} completed "
+        f"points, file has {points} point records"
+        for summary in summaries if summary["completed"] != points
     ]
 
 
-def validate_aggregate_lines(lines: List[str]) -> List[str]:
+def _merged_metrics_valid(header: dict, records: Records) -> List[str]:
+    return [
+        f"aggregate line {lineno}: merged snapshot invalid: {problem}"
+        for lineno, record in records if record["k"] == "metrics"
+        for problem in validate_metrics(record["merged"])
+    ]
+
+
+AGGREGATE = Format(
+    AGGREGATE_FORMAT, "aggregate",
+    {
+        "k": "header", "version": AGGREGATE_VERSION,
+        "campaign": object, "points": object,
+    },
+    (_summary_closes_the_file, _merged_metrics_valid),
+    records={
+        "point": {"index": object, "result": {
+            "key": object, "config": object, "operations": object,
+            "reads": object, "writes": object, "read_latencies": object,
+            "write_latencies": object, "linearizable": object,
+            "violations": object, "engine": object,
+        }},
+        "group": {
+            "config": object, "seeds": object, "violations": object,
+            "read_latency": _PERCENTILES, "write_latency": _PERCENTILES,
+        },
+        "curve": {
+            "eps": object, "violations": object, "skew_max": object,
+            "read_latency": _PERCENTILES, "write_latency": _PERCENTILES,
+        },
+        "metrics": {"merged": object},
+        "failure": {"index": object, "key": object, "error": object},
+        "summary": {
+            "points": object, "completed": int, "failed": object,
+            "violations": object,
+        },
+    },
+)
+
+CHECKPOINT = Format(
+    CHECKPOINT_FORMAT, "checkpoint",
+    {"version": CHECKPOINT_VERSION},
+    records={"point": {
+        "key": object, "result": object, "wall": object, "attempts": object,
+    }},
+    torn_tail=True,
+)
+
+
+def validate_aggregate_lines(lines: Sequence[str]) -> List[str]:
     """Problems with an aggregate JSONL file's lines; empty means valid."""
-    problems: List[str] = []
-    if not lines:
-        return ["aggregate: empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"aggregate: header is not JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("k") != "header":
-        problems.append(f"aggregate: first record is not a header: "
-                        f"{lines[0].strip()!r}")
-    else:
-        if header.get("format") != AGGREGATE_FORMAT:
-            problems.append(
-                f"aggregate: format is {header.get('format')!r}, "
-                f"expected {AGGREGATE_FORMAT!r}"
-            )
-        if header.get("version") != AGGREGATE_VERSION:
-            problems.append(
-                f"aggregate: version is {header.get('version')!r}, "
-                f"expected {AGGREGATE_VERSION}"
-            )
-    saw_summary = False
-    point_count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"aggregate line {lineno}: not JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"aggregate line {lineno}: not an object")
-            continue
-        kind = record.get("k")
-        if kind not in _AGGREGATE_REQUIRED or kind == "header":
-            problems.append(f"aggregate line {lineno}: unknown kind {kind!r}")
-            continue
-        where = f"aggregate line {lineno}"
-        for key in _AGGREGATE_REQUIRED[kind]:
-            if key not in record:
-                problems.append(f"{where}: {kind!r} record lacks {key!r}")
-        if kind == "point":
-            point_count += 1
-            result = record.get("result")
-            if not isinstance(result, dict):
-                problems.append(f"{where}: point result is not an object")
-            else:
-                for key in _RESULT_REQUIRED:
-                    if key not in result:
-                        problems.append(f"{where}: point result lacks {key!r}")
-        elif kind in ("group", "curve"):
-            problems += _check_percentiles(record, "read_latency", where)
-            problems += _check_percentiles(record, "write_latency", where)
-        elif kind == "metrics":
-            problems += [
-                f"{where}: merged snapshot invalid: {p}"
-                for p in validate_metrics(record.get("merged"))
-            ]
-        elif kind == "summary":
-            saw_summary = True
-            completed = record.get("completed")
-            if isinstance(completed, int) and completed != point_count:
-                problems.append(
-                    f"{where}: summary claims {completed} completed points, "
-                    f"file has {point_count} point records"
-                )
-    if not saw_summary:
-        problems.append("aggregate: missing the final summary record")
-    return problems
+    return check_lines(AGGREGATE, lines)
 
 
-def validate_checkpoint_lines(lines: List[str]) -> List[str]:
+def validate_checkpoint_lines(lines: Sequence[str]) -> List[str]:
     """Problems with a checkpoint JSONL file's lines; empty means valid.
 
     A torn (non-JSON) final line is allowed — it is the expected residue
     of a campaign killed mid-write, and loading tolerates it.
     """
-    problems: List[str] = []
-    if not lines:
-        return ["checkpoint: empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"checkpoint: header is not JSON ({exc})"]
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        problems.append(f"checkpoint: bad header {lines[0].strip()!r}")
-    elif header.get("version") != CHECKPOINT_VERSION:
-        problems.append(
-            f"checkpoint: unsupported version {header.get('version')!r}"
-        )
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                continue  # torn final write: legal
-            problems.append(f"checkpoint line {lineno}: not JSON")
-            continue
-        if record.get("k") != "point":
-            problems.append(
-                f"checkpoint line {lineno}: unknown kind {record.get('k')!r}"
-            )
-            continue
-        for key in ("key", "result", "wall", "attempts"):
-            if key not in record:
-                problems.append(f"checkpoint line {lineno}: lacks {key!r}")
-    return problems
+    return check_lines(CHECKPOINT, lines)
 
 
 def validate_aggregate_file(path: str) -> List[str]:
     """Validate an aggregate JSONL file; returns the problem list."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        return [f"aggregate: cannot read {path}: {exc}"]
-    return validate_aggregate_lines(lines)
+    return validate_file(path, AGGREGATE)[2]
 
 
 def validate_checkpoint_file(path: str) -> List[str]:
     """Validate a checkpoint JSONL file; returns the problem list."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        return [f"checkpoint: cannot read {path}: {exc}"]
-    return validate_checkpoint_lines(lines)
-
-
-def main(argv=None) -> int:
-    """``python -m repro.campaign.schema AGGREGATE.jsonl [CHECKPOINT.jsonl]``."""
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or len(argv) > 2:
-        print(
-            "usage: python -m repro.campaign.schema "
-            "AGGREGATE.jsonl [CHECKPOINT.jsonl]"
-        )
-        return 2
-    problems = validate_aggregate_file(argv[0])
-    if len(argv) == 2:
-        problems += validate_checkpoint_file(argv[1])
-    for problem in problems:
-        print(problem)
-    if not problems:
-        print(f"ok: {' '.join(argv)} conform to the campaign schemas")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return validate_file(path, CHECKPOINT)[2]

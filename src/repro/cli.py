@@ -37,8 +37,12 @@ Commands:
     percentiles on the Theorem 6.5 bounds.
 ``lint``
     Statically check the determinism discipline, the scheduling-contract
-    declarations, and shard isolation across the source tree; exits
+    declarations, and entity isolation across the source tree; exits
     non-zero on new findings.
+``validate``
+    Check exported artifacts (metrics, traces, campaign files, fault
+    plans, live-chaos reports, ``BENCH_engine.json``) against the format
+    each file's own header declares.
 
 Every command is seeded and deterministic; exit status is non-zero when
 a correctness check fails, so the CLI doubles as a smoke harness.
@@ -1087,10 +1091,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="statically check determinism, scheduling-contract, and "
-             "shard-isolation invariants",
+             "isolation invariants",
     )
     add_lint_arguments(p)
     p.set_defaults(func=_lint)
+
+    from repro.validate import add_validate_arguments, run as _validate
+
+    p = sub.add_parser(
+        "validate",
+        help="check exported artifacts against the format their own "
+             "header declares",
+    )
+    add_validate_arguments(p)
+    p.set_defaults(func=_validate)
 
     return parser
 

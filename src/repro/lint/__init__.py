@@ -13,7 +13,7 @@ unchecked:
   entities (:mod:`repro.components.base`) must match what their method
   bodies actually do — a violated promise silently desynchronizes the
   incremental engine from the full-scan reference.
-- **Shard isolation** (``ISO*``): composed automata interact through
+- **Entity isolation** (``ISO*``): composed automata interact through
   shared actions only, so no state may be reachable from two entity
   instances (or survive from one run to the next in the same process);
   the isolation pass builds per-class read/write effect summaries and
@@ -37,7 +37,6 @@ from repro.lint.core import (
     load_modules,
     run_lint,
 )
-from repro.lint.isolation import build_isolation_report
 from repro.lint.report import render_json, render_text
 from repro.lint.rules import RULES, rule_family
 
@@ -50,7 +49,6 @@ __all__ = [
     "RULES",
     "SourceModule",
     "apply_baseline",
-    "build_isolation_report",
     "load_modules",
     "render_json",
     "render_text",

@@ -11,7 +11,7 @@ import sys
 from typing import List, Optional
 
 from repro.lint.baseline import Baseline, apply_baseline
-from repro.lint.core import LintResult, ProjectIndex, load_modules, run_lint
+from repro.lint.core import LintResult, run_lint
 from repro.lint.report import render_json, render_rules, render_text
 
 
@@ -34,10 +34,6 @@ def add_lint_arguments(parser) -> None:
         "--write-baseline", metavar="FILE", default=None,
         help="write a baseline covering every currently-new finding, "
              "then exit 0",
-    )
-    parser.add_argument(
-        "--isolation-report", metavar="FILE", default=None,
-        help="also write the shard-independence JSON report to FILE",
     )
     parser.add_argument(
         "--root", default=None,
@@ -81,18 +77,6 @@ def run(args) -> int:
     if args.baseline:
         apply_baseline(result, Baseline.load(args.baseline))
 
-    if args.isolation_report:
-        import json
-
-        from repro.lint.isolation import build_isolation_report
-
-        modules = load_modules(paths, root=args.root)
-        report = build_isolation_report(ProjectIndex(modules), result)
-        with open(args.isolation_report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"isolation report -> {args.isolation_report}", file=sys.stderr)
-
     if args.fmt == "json":
         sys.stdout.write(render_json(result))
     else:
@@ -109,7 +93,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="static invariant analysis (determinism, scheduling "
-                    "contracts, shard isolation)",
+                    "contracts, entity isolation)",
     )
     add_lint_arguments(parser)
     args = parser.parse_args(argv)

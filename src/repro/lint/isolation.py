@@ -1,4 +1,4 @@
-"""Shard-isolation / race detector (``ISO001``–``ISO003``).
+"""Entity-isolation / race detector (``ISO001``–``ISO003``).
 
 The engine composes entities through shared actions only, which is
 sound only if no mutable state is reachable from two entity instances —
@@ -6,9 +6,7 @@ within one run, or from one run to the next inside one process (a
 campaign worker, a conformance test's incremental/reference pair).
 Balaguer & Chatain's *Avoiding Shared Clocks* result makes the same
 point for timed automata: shared state must be eliminated *before*
-components may advance on their own clocks. The pass was written as the
-pre-flight race detector of an entity-sharded engine mode, since
-measured and deleted (docs/performance.md); it builds a read/write
+components may advance on their own clocks. The pass builds a read/write
 effect summary for every Entity/Process subclass and reports the three
 ways Python code shares state behind the engine's back:
 
@@ -31,22 +29,16 @@ ways Python code shares state behind the engine's back:
     references outlive the transition and fan out). Ownership-transfer
     sites — where the sender provably never touches the object again —
     carry inline suppressions.
-
-:func:`build_isolation_report` turns the same effect summaries into the
-machine-readable independence report (committed at
-``benchmarks/results/lint_isolation.json``, rendered in
-``docs/shard-isolation.md``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.lint.core import (
     ClassDecl,
     Finding,
-    LintResult,
     MUTATOR_METHODS,
     ProjectIndex,
     SourceModule,
@@ -459,102 +451,3 @@ def check_project(index: ProjectIndex) -> List[Finding]:
                         f"copy (aliases the sender's object)",
             ))
     return findings
-
-
-# -- independence report ------------------------------------------------------
-
-
-def build_isolation_report(
-    index: ProjectIndex, result: Optional[LintResult] = None
-) -> Dict[str, Any]:
-    """The machine-readable shard-independence report.
-
-    Shared globals and class-attribute mutations are *blockers* for
-    entity independence; payload aliases are *transfer edges* —
-    documented by-reference hand-offs between a sender and a receiver.
-    When a :class:`LintResult` is supplied, each blocker/edge is
-    annotated with its lint disposition (``suppressed`` + justification,
-    or ``open``).
-    """
-    dispositions: Dict[Tuple[str, int, str], Tuple[str, str]] = {}
-    if result is not None:
-        for assessed in result.assessed:
-            finding = assessed.finding
-            key = (finding.path, finding.line, finding.rule)
-            dispositions[key] = (assessed.status, assessed.justification)
-
-    def disposition(path: str, line: int, rule: str) -> Dict[str, str]:
-        status, justification = dispositions.get(
-            (path, line, rule), ("open", "")
-        )
-        if status == "new":
-            status = "open"
-        out = {"disposition": status}
-        if justification:
-            out["justification"] = justification
-        return out
-
-    classes: List[Dict[str, Any]] = []
-    blocked = 0
-    transfer_edges = 0
-    entities = processes = 0
-    for decl in index.classes:
-        kind = index.kind_of(decl)
-        if kind is None:
-            continue
-        if kind == "entity":
-            entities += 1
-        else:
-            processes += 1
-        effects = class_effects(index, decl)
-        blockers: List[Dict[str, Any]] = []
-        for rule, key in (("ISO001", "global_writes"),
-                          ("ISO002", "class_attr_mutations")):
-            for entry in effects[key]:
-                blocker = {
-                    "rule": rule, "method": entry["method"],
-                    "name": entry["name"], "line": entry["line"],
-                }
-                blocker.update(
-                    disposition(decl.module.relpath, entry["line"], rule)
-                )
-                blockers.append(blocker)
-        edges: List[Dict[str, Any]] = []
-        for entry in effects["payload_aliases"]:
-            edge = {
-                "rule": "ISO003", "method": entry["method"],
-                "line": entry["line"], "target": entry["target"],
-                "value": entry["value"],
-            }
-            edge.update(
-                disposition(decl.module.relpath, entry["line"], "ISO003")
-            )
-            edges.append(edge)
-        transfer_edges += len(edges)
-        if blockers:
-            blocked += 1
-        classes.append({
-            "class": decl.name,
-            "kind": kind,
-            "module": decl.module.relpath,
-            "line": decl.node.lineno,
-            "effects": {
-                "state_attr_writes": effects["state_attr_writes"],
-                "self_attr_writes": effects["self_attr_writes"],
-            },
-            "blockers": blockers,
-            "transfer_edges": edges,
-            "verdict": "blocked" if blockers else "independent",
-        })
-
-    return {
-        "version": 1,
-        "summary": {
-            "entities": entities,
-            "processes": processes,
-            "independent": entities + processes - blocked,
-            "blocked": blocked,
-            "transfer_edges": transfer_edges,
-        },
-        "classes": classes,
-    }

@@ -30,7 +30,7 @@ RULES: Dict[str, str] = {
               "deadline() reads",
     "CON004": "wrapper forwards some scheduling-contract flags from its "
               "wrapped automaton but drops others",
-    # -- shard isolation ----------------------------------------------------
+    # -- entity isolation ---------------------------------------------------
     "ISO001": "entity method writes a module-level global shared by all "
               "instances",
     "ISO002": "entity method mutates a class attribute shared by all "
@@ -42,12 +42,12 @@ RULES: Dict[str, str] = {
 _FAMILIES = {
     "DET": "determinism",
     "CON": "contract",
-    "ISO": "shard-isolation",
+    "ISO": "isolation",
 }
 
 
 def rule_family(rule_id: str) -> str:
-    """The analysis family (``determinism``/``contract``/``shard-isolation``)."""
+    """The analysis family (``determinism``/``contract``/``isolation``)."""
     return _FAMILIES.get(rule_id[:3], "unknown")
 
 

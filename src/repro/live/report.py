@@ -448,8 +448,8 @@ class LiveChaosReport(LiveReport):
             registry.counter(f"repro.live.chaos.outcome.{key}").inc(value)
 
     def to_payload(self) -> Dict[str, object]:
-        """The machine-readable report ``tools/validate_live_chaos.py``
-        schema-checks in CI."""
+        """The machine-readable report ``python -m repro validate``
+        checks in CI."""
 
         def _violation(v: Violation) -> Dict[str, object]:
             return {

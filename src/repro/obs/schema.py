@@ -1,135 +1,135 @@
-"""JSON-schema checks for the metrics and trace export formats.
+"""Shape and invariants of the metrics and trace export formats.
 
 The exports are a contract: CI runs a seeded experiment with
-``--metrics-out``/``--trace-out`` and validates both files here, so the
-format cannot silently break. The schemas are expressed as plain JSON
-Schema dicts (documentation and interop) and enforced by a small
-hand-rolled validator — the library has no dependencies, and the subset
-of JSON Schema we need (types, required keys, enum, items) is tiny.
+``--metrics-out``/``--trace-out`` and checks both files with
+``python -m repro validate``, so the format cannot silently break. Each
+format here is a :class:`repro.validate.Format` — its required keys and
+types as plain data, interpreted by the one structural walker
+(:func:`repro.validate.check_shape`), plus the invariants that need a
+clean shape to be stated at all.
 
-Both export formats are versioned and both validators are
-version-aware: metrics version 2 adds the ``sketches`` section, trace
-version 2 adds the ``span``/``meta`` record kinds. A file must be
-internally consistent with the version its header declares — a
-version-1 trace carrying ``span`` records, or a second header mid-file
-(two traces concatenated), is *mixed-version* and rejected with an
-error saying so.
-
-Run directly::
-
-    python -m repro.obs.schema metrics.json trace.jsonl ...
-
-Any number of files; ``.jsonl`` files validate as traces, everything
-else as metrics snapshots.
+Both formats are versioned and both checks are version-aware: metrics
+version 2 adds the ``sketches`` section, trace version 2 adds the
+``span``/``meta`` record kinds. A file must be internally consistent
+with the version its header declares — a version-1 trace carrying
+``span`` records, or a second header mid-file (two traces
+concatenated), is *mixed-version* and rejected with an error saying so.
 """
 
 from __future__ import annotations
 
-import json
-import sys
-from typing import Dict, List
+from typing import List, Sequence
 
-from repro.obs.metrics import FORMAT, FORMAT_VERSION
+from repro.obs.metrics import FORMAT
 from repro.obs.sketch import validate_sketch_dict
 from repro.obs.trace import (
     KINDS_BY_VERSION,
     SUPPORTED_TRACE_VERSIONS,
     TRACE_FORMAT,
-    TRACE_KINDS,
-    TRACE_VERSION,
+)
+from repro.validate import (
+    Format,
+    Records,
+    check_document,
+    check_lines,
+    validate_file,
 )
 
 SUPPORTED_METRICS_VERSIONS = (1, 2)
 
-METRICS_SCHEMA: Dict[str, object] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro metrics snapshot",
-    "type": "object",
-    "required": ["format", "version", "counters", "gauges", "histograms",
-                 "sketches"],
-    "properties": {
-        "format": {"const": FORMAT},
-        "version": {"const": FORMAT_VERSION},
-        "counters": {"type": "object", "additionalProperties": {"type": "integer"}},
-        "gauges": {"type": "object", "additionalProperties": {"type": "number"}},
-        "histograms": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["bounds", "counts", "count", "sum", "min", "max"],
-                "properties": {
-                    "bounds": {"type": "array", "items": {"type": "number"}},
-                    "counts": {"type": "array", "items": {"type": "integer"}},
-                    "count": {"type": "integer"},
-                    "sum": {"type": "number"},
-                    "min": {"type": "number"},
-                    "max": {"type": "number"},
-                },
-            },
-        },
-        "sketches": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["alpha", "zero", "buckets", "count", "sum",
-                             "min", "max"],
-                "properties": {
-                    "alpha": {"type": "number"},
-                    "zero": {"type": "integer"},
-                    "buckets": {
-                        "type": "array",
-                        "items": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                    },
-                    "count": {"type": "integer"},
-                    "sum": {"type": "number"},
-                    "min": {"type": "number"},
-                    "max": {"type": "number"},
-                },
-            },
-        },
+
+# -- repro-metrics ------------------------------------------------------------
+
+
+def _sketches_match_version(snapshot: dict) -> List[str]:
+    if snapshot["version"] >= 2:
+        if "sketches" not in snapshot:
+            return ["metrics: lacks 'sketches'"]
+    elif "sketches" in snapshot:
+        return [
+            "metrics: mixed-version snapshot: version-1 declares no "
+            "'sketches' section but one is present (sketches were "
+            "introduced in version 2)"
+        ]
+    return []
+
+
+def _histograms_consistent(snapshot: dict) -> List[str]:
+    problems = []
+    for name, hist in snapshot["histograms"].items():
+        bounds, counts = hist["bounds"], hist["counts"]
+        if bounds != sorted(bounds):
+            problems.append(f"metrics: histogram {name!r} bounds not ascending")
+        if any(count < 0 for count in counts):
+            problems.append(f"metrics: histogram {name!r} has a negative count")
+        if len(counts) != len(bounds) + 1:
+            problems.append(
+                f"metrics: histogram {name!r} has {len(counts)} counts "
+                f"for {len(bounds)} bounds (want bounds+1)"
+            )
+        if sum(counts) != hist["count"]:
+            problems.append(
+                f"metrics: histogram {name!r} bucket counts do not sum to count"
+            )
+    return problems
+
+
+def _sketches_valid(snapshot: dict) -> List[str]:
+    return [
+        problem
+        for name, sketch in snapshot.get("sketches", {}).items()
+        for problem in validate_sketch_dict(name, sketch)
+    ]
+
+
+METRICS = Format(
+    FORMAT, "metrics",
+    {
+        "version": SUPPORTED_METRICS_VERSIONS,
+        "counters": {"*": int},
+        "gauges": {"*": float},
+        "histograms": {"*": {
+            "bounds": [float], "counts": [int], "count": int,
+            "sum": float, "min": float, "max": float,
+        }},
+        "sketches?": dict,
     },
-}
+    (_sketches_match_version, _histograms_consistent, _sketches_valid),
+)
 
-TRACE_HEADER_SCHEMA: Dict[str, object] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro obs trace header",
-    "type": "object",
-    "required": ["format", "version"],
-    "properties": {
-        "format": {"const": TRACE_FORMAT},
-        "version": {"enum": list(SUPPORTED_TRACE_VERSIONS)},
+
+# -- repro-obs-trace ----------------------------------------------------------
+
+
+def _kinds_match_version(header: dict, records: Records) -> List[str]:
+    version = header["version"]
+    return [
+        f"trace line {lineno}: mixed-version trace — version-{version} "
+        f"file carries a {record['k']!r} record, which a later format "
+        f"version introduced"
+        for lineno, record in records
+        if record["k"] not in KINDS_BY_VERSION[version]
+    ]
+
+
+TRACE = Format(
+    TRACE_FORMAT, "trace",
+    {"version": SUPPORTED_TRACE_VERSIONS},
+    (_kinds_match_version,),
+    records={
+        "run_start": {"horizon": object},
+        "action": {"now": object, "owner": object, "a": object, "vis": object},
+        "inject": {"now": object, "a": object},
+        "advance": {"from": object, "to": object},
+        "timelock": {"now": object},
+        "run_end": {"now": object, "steps": object},
+        "span": {"sid": object, "span": object, "ph": object, "now": object},
+        "meta": {"m": object},
     },
-}
-
-TRACE_RECORD_SCHEMA: Dict[str, object] = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro obs trace record",
-    "type": "object",
-    "required": ["k"],
-    "properties": {"k": {"enum": list(TRACE_KINDS)}},
-}
-
-_REQUIRED_RECORD_KEYS = {
-    "run_start": ("horizon",),
-    "action": ("now", "owner", "a", "vis"),
-    "inject": ("now", "a"),
-    "advance": ("from", "to"),
-    "timelock": ("now",),
-    "run_end": ("now", "steps"),
-    "span": ("sid", "span", "ph", "now"),
-    "meta": ("m",),
-}
+)
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# -- the public validators ----------------------------------------------------
 
 
 def validate_metrics(payload: object) -> List[str]:
@@ -139,67 +139,10 @@ def validate_metrics(payload: object) -> List[str]:
     (one present is a mixed-version error), version-2 snapshots must
     carry it.
     """
-    problems: List[str] = []
-    if not isinstance(payload, dict):
-        return [f"metrics: expected an object, got {type(payload).__name__}"]
-    if payload.get("format") != FORMAT:
-        problems.append(f"metrics: format is {payload.get('format')!r}, "
-                        f"expected {FORMAT!r}")
-    version = payload.get("version")
-    if version not in SUPPORTED_METRICS_VERSIONS:
-        problems.append(f"metrics: version is {version!r}, expected one of "
-                        f"{SUPPORTED_METRICS_VERSIONS}")
-        version = FORMAT_VERSION
-    sections = ["counters", "gauges", "histograms"]
-    if version >= 2:
-        sections.append("sketches")
-    elif "sketches" in payload:
-        problems.append(
-            "metrics: mixed-version snapshot: version-1 declares no "
-            "'sketches' section but one is present (sketches were "
-            "introduced in version 2)"
-        )
-    for section in sections:
-        if not isinstance(payload.get(section), dict):
-            problems.append(f"metrics: missing or non-object section {section!r}")
-    for name, value in (payload.get("counters") or {}).items():
-        if not _is_integer(value):
-            problems.append(f"metrics: counter {name!r} is not an integer")
-    for name, value in (payload.get("gauges") or {}).items():
-        if not _is_number(value):
-            problems.append(f"metrics: gauge {name!r} is not a number")
-    for name, hist in (payload.get("histograms") or {}).items():
-        if not isinstance(hist, dict):
-            problems.append(f"metrics: histogram {name!r} is not an object")
-            continue
-        for key in ("bounds", "counts", "count", "sum", "min", "max"):
-            if key not in hist:
-                problems.append(f"metrics: histogram {name!r} lacks {key!r}")
-        bounds = hist.get("bounds", [])
-        counts = hist.get("counts", [])
-        if not all(_is_number(b) for b in bounds):
-            problems.append(f"metrics: histogram {name!r} bounds not numeric")
-        if list(bounds) != sorted(bounds):
-            problems.append(f"metrics: histogram {name!r} bounds not ascending")
-        if not all(_is_integer(c) and c >= 0 for c in counts):
-            problems.append(f"metrics: histogram {name!r} counts invalid")
-        if len(counts) != len(bounds) + 1:
-            problems.append(
-                f"metrics: histogram {name!r} has {len(counts)} counts "
-                f"for {len(bounds)} bounds (want bounds+1)"
-            )
-        if _is_integer(hist.get("count")) and sum(
-            c for c in counts if _is_integer(c)
-        ) != hist.get("count"):
-            problems.append(
-                f"metrics: histogram {name!r} bucket counts do not sum to count"
-            )
-    for name, sketch in (payload.get("sketches") or {}).items():
-        problems.extend(validate_sketch_dict(name, sketch))
-    return problems
+    return check_document(METRICS, payload)
 
 
-def validate_trace_lines(lines: List[str]) -> List[str]:
+def validate_trace_lines(lines: Sequence[str]) -> List[str]:
     """Problems with the lines of a trace JSONL file; empty means valid.
 
     Version-aware: records are checked against the kind set of the
@@ -207,102 +150,14 @@ def validate_trace_lines(lines: List[str]) -> List[str]:
     or ``meta`` records — or any file with a second header mid-stream —
     is reported as mixed-version.
     """
-    problems: List[str] = []
-    if not lines:
-        return ["trace: empty file"]
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        return [f"trace: header is not JSON ({exc})"]
-    version = TRACE_VERSION
-    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
-        problems.append(f"trace: bad header {lines[0].strip()!r}")
-    elif header.get("version") not in SUPPORTED_TRACE_VERSIONS:
-        problems.append(f"trace: unsupported version {header.get('version')!r}")
-    else:
-        version = header["version"]
-    kinds = KINDS_BY_VERSION[version]
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"trace line {lineno}: not JSON ({exc})")
-            continue
-        if not isinstance(record, dict):
-            problems.append(f"trace line {lineno}: not an object")
-            continue
-        if "format" in record and "k" not in record:
-            problems.append(
-                f"trace line {lineno}: mixed-version trace — a second "
-                f"header appears mid-file; each trace must carry exactly "
-                f"one header"
-            )
-            continue
-        kind = record.get("k")
-        if kind not in kinds:
-            if kind in TRACE_KINDS:
-                problems.append(
-                    f"trace line {lineno}: mixed-version trace — "
-                    f"version-{version} file carries a {kind!r} record, "
-                    f"which a later format version introduced"
-                )
-            else:
-                problems.append(f"trace line {lineno}: unknown kind {kind!r}")
-            continue
-        for key in _REQUIRED_RECORD_KEYS[kind]:
-            if key not in record:
-                problems.append(
-                    f"trace line {lineno}: {kind!r} record lacks {key!r}"
-                )
-    return problems
+    return check_lines(TRACE, lines)
 
 
 def validate_metrics_file(path: str) -> List[str]:
     """Validate a ``--metrics-out`` file; returns the problem list."""
-    try:
-        with open(path) as handle:
-            payload = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"metrics: cannot read {path}: {exc}"]
-    return validate_metrics(payload)
+    return validate_file(path, METRICS)[2]
 
 
 def validate_trace_file(path: str) -> List[str]:
     """Validate a ``--trace-out`` file; returns the problem list."""
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        return [f"trace: cannot read {path}: {exc}"]
-    return validate_trace_lines(lines)
-
-
-def main(argv=None) -> int:
-    """``python -m repro.obs.schema FILE ...``.
-
-    ``.jsonl`` files validate against the trace schema, everything else
-    against the metrics snapshot schema.
-    """
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv:
-        print("usage: python -m repro.obs.schema FILE ... "
-              "(.jsonl = trace, otherwise metrics)")
-        return 2
-    problems: List[str] = []
-    for path in argv:
-        if path.endswith(".jsonl"):
-            problems += validate_trace_file(path)
-        else:
-            problems += validate_metrics_file(path)
-    for problem in problems:
-        print(problem)
-    if not problems:
-        print(f"ok: {' '.join(argv)} conform to the export schemas")
-    return 1 if problems else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return validate_file(path, TRACE)[2]

@@ -25,6 +25,7 @@ from repro.campaign.schema import (
     validate_aggregate_file,
     validate_checkpoint_file,
 )
+from repro.cli import main as cli_main
 from repro.errors import CampaignError
 from repro.obs import MetricsRegistry, merge_snapshots, registry_from_snapshot
 
@@ -259,6 +260,7 @@ def test_aggregate_exports_conform_to_schema(tmp_path):
     aggregator.write_csv(csv_path, payload)
     assert validate_aggregate_file(jsonl) == []
     assert validate_checkpoint_file(path) == []
+    assert cli_main(["validate", jsonl, path]) == 0
     with open(csv_path, encoding="utf-8") as handle:
         rows = handle.read().splitlines()
     assert len(rows) == 1 + grid.size  # header + one row per point

@@ -100,8 +100,7 @@ class TestDeterminism:
 class TestLintDeterminism:
     """The static analyzer is itself subject to the reproducibility bar.
 
-    CI compares lint JSON byte-for-byte (and the committed isolation
-    report is regenerated and diffed), so two runs over the same tree
+    CI compares lint JSON byte-for-byte, so two runs over the same tree
     must serialize identically — no set-ordered walks, no timestamps,
     no hash-seed-dependent output.
     """
@@ -117,22 +116,3 @@ class TestLintDeterminism:
             render_json(run_lint([src], root=root)) for _ in range(2)
         ]
         assert reports[0] == reports[1]
-
-    def test_isolation_report_is_byte_identical_across_runs(self):
-        import json
-        import os
-
-        from repro.lint import (
-            ProjectIndex, build_isolation_report, load_modules, run_lint,
-        )
-
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        src = os.path.join(root, "src")
-
-        def build():
-            result = run_lint([src], root=root)
-            index = ProjectIndex(load_modules([src], root=root))
-            report = build_isolation_report(index, result)
-            return json.dumps(report, indent=2, sort_keys=True)
-
-        assert build() == build()

@@ -19,10 +19,7 @@ import pytest
 from repro.lint import (
     RULES,
     Baseline,
-    ProjectIndex,
     apply_baseline,
-    build_isolation_report,
-    load_modules,
     render_json,
     render_text,
     run_lint,
@@ -68,7 +65,7 @@ class TestRuleCatalog:
         assert findings[0].line == line
         assert findings[0].path == f"tests/fixtures/lint/{name}"
         assert rule_family(rule) in (
-            "determinism", "contract", "shard-isolation",
+            "determinism", "contract", "isolation",
         )
 
     @pytest.mark.parametrize("name", ["good.py", "good_entities.py"])
@@ -199,30 +196,6 @@ class TestJsonReport:
         # Suppressed findings only appear in verbose mode.
         assert "[suppressed]" not in text
         assert "[suppressed]" in render_text(result, verbose=True)
-
-
-class TestIsolationReport:
-    def test_fixture_entities_classified(self):
-        modules = load_modules(
-            [os.path.join(FIXTURES, name) for name in (
-                "bad_iso001.py", "bad_iso002.py", "bad_iso003.py",
-                "good_entities.py",
-            )],
-            root=REPO_ROOT,
-        )
-        report = build_isolation_report(ProjectIndex(modules))
-        assert report["version"] == 1
-        by_class = {entry["class"]: entry for entry in report["classes"]}
-        assert by_class["CachingEntity"]["verdict"] == "blocked"
-        assert by_class["LoggingEntity"]["verdict"] == "blocked"
-        assert by_class["KeptPromisesEntity"]["verdict"] == "independent"
-        # Payload aliasing is a transfer edge, not a blocker.
-        buffering = by_class["BufferingEntity"]
-        assert buffering["verdict"] == "independent"
-        assert len(buffering["transfer_edges"]) == 1
-        summary = report["summary"]
-        assert summary["blocked"] == 2
-        assert summary["transfer_edges"] >= 1
 
 
 class TestRepoIsClean:

@@ -15,6 +15,7 @@ import asyncio
 import json
 import subprocess
 import sys
+import tempfile
 import unittest
 from pathlib import Path
 
@@ -126,6 +127,14 @@ class TestLiveChaosEndToEnd(unittest.TestCase):
                   if not r.completed and r.kind == "R")
         )
         json.dumps(payload)  # must be JSON-serializable as-is
+
+    def test_written_payload_validates(self):
+        from repro.cli import main
+
+        with tempfile.TemporaryDirectory() as scratch:
+            path = str(Path(scratch) / "live-chaos.json")
+            self.report.write_payload(path)
+            self.assertEqual(main(["validate", path]), 0)
 
 
 class TestClockFaultAttribution(unittest.TestCase):
