@@ -4,23 +4,26 @@ Usage::
 
     python benchmarks/run_all.py [--workers N] [EXP_ID ...]
 
-With no experiment ids, runs all experiments in DESIGN.md order, prints
-each table, and writes two artifacts per experiment under
-``benchmarks/results/``: the rendered table as ``<EXP_ID>.txt`` and a
-machine-readable ``<EXP_ID>.json`` (config, wall time, table rows, shape
-assertions — metrics snapshots included where the experiment collects
-them).
+The only way to write ``benchmarks/results/``. With no experiment ids,
+runs all experiments in DESIGN.md order, prints each table, and writes
+two artifacts per experiment through
+:func:`repro.experiments.write_result`: the rendered table as
+``<EXP_ID>.txt`` and a machine-readable ``<EXP_ID>.json`` (config, table
+rows, shapes). Both are functions of the code alone — wall times are
+printed, not stored — so a second run leaves the tree unchanged, and
+``tests/test_experiments.py`` fails when the committed files differ
+from a fresh run. Exit status 1 lists every boolean shape that came out
+``False``.
 
-``--workers N`` shards the experiments across N worker processes via
-:class:`repro.campaign.CampaignRunner`, which also gives crash
-containment and bounded retries; the default runs them serially
+``--workers N`` runs the experiments on N worker processes via
+:class:`repro.campaign.CampaignRunner`, which also contains a crashed
+experiment and retries it once; the default runs them serially
 in-process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -32,27 +35,9 @@ except ImportError:  # running from a checkout without an installed package
     )
 
 from repro.campaign import CampaignRunner  # noqa: E402
-from repro.experiments import ALL_EXPERIMENTS  # noqa: E402
+from repro.experiments import ALL_EXPERIMENTS, write_result  # noqa: E402
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def write_results(exp_id, result):
-    """Write ``<EXP_ID>.txt`` and ``<EXP_ID>.json`` under results/."""
-    from repro.analysis.report import Table
-
-    table = Table(result["table"]["title"], result["table"]["columns"])
-    for row in result["table"]["rows"]:
-        table.add_row(*row)
-    for note in result["table"]["notes"]:
-        table.add_note(note)
-    text = table.render()
-    with open(os.path.join(RESULTS_DIR, f"{exp_id}.txt"), "w") as handle:
-        handle.write(text + "\n")
-    with open(os.path.join(RESULTS_DIR, f"{exp_id}.json"), "w") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return text
 
 
 def main(argv=None):
@@ -61,8 +46,6 @@ def main(argv=None):
                         help="experiment ids to run (default: all)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes (default: 1, serial)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="extra attempts for crashed experiments")
     args = parser.parse_args(argv)
 
     wanted = args.experiments or list(ALL_EXPERIMENTS)
@@ -79,7 +62,7 @@ def main(argv=None):
     runner = CampaignRunner(
         task="repro.experiments:run_experiment_task",
         workers=args.workers,
-        retries=args.retries,
+        retries=1,
         log=print,
     )
     outcomes = runner.run(points)
@@ -92,8 +75,8 @@ def main(argv=None):
             print(f"{exp_id} FAILED: {outcome.error}\n")
             continue
         result = outcome.result
-        print(write_results(exp_id, result))
-        print(f"({exp_id} finished in {result['wall_seconds']:.1f}s)\n")
+        print(write_result(result, RESULTS_DIR))
+        print(f"({exp_id} finished in {outcome.wall:.1f}s)\n")
         bad = {
             key: value
             for key, value in result["shapes"].items()

@@ -1115,7 +1115,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ReproError) as exc:
+    except (OSError, ReproError, ValueError) as exc:
+        # ValueError: a constructor refusing an out-of-range flag, or a
+        # file that does not parse. Exit 1 is kept for "a check failed".
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,44 +1,31 @@
-"""The paper's experiment suite as an importable package.
+"""The paper's experiment suite: the one definition of "reproduced".
 
 :mod:`repro.experiments.paper` holds one ``exp_*`` function per paper
 artifact (figures, theorems, lemmas, tables, ablations, extensions) and
 the :data:`ALL_EXPERIMENTS` registry mapping experiment ids to them.
-This package re-exports all of that, and adds
-:func:`run_experiment_task` — a campaign-runner task so
-``benchmarks/run_all.py`` can shard whole experiments across worker
-processes with ``--workers`` (crash containment and retries included).
+This package turns one into a result record (:func:`run_experiment`),
+renders a record as the two files committed under
+``benchmarks/results/`` (:func:`write_result` — the only writer; both
+``benchmarks/run_all.py`` and ``tests/test_experiments.py`` go through
+it), and adds :func:`run_experiment_task`, a campaign-runner task so
+``run_all.py --workers N`` runs the experiments on N worker processes.
+
+Record and files are functions of the code alone: no wall time, no
+host, no date. That is what lets tier-1 require the committed files to
+equal a fresh run byte for byte.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
+import os
 import time
 from typing import Dict
 
+from repro.analysis.report import Table
 from repro.errors import CampaignError
-from repro.experiments.paper import (
-    ALL_EXPERIMENTS,
-    DELTA,
-    PINGER_KAPPA,
-    exp_abl1,
-    exp_abl2,
-    exp_abl3_tdma,
-    exp_abl4_internal_specs,
-    exp_engine_throughput,
-    exp_ext1_objects,
-    exp_ext2_faults,
-    exp_ext3_multihop,
-    exp_ext4_sync_protocol,
-    exp_fig1_channel,
-    exp_fig2_buffers,
-    exp_fig3_algorithm_s,
-    exp_lem61,
-    exp_lem62,
-    exp_tab63,
-    exp_thm47,
-    exp_thm51,
-    exp_thm65,
-)
+from repro.experiments.paper import ALL_EXPERIMENTS
 
 RESULT_FORMAT = "repro-bench-result"
 """Format tag of the per-experiment JSON result files."""
@@ -71,25 +58,20 @@ def run_experiment(exp_id: str) -> Dict[str, object]:
     """Run one experiment; return its JSON-ready result record.
 
     The record carries the experiment's configuration (the harness
-    function's keyword defaults), the rendered comparison table, the
-    shape assertions (metrics snapshots included, for experiments that
-    collect them), and the wall time.
+    function's keyword defaults), the comparison table and the shapes;
+    ``ok`` is the conjunction of the boolean shapes, which are the
+    experiment's acceptance conditions.
     """
     if exp_id not in ALL_EXPERIMENTS:
         raise CampaignError(
             f"unknown experiment {exp_id!r}; known: {sorted(ALL_EXPERIMENTS)}"
         )
-    # repro: lint-ignore[DET002] -- wall-time bracket around the experiment;
-    # the wall figure is reported separately from the deterministic table
-    start = time.perf_counter()
     table, shapes = ALL_EXPERIMENTS[exp_id]()
-    wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
     return {
         "format": RESULT_FORMAT,
         "version": RESULT_VERSION,
         "exp_id": exp_id,
         "config": experiment_config(exp_id),
-        "wall_seconds": wall,
         "table": {
             "title": table.title,
             "columns": list(table.columns),
@@ -103,42 +85,47 @@ def run_experiment(exp_id: str) -> Dict[str, object]:
     }
 
 
+def write_result(result: Dict[str, object], directory: str) -> str:
+    """Write ``<exp_id>.txt`` and ``<exp_id>.json`` into ``directory``.
+
+    Returns the rendered table (the ``.txt`` without its final newline).
+    """
+    table = Table(result["table"]["title"], result["table"]["columns"])
+    for row in result["table"]["rows"]:
+        table.add_row(*row)
+    for note in result["table"]["notes"]:
+        table.add_note(note)
+    text = table.render()
+    stem = os.path.join(directory, result["exp_id"])
+    with open(stem + ".txt", "w", encoding="utf-8") as handle:
+        handle.write(text + "\n")
+    with open(stem + ".json", "w", encoding="utf-8") as handle:
+        json.dump(result, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return text
+
+
 def run_experiment_task(point: Dict) -> Dict[str, object]:
     """Campaign-runner task: run the experiment named by ``point["exp"]``.
 
     Matches the :class:`repro.campaign.CampaignRunner` task contract —
-    returns ``{"result": ..., "wall": ...}`` so ``run_all.py --workers N``
-    can shard experiments across processes.
+    returns ``{"result": ..., "wall": ...}``. The wall time is reported
+    beside the record, never inside it.
     """
+    # repro: lint-ignore[DET002] -- wall-time bracket around the experiment;
+    # the figure is printed by run_all.py and stored nowhere
+    start = time.perf_counter()
     result = run_experiment(point["exp"])
-    return {"result": result, "wall": result["wall_seconds"]}
+    wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
+    return {"result": result, "wall": wall}
 
 
 __all__ = [
     "ALL_EXPERIMENTS",
-    "DELTA",
-    "PINGER_KAPPA",
     "RESULT_FORMAT",
     "RESULT_VERSION",
     "experiment_config",
     "run_experiment",
     "run_experiment_task",
-    "exp_abl1",
-    "exp_abl2",
-    "exp_abl3_tdma",
-    "exp_abl4_internal_specs",
-    "exp_engine_throughput",
-    "exp_ext1_objects",
-    "exp_ext2_faults",
-    "exp_ext3_multihop",
-    "exp_ext4_sync_protocol",
-    "exp_fig1_channel",
-    "exp_fig2_buffers",
-    "exp_fig3_algorithm_s",
-    "exp_lem61",
-    "exp_lem62",
-    "exp_tab63",
-    "exp_thm47",
-    "exp_thm51",
-    "exp_thm65",
+    "write_result",
 ]

@@ -2,21 +2,17 @@
 
 Each ``exp_*`` function runs its sweep and returns a
 :class:`~repro.analysis.report.Table` whose rows are the paper-vs-measured
-comparison recorded in EXPERIMENTS.md, plus a dict of shape assertions the
-pytest benchmarks check ("who wins, by roughly what factor, where the
-crossovers fall").
+comparison recorded in EXPERIMENTS.md, plus a dict of shapes ("who wins,
+by roughly what factor, where the crossovers fall"). Every acceptance
+condition of an experiment is a **boolean** shape; the table reproduced
+iff all of them are ``True`` (:func:`repro.experiments.run_experiment`'s
+``ok``). Non-boolean shapes are supporting figures the table does not
+show.
 
-The pytest-benchmark wrappers in ``benchmarks/bench_*.py`` time one
-representative configuration per experiment and print/assert these
-tables; ``benchmarks/run_all.py`` regenerates every table at once
-(optionally sharded across workers through
-:class:`repro.campaign.CampaignRunner`).
-
-Historical note: this module lived at ``benchmarks/harness.py`` and
-reached the pinger helpers through a ``sys.path`` insert into the tests
-directory. It is now part of the installed ``repro`` package — the shim
-left at the old path just re-exports these names — so campaign workers
-and benchmarks import it without any path manipulation.
+``benchmarks/run_all.py`` regenerates every table (on N worker processes
+with ``--workers N``) and ``tests/test_experiments.py`` holds the
+committed ``benchmarks/results/`` to a fresh run, byte for byte — so an
+experiment may read no wall clock.
 """
 
 from __future__ import annotations
@@ -267,7 +263,8 @@ def exp_thm51(eps: float = 0.05) -> Tuple[Table, Dict]:
         "THM5.1: Simulation 2 — measured output shift vs bound k*l + 2*eps + 3*l",
         ["l (step bound)", "k (measured)", "shift bound", "max observed shift", "within"],
     )
-    shapes = {"all_within": True, "bound_grows_with_l": []}
+    shapes = {"all_within": True}
+    bounds = []
     for ell in (0.01, 0.05, 0.1, 0.2):
         spec = build_mmt_system(
             pinger_topology(),
@@ -293,8 +290,9 @@ def exp_thm51(eps: float = 0.05) -> Tuple[Table, Dict]:
         observed = max(shifts) if shifts else 0.0
         within = observed <= bound + 1e-9
         shapes["all_within"] &= within
-        shapes["bound_grows_with_l"].append(bound)
+        bounds.append(bound)
         table.add_row(ell, k, bound, observed, "yes" if within else "NO")
+    shapes["bound_grows_with_l"] = bounds == sorted(bounds)
     table.add_note("lazy step policy: the adversary always waits the full l")
     return table, shapes
 
@@ -313,8 +311,8 @@ def exp_lem61(d1p: float = 0.2, d2p: float = 1.0) -> Tuple[Table, Dict]:
             "within", "linearizable",
         ],
     )
-    shapes = {"all_within": True, "all_linearizable": True,
-              "read_latencies": [], "write_latencies": []}
+    shapes = {"all_within": True, "all_linearizable": True}
+    reads, writes = [], []
     for c in (0.0, 0.2, 0.4, 0.6, 0.8):
         workload = RegisterWorkload(operations=8, read_fraction=0.5, seed=4)
         spec = timed_register_system(
@@ -330,13 +328,16 @@ def exp_lem61(d1p: float = 0.2, d2p: float = 1.0) -> Tuple[Table, Dict]:
         linearizable = run.linearizable()
         shapes["all_within"] &= within
         shapes["all_linearizable"] &= linearizable
-        shapes["read_latencies"].append(run.max_read_latency())
-        shapes["write_latencies"].append(run.max_write_latency())
+        reads.append(run.max_read_latency())
+        writes.append(run.max_write_latency())
         table.add_row(
             c, read_bound, run.max_read_latency(), write_bound,
             run.max_write_latency(), "yes" if within else "NO",
             "yes" if linearizable else "NO",
         )
+    # tradeoff shape: reads get slower, writes faster, as c grows
+    shapes["reads_nondecreasing_in_c"] = reads == sorted(reads)
+    shapes["writes_nonincreasing_in_c"] = writes == sorted(writes, reverse=True)
     table.add_note("c trades read latency against write latency (Section 6.1)")
     return table, shapes
 
@@ -467,6 +468,9 @@ def exp_tab63(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
             base.max_read_latency(), base.max_write_latency(), base_comb,
             d2 + 2 * u, d2 + 7 * u, "yes" if wins else "NO",
         )
+    # the paper's gap is 5u; the measured gap should be the same order
+    # (workloads do not always realize worst cases simultaneously)
+    shapes["gap_at_least_u"] = all(r >= 1.0 for r in shapes["gap_ratios"])
     table.add_note("paper predicts a combined-latency gap of 5u; both measured "
                    "systems are linearizable")
     return table, shapes
@@ -525,7 +529,7 @@ def exp_abl2(d2: float = 1.0) -> Tuple[Table, Dict]:
         "ABL2: buffering cost vs d1/(2*eps) (Section 7.2)",
         ["d1", "eps", "d1/(2*eps)", "msgs", "held", "frac held", "mean hold"],
     )
-    shapes = {"no_holds_above_one": True, "holds_below_one": 0}
+    shapes = {"no_holds_above_one": True, "holds_below_one": False}
     eps = 0.15
     for d1 in (0.0, 0.1, 0.2, 0.3, 0.45, 0.6):
         spec = build_clock_system(
@@ -546,8 +550,8 @@ def exp_abl2(d2: float = 1.0) -> Tuple[Table, Dict]:
         ratio = d1 / (2 * eps) if eps else float("inf")
         if ratio >= 1.0 and held > 0:
             shapes["no_holds_above_one"] = False
-        if ratio < 1.0:
-            shapes["holds_below_one"] += held
+        if ratio < 1.0 and held > 0:
+            shapes["holds_below_one"] = True
         table.add_row(
             d1, eps, ratio, total, held,
             held / total if total else 0.0,
@@ -555,47 +559,6 @@ def exp_abl2(d2: float = 1.0) -> Tuple[Table, Dict]:
         )
     table.add_note("paper: buffering is never needed once d1 > 2*eps; below that "
                    "the hold time is at most 2*eps - d1")
-    return table, shapes
-
-
-# ---------------------------------------------------------------------------
-# ENG — engine throughput
-# ---------------------------------------------------------------------------
-
-
-def exp_engine_throughput() -> Tuple[Table, Dict]:
-    """Substrate sizing: events/second for n-node register systems."""
-    import time
-
-    from repro.obs import MetricsRegistry
-
-    table = Table(
-        "ENG: simulation engine throughput",
-        ["nodes", "events", "wall (s)", "events/s", "engine steps/s"],
-    )
-    shapes = {"rates": [], "metrics": []}
-    for n in (2, 3, 5, 8):
-        workload = RegisterWorkload(operations=10, read_fraction=0.5, seed=13,
-                                    think_min=0.1, think_max=0.5)
-        spec = timed_register_system(
-            n=n, d1_prime=0.2, d2_prime=1.0, c=0.3, workload=workload,
-            delay_model=UniformDelay(seed=13),
-        )
-        metrics = MetricsRegistry()
-        # repro: lint-ignore[DET002] -- throughput measurement brackets;
-        # the rate is a reported figure, not simulation input
-        start = time.perf_counter()
-        run = run_register_experiment(spec, 60.0, metrics=metrics)
-        wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
-        events = len(run.result.recorder)
-        rate = events / wall if wall > 0 else 0.0
-        snapshot = metrics.snapshot(include_volatile=True)
-        shapes["rates"].append(rate)
-        shapes["metrics"].append({"nodes": n, "snapshot": snapshot})
-        table.add_row(
-            n, events, wall, rate,
-            snapshot["gauges"].get("repro.engine.steps_per_sec", 0.0),
-        )
     return table, shapes
 
 
@@ -611,7 +574,6 @@ ALL_EXPERIMENTS: Dict[str, Callable[[], Tuple[Table, Dict]]] = {
     "TAB6.3": exp_tab63,
     "ABL1": exp_abl1,
     "ABL2": exp_abl2,
-    "ENG": exp_engine_throughput,
 }
 
 

@@ -27,7 +27,7 @@ anything else
     that literal value.
 
 The walker never raises and never descends below a node of the wrong
-type. The seven formats are in :func:`formats`; the metrics/trace and
+type. The eight formats are in :func:`formats`; the metrics/trace and
 aggregate/checkpoint entries live beside their producers in
 :mod:`repro.obs.schema` and :mod:`repro.campaign.schema`, the rest
 here. Exit status: 0 every file conforms, 1 any problem (one per line,
@@ -393,6 +393,47 @@ def bench_regressions(bench: dict, baseline: dict, baseline_path: str) -> List[s
     return problems
 
 
+# -- repro-bench-result -------------------------------------------------------
+# ``benchmarks/results/<ID>.json``
+# (:func:`repro.experiments.run_experiment`). That ``exp_id`` matches the
+# file name is ``tests/test_experiments.py``'s business: the harness sees
+# documents, not paths.
+
+
+def _rows_fit_columns(result: dict) -> List[str]:
+    width = len(result["table"]["columns"])
+    return [
+        f"result.table.rows[{index}]: {len(row)} cells, "
+        f"the table has {width} columns"
+        for index, row in enumerate(result["table"]["rows"])
+        if len(row) != width
+    ]
+
+
+def _ok_is_the_conjunction(result: dict) -> List[str]:
+    # The boolean shapes are the experiment's acceptance conditions.
+    failed = sorted(k for k, v in result["shapes"].items() if v is False)
+    if result["ok"] == (not failed):
+        return []
+    return [f"result: ok is {result['ok']} but the false shapes are {failed}"]
+
+
+RESULT = Format(
+    "repro-bench-result", "result",
+    {
+        "version": int,
+        "exp_id": str,
+        "config": dict,
+        "table": {
+            "title": str, "columns": [str], "rows": [list], "notes": [str],
+        },
+        "shapes": dict,
+        "ok": bool,
+    },
+    (_rows_fit_columns, _ok_is_the_conjunction),
+)
+
+
 # -- dispatch -----------------------------------------------------------------
 
 
@@ -404,7 +445,10 @@ def formats() -> Dict[str, Format]:
 
     return {
         fmt.name: fmt
-        for fmt in (METRICS, TRACE, AGGREGATE, CHECKPOINT, PLAN, LIVE_CHAOS, BENCH)
+        for fmt in (
+            METRICS, TRACE, AGGREGATE, CHECKPOINT, PLAN, LIVE_CHAOS, BENCH,
+            RESULT,
+        )
     }
 
 

@@ -357,7 +357,7 @@ def test_run_experiment_task_matches_the_runner_contract():
     assert result["exp_id"] == "FIG3"
     assert result["ok"] is True
     assert result["table"]["rows"]
-    assert payload["wall"] == result["wall_seconds"] > 0
+    assert payload["wall"] > 0 and "wall_seconds" not in result
 
     with pytest.raises(CampaignError):
         run_experiment_task({"index": 0, "key": "NOPE", "exp": "NOPE"})

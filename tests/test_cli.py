@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestParser:
@@ -91,6 +95,30 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "monotone         : True" in out
+
+
+class TestUsageErrors:
+    """Exit 1 means "a check failed"; a flag out of range is exit 2."""
+
+    @pytest.mark.parametrize("argv", [
+        "register --read-fraction 2",
+        "register --delta 0",
+        "register --c 5",
+        "register --model mmt --step-bound 0",
+        "object --update-fraction 2",
+        "serve --n 0 --duration 0.1",
+        "load --n 2 --ops 3 --clients-per-node 0",
+        "trace BENCHMARK.json",  # JSON, where a JSONL trace is expected
+    ])
+    def test_bad_value_is_one_error_line_and_exit_two(
+        self, argv, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestLeaderCommand:

@@ -9,6 +9,11 @@ under test-local subclasses whose only difference is
 clock node was before), on both engine cores: the recorder streams must
 be byte-identical and every node's clock must read the same at the
 horizon.
+
+One corner is outside the equivalence — a clock deadline at or below a
+positive start offset ``beta``, before the node's first step
+(``docs/performance.md`` § Lazy node clocks) — and is pinned at the end
+of this file on the system that contains it, experiment ABL4's.
 """
 
 import pytest
@@ -30,10 +35,12 @@ from repro.sim.clock_drivers import (
     DriftingClockDriver,
     PerfectClockDriver,
     SkewedClockDriver,
+    driver_factory,
 )
-from repro.sim.delay import UniformDelay
+from repro.sim.delay import MaximalDelay, UniformDelay
 from repro.sim.engine import Simulator
 from repro.sim.recorder import Recorder
+from repro.sim.scheduler import RandomScheduler
 
 D1, D2, EPS = 0.2, 0.6, 0.05
 
@@ -197,3 +204,46 @@ def test_native_recovery_resumes_the_clock_from_the_recovery_instant():
     node.advance(state, 5.0, 6.0)
     # one second of drift, then pulled up to the envelope's lower edge
     assert state.clock == pytest.approx(6.0 - EPS)
+
+
+# -- the start corner, on ABL4's own system -----------------------------------
+# Node 0 runs FastClockDriver: C1 pins clock = 0 at now = 0 while the
+# driver's trajectory starts at beta = +eps = 0.3. The first READ arrives
+# at now = 0, so the node's first clock deadline is the read delay:
+# c + delta for L, 2*eps + c + delta for S (delta = 0.01).
+
+START_CORNER = (
+    "a clock deadline <= beta before the node's first step: the full-scan "
+    "reference fires the action earlier than the incremental loop "
+    "(docs/performance.md, Lazy node clocks; ROADMAP item 6)"
+)
+
+
+@pytest.mark.parametrize("algorithm,c", [
+    ("S", 0.0),   # 0.61 > beta
+    ("L", 0.3),   # 0.31 > beta
+    pytest.param("L", 0.0, marks=pytest.mark.xfail(
+        strict=True, reason=START_CORNER)),   # 0.01 <= beta: ABL4's rows
+    pytest.param("L", 0.28, marks=pytest.mark.xfail(
+        strict=True, reason=START_CORNER)),   # 0.29 <= beta
+])
+def test_both_cores_record_the_same_stream_on_abl4(algorithm, c):
+    eps = 0.3
+    for seed in range(12):
+        streams = []
+        for incremental in (True, False):
+            spec = clock_register_system(
+                n=3, d1=0.1, d2=1.0, c=c, eps=eps, algorithm=algorithm,
+                workload=RegisterWorkload(
+                    operations=6, read_fraction=0.6, seed=seed,
+                    think_min=0.05, think_max=0.6,
+                ),
+                drivers=driver_factory("mixed", eps, seed=seed),
+                delay_model=MaximalDelay(),
+            )
+            sim = Simulator(
+                spec.entities, scheduler=RandomScheduler(seed=seed),
+                hidden=spec.hidden, incremental=incremental,
+            )
+            streams.append(sim.run(80.0, recorder=Recorder()).recorder.events)
+        assert streams[0] == streams[1], (algorithm, c, seed)

@@ -96,6 +96,18 @@ def bench(*cells):
             "results": list(cells)}
 
 
+def result(**fields):
+    document = {
+        "format": "repro-bench-result", "version": 1, "exp_id": "X",
+        "config": {},
+        "table": {"title": "X", "columns": ["a", "b"], "rows": [[1, 2]],
+                  "notes": []},
+        "shapes": {"holds": True, "ratios": [1.5]}, "ok": True,
+    }
+    document.update(fields)
+    return document
+
+
 def jsonl(*records):
     return "\n".join(
         r if isinstance(r, str) else json.dumps(r) for r in records
@@ -222,6 +234,13 @@ MALFORMED = UNGUARDED + [
     ("bench-no-results", "results is empty", bench()),
     ("bench-negative-wall", "full.wall_s: must not be negative",
      bench(cell("timed", 32, 5.0, full=mode(wall_s=-1.0)))),
+    # repro-bench-result
+    ("result-row-one-cell-short", "rows[1]: 1 cells, the table has 2 columns",
+     result(table={"title": "X", "columns": ["a", "b"],
+                   "rows": [[1, 2], [3]], "notes": []})),
+    ("result-ok-beside-a-false-shape",
+     "ok is True but the false shapes are ['holds']",
+     result(shapes={"holds": False})),
 ]
 
 
@@ -295,6 +314,7 @@ class TestProducersValidate:
             write(tmp_path, "bench.json", bench(cell("timed", 32, 5.0))),
             write(tmp_path, "aggregate.jsonl", jsonl(AGGREGATE, SUMMARY)),
             write(tmp_path, "plan.json", plan({"kind": "heal", "t": 1.0})),
+            write(tmp_path, "result.json", result()),
         ]
         status, lines = validate(capsys, *paths)
         assert status == 0, lines
@@ -326,7 +346,7 @@ class TestMalformedCorpus:
         for name in ("repro-metrics", "repro-obs-trace",
                      "repro-campaign-aggregate", "repro-campaign-checkpoint",
                      "repro-fault-plan", "repro-live-chaos-report",
-                     "repro-bench-engine"):
+                     "repro-bench-engine", "repro-bench-result"):
             assert name in lines[0]
 
     def test_baseline_gate(self, tmp_path, capsys):
