@@ -34,18 +34,13 @@ from typing import Dict
 
 from repro.errors import CampaignError
 from repro.campaign.grid import point_key
-from repro.clocks.sources import OffsetClockSource
 from repro.obs import MetricsRegistry
 from repro.registers.system import (
-    baseline_register_system,
-    clock_register_system,
-    mmt_register_system,
+    lossy_clock_register_system,
+    register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
-from repro.sim.clock_drivers import driver_factory
-from repro.sim.delay import UniformDelay
 
 MAX_STEPS = 3_000_000
 """Per-point engine step budget (matches the CLI's register command)."""
@@ -75,15 +70,12 @@ def _build_system(config: Dict, run: Dict):
     eps = float(config["eps"])
     d1, d2 = float(config["d1"]), float(config["d2"])
     c = 2.0 * eps if config["c"] == "u" else float(config["c"])
-    seed = int(config["seed"])
     delta = float(run["delta"])
     workload = RegisterWorkload(
         operations=int(config["ops"]),
         read_fraction=float(config["read_fraction"]),
-        seed=seed,
+        seed=int(config["seed"]),
     )
-    delay = UniformDelay(seed=seed)
-    drivers = driver_factory(config["driver"], eps, seed=seed)
     model = config["model"]
     fault = config["fault"]
     if fault != "none" and model != "clock":
@@ -92,50 +84,20 @@ def _build_system(config: Dict, run: Dict):
             f"got {model!r}"
         )
     if fault == "lossy":
-        return _lossy_clock_system(
-            n, d1, d2, c, eps, float(config["p_drop"]), delta, workload,
-            drivers, delay,
+        return lossy_clock_register_system(
+            n, d1, d2, c, eps, p_drop=float(config["p_drop"]), max_drops=3,
+            workload=workload, driver=config["driver"], delta=delta,
         )
+    spec = register_system(
+        model, n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
+        driver=config["driver"], step_bound=float(run["step_bound"]),
+        delta=delta,
+    )
     if fault == "plan":
-        spec = clock_register_system(
-            n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
-            drivers=drivers, delta=delta, delay_model=delay,
-        )
         return _with_random_plan(
             spec, n, eps, int(config["plan_seed"]), float(run["horizon"])
         )
-    if model == "clock":
-        return clock_register_system(
-            n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
-            drivers=drivers, delta=delta, delay_model=delay,
-        )
-    if model == "timed":
-        return timed_register_system(
-            n=n, d1_prime=d1, d2_prime=d2, c=c, workload=workload,
-            algorithm="L", delta=delta, delay_model=delay,
-        )
-    if model == "baseline":
-        return baseline_register_system(
-            n=n, d1=d1, d2=d2, eps=eps, workload=workload, drivers=drivers,
-            delay_model=delay,
-        )
-    if model == "mmt":
-
-        def sources(i):
-            if i % 2 == 0:
-                return OffsetClockSource(eps, eps)
-            return OffsetClockSource(eps, -eps)
-
-        from repro.core.mmt_transform import UniformStepPolicy
-
-        return mmt_register_system(
-            n=n, d1=d1, d2=d2, c=c, eps=eps,
-            step_bound=float(run["step_bound"]), sources=sources,
-            workload=workload, delta=delta,
-            step_policy_factory=lambda i: UniformStepPolicy(seed=i),
-            delay_model=delay,
-        )
-    raise CampaignError(f"unknown model {model!r}")
+    return spec
 
 
 def _with_random_plan(spec, n, eps, plan_seed, horizon):
@@ -152,48 +114,6 @@ def _with_random_plan(spec, n, eps, plan_seed, horizon):
         plan_seed, n_nodes=n, edges=edges, horizon=horizon, eps=eps
     )
     return apply_plan(spec, plan)
-
-
-def _lossy_clock_system(
-    n, d1, d2, c, eps, p_drop, delta, workload, drivers, delay
-):
-    """The clock-model register over lossy channels via the ARQ adapter.
-
-    Mirrors the EXT2 experiment: processes are parameterized for the
-    *effective* delay bounds ``d2 + B*R`` (Section 7.3), the physical
-    channels drop/duplicate per a seeded Bernoulli fault model.
-    """
-    from repro.core.pipeline import build_clock_system, simulation1_delay_bounds
-    from repro.faults import (
-        BernoulliFaults,
-        ReliableAdapter,
-        effective_delay_bounds,
-    )
-    from repro.network.topology import Topology
-    from repro.registers.algorithm_s import AlgorithmSProcess
-    from repro.registers.system import INITIAL_VALUE
-    from repro.registers.workload import ClientEntity
-
-    retx, max_drops = 0.5, 3
-    d1e, d2e = effective_delay_bounds(d1, d2, retx, max_drops)
-    _, d2p = simulation1_delay_bounds(d1e, d2e, eps)
-
-    def processes(i):
-        inner = AlgorithmSProcess(
-            i, list(range(n)), d2p, c, eps, delta=delta,
-            initial_value=INITIAL_VALUE,
-        )
-        return ReliableAdapter(inner, retransmit_interval=retx)
-
-    faults = BernoulliFaults(
-        seed=workload.seed, p_drop=p_drop, p_duplicate=0.1,
-        max_consecutive_drops=max_drops,
-    )
-    spec = build_clock_system(
-        Topology.complete(n, True), processes, eps, d1, d2, drivers, delay,
-        fault_model=faults,
-    )
-    return spec.add(*[ClientEntity(i, workload) for i in range(n)])
 
 
 def run_point(point: Dict) -> Dict:

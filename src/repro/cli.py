@@ -54,9 +54,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.clocks.sources import OffsetClockSource
 from repro.clocks.sync import CristianSimulation, HardwareClock, achievable_epsilon
-from repro.core.mmt_transform import UniformStepPolicy
 from repro.obs import JsonlTracer, MetricsRegistry, SKEW_BUCKETS
 from repro.obs.dashboard import render_dashboard, summarize_trace
 from repro.detector import build_detector_system, detector_timeout
@@ -73,13 +71,7 @@ from repro.objects import (
     run_object_experiment,
     timed_object_system,
 )
-from repro.registers.system import (
-    baseline_register_system,
-    clock_register_system,
-    mmt_register_system,
-    run_register_experiment,
-    timed_register_system,
-)
+from repro.registers.system import register_system, run_register_experiment
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import UniformDelay
@@ -145,36 +137,10 @@ def _build_register_spec(args):
     workload = RegisterWorkload(
         operations=args.ops, read_fraction=args.read_fraction, seed=args.seed
     )
-    delta = getattr(args, "delta", 0.01)
-    delay = UniformDelay(seed=args.seed)
-    if args.model == "timed":
-        return timed_register_system(
-            n=args.n, d1_prime=args.d1, d2_prime=args.d2, c=args.c,
-            workload=workload, algorithm="L", delta=delta, delay_model=delay,
-        )
-    drivers = driver_factory(args.driver, args.eps, seed=args.seed)
-    if args.model == "clock":
-        return clock_register_system(
-            n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
-            workload=workload, drivers=drivers, delta=delta,
-            delay_model=delay,
-        )
-    if args.model == "baseline":
-        return baseline_register_system(
-            n=args.n, d1=args.d1, d2=args.d2, eps=args.eps,
-            workload=workload, drivers=drivers, delay_model=delay,
-        )
-
-    def sources(i):
-        if i % 2 == 0:
-            return OffsetClockSource(args.eps, args.eps)
-        return OffsetClockSource(args.eps, -args.eps)
-
-    return mmt_register_system(
-        n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
-        step_bound=args.step_bound, sources=sources, workload=workload,
-        step_policy_factory=lambda i: UniformStepPolicy(seed=i),
-        delta=delta, delay_model=delay,
+    return register_system(
+        args.model, n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
+        workload=workload, driver=args.driver,
+        step_bound=args.step_bound, delta=getattr(args, "delta", 0.01),
     )
 
 

@@ -686,14 +686,15 @@ def exp_ext1_objects(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
 def exp_ext2_faults(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     """The register over lossy/duplicating channels via the ARQ adapter:
     linearizable with the *effective* delay bounds d2 + B*R."""
-    from repro.core.pipeline import build_clock_system
-    from repro.faults import BernoulliFaults, ReliableAdapter, effective_delay_bounds
-    from repro.network.topology import Topology
-    from repro.registers.algorithm_s import AlgorithmSProcess
-    from repro.registers.system import INITIAL_VALUE, run_register_experiment
-    from repro.registers.workload import ClientEntity, RegisterWorkload
+    from repro.faults import effective_delay_bounds
+    from repro.registers.system import (
+        ARQ_RETRANSMIT_INTERVAL,
+        lossy_clock_register_system,
+        run_register_experiment,
+    )
+    from repro.registers.workload import RegisterWorkload
 
-    eps, c, retx, n = 0.1, 0.3, 0.5, 3
+    eps, c, n = 0.1, 0.3, 3
     table = Table(
         "EXT2: register over lossy channels (ARQ, effective bounds d2 + B*R)",
         ["p_drop", "B", "dropped", "duplicated", "max write",
@@ -701,27 +702,14 @@ def exp_ext2_faults(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     )
     shapes = {"all_linearizable": True, "all_within": True, "loss_observed": True}
     for p_drop, max_drops in ((0.1, 2), (0.3, 3), (0.5, 4)):
-        d1e, d2e = effective_delay_bounds(d1, d2, retx, max_drops)
-        _, d2p = simulation1_delay_bounds(d1e, d2e, eps)
-
-        def processes(i):
-            inner = AlgorithmSProcess(
-                i, list(range(n)), d2p, c, eps, delta=DELTA,
-                initial_value=INITIAL_VALUE,
-            )
-            return ReliableAdapter(inner, retransmit_interval=retx)
-
-        faults = BernoulliFaults(
-            seed=17, p_drop=p_drop, p_duplicate=0.1,
-            max_consecutive_drops=max_drops,
+        _, d2e = effective_delay_bounds(
+            d1, d2, ARQ_RETRANSMIT_INTERVAL, max_drops
         )
-        spec = build_clock_system(
-            Topology.complete(n, True), processes, eps, d1, d2,
-            driver_factory("mixed", eps, seed=17), UniformDelay(seed=17),
-            fault_model=faults,
+        spec = lossy_clock_register_system(
+            n, d1, d2, c, eps, p_drop=p_drop, max_drops=max_drops,
+            workload=RegisterWorkload(operations=4, read_fraction=0.5, seed=17),
+            driver="mixed", delta=DELTA,
         )
-        workload = RegisterWorkload(operations=4, read_fraction=0.5, seed=17)
-        spec = spec.add(*[ClientEntity(i, workload) for i in range(n)])
         run = run_register_experiment(
             spec, 130.0, scheduler=RandomScheduler(seed=17),
             max_steps=3_000_000,

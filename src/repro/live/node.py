@@ -14,11 +14,11 @@ Section 4 owns, with the transport swapped from virtual channels to TCP:
   and peer ``msg`` frames, and a timer task that wakes at the next
   clock deadline and fires the process's due actions.
 
-The timer uses :meth:`RegisterProcess.due_actions
-<repro.registers.algorithm_l.RegisterProcess.due_actions>` — the
-late-firing (``now >= scheduled``) twin of the simulator's exact-time
-``enabled()`` — because a real event loop wakes strictly after a
-deadline by its scheduling jitter. Self-addressed update messages (the
+The timer fires whatever the process's ``enabled()`` returns at the
+wake-up clock (``due_actions`` is that call under the node's name for
+it): Figure 3's one guard is ``scheduled <= now``, so an event loop that
+wakes strictly after a deadline by its scheduling jitter fires the
+overdue action. Self-addressed update messages (the
 algorithm updates its own copy by message) short-circuit through the
 node's own receive buffer without touching the network, exactly like
 the simulator's self-loop channels.

@@ -16,8 +16,9 @@ This subpackage provides:
 - :mod:`repro.objects.history` — generic operation extraction and a
   spec-driven linearizability / eps-superlinearizability checker;
 - :mod:`repro.objects.algorithm` — the generalized Figure 3 automaton:
-  blind updates broadcast with scheduled apply instants, queries served
-  from the local replica after the S-style delay;
+  the register process itself
+  (:class:`~repro.registers.algorithm_l.RegisterProcess`) under the
+  object vocabulary, its value hooks bound to a spec;
 - :mod:`repro.objects.system` — clients and one-call system builders
   for the timed and clock models.
 

@@ -1,15 +1,19 @@
 """The generalized Figure 3 automaton for blind-update objects.
 
-Identical machinery to algorithm S, with the register's WRITE replaced
-by an arbitrary blind update and the READ by an arbitrary query:
+:class:`BlindUpdateObjectProcess` *is* the register process
+(:class:`~repro.registers.algorithm_l.RegisterProcess`, with algorithm
+S's ``2*eps`` read delay) over a :class:`SequentialSpec`: the same state
+record, guards and transitions under the vocabulary ``ASK`` / ``DO`` /
+``REPLY`` / ``DONE`` / ``APPLY``, with the two value hooks bound to the
+spec instead of "overwrite" and "read back":
 
 - on ``DO_i(u)``: broadcast ``(u, t)`` with ``t = now + d2'`` to every
   replica (including ``i``); respond ``DONE_i`` after ``d2' - c``;
 - on receiving ``(u, t)``: schedule the update's application at
-  ``t + delta``; updates scheduled at the same instant apply in sender
-  order (the total order is ``(instant, sender)``, so replicas agree —
-  and unlike the register, same-instant updates are **all** applied,
-  not deduplicated: a counter must count both increments);
+  ``t + delta``; updates scheduled at the same instant **all** apply, in
+  sender order (the total order is ``(instant, sender)``, so replicas
+  agree — a counter counts both increments, a register keeps the
+  largest sender's write);
 - on ``ASK_i(q)``: wait ``c + 2*eps + delta``, evaluate ``q`` on the
   local replica, respond ``REPLY_i(value)``.
 
@@ -22,74 +26,16 @@ latency bounds (query ``2*eps + c + delta``, update ``d2' - c``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Hashable, Sequence
 
-from repro.automata.actions import Action, ActionPattern, PatternActionSet
-from repro.automata.signature import Signature
-from repro.components.base import Process, ProcessContext
-from repro.errors import TransitionError
-from repro.objects.specs import SequentialSpec
-
-from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
+from repro.objects.specs import Query, SequentialSpec, Update
+from repro.registers.algorithm_l import RegisterProcess
 
 
-@dataclass
-class ObjectState:
-    """Replica state: the object value plus in-flight bookkeeping."""
-
-    value: Hashable
-    # scheduled updates: apply instant -> list of (sender, update),
-    # kept sorted by sender (the agreed tie-break order).
-    scheduled: Dict[float, List[Tuple[int, Tuple]]] = field(default_factory=dict)
-    # query record
-    query_active: bool = False
-    query_payload: Optional[Tuple] = None
-    query_time: Optional[float] = None
-    # update record
-    update_status: str = "inactive"  # inactive | send | ack
-    update_payload: Optional[Tuple] = None
-    send_procs: Set[int] = field(default_factory=set)
-    send_time: Optional[float] = None
-    ack_time: Optional[float] = None
-
-    def mintime(self) -> float:
-        """The next urgent instant (Figure 3's derived variable)."""
-        candidates: List[float] = []
-        if self.query_active and self.query_time is not None:
-            candidates.append(self.query_time)
-        if self.update_status == "send" and self.send_time is not None:
-            candidates.append(self.send_time)
-        if self.update_status == "ack" and self.ack_time is not None:
-            candidates.append(self.ack_time)
-        if self.scheduled:
-            candidates.append(min(self.scheduled))
-        return min(candidates) if candidates else INFINITY
-
-
-def object_signature(node: int) -> Signature:
-    """The generalized object node's action signature."""
-    return Signature(
-        inputs=PatternActionSet(
-            [
-                ActionPattern("DO", (node,)),
-                ActionPattern("ASK", (node,)),
-                ActionPattern("RECVMSG", (node,)),
-            ]
-        ),
-        outputs=PatternActionSet(
-            [
-                ActionPattern("DONE", (node,)),
-                ActionPattern("REPLY", (node,)),
-                ActionPattern("SENDMSG", (node,)),
-            ]
-        ),
-        internals=PatternActionSet([ActionPattern("APPLY", (node,))]),
-    )
-
-
-class BlindUpdateObjectProcess(Process):
+class BlindUpdateObjectProcess(RegisterProcess):
     """The generalized S automaton over a :class:`SequentialSpec`."""
+
+    READ, WRITE, RETURN, ACK, UPDATE = "ASK", "DO", "REPLY", "DONE", "APPLY"
 
     def __init__(
         self,
@@ -101,113 +47,33 @@ class BlindUpdateObjectProcess(Process):
         eps: float = 0.0,
         delta: float = 0.01,
     ):
-        if delta <= 0:
-            raise ValueError("delta must be positive")
-        if not 0 <= c <= d2_prime:
-            raise ValueError(f"c={c:g} outside [0, d2'={d2_prime:g}]")
         if eps < 0:
             raise ValueError("eps must be non-negative")
         super().__init__(
-            node, object_signature(node), name=f"{spec.name}({node})"
+            node,
+            peers,
+            d2_prime,
+            c,
+            delta=delta,
+            read_extra=2.0 * eps,
+            initial_value=spec.initial(),
+            name=f"{spec.name}({node})",
         )
-        self.peers = sorted(peers)
         self.spec = spec
-        self.d2_prime = d2_prime
-        self.c = c
         self.eps = eps
-        self.delta = delta
 
-    # -- analytic bounds -----------------------------------------------------
+    def apply_update(self, value: Hashable, update: Update) -> Hashable:
+        return self.spec.apply_update(value, update)
+
+    def evaluate(self, value: Hashable, query: Query) -> Any:
+        return self.spec.evaluate(value, query)
 
     @property
     def query_bound(self) -> float:
-        return self.c + 2.0 * self.eps + self.delta
+        """Analytic query time: ``c + 2*eps + delta``."""
+        return self.read_bound
 
     @property
     def update_bound(self) -> float:
-        return self.d2_prime - self.c
-
-    # -- process interface -------------------------------------------------------
-
-    def initial_state(self) -> ObjectState:
-        return ObjectState(value=self.spec.initial())
-
-    def apply_input(self, state: ObjectState, action: Action, ctx) -> None:
-        now = ctx.time
-        if action.name == "DO":
-            update = action.params[1]
-            state.update_status = "send"
-            state.update_payload = update
-            state.send_procs = set(self.peers)
-            state.send_time = now
-            state.ack_time = now + (self.d2_prime - self.c)
-        elif action.name == "ASK":
-            state.query_active = True
-            state.query_payload = action.params[1]
-            state.query_time = now + self.query_bound
-        elif action.name == "RECVMSG":
-            sender = action.params[1]
-            update, t = action.params[2]
-            instant = t + self.delta
-            bucket = state.scheduled.setdefault(instant, [])
-            index = len(bucket)
-            while index > 0 and bucket[index - 1][0] > sender:
-                index -= 1
-            bucket.insert(index, (sender, update))
-        else:
-            raise TransitionError(f"{self.name}: unexpected input {action}")
-
-    def enabled(self, state: ObjectState, ctx) -> List[Action]:
-        now = ctx.time
-        actions: List[Action] = []
-        if state.update_status == "send" and _at(now, state.send_time):
-            t = now + self.d2_prime
-            for j in sorted(state.send_procs):
-                actions.append(
-                    Action("SENDMSG", (self.node, j, (state.update_payload, t)))
-                )
-        if state.update_status == "ack" and _at(now, state.ack_time):
-            actions.append(Action("DONE", (self.node,)))
-        due = sorted(t for t in state.scheduled if _at(now, t))
-        for t in due:
-            actions.append(Action("APPLY", (self.node, t)))
-        if state.query_active and _at(now, state.query_time) and not due:
-            response = self.spec.evaluate(state.value, state.query_payload)
-            actions.append(Action("REPLY", (self.node, response)))
-        return actions
-
-    def fire(self, state: ObjectState, action: Action, ctx) -> None:
-        if action.name == "SENDMSG":
-            j = action.params[1]
-            if j not in state.send_procs:
-                raise TransitionError(f"{self.name}: duplicate send to {j}")
-            state.send_procs.discard(j)
-            if not state.send_procs:
-                state.update_status = "ack"
-                state.send_time = None
-        elif action.name == "DONE":
-            state.update_status = "inactive"
-            state.ack_time = None
-            state.update_payload = None
-        elif action.name == "APPLY":
-            instant = action.params[1]
-            bucket = state.scheduled.pop(instant, None)
-            if bucket is None:
-                raise TransitionError(f"{self.name}: no updates at {instant:g}")
-            # apply the whole same-instant bucket in sender order: all
-            # replicas see the identical sequence
-            for _, update in bucket:
-                state.value = self.spec.apply_update(state.value, update)
-        elif action.name == "REPLY":
-            state.query_active = False
-            state.query_payload = None
-            state.query_time = None
-        else:
-            raise TransitionError(f"{self.name}: cannot fire {action}")
-
-    def deadline(self, state: ObjectState, ctx) -> float:
-        return state.mintime()
-
-
-def _at(now: float, scheduled: Optional[float]) -> bool:
-    return scheduled is not None and abs(now - scheduled) <= _TOLERANCE
+        """Analytic update time: ``d2' - c``."""
+        return self.write_bound

@@ -2,7 +2,9 @@
 
 - :mod:`repro.registers.algorithm_l` — algorithm **L** (Section 6.1,
   after Mavronicolas [10] / Attiya-Welch [2]): linearizable in the timed
-  model; read ``c + delta``, write ``d2' - c``.
+  model; read ``c + delta``, write ``d2' - c``. Home of
+  ``RegisterProcess``, the one Figure 3 transition relation that L, S
+  and the blind-update objects of :mod:`repro.objects` all run.
 - :mod:`repro.registers.algorithm_s` — algorithm **S** (Figure 3):
   eps-superlinearizable in the timed model (read ``2*eps + c + delta``),
   hence plainly linearizable after the clock transformation

@@ -1,4 +1,4 @@
-"""Algorithm L (Section 6.1) and the shared register-process machinery.
+"""Algorithm L (Section 6.1) and the one Figure 3 automaton.
 
 Algorithm L implements a linearizable read-write register in the *timed*
 model with message delay ``[d1', d2']``:
@@ -7,7 +7,8 @@ model with message delay ``[d1', d2']``:
 - on ``WRITE_i(v)``, send ``(v, t)`` with ``t = now + d2'`` to every
   processor (including ``i`` itself), then ACK after ``d2' - c``;
 - on receiving ``(v, t)``, schedule a local update at time ``t + delta``;
-  among same-time updates, the one from the largest sender index wins;
+  same-time updates apply in sender order, so the one from the largest
+  sender index wins;
 - all local copies update at the *same* real time ``send + d2' + delta``
   everywhere, which is what makes every read of a local copy safe.
 
@@ -17,15 +18,27 @@ arbitrarily small wait inserted so that an output depending on all the
 inputs at a time strictly follows them (Section 6.1's adaptation of [10]
 to the timed automaton model).
 
-Algorithm S (Figure 3) is this process with an extra ``2*eps`` read
-delay; the shared transition relation lives in :class:`RegisterProcess`
-with the read delay as a parameter, and
-:class:`~repro.registers.algorithm_s.AlgorithmSProcess` instantiates it.
+:class:`RegisterProcess` is the only copy of that transition relation.
+Algorithm S (:class:`~repro.registers.algorithm_s.AlgorithmSProcess`) is
+it with an extra ``2*eps`` read delay, and the generalized object of
+Section 6's closing remark
+(:class:`~repro.objects.algorithm.BlindUpdateObjectProcess`) is it with
+the action names and the two value hooks rebound to a sequential spec —
+the register is the blind-update object whose update overwrites and
+whose query reads back.
+
+**One firing guard.** A locally controlled action scheduled at ``t`` is
+enabled when ``t <= now`` (within tolerance). Time never passes
+``mintime`` in a fault-free simulation, so there this is Figure 3's
+``now = t``; a node whose time jumped past ``t`` (crash recovery, a
+clock fault, a live event loop waking late) fires the overdue action
+instead of owing a deadline nothing can discharge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
@@ -48,52 +61,33 @@ class RegisterState:
     value: object = None
     read_status: str = INACTIVE
     read_time: Optional[float] = None
+    # the pending query's argument; a register READ carries none
+    read_query: object = None
     write_status: str = INACTIVE
     send_value: object = None
     send_procs: Set[int] = field(default_factory=set)
     send_time: Optional[float] = None
     ack_time: Optional[float] = None
-    # updates: update-time -> (sender index, value); at most one record
-    # per time, the largest sender index winning (Figure 3's RECVMSG).
-    updates: Dict[float, Tuple[int, object]] = field(default_factory=dict)
+    # updates: update-time -> [(sender index, update)] in sender order,
+    # the order every replica applies a same-instant bucket in.
+    updates: Dict[float, List[Tuple[int, object]]] = field(default_factory=dict)
 
     def mintime(self) -> float:
         """The derived ``mintime`` variable: the next urgent instant."""
         candidates: List[float] = []
-        if self.read_status == ACTIVE and self.read_time is not None:
+        if self.read_status == ACTIVE:
             candidates.append(self.read_time)
-        if self.write_status == SEND and self.send_time is not None:
+        if self.write_status == SEND:
             candidates.append(self.send_time)
-        if self.write_status == ACK_PENDING and self.ack_time is not None:
+        if self.write_status == ACK_PENDING:
             candidates.append(self.ack_time)
         if self.updates:
             candidates.append(min(self.updates))
         return min(candidates) if candidates else INFINITY
 
 
-def register_signature(node: int) -> Signature:
-    """The register node's action signature (Figure 3)."""
-    return Signature(
-        inputs=PatternActionSet(
-            [
-                ActionPattern("READ", (node,)),
-                ActionPattern("WRITE", (node,)),
-                ActionPattern("RECVMSG", (node,)),
-            ]
-        ),
-        outputs=PatternActionSet(
-            [
-                ActionPattern("RETURN", (node,)),
-                ActionPattern("ACK", (node,)),
-                ActionPattern("SENDMSG", (node,)),
-            ]
-        ),
-        internals=PatternActionSet([ActionPattern("UPDATE", (node,))]),
-    )
-
-
 class RegisterProcess(Process):
-    """The shared L/S transition relation, parameterized by read delay.
+    """The Figure 3 transition relation, parameterized by read delay.
 
     Parameters
     ----------
@@ -114,8 +108,12 @@ class RegisterProcess(Process):
         the register's initial value ``v0``.
     """
 
+    # The action vocabulary: query and update invocations, their
+    # responses, and the internal replica update.
+    READ, WRITE, RETURN, ACK, UPDATE = "READ", "WRITE", "RETURN", "ACK", "UPDATE"
+
     # The deadline is the state's ``mintime`` and every ``enabled`` guard
-    # is ``now == scheduled`` for one of the instants ``mintime`` ranges
+    # is ``scheduled <= now`` for one of the instants ``mintime`` ranges
     # over, so nothing becomes enabled before time reaches it.
     static_deadline = True
     wakes_at_deadline = True
@@ -135,13 +133,44 @@ class RegisterProcess(Process):
             raise ValueError("delta must be positive")
         if not 0 <= c <= d2_prime:
             raise ValueError(f"c={c:g} outside [0, d2'={d2_prime:g}]")
-        super().__init__(node, register_signature(node), name or f"L({node})")
+        super().__init__(node, self.node_signature(node), name or f"L({node})")
         self.peers = sorted(peers)
         self.d2_prime = d2_prime
         self.c = c
         self.delta = delta
         self.read_extra = read_extra
         self.initial_value = initial_value
+
+    @classmethod
+    def node_signature(cls, node: int) -> Signature:
+        """Node ``i``'s action signature in this class's vocabulary."""
+        return Signature(
+            inputs=PatternActionSet(
+                [
+                    ActionPattern(cls.READ, (node,)),
+                    ActionPattern(cls.WRITE, (node,)),
+                    ActionPattern("RECVMSG", (node,)),
+                ]
+            ),
+            outputs=PatternActionSet(
+                [
+                    ActionPattern(cls.RETURN, (node,)),
+                    ActionPattern(cls.ACK, (node,)),
+                    ActionPattern("SENDMSG", (node,)),
+                ]
+            ),
+            internals=PatternActionSet([ActionPattern(cls.UPDATE, (node,))]),
+        )
+
+    # -- the two value hooks ---------------------------------------------------
+
+    def apply_update(self, value: object, update: object) -> object:
+        """The replica value after ``update``: a write overwrites."""
+        return update
+
+    def evaluate(self, value: object, query: object) -> object:
+        """A query's response on the replica value: a read reads back."""
+        return value
 
     # -- analytic latency bounds (Lemmas 6.1, 6.2) ---------------------------
 
@@ -164,51 +193,51 @@ class RegisterProcess(Process):
         self, state: RegisterState, action: Action, ctx: ProcessContext
     ) -> None:
         now = ctx.time
-        if action.name == "READ":
+        if action.name == "RECVMSG":
+            sender = action.params[1]
+            update, t = action.params[2]
+            instant = t + self.delta
+            # repro: lint-ignore[ISO003] -- the update is held read-only
+            # until its apply time, then handed to ``apply_update`` by value
+            state.updates[instant] = sorted(
+                [*state.updates.get(instant, ()), (sender, update)],
+                key=itemgetter(0),
+            )
+        elif action.name == self.READ:
             state.read_status = ACTIVE
             state.read_time = now + self.read_bound
-        elif action.name == "WRITE":
-            value = action.params[1]
+            state.read_query = action.params[1] if len(action.params) > 1 else None
+        elif action.name == self.WRITE:
             state.write_status = SEND
-            state.send_value = value
+            state.send_value = action.params[1]
             state.send_procs = set(self.peers)
             state.send_time = now
             state.ack_time = now + (self.d2_prime - self.c)
-        elif action.name == "RECVMSG":
-            sender = action.params[1]
-            value, t = action.params[2]
-            update_time = t + self.delta
-            existing = state.updates.get(update_time)
-            if existing is None or existing[0] < sender:
-                # repro: lint-ignore[ISO003] -- the written value is held
-                # read-only until its apply time, then returned to readers
-                # verbatim (register semantics: last write wins by value)
-                state.updates[update_time] = (sender, value)
         else:
             raise TransitionError(f"{self.name}: unexpected input {action}")
 
     def enabled(self, state: RegisterState, ctx: ProcessContext) -> List[Action]:
         now = ctx.time
+        horizon = now + _TOLERANCE
         actions: List[Action] = []
-        if state.write_status == SEND and _at(now, state.send_time):
+        if state.write_status == SEND and state.send_time <= horizon:
             t = now + self.d2_prime
             for j in sorted(state.send_procs):
                 actions.append(
                     Action("SENDMSG", (self.node, j, (state.send_value, t)))
                 )
-        if state.write_status == ACK_PENDING and _at(now, state.ack_time):
-            actions.append(Action("ACK", (self.node,)))
-        due_updates = [t for t in state.updates if _at(now, t)]
-        for t in sorted(due_updates):
-            actions.append(Action("UPDATE", (self.node, t)))
-        if (
-            state.read_status == ACTIVE
-            and _at(now, state.read_time)
-            and not due_updates
-        ):
+        if state.write_status == ACK_PENDING and state.ack_time <= horizon:
+            actions.append(Action(self.ACK, (self.node,)))
+        # One UPDATE brings the replica up to the latest due instant, so
+        # several overdue instants cannot be fired out of order.
+        due = max((t for t in state.updates if t <= horizon), default=None)
+        if due is not None:
+            actions.append(Action(self.UPDATE, (self.node, due)))
+        elif state.read_status == ACTIVE and state.read_time <= horizon:
             # Figure 3's RETURN guard: pending same-instant updates
             # apply first (the register reads the *post-update* value).
-            actions.append(Action("RETURN", (self.node, state.value)))
+            response = self.evaluate(state.value, state.read_query)
+            actions.append(Action(self.RETURN, (self.node, response)))
         return actions
 
     def fire(
@@ -222,72 +251,36 @@ class RegisterProcess(Process):
             if not state.send_procs:
                 state.write_status = ACK_PENDING
                 state.send_time = None
-        elif action.name == "ACK":
+        elif action.name == self.ACK:
             state.write_status = INACTIVE
             state.ack_time = None
             state.send_value = None
-        elif action.name == "RETURN":
+        elif action.name == self.RETURN:
             state.read_status = INACTIVE
             state.read_time = None
-        elif action.name == "UPDATE":
+            state.read_query = None
+        elif action.name == self.UPDATE:
             t = action.params[1]
             if t not in state.updates:
                 raise TransitionError(f"{self.name}: no update at {t:g}")
-            _, value = state.updates.pop(t)
-            state.value = value
+            # every bucket up to ``t``, in the agreed (instant, sender) order
+            for instant in sorted(k for k in state.updates if k <= t):
+                for _, update in state.updates.pop(instant):
+                    state.value = self.apply_update(state.value, update)
         else:
             raise TransitionError(f"{self.name}: cannot fire {action}")
 
     def deadline(self, state: RegisterState, ctx: ProcessContext) -> float:
         return state.mintime()
 
-    # -- the algorithm/transport seam ----------------------------------------
-
     def due_actions(self, state: RegisterState, now: float) -> List[Action]:
-        """Locally controlled actions *due* at or before time ``now``.
+        """:meth:`enabled` at time ``now`` — the name the live node calls."""
+        return self.enabled(state, ProcessContext(now))
 
-        The live-backend counterpart of :meth:`enabled`. The simulator
-        advances time to exact deadlines, so :meth:`enabled` guards with
-        ``now == scheduled`` (within tolerance); a real scheduler wakes
-        *after* the deadline by some jitter, so the live service needs
-        late-firing ``now >= scheduled`` semantics — the same convention
-        crash recovery uses for overdue timetable work. State
-        transitions stay shared: callers fire the returned actions
-        through the ordinary :meth:`fire`.
 
-        Same ordering discipline as :meth:`enabled`: pending same-or-
-        earlier-instant updates suppress ``RETURN`` (the register reads
-        the post-update value), so callers must re-poll after firing a
-        batch until it comes back empty.
-        """
-        actions: List[Action] = []
-        if (
-            state.write_status == SEND
-            and state.send_time is not None
-            and state.send_time <= now + _TOLERANCE
-        ):
-            t = now + self.d2_prime
-            for j in sorted(state.send_procs):
-                actions.append(
-                    Action("SENDMSG", (self.node, j, (state.send_value, t)))
-                )
-        if (
-            state.write_status == ACK_PENDING
-            and state.ack_time is not None
-            and state.ack_time <= now + _TOLERANCE
-        ):
-            actions.append(Action("ACK", (self.node,)))
-        due_updates = sorted(t for t in state.updates if t <= now + _TOLERANCE)
-        for t in due_updates:
-            actions.append(Action("UPDATE", (self.node, t)))
-        if (
-            state.read_status == ACTIVE
-            and state.read_time is not None
-            and state.read_time <= now + _TOLERANCE
-            and not due_updates
-        ):
-            actions.append(Action("RETURN", (self.node, state.value)))
-        return actions
+def register_signature(node: int) -> Signature:
+    """The register node's action signature (Figure 3)."""
+    return RegisterProcess.node_signature(node)
 
 
 class AlgorithmLProcess(RegisterProcess):
@@ -312,7 +305,3 @@ class AlgorithmLProcess(RegisterProcess):
             initial_value=initial_value,
             name=f"L({node})",
         )
-
-
-def _at(now: float, scheduled: Optional[float]) -> bool:
-    return scheduled is not None and abs(now - scheduled) <= _TOLERANCE

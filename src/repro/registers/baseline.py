@@ -166,9 +166,12 @@ class SlottedRegisterProcess(Process):
             raise TransitionError(f"{self.name}: unexpected input {action}")
 
     def enabled(self, state: SlottedState, ctx: ProcessContext) -> List[Action]:
+        # the one Figure 3 firing guard: ``scheduled <= clock`` (see
+        # :mod:`repro.registers.algorithm_l`)
         clock = ctx.time
+        horizon = clock + _TOLERANCE
         actions: List[Action] = []
-        if state.write_status == SEND and _at(clock, state.send_time):
+        if state.write_status == SEND and state.send_time <= horizon:
             for j in sorted(state.send_procs):
                 actions.append(
                     Action(
@@ -176,22 +179,22 @@ class SlottedRegisterProcess(Process):
                         (self.node, j, (state.send_value, state.apply_slot)),
                     )
                 )
-        due = [slot for slot in state.pending if slot <= clock + _TOLERANCE]
+        due = [slot for slot in state.pending if slot <= horizon]
         for slot in sorted(due):
             actions.append(Action(self.APPLY, (self.node, slot)))
-        if state.write_status == ACK_PENDING and _at(clock, state.apply_slot):
+        if state.write_status == ACK_PENDING and state.apply_slot <= horizon:
             # ACK only after the local copy applied this write's slot.
             if not any(slot <= state.apply_slot + _TOLERANCE for slot in due):
                 actions.append(Action("ACK", (self.node,)))
         if state.read_status == ACTIVE and not state.snap_taken:
-            if _at(clock, state.snap_time) and not any(
+            if state.snap_time <= horizon and not any(
                 slot <= state.snap_time + _TOLERANCE for slot in due
             ):
                 actions.append(Action(self.SNAP, (self.node,)))
         if (
             state.read_status == ACTIVE
             and state.snap_taken
-            and _at(clock, state.resp_time)
+            and state.resp_time <= horizon
         ):
             actions.append(Action("RETURN", (self.node, state.snap_value)))
         return actions
@@ -243,6 +246,3 @@ class SlottedRegisterProcess(Process):
             candidates.append(min(state.pending))
         return min(candidates) if candidates else INFINITY
 
-
-def _at(clock: float, scheduled: Optional[float]) -> bool:
-    return scheduled is not None and abs(clock - scheduled) <= _TOLERANCE

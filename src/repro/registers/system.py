@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.clocks.sources import OffsetClockSource
 from repro.components.base import Process
-from repro.core.mmt_transform import StepPolicy
+from repro.core.mmt_transform import StepPolicy, UniformStepPolicy
 from repro.core.pipeline import (
     SystemSpec,
     build_clock_system,
@@ -25,6 +26,7 @@ from repro.core.pipeline import (
     build_timed_system,
     simulation1_delay_bounds,
 )
+from repro.faults import BernoulliFaults, ReliableAdapter, effective_delay_bounds
 from repro.network.topology import Topology
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterProcess
 from repro.registers.algorithm_s import (
@@ -33,13 +35,17 @@ from repro.registers.algorithm_s import (
 )
 from repro.registers.baseline import SlottedRegisterProcess
 from repro.registers.workload import ClientEntity, CompletedOp, RegisterWorkload
-from repro.sim.delay import DelayModel
+from repro.sim.clock_drivers import driver_factory
+from repro.sim.delay import DelayModel, UniformDelay
 from repro.sim.engine import SimulationResult
 from repro.sim.scheduler import Scheduler
 from repro.traces.linearizability import is_linearizable, is_superlinearizable
 
 INITIAL_VALUE = ("v", -1, 0)
 """Default initial register value ``v0`` (distinct from client values)."""
+
+ARQ_RETRANSMIT_INTERVAL = 0.5
+"""Retransmit period ``R`` of :func:`lossy_clock_register_system`."""
 
 
 def _register_process_factory(
@@ -207,6 +213,96 @@ def mmt_register_system(
         tick_interval=tick_interval,
         step_policy_factory=step_policy_factory,
         delay_model=delay_model,
+    )
+    return _attach_clients(spec, n, workload)
+
+
+def register_system(
+    model: str,
+    n: int,
+    d1: float,
+    d2: float,
+    c: float,
+    eps: float,
+    workload: RegisterWorkload,
+    driver: str,
+    step_bound: float,
+    delta: float = 0.01,
+) -> SystemSpec:
+    """The register system of ``model`` under one seed's environment.
+
+    What ``repro register --model`` and a campaign grid point both run:
+    the workload's seed also draws the message delays and the clock
+    drivers of kind ``driver``; the MMT nodes read clock sources
+    alternating between the two edges of ``C_eps`` and step per a
+    per-node seeded policy.
+    """
+    seed = workload.seed
+    delay = UniformDelay(seed=seed)
+    if model == "timed":
+        return timed_register_system(
+            n=n, d1_prime=d1, d2_prime=d2, c=c, workload=workload,
+            algorithm="L", delta=delta, delay_model=delay,
+        )
+    drivers = driver_factory(driver, eps, seed=seed)
+    if model == "clock":
+        return clock_register_system(
+            n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
+            drivers=drivers, delta=delta, delay_model=delay,
+        )
+    if model == "baseline":
+        return baseline_register_system(
+            n=n, d1=d1, d2=d2, eps=eps, workload=workload, drivers=drivers,
+            delay_model=delay,
+        )
+    if model == "mmt":
+        return mmt_register_system(
+            n=n, d1=d1, d2=d2, c=c, eps=eps, step_bound=step_bound,
+            sources=lambda i: OffsetClockSource(eps, eps if i % 2 == 0 else -eps),
+            workload=workload, delta=delta,
+            step_policy_factory=lambda i: UniformStepPolicy(seed=i),
+            delay_model=delay,
+        )
+    raise ValueError(f"unknown model {model!r}")
+
+
+def lossy_clock_register_system(
+    n: int,
+    d1: float,
+    d2: float,
+    c: float,
+    eps: float,
+    p_drop: float,
+    max_drops: int,
+    workload: RegisterWorkload,
+    driver: str,
+    delta: float = 0.01,
+) -> SystemSpec:
+    """The clock-model register over lossy channels via the ARQ adapter.
+
+    Processes are parameterized for the *effective* delay bounds
+    ``d2 + B*R`` (Section 7.3; ``B = max_drops``, ``R`` =
+    :data:`ARQ_RETRANSMIT_INTERVAL`); the physical channels drop and
+    duplicate per a Bernoulli fault model. As in :func:`register_system`
+    the workload's seed draws faults, delays and ``driver`` clocks.
+    """
+    seed = workload.seed
+    d1e, d2e = effective_delay_bounds(d1, d2, ARQ_RETRANSMIT_INTERVAL, max_drops)
+    _, d2_prime = simulation1_delay_bounds(d1e, d2e, eps)
+    inner = _register_process_factory(
+        "S", n, d2_prime, c, eps, delta, INITIAL_VALUE
+    )
+    faults = BernoulliFaults(
+        seed=seed, p_drop=p_drop, p_duplicate=0.1,
+        max_consecutive_drops=max_drops,
+    )
+    spec = build_clock_system(
+        Topology.complete(n, self_loops=True),
+        lambda i: ReliableAdapter(
+            inner(i), retransmit_interval=ARQ_RETRANSMIT_INTERVAL
+        ),
+        eps, d1, d2, driver_factory(driver, eps, seed=seed),
+        UniformDelay(seed=seed), fault_model=faults,
     )
     return _attach_clients(spec, n, workload)
 

@@ -82,7 +82,28 @@ class TestUnitTransitions:
         proc.apply_input(state, Action("RECVMSG", (0, 1, ("from1", 3.0))), ctx)
         proc.apply_input(state, Action("RECVMSG", (0, 2, ("from2", 3.0))), ctx)
         proc.apply_input(state, Action("RECVMSG", (0, 0, ("from0", 3.0))), ctx)
-        assert state.updates[3.0 + DELTA] == (2, "from2")
+        ctx_due = ProcessContext(3.0 + DELTA)
+        (update,) = [a for a in proc.enabled(state, ctx_due) if a.name == "UPDATE"]
+        proc.fire(state, update, ctx_due)
+        assert state.value == "from2"
+        assert not state.updates
+
+    def test_overdue_updates_apply_in_instant_order(self):
+        """Time jumped past two update instants: one UPDATE catches the
+        replica up, the later instant's write last."""
+        proc = self.process()
+        state = proc.initial_state()
+        ctx = ProcessContext(2.0)
+        proc.apply_input(state, Action("RECVMSG", (0, 1, ("later", 10.0))), ctx)
+        proc.apply_input(state, Action("RECVMSG", (0, 2, ("earlier", 9.0))), ctx)
+        proc.apply_input(state, Action("RECVMSG", (0, 1, ("pending", 20.0))), ctx)
+        late = ProcessContext(15.0)
+        (update,) = proc.enabled(state, late)
+        assert update == Action("UPDATE", (0, 10.0 + DELTA))
+        proc.fire(state, update, late)
+        assert state.value == "later"
+        assert list(state.updates) == [20.0 + DELTA]
+        assert proc.enabled(state, late) == []
 
     def test_return_waits_for_same_instant_update(self):
         proc = self.process(c=0.3)

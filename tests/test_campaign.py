@@ -345,6 +345,20 @@ def test_plan_fault_axis_runs_and_is_deterministic():
     assert first["operations"] > 0
 
 
+@pytest.mark.parametrize("plan_seed", [2, 13, 15, 16, 18, 20, 40, 42, 54, 59])
+def test_plan_point_whose_crash_spans_a_scheduled_instant_reports_a_verdict(
+    plan_seed,
+):
+    """These plans crash a node across one of its own Figure 3 instants;
+    the overdue action fires at recovery instead of timelocking the run."""
+    from repro.campaign.worker import run_point
+
+    (point,) = Grid({"fault": ["plan"], "plan_seed": [plan_seed]}).points()
+    result = run_point(point)["result"]
+    assert result["operations"] > 0
+    assert isinstance(result["linearizable"], bool)
+
+
 # -- experiments as campaign tasks -------------------------------------------
 
 

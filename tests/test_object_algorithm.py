@@ -52,7 +52,7 @@ class TestUnitTransitions:
         assert all(a.params[2] == (("add", 3), 3.0) for a in sends)
         for a in sends:
             proc.fire(state, a, ctx)
-        assert state.update_status == "ack"
+        assert state.write_status == "ack"
         assert state.ack_time == pytest.approx(2.0 + 0.7)
 
     def test_same_instant_updates_all_applied_in_sender_order(self):
@@ -92,7 +92,7 @@ class TestUnitTransitions:
         state = proc.initial_state()
         proc.apply_input(state, Action("ASK", (0, ("read",))), ProcessContext(1.0))
         due = 1.0 + 0.3 + 2 * 0.1 + DELTA
-        assert state.query_time == pytest.approx(due)
+        assert state.read_time == pytest.approx(due)
         (reply,) = [
             a for a in proc.enabled(state, ProcessContext(due))
             if a.name == "REPLY"
@@ -103,7 +103,7 @@ class TestUnitTransitions:
         proc = self.process()
         state = proc.initial_state()
         proc.apply_input(state, Action("ASK", (0, ("read",))), ProcessContext(0.0))
-        due = state.query_time
+        due = state.read_time
         proc.apply_input(
             state, Action("RECVMSG", (0, 1, (("add", 5), due - DELTA))),
             ProcessContext(0.5),

@@ -5,8 +5,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.automata.actions import Action
+from repro.components.base import ProcessContext
+from repro.objects.algorithm import BlindUpdateObjectProcess
 from repro.objects.history import ObjOperation, is_object_linearizable
-from repro.objects.specs import CounterSpec, GrowSetSpec, MaxRegisterSpec
+from repro.objects.specs import (
+    CounterSpec,
+    GrowSetSpec,
+    MaxRegisterSpec,
+    RegisterSpec,
+)
+from repro.registers.algorithm_s import AlgorithmSProcess
 
 
 @st.composite
@@ -113,3 +122,91 @@ class TestOracleObjectHistories:
                                  op.inv_time, op.res_time)
                 )
         assert is_object_linearizable(translated, MaxRegisterSpec())
+
+
+# -- the register is an object ---------------------------------------------------
+
+_OBJECT_NAME = {
+    "READ": "ASK", "WRITE": "DO", "RETURN": "REPLY", "ACK": "DONE",
+    "UPDATE": "APPLY",
+}
+
+
+def _as_object_action(action):
+    """A register action under the name map, payloads in spec form."""
+    name = _OBJECT_NAME.get(action.name, action.name)
+    params = action.params
+    if action.name == "READ":
+        params = (params[0], ("read",))
+    elif action.name == "WRITE":
+        params = (params[0], ("write", params[1]))
+    elif action.name in ("SENDMSG", "RECVMSG"):
+        value, t = params[2]
+        params = (params[0], params[1], (("write", value), t))
+    return Action(name, params)
+
+
+# binary-exact times, so generated instants really collide
+_GRID = [0.0, 0.25, 0.5, 1.0]
+_script_steps = st.lists(
+    st.tuples(
+        st.sampled_from(_GRID),                       # time passing first
+        st.sampled_from(["READ", "WRITE", "RECVMSG"]),
+        st.integers(min_value=0, max_value=2),        # RECVMSG sender
+        st.sampled_from([-0.5] + _GRID),              # RECVMSG t - now
+        st.integers(min_value=0, max_value=5),        # which enabled action
+    ),
+    min_size=1, max_size=25,
+)
+
+
+class TestRegisterIsABlindUpdateObject:
+    """Algorithm S and the object process over ``RegisterSpec`` are one
+    automaton under ``READ<->ASK, WRITE<->DO, RETURN<->REPLY, ACK<->DONE,
+    UPDATE<->APPLY``: same enabled sets, same transitions, same replica."""
+
+    @given(_script_steps)
+    @settings(max_examples=150, deadline=None)
+    def test_same_script_same_enabled_fire_and_value(self, script):
+        peers, d2p, c, eps, delta = [0, 1, 2], 1.0, 0.25, 0.125, 0.0625
+        register = AlgorithmSProcess(
+            0, peers, d2p, c, eps, delta=delta, initial_value="v0"
+        )
+        obj = BlindUpdateObjectProcess(
+            0, peers, RegisterSpec("v0"), d2p, c, eps=eps, delta=delta
+        )
+        reg_state, obj_state = register.initial_state(), obj.initial_state()
+
+        def drain(now, pick):
+            ctx = ProcessContext(now)
+            while True:
+                enabled = register.enabled(reg_state, ctx)
+                assert obj.enabled(obj_state, ctx) == [
+                    _as_object_action(a) for a in enabled
+                ]
+                if not enabled:
+                    return
+                action = enabled[pick % len(enabled)]
+                register.fire(reg_state, action, ctx)
+                obj.fire(obj_state, _as_object_action(action), ctx)
+                assert obj_state.value == reg_state.value
+
+        now = 0.0
+        for serial, (dt, kind, sender, lead, pick) in enumerate(script):
+            now += dt  # may jump past scheduled instants: the late guard
+            drain(now, pick)
+            if kind == "READ" and reg_state.read_status == "inactive":
+                action = Action("READ", (0,))
+            elif kind == "WRITE" and reg_state.write_status == "inactive":
+                action = Action("WRITE", (0, ("v", serial)))
+            elif kind == "RECVMSG":
+                action = Action(
+                    "RECVMSG", (0, sender, (("v", sender, serial), now + lead))
+                )
+            else:
+                continue  # the alternation condition forbids the invocation
+            ctx = ProcessContext(now)
+            register.apply_input(reg_state, action, ctx)
+            obj.apply_input(obj_state, _as_object_action(action), ctx)
+            assert obj_state.mintime() == reg_state.mintime()
+            drain(now, pick)

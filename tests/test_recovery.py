@@ -6,6 +6,7 @@ from repro.automata.actions import Action, action_set
 from repro.automata.signature import Signature
 from repro.components.base import Entity, TimedNodeEntity
 from repro.core.buffers import SendBuffer
+from repro.core.clock_transform import ClockNodeEntity
 from repro.core.pipeline import SystemSpec, build_clock_system, build_timed_system
 from repro.errors import SpecificationError
 from repro.faults.models import ScriptedFaults
@@ -15,7 +16,10 @@ from repro.faults.recovery import (
     RecoverySchedule,
 )
 from repro.faults.retransmit import ReliableAdapter
+from repro.objects.algorithm import BlindUpdateObjectProcess
+from repro.objects.specs import CounterSpec
 from repro.obs.metrics import MetricsRegistry
+from repro.registers.algorithm_s import AlgorithmSProcess
 from repro.sim.clock_drivers import FastClockDriver, SlowClockDriver
 from repro.sim.engine import Simulator
 from repro.sim.persistence import decode_state, encode_state
@@ -286,6 +290,72 @@ class TestClockNodeCrashStraddlingABufferHold:
         result_full, rec_full = self.run_once(incremental=False)
         assert rec_inc.events == rec_full.events
         assert result_inc.trace == result_full.trace
+
+
+class InvokeOnce(Entity):
+    """A one-operation client: emits ``invocation`` at t=1, takes ``response``."""
+
+    def __init__(self, invocation, response):
+        super().__init__(
+            "invoker",
+            Signature(
+                inputs=action_set(response), outputs=action_set(invocation.name)
+            ),
+        )
+        self.invocation = invocation
+
+    def initial_state(self):
+        return {"invoked": False}
+
+    def enabled(self, state, now):
+        if not state["invoked"] and now >= 1.0 - 1e-9:
+            return [self.invocation]
+        return []
+
+    def fire(self, state, action, now):
+        state["invoked"] = True
+
+    def apply_input(self, state, action, now):
+        pass
+
+    def deadline(self, state, now):
+        return INFINITY if state["invoked"] else 1.0
+
+
+class TestFigure3InstantInsideTheCrashWindow:
+    """The node's clock jumps past a scheduled instant while it is down;
+    the overdue action fires at recovery (it used to owe a deadline no
+    action could discharge: ``TimelockError``)."""
+
+    EPS = 0.1
+    WINDOW = (1.2, 3.0)  # the read is due at t=1.51, clock 1.61
+
+    @pytest.mark.parametrize(
+        "process, invocation, response",
+        [
+            (
+                AlgorithmSProcess(0, [0], 1.0, 0.3, EPS, initial_value="v0"),
+                Action("READ", (0,)), Action("RETURN", (0, "v0")),
+            ),
+            (
+                BlindUpdateObjectProcess(0, [0], CounterSpec(), 1.0, 0.3, eps=EPS),
+                Action("ASK", (0, ("read",))), Action("REPLY", (0, 0)),
+            ),
+        ],
+        ids=["register", "counter"],
+    )
+    def test_overdue_read_responds_at_the_recovery_instant(
+        self, process, invocation, response
+    ):
+        node = RecoverableEntity(
+            ClockNodeEntity(process, FastClockDriver(self.EPS), [], []),
+            RecoverySchedule.of([self.WINDOW]),
+        )
+        result = Simulator(
+            [InvokeOnce(invocation, response.name), node]
+        ).run(5.0)
+        (event,) = [e for e in result.trace if e.action == response]
+        assert event.time == pytest.approx(self.WINDOW[1])
 
 
 class TestRecoveryWithInFlightRetransmissions:
