@@ -34,8 +34,8 @@ the clock model (the Section 6.3 baseline of [10]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
 from repro.automata.signature import Signature
@@ -90,7 +90,18 @@ def _evaluated_lazily(process: Process, driver: ClockDriver) -> bool:
 
 @dataclass
 class MachineState:
-    """State of the node-level clock composition ``A^c_{i,eps}``."""
+    """State of the node-level clock composition ``A^c_{i,eps}``.
+
+    ``send_ready`` / ``recv_ready`` are the edges whose send / receive
+    buffer is non-empty. Figure 2's guards only constrain the clock
+    through *buffered* stamps, so these are all the buffers ``enabled``
+    and ``clock_deadline`` have to look at. They are derived from the
+    queues: built at construction, kept current by
+    :class:`ClockMachine` (the only code that fills or drains a buffer),
+    left out of crash-recovery snapshots and rebuilt on restore
+    (``__post_restore__``), so a stable-storage image can never revive a
+    set that disagrees with the queues.
+    """
 
     clock: float
     proc_state: Any
@@ -98,6 +109,30 @@ class MachineState:
     recv_buffers: Dict[int, ReceiveBuffer]
     #: real time at which a node entity last evaluated ``clock``
     clock_at: float = 0.0
+    send_ready: Set[int] = field(init=False, repr=False, compare=False)
+    recv_ready: Set[int] = field(init=False, repr=False, compare=False)
+
+    _SNAPSHOT_DERIVED = ("send_ready", "recv_ready")
+
+    def __post_init__(self) -> None:
+        self.__post_restore__()
+
+    def __post_restore__(self) -> None:
+        """Rebuild the ready sets from the buffer queues."""
+        self.send_ready = {j for j, b in self.send_buffers.items() if b.queue}
+        self.recv_ready = {j for j, b in self.recv_buffers.items() if b.queue}
+
+
+def _edge_rank(edges: Sequence[int]) -> Dict[int, int]:
+    """Each edge's position in the order the machine's buffer dicts use."""
+    return {j: k for k, j in enumerate(dict.fromkeys(edges))}
+
+
+def _in_edge_order(ready: Set[int], rank: Dict[int, int]):
+    """The ready edges in buffer-dict order (sorting only when needed)."""
+    if len(ready) < 2:
+        return ready
+    return sorted(ready, key=rank.__getitem__)
 
 
 class ClockMachine:
@@ -107,6 +142,12 @@ class ClockMachine:
     :class:`ClockNodeEntity` (Simulation 1) and the MMT transformation
     (Simulation 2) drive it — the latter is exactly Theorem 5.2's
     composition of the two simulations.
+
+    The machine fills and drains the buffers and keeps the state's ready
+    sets in step, so :meth:`enabled` and :meth:`clock_deadline` cost
+    O(non-empty buffers), not O(degree). :meth:`enabled` visits the
+    ready buffers in edge order (``out_edges``, then ``in_edges``): the
+    list equals a scan over every buffer, entry for entry.
     """
 
     def __init__(
@@ -119,6 +160,8 @@ class ClockMachine:
         self.node = process.node
         self.out_edges = list(out_edges)
         self.in_edges = list(in_edges)
+        self._send_rank = _edge_rank(self.out_edges)
+        self._recv_rank = _edge_rank(self.in_edges)
         self._metrics = None
 
     # -- observability -------------------------------------------------------
@@ -148,16 +191,18 @@ class ClockMachine:
 
     def enabled(self, state: MachineState) -> List[Action]:
         """All locally controlled actions enabled at the current clock."""
-        ctx = ProcessContext(state.clock)
-        actions = list(self.process.enabled(state.proc_state, ctx))
-        for j, sbuf in state.send_buffers.items():
-            if sbuf.can_emit(state.clock):
+        clock = state.clock
+        actions = list(self.process.enabled(state.proc_state, ProcessContext(clock)))
+        for j in _in_edge_order(state.send_ready, self._send_rank):
+            sbuf = state.send_buffers[j]
+            if sbuf.can_emit(clock):
                 message, stamp = sbuf.front()
                 actions.append(
                     Action("ESENDMSG", (self.node, j, (message, stamp)))
                 )
-        for j, rbuf in state.recv_buffers.items():
-            if rbuf.can_deliver(state.clock):
+        for j in _in_edge_order(state.recv_ready, self._recv_rank):
+            rbuf = state.recv_buffers[j]
+            if rbuf.can_deliver(clock):
                 message, _ = rbuf.front()
                 actions.append(Action("RECVMSG", (self.node, j, message)))
         return actions
@@ -169,26 +214,37 @@ class ClockMachine:
         into the matching send buffer; ``RECVMSG`` (a receive-buffer
         output, internal to the node) is routed into the process;
         ``ESENDMSG`` leaves the node (the caller forwards it to the
-        channel); everything else is the process's own action.
+        channel); everything else is the process's own action. A
+        ``SENDMSG`` on an edge the node does not have is refused before
+        the process sees it.
         """
         ctx = ProcessContext(state.clock)
         if action.name == "ESENDMSG":
             j = action.params[1]
-            state.send_buffers[j].emit(state.clock)
+            sbuf = state.send_buffers[j]
+            sbuf.emit(state.clock)
+            if not sbuf.queue:
+                state.send_ready.discard(j)
             return
         if action.name == "RECVMSG":
             j = action.params[1]
-            state.recv_buffers[j].deliver(state.clock)
+            rbuf = state.recv_buffers[j]
+            rbuf.deliver(state.clock)
+            if not rbuf.queue:
+                state.recv_ready.discard(j)
             self.process.apply_input(state.proc_state, action, ctx)
             return
-        self.process.fire(state.proc_state, action, ctx)
         if action.name == "SENDMSG":
-            j, message = action.params[1], action.params[2]
+            j = action.params[1]
             if j not in state.send_buffers:
                 raise TransitionError(
                     f"node {self.node}: SENDMSG to {j} but no edge ({self.node},{j})"
                 )
-            state.send_buffers[j].enqueue(message, state.clock)
+            self.process.fire(state.proc_state, action, ctx)
+            state.send_buffers[j].enqueue(action.params[2], state.clock)
+            state.send_ready.add(j)
+            return
+        self.process.fire(state.proc_state, action, ctx)
 
     def apply_input(self, state: MachineState, action: Action) -> None:
         """Apply an externally arriving input at the current clock."""
@@ -200,19 +256,24 @@ class ClockMachine:
                     f"node {self.node}: ERECVMSG from {j} but no edge ({j},{self.node})"
                 )
             state.recv_buffers[j].enqueue(message, stamp, state.clock)
+            state.recv_ready.add(j)
             return
         ctx = ProcessContext(state.clock)
         self.process.apply_input(state.proc_state, action, ctx)
 
     def clock_deadline(self, state: MachineState) -> float:
-        """Largest clock value time passage may reach (``nu`` guards)."""
+        """Largest clock value time passage may reach (``nu`` guards).
+
+        An empty buffer's guard is ``INFINITY``, so only the ready ones
+        can lower the process's own deadline.
+        """
         deadline = self.process.deadline(
             state.proc_state, ProcessContext(state.clock)
         )
-        for sbuf in state.send_buffers.values():
-            deadline = min(deadline, sbuf.clock_deadline())
-        for rbuf in state.recv_buffers.values():
-            deadline = min(deadline, rbuf.clock_deadline())
+        for j in state.send_ready:
+            deadline = min(deadline, state.send_buffers[j].clock_deadline())
+        for j in state.recv_ready:
+            deadline = min(deadline, state.recv_buffers[j].clock_deadline())
         return deadline
 
     # -- statistics (Section 7.2) ------------------------------------------------
@@ -340,8 +401,8 @@ class ClockNodeEntity(Entity):
         value counts as evaluated at ``now``: the next step starts from
         here, not from the snapshot's crash instant. The
         snapshot round-trip also rebuilt the buffers as decoupled
-        copies, so their metrics instruments are re-bound to the live
-        registry.
+        copies (and the ready sets from their queues), so their metrics
+        instruments are re-bound to the live registry.
         """
         state.clock = max(state.clock, now - self.driver.eps, 0.0)
         state.clock_at = now

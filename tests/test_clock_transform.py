@@ -1,5 +1,7 @@
 """Tests for Simulation 1's node machinery (C(A, eps) + buffers)."""
 
+import copy
+
 import pytest
 
 from helpers import EchoProcess, PingerProcess, pinger_process_factory, pinger_topology
@@ -82,8 +84,12 @@ class TestClockMachine:
         state = machine.initial_state()
         state.clock = 1.0
         machine.fire(state, Action("PING", (0, 1)))
+        before = copy.deepcopy(state.proc_state)
         with pytest.raises(TransitionError):
             machine.fire(state, Action("SENDMSG", (0, 1, ("ping", 1))))
+        # refused before the process fired: it still owes the send
+        assert state.proc_state == before
+        assert state.proc_state.pending_send == 1 and state.proc_state.sent == set()
 
     def test_clock_deadline_min_across_components(self):
         machine = self.machine()

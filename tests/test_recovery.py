@@ -6,7 +6,7 @@ from repro.automata.actions import Action, action_set
 from repro.automata.signature import Signature
 from repro.components.base import Entity, TimedNodeEntity
 from repro.core.buffers import SendBuffer
-from repro.core.clock_transform import ClockNodeEntity
+from repro.core.clock_transform import ClockMachine, ClockNodeEntity
 from repro.core.pipeline import SystemSpec, build_clock_system, build_timed_system
 from repro.errors import SpecificationError
 from repro.faults.models import ScriptedFaults
@@ -225,6 +225,84 @@ class TestSendBufferSnapshotRestore:
         assert restored.clock_deadline() == INFINITY
         restored.enqueue("m", 2.0)
         assert restored.clock_deadline() == 2.0
+
+
+class TestMachineStateSnapshotRestore:
+    """A clock node's ready sets (the edges whose Figure 2 buffer is
+    non-empty) are derived state too: a snapshot never persists them and
+    a restore rebuilds them from the queues (a stale set would hide a
+    buffered message from ``enabled`` and from the time-passage guard
+    after a crash–recovery)."""
+
+    EPS = 0.1
+
+    def process(self):
+        return AlgorithmSProcess(0, [0, 1, 2], 1.0, 0.3, self.EPS)
+
+    def loaded(self):
+        """A node mid-broadcast: two sends buffered, one receive held."""
+        machine = ClockMachine(self.process(), [0, 1, 2], [0, 1, 2])
+        state = machine.initial_state()
+        state.clock = 1.0
+        machine.apply_input(state, Action("WRITE", (0, "v")))
+        for send in [a for a in machine.enabled(state) if a.name == "SENDMSG"][:2]:
+            machine.fire(state, send)
+        machine.apply_input(state, Action("ERECVMSG", (0, 2, (("w", 0.5), 3.0))))
+        assert (state.send_ready, state.recv_ready) == ({0, 1}, {2})
+        return machine, state
+
+    def test_snapshot_excludes_the_ready_sets(self):
+        _, state = self.loaded()
+        snapshot = encode_state(state)
+        assert "send_ready" not in snapshot["f"]
+        assert "recv_ready" not in snapshot["f"]
+        assert "send_buffers" in snapshot["f"]
+
+    def test_restore_rebuilds_the_ready_sets(self):
+        machine, state = self.loaded()
+        restored = decode_state(encode_state(state))
+        assert (restored.send_ready, restored.recv_ready) == ({0, 1}, {2})
+        assert machine.enabled(restored) == machine.enabled(state)
+        assert machine.clock_deadline(restored) == machine.clock_deadline(state)
+
+    def test_corrupted_sets_cannot_ride_through_stable_storage(self):
+        machine, state = self.loaded()
+        state.send_ready.clear()
+        state.recv_ready.add(1)
+        restored = decode_state(encode_state(state))
+        assert (restored.send_ready, restored.recv_ready) == ({0, 1}, {2})
+        emits = [a for a in machine.enabled(restored) if a.name == "ESENDMSG"]
+        assert [a.params[1] for a in emits] == [0, 1]
+        # the buffered sends pin the clock at their stamp again
+        assert machine.clock_deadline(restored) == 1.0
+
+    def test_node_crashing_with_buffered_sends_resumes_emitting(self):
+        node = RecoverableEntity(
+            ClockNodeEntity(
+                self.process(), FastClockDriver(self.EPS), [0, 1, 2], [0, 1, 2]
+            ),
+            RecoverySchedule.of([(1.0, 2.0)]),
+        )
+        state = node.initial_state()
+        node.apply_input(state, Action("WRITE", (0, "v")), 0.5)
+        for send in [a for a in node.enabled(state, 0.5) if a.name == "SENDMSG"][:2]:
+            node.fire(state, send, 0.5)
+        assert state.inner.send_ready == {0, 1}
+        assert node.enabled(state, 1.0) == []  # crash: snapshot
+        resumed = node.enabled(state, 2.0)  # recover from stable storage
+        assert state.inner.send_ready == {0, 1}
+        emits = [a for a in resumed if a.name == "ESENDMSG"]
+        assert [a.params[1] for a in emits] == [0, 1]
+        for emit in emits:
+            node.fire(state, emit, 2.0)
+        assert state.inner.send_ready == set()
+        # the send the crash interrupted goes out through the same sets
+        (last,) = [a for a in node.enabled(state, 2.0) if a.name == "SENDMSG"]
+        node.fire(state, last, 2.0)
+        assert state.inner.send_ready == {2}
+        assert [
+            a.params[1] for a in node.enabled(state, 2.0) if a.name == "ESENDMSG"
+        ] == [2]
 
 
 class TestClockNodeCrashStraddlingABufferHold:
