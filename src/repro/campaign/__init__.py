@@ -6,7 +6,7 @@ about how behavior varies with ``eps``, ``[d1, d2]``, and ``n``. This
 package runs that variation systematically: a :class:`Grid` spec
 expands cartesian products over those parameters (plus workload, fault
 model, and deterministic seed batches) into grid points; a
-:class:`CampaignRunner` shards the points across a process pool with
+:class:`CampaignRunner` distributes the points across a process pool with
 per-task timeouts and bounded retry of crashed or hung workers (falling
 back to serial execution where processes are unavailable); a
 :class:`Checkpoint` makes interrupted campaigns resumable; and an

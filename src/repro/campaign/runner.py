@@ -1,4 +1,4 @@
-"""The campaign runner: shard grid points across a worker pool.
+"""The campaign runner: distribute grid points across a worker pool.
 
 :class:`CampaignRunner` executes a list of grid points (any picklable
 dicts carrying ``index`` and ``key``) through a *task* — a module-level

@@ -19,7 +19,7 @@ Commands:
     the achieved clock error against the analytic envelope.
 ``sweep``
     Run a parameter-sweep campaign over the register experiments —
-    grid from flags or a spec file, sharded across worker processes,
+    grid from flags or a spec file, distributed across worker processes,
     checkpointed and resumable, aggregated to JSONL + CSV.
 ``chaos``
     Run a scripted fault plan (from a file, a seed, or the built-in

@@ -1,36 +1,36 @@
-"""One live register node: Algorithm S over sockets and a real clock.
+"""One live register node: ``ClockMachine(AlgorithmSProcess)`` plus a transport.
 
-The node owns exactly the pieces the clock-model composition of
-Section 4 owns, with the transport swapped from virtual channels to TCP:
+The node is the paper's ``A^c_{i,eps}`` (Section 4.2): the
+:class:`~repro.core.clock_transform.ClockMachine` the simulator and the
+MMT pipeline run — ``C(S_i, eps)`` composed with one Figure 2 send
+buffer per out-edge and one receive buffer per in-edge — on a
+:class:`~repro.live.clock.LiveClock` driven by a simulator
+:class:`~repro.sim.clock_drivers.ClockDriver` within ``C_eps``. The
+node holds one ``MachineState`` and only moves the machine's external
+actions over asyncio TCP:
 
-- an :class:`~repro.registers.algorithm_s.AlgorithmSProcess` (the
-  Figure 3 state machine, unchanged) running on the node's *clock* time;
-- a :class:`~repro.live.clock.LiveClock` driven by a simulator
-  :class:`~repro.sim.clock_drivers.ClockDriver` within ``C_eps``;
-- one Figure 2 :class:`~repro.core.buffers.SendBuffer` per outgoing edge
-  and :class:`~repro.core.buffers.ReceiveBuffer` per incoming edge —
-  the simulator's own classes, reused as wire middleware;
-- an asyncio server accepting client invocations (``read``/``write``)
-  and peer ``msg`` frames, and a timer task that wakes at the next
-  clock deadline and fires the process's due actions.
+- a fired ``ESENDMSG(i, j, (m, stamp))`` is the ``msg`` frame written to
+  peer ``j``; for ``j == i`` (the algorithm updates its own copy by
+  message) it is a local ``ERECVMSG``, the self-loop channel;
+- an arriving peer ``msg`` frame is an ``ERECVMSG`` input;
+- a client ``read``/``write`` frame is the process's ``READ``/``WRITE``
+  input, and its ``RETURN``/``ACK`` output is the client's response.
 
-The timer fires whatever the process's ``enabled()`` returns at the
-wake-up clock (``due_actions`` is that call under the node's name for
-it): Figure 3's one guard is ``scheduled <= now``, so an event loop that
-wakes strictly after a deadline by its scheduling jitter fires the
-overdue action. Self-addressed update messages (the
-algorithm updates its own copy by message) short-circuit through the
-node's own receive buffer without touching the network, exactly like
-the simulator's self-loop channels.
+A timer task sleeps until the machine's ``clock_deadline``, sets the
+machine's clock from the live clock and drains: it fires enabled
+actions until none is left. Figure 3's one guard is ``scheduled <= now``,
+so an event loop that wakes strictly after a deadline by its scheduling
+jitter fires the overdue action.
 
 **Fault tolerance.** Three layers, all inert in a fault-free run:
 
 - *wire hardening* — malformed or truncated frames and handler-level
-  protocol errors are logged-and-dropped (counted in the
-  ``repro.live.wire_errors`` metric), never allowed to kill a serve
-  loop; an abruptly closed peer link is re-dialed in the background;
-- *crash recovery* — :meth:`crash` snapshots the process state, the
-  Figure 2 buffers, and the ARQ bookkeeping through the same
+  protocol errors (a ``msg`` from a node with no edge here included)
+  are logged-and-dropped (counted in the ``repro.live.wire_errors``
+  metric), never allowed to kill a serve loop; an abruptly closed peer
+  link is re-dialed in the background;
+- *crash recovery* — :meth:`crash` snapshots the machine state (process
+  state and Figure 2 buffers) and the ARQ bookkeeping through the same
   ``encode_state``/``decode_state`` stable-storage protocol the chaos
   layer's :class:`~repro.faults.recovery.RecoverableEntity` uses, then
   abruptly drops every connection; :meth:`recover` restores the
@@ -60,10 +60,9 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.automata.actions import Action
-from repro.components.base import ProcessContext
 from repro.constants import INFINITY
-from repro.core.buffers import ReceiveBuffer, SendBuffer
-from repro.errors import LiveServiceError
+from repro.core.clock_transform import ClockMachine
+from repro.errors import LiveServiceError, TransitionError
 from repro.live.clock import LiveClock
 from repro.live.params import LiveParams
 from repro.live.wire import decode_frame, encode_frame
@@ -102,19 +101,16 @@ class LiveRegisterNode:
         self.node = node
         self.params = params
         self.host = host
-        self.process = AlgorithmSProcess(
-            node, peers, params.d2_prime, params.c, params.eps,
-            delta=params.delta, initial_value=INITIAL_VALUE,
+        self.machine = ClockMachine(
+            AlgorithmSProcess(
+                node, peers, params.d2_prime, params.c, params.eps,
+                delta=params.delta, initial_value=INITIAL_VALUE,
+            ),
+            out_edges=peers,
+            in_edges=peers,
         )
-        self.state = self.process.initial_state()
+        self.state = self.machine.initial_state()
         self.clock = LiveClock(driver, epoch)
-        self._peers = peers
-        self.send_bufs: Dict[int, SendBuffer] = {
-            j: SendBuffer(node, j) for j in peers
-        }
-        self.recv_bufs: Dict[int, ReceiveBuffer] = {
-            j: ReceiveBuffer(j, node) for j in peers
-        }
         self._peer_writers: Dict[int, asyncio.StreamWriter] = {}
         self._peer_addresses: Optional[List[Tuple[str, int]]] = None
         self._reconnect: Dict[int, asyncio.Task] = {}
@@ -236,9 +232,9 @@ class LiveRegisterNode:
     async def crash(self) -> None:
         """Go down abruptly: snapshot stable state, drop every connection.
 
-        The snapshot carries the Figure 3 process state, the Figure 2
-        buffers, the response cache, and the ARQ outbox — the node's
-        "stable storage", exactly what the simulator's
+        The snapshot carries the machine state (Figure 3 process state
+        and Figure 2 buffers), the response cache, and the ARQ outbox —
+        the node's "stable storage", exactly what the simulator's
         :class:`~repro.faults.recovery.RecoverableEntity` persists.
         Volatile memory (queued invocations, live sockets) is lost.
         """
@@ -255,8 +251,6 @@ class LiveRegisterNode:
             }
         self._snapshot = encode_state({
             "state": self.state,
-            "send_bufs": self.send_bufs,
-            "recv_bufs": self.recv_bufs,
             "done": self._done,
             "outbox": self._outbox,
             "next_seq": self._next_seq,
@@ -272,9 +266,7 @@ class LiveRegisterNode:
         self._outbox = {}
         self._next_seq = {}
         self._seen = {}
-        self.state = self.process.initial_state()
-        self.send_bufs = {j: SendBuffer(self.node, j) for j in self._peers}
-        self.recv_bufs = {j: ReceiveBuffer(j, self.node) for j in self._peers}
+        self.state = self.machine.initial_state()
         # every connection dies abruptly (RST, not FIN): peers and
         # clients observe exactly what a process kill looks like
         for task in self._reconnect.values():
@@ -303,8 +295,6 @@ class LiveRegisterNode:
             return
         snap = decode_state(self._snapshot)
         self.state = snap["state"]
-        self.send_bufs = snap["send_bufs"]
-        self.recv_bufs = snap["recv_bufs"]
         self._done = snap["done"]
         self._outbox = snap["outbox"]
         self._next_seq = snap["next_seq"]
@@ -327,7 +317,7 @@ class LiveRegisterNode:
             self._on_connection, self.host, self.port
         )
         if self._peer_addresses is not None:
-            for j in self._peers:
+            for j in self.machine.out_edges:
                 if j != self.node:
                     self._ensure_peer(j)
         self._kick.set()
@@ -371,7 +361,9 @@ class LiveRegisterNode:
                     continue
                 try:
                     self._dispatch(frame, writer)
-                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                except (
+                    KeyError, IndexError, TypeError, ValueError, TransitionError,
+                ) as exc:
                     # structurally valid JSON, semantically broken frame
                     self._wire_error(exc)
         except (ConnectionResetError, LiveServiceError):
@@ -417,18 +409,27 @@ class LiveRegisterNode:
 
     def _on_peer_msg(self, frame) -> None:
         src = frame["src"]
-        message = frame["m"]  # (value, t), tuplified by decode_frame
-        stamp = frame["stamp"]
+        # (value, t), tuplified by decode_frame; checked here, because a
+        # malformed update would raise later, inside the timer's drain
+        update, t = frame["m"]
+        message = (update, float(t))
         seq = frame.get("seq")
-        real, clk = self.clock.read()
+        real = self._read_clock()
+        duplicate = seq is not None and seq in self._seen.get(src, ())
+        if not duplicate:
+            # the machine refuses a src with no edge into this node
+            # (TransitionError) before anything is acked, deduplicated
+            # or measured
+            self.machine.apply_input(self.state, Action(
+                "ERECVMSG", (self.node, src, (message, frame["stamp"]))
+            ))
         if seq is not None:
-            # ack first (the ack may itself be dropped; retransmission
-            # plus this dedup absorbs every such loss)
+            # ack every copy (the ack may itself be dropped;
+            # retransmission plus this dedup absorbs every such loss)
             self._ack_peer(src, seq)
-            seen = self._seen.setdefault(src, set())
-            if seq in seen:
+            if duplicate:
                 return
-            seen.add(seq)
+            self._seen.setdefault(src, set()).add(seq)
         delay = max(0.0, real - frame.get("sr", real))
         self._wire_count += 1
         self._wire_sum += delay
@@ -445,7 +446,6 @@ class LiveRegisterNode:
             and len(self.delay_excursions) < _MAX_EXCURSIONS
         ):
             self.delay_excursions.append((real, src, total))
-        self.recv_bufs[src].enqueue(message, stamp, clk)
         self._kick.set()
 
     def _ack_peer(self, src: int, seq: int) -> None:
@@ -498,17 +498,23 @@ class LiveRegisterNode:
 
     def _pump(self) -> None:
         """Feed the next queued invocation into the (idle) automaton."""
+        process = self.machine.process
         while self._active is None and self._waiting:
             entry = self._waiting.popleft()
-            _, clk = self.clock.read()
+            self._read_clock()
             if entry["kind"] == "read":
-                action = Action("READ", (self.node,))
+                action = Action(process.READ, (self.node,))
             else:
-                action = Action("WRITE", (self.node, entry["value"]))
-            self.process.apply_input(self.state, action, ProcessContext(clk))
+                action = Action(process.WRITE, (self.node, entry["value"]))
+            self.machine.apply_input(self.state, action)
             self._active = entry
 
     # -- the timer loop ------------------------------------------------------
+
+    def _read_clock(self) -> float:
+        """Set the machine's clock from the live clock; returns real time."""
+        real, self.state.clock = self.clock.read()
+        return real
 
     async def _run_timer(self) -> None:
         while not self._stopped.is_set():
@@ -516,9 +522,9 @@ class LiveRegisterNode:
                 await self._kick.wait()
                 self._kick.clear()
                 continue
-            _, clk = self.clock.read()
-            progressed = self._drain(clk)
-            deadline = self._next_deadline()
+            self._read_clock()
+            progressed = self._drain()
+            deadline = self.machine.clock_deadline(self.state)
             if deadline == INFINITY:
                 await self._kick.wait()
                 self._kick.clear()
@@ -553,56 +559,45 @@ class LiveRegisterNode:
                         self.retransmits += 1
                         self._retransmits_counter.inc()
 
-    def _next_deadline(self) -> float:
-        deadline = self.state.mintime()
-        for buf in self.recv_bufs.values():
-            deadline = min(deadline, buf.clock_deadline())
-        return deadline
+    def _drain(self) -> bool:
+        """Fire the machine's enabled actions at its clock until none is left.
 
-    def _drain(self, clk: float) -> bool:
-        """Deliver due messages and fire due actions until quiescent.
-
-        Re-polls after every batch: a RETURN suppressed by a same-instant
-        pending update becomes due on the next round, after the update
-        fired (Figure 3's read-the-post-update-value guard).
+        Deliveries go first: while a ``RECVMSG`` is enabled, only the
+        deliveries fire before the machine is polled again, so an update
+        they make due applies before a ``RETURN`` reads the value
+        (Figure 3's read-the-post-update-value guard). ``enabled`` lists
+        the process's own actions first; firing its list in that order
+        would return the pre-update value.
         """
+        machine, state = self.machine, self.state
+        process = machine.process
         progressed = False
         while True:
-            delivered = False
-            for src, buf in self.recv_bufs.items():
-                while buf.can_deliver(clk):
-                    message, _stamp = buf.deliver(clk)
-                    self.process.apply_input(
-                        self.state,
-                        Action("RECVMSG", (self.node, src, message)),
-                        ProcessContext(clk),
-                    )
-                    delivered = True
-            actions = self.process.due_actions(self.state, clk)
-            if not actions and not delivered:
+            actions = machine.enabled(state)
+            if not actions:
                 return progressed
             progressed = True
-            for action in actions:
-                self.process.fire(self.state, action, ProcessContext(clk))
-                if action.name == "SENDMSG":
-                    self._send(action.params[1], action.params[2], clk)
-                elif action.name == "RETURN":
+            deliveries = [a for a in actions if a.name == "RECVMSG"]
+            for action in deliveries or actions:
+                machine.fire(state, action)
+                if action.name == "ESENDMSG":
+                    self._transmit(action.params[1], action.params[2])
+                elif action.name == process.RETURN:
                     self._respond({"t": "return", "value": action.params[1]})
-                elif action.name == "ACK":
+                elif action.name == process.ACK:
                     self._respond({"t": "ack"})
-                # UPDATE is internal: the fire already applied it
 
-    def _send(self, dst: int, payload, clk: float) -> None:
-        """Route one ``SENDMSG`` through the Figure 2 send buffer."""
-        buf = self.send_bufs[dst]
-        buf.enqueue(payload, clk)
-        message, stamp = buf.emit(clk)  # emission is urgent (Figure 2)
+    def _transmit(self, dst: int, payload) -> None:
+        """Carry one ``ESENDMSG`` payload ``(m, stamp)`` to peer ``dst``."""
         self._msgs_sent.inc()
-        real = self.clock.real_now()
         if dst == self.node:
-            # self-loop edge: deliver locally through the receive buffer
-            self.recv_bufs[dst].enqueue(message, stamp, clk)
+            # self-loop edge: the message re-enters as this node's input
+            self.machine.apply_input(
+                self.state, Action("ERECVMSG", (self.node, dst, payload))
+            )
             return
+        message, stamp = payload
+        real = self.clock.real_now()
         frame = {
             "t": "msg", "src": self.node, "m": list(message),
             "stamp": stamp, "sr": real,

@@ -372,7 +372,7 @@ class MetricsRegistry:
     # -- merge -------------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (for sharded/multi-run sweeps).
+        """Fold ``other`` into this registry (for multi-run sweeps).
 
         Counters add; histograms add bucket counts and combine
         count/sum/min/max (bounds must agree); sketches add bucket
@@ -449,8 +449,8 @@ def merge_snapshots(snapshots: Iterable[Dict[str, object]]) -> Dict[str, object]
     Counters and histogram buckets add; gauges combine by maximum (see
     :meth:`MetricsRegistry.merge`). The result is deterministic in the
     *multiset* of inputs — the order snapshots arrive in (e.g. worker
-    completion order) does not affect the merged output, so sharded
-    campaigns aggregate byte-identically regardless of worker count.
+    completion order) does not affect the merged output, so campaigns
+    aggregate byte-identically regardless of worker count.
     """
     merged = MetricsRegistry()
     for snapshot in snapshots:

@@ -130,7 +130,7 @@ class QuantileSketch:
         """Fold ``other`` into this sketch (bucket-wise addition).
 
         The bucket maps simply add, so any merge order over any
-        sharding of the same samples yields the identical sketch.
+        partition of the same samples yields the identical sketch.
         """
         if abs(other.alpha - self.alpha) > 1e-12:
             raise ValueError(
@@ -149,9 +149,9 @@ class QuantileSketch:
         """The sample sum recomputed from the bucket state.
 
         The live ``_sum`` accumulator depends on the order samples were
-        added (float addition is not associative), so two shardings of
+        added (float addition is not associative), so two partitions of
         the same multiset can disagree in its last bits. The bucket
-        maps are *exactly* identical across shardings, and summing
+        maps are *exactly* identical across partitions, and summing
         ``count * bucket-midpoint`` in sorted key order performs the
         identical float operations every time — within ``alpha`` of the
         true sum, and bit-for-bit deterministic.
@@ -168,7 +168,7 @@ class QuantileSketch:
         Buckets export as ``[key, count]`` pairs sorted by key and the
         ``sum`` field is the canonical bucket-derived sum, so the JSON
         text is a pure function of the sample multiset — byte-identical
-        however the samples were sharded or the shards merged.
+        however the samples were partitioned or the parts merged.
         """
         return {
             "alpha": self.alpha,

@@ -274,7 +274,12 @@ class RegisterProcess(Process):
         return state.mintime()
 
     def due_actions(self, state: RegisterState, now: float) -> List[Action]:
-        """:meth:`enabled` at time ``now`` — the name the live node calls."""
+        """:meth:`enabled` at time ``now``.
+
+        Nothing under ``src/`` calls it: the live node drives
+        :class:`~repro.core.clock_transform.ClockMachine`. It stays only
+        because ``benchmarks/suite/workloads.py`` wraps it by name.
+        """
         return self.enabled(state, ProcessContext(now))
 
 

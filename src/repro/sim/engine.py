@@ -105,7 +105,7 @@ class SimulationResult:
     def summary(self) -> Dict[str, Any]:
         """A picklable, JSON-ready digest of the run.
 
-        The worker-safe entrypoint for sharded campaigns: recorder
+        The worker-safe entrypoint for multi-process campaigns: recorder
         events and final entity states hold arbitrary (possibly
         unpicklable) objects, so worker processes ship this plain-dict
         digest — horizon/now/steps, event counts, the canonical stats,

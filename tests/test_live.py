@@ -165,6 +165,44 @@ class TestBuildOperations:
         assert ops[0].latency == pytest.approx(0.3)
 
 
+class _RecordingWriter:
+    """A client connection stand-in that keeps every frame written to it."""
+
+    def __init__(self):
+        self.frames = []
+
+    def is_closing(self):
+        return False
+
+    def write(self, data):
+        self.frames.append(decode_frame(data))
+
+
+class TestNodeDrain:
+    def test_overdue_update_applies_before_the_due_return(self):
+        import time
+
+        from repro.live.node import LiveRegisterNode
+
+        params = LiveParams(n=2, eps=0.001, c=0.0, delta=0.001, driver="perfect")
+        driver = driver_factory("perfect", params.eps)(0)
+        node = LiveRegisterNode(0, params, driver, time.monotonic())
+        client = _RecordingWriter()
+        node._dispatch({"t": "read"}, client)
+        time.sleep(2 * node.machine.process.read_bound)
+        # a peer update whose instant t + delta is already past
+        node._dispatch(
+            {"t": "msg", "src": 1, "m": [["new", 1, 0], 0.0], "stamp": 0.0},
+            None,
+        )
+        node._read_clock()
+        # the due RETURN (of the old value) is listed before the delivery
+        names = [action.name for action in node.machine.enabled(node.state)]
+        assert names == ["RETURN", "RECVMSG"]
+        assert node._drain()
+        assert client.frames == [{"t": "return", "value": ("new", 1, 0)}]
+
+
 class TestEndToEnd:
     """One real loopback run, shared across assertions (clusters are the
     expensive part; one run can answer every question)."""

@@ -41,6 +41,7 @@ from repro.live.chaos import chaos_params, demo_live_plan
 from repro.live.load import build_operations, live_workload
 from repro.live.wire import decode_frame, encode_frame
 from repro.errors import LiveServiceError
+from repro.obs import MetricsRegistry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -217,6 +218,8 @@ class TestWireGarbage(unittest.TestCase):
                 writer.write(b'[1, 2, 3]\n')
                 writer.write(b'{"t": "msg", "src": "zero"}\n')
                 writer.write(b'{"t": "write"}\n')  # missing value
+                # an update that is not a (value, t) pair
+                writer.write(b'{"t": "msg", "src": 0, "m": [1, 2, 3], "stamp": 0}\n')
                 await writer.drain()
                 # the same connection still serves a valid invocation
                 writer.write(encode_frame({"t": "read"}))
@@ -225,7 +228,7 @@ class TestWireGarbage(unittest.TestCase):
                 self.assertEqual(frame["t"], "return")
                 writer.close()
                 stats = cluster.stats()[0]
-                self.assertGreaterEqual(stats["wire_errors"], 4)
+                self.assertGreaterEqual(stats["wire_errors"], 5)
             finally:
                 await cluster.stop()
 
@@ -367,10 +370,22 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                     await asyncio.wait_for(reader.readline(), 5.0)
                 )
                 self.assertEqual(ack["t"], "ack")
+                # a receive the buffer must hold across the crash: its
+                # stamp is well above the clock, and it carries an update
+                # that takes effect once delivered
+                _, clk = node.clock.read()
+                held = clk + 0.6
+                writer.write(encode_frame({
+                    "t": "msg", "src": 1, "m": [["h", 1, 0], held],
+                    "stamp": held,
+                }))
+                writer.write(encode_frame({"t": "stats"}))
+                await asyncio.wait_for(reader.readline(), 5.0)
                 writer.close()
+                self.assertEqual(node.state.recv_ready, {1})
 
                 state_before = node.state
-                value_before = state_before.value
+                value_before = state_before.proc_state.value
                 await node.crash()
                 self.assertTrue(node.down)
                 # volatile memory wiped while down
@@ -379,11 +394,20 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                 self.assertFalse(node.down)
 
                 # restored copy of the written value survived the crash
-                self.assertEqual(node.state.value, value_before)
+                self.assertEqual(node.state.proc_state.value, value_before)
                 # __post_restore__ rebuilt the send buffers' min-deque:
                 # clock_deadline never raises and agrees with a fresh poll
-                for buf in node.send_bufs.values():
+                for buf in node.state.send_buffers.values():
                     buf.clock_deadline()
+                # ...and the ready sets, from the restored queues
+                state = node.state
+                self.assertEqual(state.send_ready, {
+                    j for j, b in state.send_buffers.items() if b.queue
+                })
+                self.assertEqual(state.recv_ready, {
+                    j for j, b in state.recv_buffers.items() if b.queue
+                })
+                self.assertEqual(state.recv_ready, {1})
                 # the restored clock is back inside the C_eps envelope
                 # on its first post-recovery read (slow driver jumps to
                 # the envelope edge across the outage)
@@ -399,11 +423,76 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                 )
                 self.assertEqual(frame["t"], "return")
                 self.assertEqual(tuple(frame["value"]), ("v", 0, 1))
+                # the held receive is delivered once the clock passes
+                # its stamp, and a later read sees its update
+                for _ in range(100):
+                    if not node.state.recv_ready:
+                        break
+                    await asyncio.sleep(0.02)
+                self.assertEqual(node.state.recv_ready, set())
+                writer2.write(encode_frame({"t": "read"}))
+                frame = decode_frame(
+                    await asyncio.wait_for(reader2.readline(), 5.0)
+                )
+                self.assertEqual(tuple(frame["value"]), ("h", 1, 0))
                 writer2.close()
             finally:
                 await cluster.stop()
 
         asyncio.run(scenario())
+
+
+class TestForeignPeerSource(unittest.TestCase):
+    """A peer ``msg`` from a ``src`` with no edge is a wire error, only."""
+
+    def _run(self, arq):
+        async def scenario():
+            metrics = MetricsRegistry()
+            cluster = LiveCluster(LiveParams(n=2, seed=0), metrics=metrics)
+            if arq:
+                LiveChaosController(
+                    FaultPlan(events=(crash(0, 10.0),), name="arm-arq"),
+                    cluster,
+                )
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                frame = {"t": "msg", "src": 99, "m": [["x", 99, 0], 0.0],
+                         "stamp": 0.0, "sr": 0.0}
+                if arq:
+                    frame["seq"] = 0
+                writer.write(encode_frame(frame))
+                writer.write(encode_frame({"t": "stats"}))
+                stats = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                writer.close()
+                self.assertEqual(stats["t"], "stats")
+                self.assertEqual(stats["wire_errors"], 1)
+                self.assertEqual(stats["wire_count"], 0)
+                self.assertNotIn(99, node._reconnect)
+                self.assertNotIn(99, node._seen)
+                self.assertEqual(node.state.recv_ready, set())
+            finally:
+                await cluster.stop()
+            snapshot = metrics.snapshot()
+            self.assertEqual(
+                snapshot["counters"]["repro.live.msgs.received"], 0
+            )
+            self.assertEqual(
+                snapshot["sketches"]["repro.live.wire.delay"]["count"], 0
+            )
+
+        asyncio.run(scenario())
+
+    def test_refused_without_arq(self):
+        self._run(arq=False)
+
+    def test_refused_with_arq_is_not_acked(self):
+        self._run(arq=True)
 
 
 class TestFaultFreeUnchanged(unittest.TestCase):
