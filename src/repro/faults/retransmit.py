@@ -116,6 +116,18 @@ def effective_delay_bounds(
     return (d1, d2 + widening)
 
 
+def arq_frame(frame, message=lambda m: m) -> Tuple[tuple, Optional[int]]:
+    """Check a frame off a real wire: ``(("DATA", seq, message(m)), seq)``
+    or ``(("ACK", seq), None)``; any other shape or a non-int ``seq``
+    raises :class:`TransitionError` (``message`` may raise too)."""
+    if isinstance(frame, tuple) and len(frame) > 1 and type(frame[1]) is int:
+        if frame[0] == "DATA" and len(frame) == 3:
+            return ("DATA", frame[1], message(frame[2])), frame[1]
+        if frame[0] == "ACK" and len(frame) == 2:
+            return frame, None
+    raise TransitionError(f"malformed ARQ frame {frame!r}")
+
+
 @dataclass
 class _OutboxEntry:
     dst: int

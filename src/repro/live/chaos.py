@@ -31,10 +31,10 @@ naming nodes, edges, or partition-group members outside ``range(n)`` —
 a live cluster has no way to fault a processor it does not run.
 
 Because partitions and drops *lose* frames while Theorem 6.5 assumes
-delivery within ``[d1, d2]``, arming a plan also arms the peer-mesh ARQ
-layer on every node (sequence numbers, acks, retransmission every
-``params.retry_base`` seconds), turning faulted channels into
-*eventually-delivering* channels whose effective bound is the
+delivery within ``[d1, d2]``, arming a plan wraps every node's process
+in the simulator's ``ReliableAdapter`` (retransmission every
+``params.retry_base`` s until acked, ``max_attempts=inf``),
+turning faulted channels into *eventually-delivering* channels whose effective bound is the
 :func:`~repro.faults.retransmit.effective_delay_bounds` widening. Size
 ``params.d2`` to cover the longest plan outage plus one retransmission
 interval and the algorithm's correctness argument goes through

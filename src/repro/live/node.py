@@ -30,7 +30,7 @@ jitter fires the overdue action.
   metric), never allowed to kill a serve loop; an abruptly closed peer
   link is re-dialed in the background;
 - *crash recovery* — :meth:`crash` snapshots the machine state (process
-  state and Figure 2 buffers) and the ARQ bookkeeping through the same
+  state and Figure 2 buffers) through the same
   ``encode_state``/``decode_state`` stable-storage protocol the chaos
   layer's :class:`~repro.faults.recovery.RecoverableEntity` uses, then
   abruptly drops every connection; :meth:`recover` restores the
@@ -38,13 +38,12 @@ jitter fires the overdue action.
   the *same* port, and re-dials the mesh — the clock, unread while
   down, jumps to the ``C_eps`` envelope edge on its first post-recovery
   read, exactly the simulator's crash-recovery clock semantics;
-- *peer ARQ* — when a fault plan is attached (:meth:`attach_faults`),
-  ``msg`` frames carry per-edge sequence numbers, receivers ack and
-  dedup, and unacked frames are retransmitted every
-  ``params.retry_base`` seconds, so partitions, drop bursts, and
-  crashes *delay* update messages instead of losing them — the
-  :func:`~repro.faults.retransmit.effective_delay_bounds` regime under
-  which Theorem 6.5 keeps holding with widened ``d2``.
+- *peer ARQ* — :meth:`attach_faults` makes the machine the simulator's
+  ``ClockMachine(ReliableAdapter(AlgorithmSProcess))``, whose ``DATA`` /
+  ``ACK`` frames ride in ``msg`` frames; retransmission every
+  ``params.retry_base`` seconds until acked (``max_attempts=inf``)
+  makes outages *delay* updates instead of losing them — the
+  :func:`~repro.faults.retransmit.effective_delay_bounds` regime.
 
 Client invocations queue per node and run one at a time through the
 single-op Figure 3 automaton, with the alternation condition enforced
@@ -56,6 +55,7 @@ executing twice, which makes client-side retry safe for writes.
 from __future__ import annotations
 
 import asyncio
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
@@ -63,6 +63,7 @@ from repro.automata.actions import Action
 from repro.constants import INFINITY
 from repro.core.clock_transform import ClockMachine
 from repro.errors import LiveServiceError, TransitionError
+from repro.faults.retransmit import ReliableAdapter, arq_frame
 from repro.live.clock import LiveClock
 from repro.live.params import LiveParams
 from repro.live.wire import decode_frame, encode_frame
@@ -84,6 +85,12 @@ _DELAY_SLOP = 1e-6
 _MAX_EXCURSIONS = 100
 
 
+def _update(m):
+    """A wire ``[value, t]`` as Algorithm S's ``(value, t)`` message."""
+    update, t = m
+    return (update, float(t))
+
+
 class LiveRegisterNode:
     """One node of the live cluster: server, peer mesh, timer loop."""
 
@@ -101,17 +108,18 @@ class LiveRegisterNode:
         self.node = node
         self.params = params
         self.host = host
+        self.process = AlgorithmSProcess(
+            node, peers, params.d2_prime, params.c, params.eps,
+            delta=params.delta, initial_value=INITIAL_VALUE,
+        )
         self.machine = ClockMachine(
-            AlgorithmSProcess(
-                node, peers, params.d2_prime, params.c, params.eps,
-                delta=params.delta, initial_value=INITIAL_VALUE,
-            ),
-            out_edges=peers,
-            in_edges=peers,
+            self.process, out_edges=peers, in_edges=peers
         )
         self.state = self.machine.initial_state()
         self.clock = LiveClock(driver, epoch)
-        self._peer_writers: Dict[int, asyncio.StreamWriter] = {}
+        # a crashed peer's FIN shows only on the reader (the writer
+        # stays open), so each outgoing link keeps both
+        self._peer_links: Dict[int, tuple] = {}  # dst -> (reader, writer)
         self._peer_addresses: Optional[List[Tuple[str, int]]] = None
         self._reconnect: Dict[int, asyncio.Task] = {}
         self._conns: Set[asyncio.StreamWriter] = set()
@@ -123,13 +131,9 @@ class LiveRegisterNode:
         self._waiting: Deque[dict] = deque()
         self._inflight: Dict[object, dict] = {}
         self._done: Dict[str, Tuple[object, dict]] = {}
-        # peer ARQ (armed by attach_faults): per-edge sequence numbers,
-        # an outbox of unacked frames, and a receive-side dedup set
         self.wire_faults = wire_faults
-        self._arq = wire_faults is not None
-        self._next_seq: Dict[int, int] = {}
-        self._outbox: Dict[int, Dict[int, dict]] = {}
-        self._seen: Dict[int, Set[int]] = {}
+        #: first-attempt real time per ARQ ``(dst, seq)``; None: unarmed
+        self._first_sent: Optional[Dict[Tuple[int, int], float]] = None
         # crash recovery
         self._down = False
         self._snapshot = None
@@ -146,7 +150,6 @@ class LiveRegisterNode:
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
         self._timer_task: Optional[asyncio.Task] = None
-        self._retransmit_task: Optional[asyncio.Task] = None
         self.port: Optional[int] = None
         # wire-delay measurement (one-way; meaningful because all nodes
         # of a cluster share one epoch inside one process)
@@ -181,7 +184,16 @@ class LiveRegisterNode:
                 f"node {self.node}: attach_faults after start"
             )
         self.wire_faults = injector
-        self._arq = True
+        self.machine = ClockMachine(
+            ReliableAdapter(
+                self.process, retransmit_interval=self.params.retry_base,
+                max_attempts=math.inf,
+            ),
+            out_edges=self.machine.out_edges,
+            in_edges=self.machine.in_edges,
+        )
+        self.state = self.machine.initial_state()
+        self._first_sent = {}
 
     async def start(self) -> Tuple[str, int]:
         """Bind the server socket (ephemeral port) and start the timer."""
@@ -190,10 +202,6 @@ class LiveRegisterNode:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._timer_task = asyncio.ensure_future(self._run_timer())
-        if self._arq:
-            self._retransmit_task = asyncio.ensure_future(
-                self._run_retransmit()
-            )
         return self.host, self.port
 
     async def connect_peers(self, addresses: List[Tuple[str, int]]) -> None:
@@ -202,9 +210,9 @@ class LiveRegisterNode:
         for j, (host, port) in enumerate(addresses):
             if j == self.node:
                 continue
-            _, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.open_connection(host, port)
             writer.write(encode_frame({"t": "hello", "src": self.node}))
-            self._peer_writers[j] = writer
+            self._peer_links[j] = (reader, writer)
 
     async def stop(self) -> None:
         """Stop the timer, close the peer links and the server socket."""
@@ -215,13 +223,7 @@ class LiveRegisterNode:
         self._reconnect.clear()
         if self._timer_task is not None:
             await self._timer_task
-        if self._retransmit_task is not None:
-            self._retransmit_task.cancel()
-            try:
-                await self._retransmit_task
-            except asyncio.CancelledError:
-                pass
-        for writer in self._peer_writers.values():
+        for _, writer in self._peer_links.values():
             writer.close()
         if self._server is not None:
             self._server.close()
@@ -232,9 +234,9 @@ class LiveRegisterNode:
     async def crash(self) -> None:
         """Go down abruptly: snapshot stable state, drop every connection.
 
-        The snapshot carries the machine state (Figure 3 process state
-        and Figure 2 buffers), the response cache, and the ARQ outbox —
-        the node's "stable storage", exactly what the simulator's
+        The snapshot carries the machine state (process state, ARQ
+        outbox, Figure 2 buffers), the response cache, and first-attempt
+        times — the node's "stable storage", exactly what the simulator's
         :class:`~repro.faults.recovery.RecoverableEntity` persists.
         Volatile memory (queued invocations, live sockets) is lost.
         """
@@ -252,10 +254,8 @@ class LiveRegisterNode:
         self._snapshot = encode_state({
             "state": self.state,
             "done": self._done,
-            "outbox": self._outbox,
-            "next_seq": self._next_seq,
-            "seen": self._seen,
             "active": active_meta,
+            "first_sent": self._first_sent,
         })
         # volatile memory: in-flight invocations are simply gone
         self.inputs_lost += len(self._waiting)
@@ -263,18 +263,15 @@ class LiveRegisterNode:
         self._waiting.clear()
         self._inflight.clear()
         self._done = {}
-        self._outbox = {}
-        self._next_seq = {}
-        self._seen = {}
         self.state = self.machine.initial_state()
         # every connection dies abruptly (RST, not FIN): peers and
         # clients observe exactly what a process kill looks like
         for task in self._reconnect.values():
             task.cancel()
         self._reconnect.clear()
-        for writer in self._peer_writers.values():
+        for _, writer in self._peer_links.values():
             self._abort(writer)
-        self._peer_writers.clear()
+        self._peer_links.clear()
         for writer in list(self._conns):
             self._abort(writer)
         if self._server is not None:
@@ -296,9 +293,7 @@ class LiveRegisterNode:
         snap = decode_state(self._snapshot)
         self.state = snap["state"]
         self._done = snap["done"]
-        self._outbox = snap["outbox"]
-        self._next_seq = snap["next_seq"]
-        self._seen = snap["seen"]
+        self._first_sent = snap["first_sent"]
         self._active = None
         meta = snap["active"]
         if meta is not None:
@@ -396,8 +391,6 @@ class LiveRegisterNode:
             return  # incoming peer link; msg frames follow
         if kind == "msg":
             self._on_peer_msg(frame)
-        elif kind == "msgack":
-            self._on_msgack(frame)
         elif kind in ("read", "write"):
             self._on_invocation(kind, frame, writer)
         elif kind == "stats":
@@ -409,27 +402,25 @@ class LiveRegisterNode:
 
     def _on_peer_msg(self, frame) -> None:
         src = frame["src"]
-        # (value, t), tuplified by decode_frame; checked here, because a
-        # malformed update would raise later, inside the timer's drain
-        update, t = frame["m"]
-        message = (update, float(t))
-        seq = frame.get("seq")
+        # tuplified by decode_frame; checked here, because a malformed
+        # message would raise later, inside the timer's drain
+        if self._first_sent is None:
+            message, first = _update(frame["m"]), True
+        else:
+            message, seq = arq_frame(frame["m"], _update)
+            # only a DATA frame's first copy is measured: an ACK, or a
+            # copy the adapter has delivered already, is not
+            delivered = self.state.proc_state.delivered.get(src, ())
+            first = seq is not None and seq not in delivered
         real = self._read_clock()
-        duplicate = seq is not None and seq in self._seen.get(src, ())
-        if not duplicate:
-            # the machine refuses a src with no edge into this node
-            # (TransitionError) before anything is acked, deduplicated
-            # or measured
-            self.machine.apply_input(self.state, Action(
-                "ERECVMSG", (self.node, src, (message, frame["stamp"]))
-            ))
-        if seq is not None:
-            # ack every copy (the ack may itself be dropped;
-            # retransmission plus this dedup absorbs every such loss)
-            self._ack_peer(src, seq)
-            if duplicate:
-                return
-            self._seen.setdefault(src, set()).add(seq)
+        # the machine refuses a src with no edge into this node
+        # (TransitionError) before anything is measured
+        self.machine.apply_input(self.state, Action(
+            "ERECVMSG", (self.node, src, (message, frame["stamp"]))
+        ))
+        self._kick.set()
+        if not first:
+            return
         delay = max(0.0, real - frame.get("sr", real))
         self._wire_count += 1
         self._wire_sum += delay
@@ -446,13 +437,6 @@ class LiveRegisterNode:
             and len(self.delay_excursions) < _MAX_EXCURSIONS
         ):
             self.delay_excursions.append((real, src, total))
-        self._kick.set()
-
-    def _ack_peer(self, src: int, seq: int) -> None:
-        self._wire_send(src, {"t": "msgack", "src": self.node, "seq": seq})
-
-    def _on_msgack(self, frame) -> None:
-        self._outbox.get(frame["src"], {}).pop(frame["seq"], None)
 
     def _on_invocation(self, kind, frame, writer) -> None:
         cid = frame.get("cid")
@@ -498,7 +482,7 @@ class LiveRegisterNode:
 
     def _pump(self) -> None:
         """Feed the next queued invocation into the (idle) automaton."""
-        process = self.machine.process
+        process = self.process
         while self._active is None and self._waiting:
             entry = self._waiting.popleft()
             self._read_clock()
@@ -540,25 +524,6 @@ class LiveRegisterNode:
             except asyncio.TimeoutError:
                 pass
 
-    async def _run_retransmit(self) -> None:
-        """Resend unacked peer frames every ``retry_base`` seconds."""
-        interval = self.params.retry_base
-        while not self._stopped.is_set():
-            await asyncio.sleep(interval)
-            if self._down or self._stopped.is_set():
-                continue
-            real = self.clock.real_now()
-            for dst, entries in self._outbox.items():
-                for seq, entry in list(entries.items()):
-                    if real - entry["ts"] < interval:
-                        continue
-                    entry["ts"] = real
-                    frame = dict(entry["frame"])
-                    frame["sr"] = real
-                    if self._wire_send(dst, frame):
-                        self.retransmits += 1
-                        self._retransmits_counter.inc()
-
     def _drain(self) -> bool:
         """Fire the machine's enabled actions at its clock until none is left.
 
@@ -569,8 +534,7 @@ class LiveRegisterNode:
         the process's own actions first; firing its list in that order
         would return the pre-update value.
         """
-        machine, state = self.machine, self.state
-        process = machine.process
+        machine, state, process = self.machine, self.state, self.process
         progressed = False
         while True:
             actions = machine.enabled(state)
@@ -588,44 +552,64 @@ class LiveRegisterNode:
                     self._respond({"t": "ack"})
 
     def _transmit(self, dst: int, payload) -> None:
-        """Carry one ``ESENDMSG`` payload ``(m, stamp)`` to peer ``dst``."""
-        self._msgs_sent.inc()
+        """Carry one ``ESENDMSG`` payload ``(m, stamp)`` to peer ``dst``;
+        a repeated ARQ ``DATA`` frame that is written is a retransmission."""
+        message, stamp = payload
+        s0, fresh = None, True
+        if self._first_sent is not None:
+            s0, fresh = self._note_attempt(dst, message)
+        if fresh:
+            self._msgs_sent.inc()
         if dst == self.node:
             # self-loop edge: the message re-enters as this node's input
             self.machine.apply_input(
                 self.state, Action("ERECVMSG", (self.node, dst, payload))
             )
             return
-        message, stamp = payload
-        real = self.clock.real_now()
         frame = {
             "t": "msg", "src": self.node, "m": list(message),
-            "stamp": stamp, "sr": real,
+            "stamp": stamp, "sr": self.clock.real_now(),
         }
-        if self._arq:
-            seq = self._next_seq.get(dst, 0)
-            self._next_seq[dst] = seq + 1
-            frame["seq"] = seq
-            frame["s0"] = real
-            self._outbox.setdefault(dst, {})[seq] = {
-                "frame": dict(frame), "ts": real,
-            }
-        self._wire_send(dst, frame)
+        if s0 is not None:
+            frame["s0"] = s0
+        if self._wire_send(dst, frame) and s0 is not None and not fresh:
+            self.retransmits += 1
+            self._retransmits_counter.inc()
+
+    def _note_attempt(self, dst: int, message) -> Tuple[Optional[float], bool]:
+        """``(s0, fresh)`` for one outgoing ARQ frame: the real time of a
+        ``DATA`` frame's first attempt (``None`` for an ``ACK``), for the
+        channel monitor, and whether this is that first attempt."""
+        _, seq = arq_frame(message)
+        if seq is None:
+            return None, False
+        key = (dst, seq)
+        s0 = self._first_sent.get(key)
+        if s0 is not None:
+            return s0, False
+        # forget dst's attempts the adapter no longer retransmits (the
+        # send buffer is FIFO: none is queued behind this fresh frame)
+        outbox = self.state.proc_state.outbox
+        self._first_sent = {
+            k: v for k, v in self._first_sent.items()
+            if k[0] != dst or k in outbox
+        }
+        s0 = self._first_sent[key] = self.clock.real_now()
+        return s0, True
 
     def _wire_send(self, dst: int, frame: dict) -> bool:
         """Write one frame to a peer, through the fault shim.
 
         Returns False when the frame was dropped (severed edge) or the
-        link is down — in which case a background re-dial is scheduled
-        and, for ARQ frames, the retransmission loop will retry.
+        link is down; the ARQ adapter retransmits, and a down link is
+        re-dialed.
         """
-        real = self.clock.real_now()
         if self.wire_faults is not None and self.wire_faults.drops(
-            self.node, dst, real
+            self.node, dst, self.clock.real_now()
         ):
             return False
-        writer = self._peer_writers.get(dst)
-        if writer is None or writer.is_closing():
+        reader, writer = self._peer_links.get(dst, (None, None))
+        if writer is None or writer.is_closing() or reader.at_eof():
             if self._peer_addresses is None:
                 raise LiveServiceError(
                     f"node {self.node}: no peer link to {dst} "
@@ -657,16 +641,16 @@ class LiveRegisterNode:
         while not self._stopped.is_set() and not self._down:
             try:
                 host, port = self._peer_addresses[dst]
-                _, writer = await asyncio.open_connection(host, port)
+                reader, writer = await asyncio.open_connection(host, port)
             except OSError:
                 await asyncio.sleep(delay)
                 delay = min(delay * 2.0, 1.0)
                 continue
             writer.write(encode_frame({"t": "hello", "src": self.node}))
-            old = self._peer_writers.get(dst)
-            if old is not None and not old.is_closing():
-                old.close()
-            self._peer_writers[dst] = writer
+            old = self._peer_links.get(dst)
+            if old is not None and not old[1].is_closing():
+                old[1].close()
+            self._peer_links[dst] = (reader, writer)
             self._kick.set()
             return
 

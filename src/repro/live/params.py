@@ -38,7 +38,8 @@ class LiveParams:
     - ``retry_max`` — client attempts per operation (1 = no retry);
     - ``retry_base`` — base gap of the client's seeded
       :class:`~repro.faults.retransmit.BackoffPolicy`, and the peer
-      mesh's ARQ retransmission interval under a fault plan.
+      ``ReliableAdapter``'s interval under a fault plan (it retries
+      until acked).
     """
 
     n: int = 3

@@ -9,13 +9,12 @@ One frame per line, one JSON object per frame, discriminated by ``t``:
 ``msg``    ``src``, ``m`` (``[value, t]``), ``stamp``,     peer -> peer
            ``sr`` (sender's real time, for wire-delay
            measurement within one shared-epoch process);
-           under a fault plan also ``seq`` (per-edge ARQ
-           sequence number) and ``s0`` (real time of the
-           *first* transmission attempt, so the channel
-           monitor can judge end-to-end lateness)
-``msgack`` ``src``, ``seq`` (acknowledges the reverse      peer -> peer
-           edge's ``msg`` with that sequence number;
-           only sent when ARQ is enabled)
+           under a fault plan ``m`` is the simulator's
+           ARQ adapter frame, ``["DATA", seq, [value, t]]``
+           or ``["ACK", seq]``, and a ``DATA`` frame also
+           carries ``s0`` (real time of its *first*
+           transmission attempt, so the channel monitor
+           can judge end-to-end lateness)
 ``read``   — (optional ``cid``, ``op``)                    client -> node
 ``write``  ``value`` (optional ``cid``, ``op``)            client -> node
 ``return`` ``value``                                       node -> client
@@ -32,8 +31,8 @@ a *retry* of an operation it already executed and replay the cached
 response instead of executing twice (at-most-once semantics across
 client reconnects and node crash recovery). Clients that send neither —
 the default single-connection load generator — produce byte-identical
-traffic to the pre-chaos protocol, as do fault-free peer links (``seq``
-and ``s0`` appear only when a fault plan armed the ARQ layer).
+traffic to the pre-chaos protocol, as do fault-free peer links (ARQ
+frames and ``s0`` appear only when a fault plan armed the ARQ layer).
 
 The ``stamp`` on a ``msg`` frame is the Figure 2 send-buffer tag: the
 sender's *clock* time at emission. The receiving node enqueues the frame

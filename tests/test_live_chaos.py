@@ -16,6 +16,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 import unittest
 from pathlib import Path
 
@@ -234,6 +235,57 @@ class TestWireGarbage(unittest.TestCase):
 
         self._run(scenario())
 
+    def test_malformed_arq_frames_are_counted_not_acked(self):
+        async def scenario():
+            cluster = LiveCluster(LiveParams(n=2, seed=0))
+            LiveChaosController(
+                FaultPlan(events=(crash(0, 10.0),), name="arm-arq"), cluster
+            )
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                sent = []
+                original = node._wire_send
+
+                def spy(dst, frame):
+                    sent.append(frame)
+                    return original(dst, frame)
+
+                node._wire_send = spy
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                update = [["x", 1, 0], 0.0]
+                for m in (
+                    ["DATA", "0", update],   # non-int seq
+                    ["NACK", 0],             # unknown frame kind
+                    update,                  # bare update, no DATA wrapper
+                    ["DATA", 0, [1, 2, 3]],  # DATA wrapping a bad update
+                ):
+                    writer.write(encode_frame({
+                        "t": "msg", "src": 1, "m": m,
+                        "stamp": 0.0, "sr": 0.0,
+                    }))
+                writer.write(encode_frame({"t": "read"}))
+                frame = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                writer.close()
+                self.assertEqual(frame["t"], "return")
+                stats = node.stats()
+                self.assertEqual(stats["wire_errors"], 4)
+                self.assertEqual(stats["wire_count"], 0)
+                self.assertFalse(node._timer_task.done())
+                self.assertEqual(sent, [])  # in particular, no ACK
+                self.assertEqual(node.state.recv_ready, set())
+                adapter_state = node.state.proc_state
+                self.assertEqual(adapter_state.pending_acks, [])
+                self.assertEqual(adapter_state.delivered, {})
+            finally:
+                await cluster.stop()
+
+        self._run(scenario())
+
     def test_oversized_line_drops_connection_not_node(self):
         async def scenario():
             cluster = LiveCluster(LiveParams(n=1, seed=0))
@@ -372,12 +424,13 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                 self.assertEqual(ack["t"], "ack")
                 # a receive the buffer must hold across the crash: its
                 # stamp is well above the clock, and it carries an update
-                # that takes effect once delivered
+                # (in the ARQ adapter's DATA frame) that takes effect
+                # once delivered
                 _, clk = node.clock.read()
                 held = clk + 0.6
                 writer.write(encode_frame({
-                    "t": "msg", "src": 1, "m": [["h", 1, 0], held],
-                    "stamp": held,
+                    "t": "msg", "src": 1,
+                    "m": ["DATA", 0, [["h", 1, 0], held]], "stamp": held,
                 }))
                 writer.write(encode_frame({"t": "stats"}))
                 await asyncio.wait_for(reader.readline(), 5.0)
@@ -385,7 +438,7 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                 self.assertEqual(node.state.recv_ready, {1})
 
                 state_before = node.state
-                value_before = state_before.proc_state.value
+                value_before = state_before.proc_state.inner.value
                 await node.crash()
                 self.assertTrue(node.down)
                 # volatile memory wiped while down
@@ -394,7 +447,9 @@ class TestSnapshotRoundTrip(unittest.TestCase):
                 self.assertFalse(node.down)
 
                 # restored copy of the written value survived the crash
-                self.assertEqual(node.state.proc_state.value, value_before)
+                self.assertEqual(
+                    node.state.proc_state.inner.value, value_before
+                )
                 # __post_restore__ rebuilt the send buffers' min-deque:
                 # clock_deadline never raises and agrees with a fresh poll
                 for buf in node.state.send_buffers.values():
@@ -442,6 +497,240 @@ class TestSnapshotRoundTrip(unittest.TestCase):
         asyncio.run(scenario())
 
 
+class TestLiveOutboxRecovery(unittest.TestCase):
+    """Live twin of ``test_recovery``'s crash-surviving ARQ outbox."""
+
+    def test_outbox_survives_the_crash_and_retransmits_late(self):
+        params = LiveParams(n=2, d2=0.1, eps=0.005, seed=6,
+                            op_timeout=2.0, retry_base=0.05)
+        heal_at = 0.5
+        plan = FaultPlan(
+            events=(partition([[0], [1]], 0.0), heal(heal_at)), name="cut"
+        )
+
+        async def scenario():
+            cluster = LiveCluster(params)
+            LiveChaosController(plan, cluster)
+            await cluster.start()
+            try:
+                sender, peer = cluster.nodes
+                applied = []
+                original = peer.process.apply_input
+
+                def counting(state, action, ctx):
+                    if action.name == "RECVMSG" and action.params[1] == 0:
+                        applied.append(action.params[2])
+                    return original(state, action, ctx)
+
+                peer.process.apply_input = counting
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                writer.write(encode_frame(
+                    {"t": "write", "value": ["v", 0, 1]}
+                ))
+                ack = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                self.assertEqual(ack["t"], "ack")
+                # the update to the partitioned peer is still unacked
+                self.assertIn((1, 0), sender.state.proc_state.outbox)
+                await sender.crash()
+                await asyncio.sleep(
+                    heal_at + 0.05 - (time.monotonic() - cluster.epoch)
+                )
+                self.assertEqual(applied, [])
+                await sender.recover()
+                # the restored adapter outbox retransmits the update
+                self.assertIn((1, 0), sender.state.proc_state.outbox)
+                for _ in range(100):
+                    if applied:
+                        break
+                    await asyncio.sleep(0.02)
+                # room for any further copy to land
+                await asyncio.sleep(3 * params.retry_base)
+                self.assertEqual([m[0] for m in applied], [("v", 0, 1)])
+                self.assertEqual(
+                    peer.state.proc_state.inner.value, ("v", 0, 1)
+                )
+                self.assertNotIn((1, 0), sender.state.proc_state.outbox)
+                self.assertGreater(sender.retransmits, 0)
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+
+    def test_retransmits_until_acked(self):
+        # 40 intervals of drops: more than the adapter's default 25 sends
+        params = LiveParams(n=2, d2=0.5, eps=0.005, seed=6,
+                            op_timeout=2.0, retry_base=0.01)
+        plan = FaultPlan(
+            events=(drop_burst((0, 1), 0.0, 0.4),), name="long-burst"
+        )
+
+        async def scenario():
+            cluster = LiveCluster(params)
+            LiveChaosController(plan, cluster)
+            await cluster.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                writer.write(encode_frame(
+                    {"t": "write", "value": ["v", 0, 1]}
+                ))
+                await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+                peer = cluster.nodes[1]
+                for _ in range(100):
+                    if peer.state.proc_state.inner.value == ("v", 0, 1):
+                        break
+                    await asyncio.sleep(0.02)
+                self.assertEqual(
+                    peer.state.proc_state.inner.value, ("v", 0, 1)
+                )
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+
+class TestPeerLinkAfterPeerRestart(unittest.TestCase):
+    """A half-closed link to a restarted peer is re-dialed at once."""
+
+    def test_second_update_after_restart_arrives(self):
+        async def scenario():
+            cluster = LiveCluster(LiveParams(n=2, seed=0))
+            await cluster.start()
+            try:
+                peer = cluster.nodes[1]
+                await peer.crash()  # node 0's link to it is half-closed
+                await peer.recover()
+                await asyncio.sleep(0.05)
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                # no ARQ: the first update finds the dead link and is
+                # lost, but re-dials it, so the second one arrives
+                for seq in (1, 2):
+                    writer.write(encode_frame(
+                        {"t": "write", "value": ["v", 0, seq]}
+                    ))
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+                for _ in range(50):
+                    if peer.state.proc_state.value == ("v", 0, 2):
+                        break
+                    await asyncio.sleep(0.02)
+                self.assertEqual(peer.state.proc_state.value, ("v", 0, 2))
+            finally:
+                await cluster.stop()
+
+        asyncio.run(scenario())
+
+
+class TestLiveChannelMonitor(unittest.TestCase):
+    """A retransmitted update delivered past ``d2`` is one violation."""
+
+    def test_drop_burst_lateness_from_first_attempt(self):
+        params = LiveParams(n=2, d2=0.1, eps=0.005, seed=4,
+                            op_timeout=2.0, retry_base=0.05)
+        burst_end = 0.4
+        plan = FaultPlan(
+            events=(drop_burst((0, 1), 0.0, burst_end),), name="burst"
+        )
+
+        async def scenario():
+            cluster = LiveCluster(params)
+            controller = LiveChaosController(plan, cluster)
+            await cluster.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                # node 0's update to node 1 is dropped until the burst
+                # ends, then a retransmission lands
+                writer.write(encode_frame(
+                    {"t": "write", "value": ["v", 0, 1]}
+                ))
+                ack = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                self.assertEqual(ack["t"], "ack")
+                writer.close()
+                peer = cluster.nodes[1]
+                for _ in range(100):
+                    if peer.delay_excursions:
+                        break
+                    await asyncio.sleep(0.02)
+                # room for a duplicate copy to land, were one ever sent
+                await asyncio.sleep(3 * params.retry_base)
+            finally:
+                await cluster.stop()
+            return controller, peer
+
+        controller, peer = asyncio.run(scenario())
+        violations = controller.collect_violations(True, horizon=1.0)
+        channel = [v for v in violations if v.monitor == "live_channel"]
+        self.assertEqual(len(channel), 1)
+        violation = channel[0]
+        self.assertEqual(violation.edge, (0, 1))
+        self.assertEqual(violation.event.kind, "drop_burst")
+        (real, src, total), = peer.delay_excursions
+        self.assertEqual(src, 0)
+        self.assertGreater(total, params.d2)
+        # delivered after the burst, yet measured from an attempt that
+        # departed inside it, over a retransmission interval earlier
+        self.assertGreaterEqual(real, burst_end)
+        self.assertLess(real - total, burst_end - params.retry_base)
+
+    def test_late_duplicates_of_an_on_time_delivery_are_not_violations(self):
+        params = LiveParams(n=2, d2=0.1, eps=0.005, seed=4,
+                            op_timeout=2.0, retry_base=0.05)
+        burst_end = 0.4
+        # the update reaches node 1 on time; its ACKs back are dropped,
+        # so node 0 retransmits and copies keep arriving past d2
+        plan = FaultPlan(
+            events=(drop_burst((1, 0), 0.0, burst_end),), name="ack-loss"
+        )
+
+        async def scenario():
+            cluster = LiveCluster(params)
+            controller = LiveChaosController(plan, cluster)
+            await cluster.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                writer.write(encode_frame(
+                    {"t": "write", "value": ["v", 0, 1]}
+                ))
+                ack = decode_frame(
+                    await asyncio.wait_for(reader.readline(), 5.0)
+                )
+                self.assertEqual(ack["t"], "ack")
+                writer.close()
+                sender, peer = cluster.nodes
+                for _ in range(100):
+                    if (1, 0) not in sender.state.proc_state.outbox:
+                        break
+                    await asyncio.sleep(0.02)
+            finally:
+                await cluster.stop()
+            return controller, sender, peer
+
+        controller, sender, peer = asyncio.run(scenario())
+        self.assertNotIn((1, 0), sender.state.proc_state.outbox)
+        self.assertGreater(sender.retransmits, 0)
+        self.assertEqual(peer.delay_excursions, [])
+        self.assertEqual(peer._wire_count, 1)  # the first copy only
+        violations = controller.collect_violations(True, horizon=1.0)
+        self.assertEqual(
+            [v for v in violations if v.monitor == "live_channel"], []
+        )
+
+
 class TestForeignPeerSource(unittest.TestCase):
     """A peer ``msg`` from a ``src`` with no edge is a wire error, only."""
 
@@ -457,13 +746,21 @@ class TestForeignPeerSource(unittest.TestCase):
             await cluster.start()
             try:
                 node = cluster.nodes[0]
+                sent = []
+                original = node._wire_send
+
+                def spy(dst, frame):
+                    sent.append(frame)
+                    return original(dst, frame)
+
+                node._wire_send = spy
                 reader, writer = await asyncio.open_connection(
                     *cluster.addresses[0]
                 )
-                frame = {"t": "msg", "src": 99, "m": [["x", 99, 0], 0.0],
+                update = [["x", 99, 0], 0.0]
+                frame = {"t": "msg", "src": 99,
+                         "m": ["DATA", 0, update] if arq else update,
                          "stamp": 0.0, "sr": 0.0}
-                if arq:
-                    frame["seq"] = 0
                 writer.write(encode_frame(frame))
                 writer.write(encode_frame({"t": "stats"}))
                 stats = decode_frame(
@@ -474,8 +771,12 @@ class TestForeignPeerSource(unittest.TestCase):
                 self.assertEqual(stats["wire_errors"], 1)
                 self.assertEqual(stats["wire_count"], 0)
                 self.assertNotIn(99, node._reconnect)
-                self.assertNotIn(99, node._seen)
                 self.assertEqual(node.state.recv_ready, set())
+                self.assertEqual(sent, [])  # in particular, no ACK
+                if arq:
+                    adapter_state = node.state.proc_state
+                    self.assertEqual(adapter_state.pending_acks, [])
+                    self.assertEqual(adapter_state.delivered, {})
             finally:
                 await cluster.stop()
             snapshot = metrics.snapshot()
