@@ -96,9 +96,9 @@ def validate_checkpoint_lines(lines: Sequence[str]) -> List[str]:
 
 def validate_aggregate_file(path: str) -> List[str]:
     """Validate an aggregate JSONL file; returns the problem list."""
-    return validate_file(path, AGGREGATE)[2]
+    return validate_file(path, AGGREGATE)[1]
 
 
 def validate_checkpoint_file(path: str) -> List[str]:
     """Validate a checkpoint JSONL file; returns the problem list."""
-    return validate_file(path, CHECKPOINT)[2]
+    return validate_file(path, CHECKPOINT)[1]

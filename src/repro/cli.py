@@ -41,7 +41,7 @@ Commands:
     non-zero on new findings.
 ``validate``
     Check exported artifacts (metrics, traces, campaign files, fault
-    plans, live-chaos reports, ``BENCH_engine.json``) against the format
+    plans, live-chaos reports, experiment results) against the format
     each file's own header declares.
 
 Every command is seeded and deterministic; exit status is non-zero when

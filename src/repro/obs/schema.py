@@ -155,9 +155,9 @@ def validate_trace_lines(lines: Sequence[str]) -> List[str]:
 
 def validate_metrics_file(path: str) -> List[str]:
     """Validate a ``--metrics-out`` file; returns the problem list."""
-    return validate_file(path, METRICS)[2]
+    return validate_file(path, METRICS)[1]
 
 
 def validate_trace_file(path: str) -> List[str]:
     """Validate a ``--trace-out`` file; returns the problem list."""
-    return validate_file(path, TRACE)[2]
+    return validate_file(path, TRACE)[1]

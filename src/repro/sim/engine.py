@@ -35,8 +35,7 @@ run-level publishing in :meth:`Simulator.run` are shared by both.
 The two produce identical traces for entities honoring the scheduling
 contract declared on :class:`~repro.components.base.Entity`
 (``pure_enabled`` / ``static_deadline`` / ``wakes_at_deadline``);
-``benchmarks/bench_engine_core.py`` and the conformance tests check
-this across the seeded corpus.
+the conformance tests check this across the seeded corpus.
 """
 
 from __future__ import annotations

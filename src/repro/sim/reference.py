@@ -5,11 +5,11 @@ every round asks every entity for its enabled set, every output is
 offered to every other entity (the composition rule of Definition 2.2),
 every time advance asks every entity for its deadline and sends every
 entity ``advance``. ``Simulator(..., incremental=False)`` runs a system
-under this loop; the conformance tests, ``repro chaos --conformance``
-and ``benchmarks/bench_engine_core.py`` compare its trace with the
-event-driven loop's (:mod:`repro.sim.engine`), which must be
-byte-identical for entities honoring the scheduling contract declared
-on :class:`~repro.components.base.Entity`.
+under this loop; the conformance tests and ``repro chaos --conformance``
+compare its trace with the event-driven loop's
+(:mod:`repro.sim.engine`), which must be byte-identical for entities
+honoring the scheduling contract declared on
+:class:`~repro.components.base.Entity`.
 """
 
 from __future__ import annotations

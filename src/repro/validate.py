@@ -27,7 +27,7 @@ anything else
     that literal value.
 
 The walker never raises and never descends below a node of the wrong
-type. The eight formats are in :func:`formats`; the metrics/trace and
+type. The seven formats are in :func:`formats`; the metrics/trace and
 aggregate/checkpoint entries live beside their producers in
 :mod:`repro.obs.schema` and :mod:`repro.campaign.schema`, the rest
 here. Exit status: 0 every file conforms, 1 any problem (one per line,
@@ -306,93 +306,6 @@ LIVE_CHAOS = Format(
 )
 
 
-# -- repro-bench-engine -------------------------------------------------------
-# ``BENCH_engine.json``. Ratios, not absolute steps/sec, are gated: CI
-# hardware differs from the machine that produced the committed file,
-# and incremental-over-full on one machine is the portable measure.
-
-SPEEDUP_FLOOR = 3.0
-SPEEDUP_FLOOR_AT_N = 32
-BASELINE_TOLERANCE = 0.20
-
-_MODE_SHAPE = {"steps_per_sec": float, "wall_s": float, "allocs_per_step": float}
-
-
-def _cell(record: dict) -> str:
-    return f"bench: {record['pipeline']} n={record['n']}"
-
-
-def _cells_in_range(bench: dict) -> List[str]:
-    problems = [] if bench["results"] else ["bench: results is empty"]
-    for index, record in enumerate(bench["results"]):
-        where = f"bench.results[{index}]"
-        problems += [
-            f"{where}.{key}: must be positive"
-            for key in ("n", "steps", "speedup") if not record[key] > 0
-        ]
-        problems += [
-            f"{where}.{mode}.{key}: must not be negative"
-            for mode in ("incremental", "full")
-            for key in _MODE_SHAPE if not record[mode][key] >= 0
-        ]
-    return problems
-
-
-def _traces_identical(bench: dict) -> List[str]:
-    # The incremental engine is only a valid optimisation while it is
-    # byte-for-byte the reference semantics.
-    return [
-        f"{_cell(record)}: traces diverge between incremental and full modes"
-        for record in bench["results"] if not record["traces_identical"]
-    ]
-
-
-def _speedup_floor(bench: dict) -> List[str]:
-    return [
-        f"{_cell(record)}: speedup {record['speedup']:.2f}x below the "
-        f"required {SPEEDUP_FLOOR:g}x"
-        for record in bench["results"]
-        if record["n"] == SPEEDUP_FLOOR_AT_N
-        and record["speedup"] < SPEEDUP_FLOOR
-    ]
-
-
-BENCH = Format(
-    "repro-bench-engine", "bench",
-    {
-        "version": int,
-        "results": [{
-            "pipeline": str, "n": int, "steps": int, "speedup": float,
-            "traces_identical": bool,
-            "incremental": _MODE_SHAPE, "full": _MODE_SHAPE,
-        }],
-    },
-    (_cells_in_range, _traces_identical, _speedup_floor),
-)
-
-
-def bench_regressions(bench: dict, baseline: dict, baseline_path: str) -> List[str]:
-    """Cells of ``bench`` whose speedup fell below 0.8x the baseline's.
-
-    Both documents must already be valid :data:`BENCH` files; sharing
-    no ``(pipeline, n)`` cell at all is itself a problem.
-    """
-    base = {(r["pipeline"], r["n"]): r["speedup"] for r in baseline["results"]}
-    shared = [r for r in bench["results"] if (r["pipeline"], r["n"]) in base]
-    if not shared:
-        return [f"bench: no (pipeline, n) cells in common with {baseline_path}"]
-    problems = []
-    for record in shared:
-        was = base[record["pipeline"], record["n"]]
-        if record["speedup"] < was * (1.0 - BASELINE_TOLERANCE):
-            problems.append(
-                f"{_cell(record)}: speedup {record['speedup']:.2f}x regressed "
-                f"more than {BASELINE_TOLERANCE:.0%} from the baseline's "
-                f"{was:.2f}x ({baseline_path})"
-            )
-    return problems
-
-
 # -- repro-bench-result -------------------------------------------------------
 # ``benchmarks/results/<ID>.json``
 # (:func:`repro.experiments.run_experiment`). That ``exp_id`` matches the
@@ -446,8 +359,7 @@ def formats() -> Dict[str, Format]:
     return {
         fmt.name: fmt
         for fmt in (
-            METRICS, TRACE, AGGREGATE, CHECKPOINT, PLAN, LIVE_CHAOS, BENCH,
-            RESULT,
+            METRICS, TRACE, AGGREGATE, CHECKPOINT, PLAN, LIVE_CHAOS, RESULT,
         )
     }
 
@@ -462,22 +374,21 @@ def _parse_document(path: str, text: str) -> object:
 
 def validate_file(
     path: str, fmt: Optional[Format] = None
-) -> Tuple[Optional[Format], object, List[str]]:
+) -> Tuple[Optional[Format], List[str]]:
     """Check one file against the format its own header declares.
 
-    Returns ``(format, payload, problems)``: ``payload`` is the parsed
-    document (the line list for a JSONL format), and ``format`` is
-    ``None`` when the file is unreadable or names no known format —
-    which is a problem, never an exception. Passing ``fmt`` skips the
-    dispatch and reads the file as that format.
+    Returns ``(format, problems)``; ``format`` is ``None`` when the file
+    is unreadable or names no known format — which is a problem, never
+    an exception. Passing ``fmt`` skips the dispatch and reads the file
+    as that format.
     """
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
-        return fmt, None, [f"cannot read: {exc}"]
+        return fmt, [f"cannot read: {exc}"]
     if not text.strip():
-        return fmt, None, ["empty file"]
+        return fmt, ["empty file"]
     lines = text.splitlines()
     document = unparsed = None
     try:
@@ -490,20 +401,20 @@ def validate_file(
             try:
                 header = json.loads(lines[0])  # JSONL: the header is line 1
             except json.JSONDecodeError:
-                return None, None, [unparsed]
+                return None, [unparsed]
         known = formats()
         name = header.get("format") if isinstance(header, dict) else None
         fmt = known.get(name) if isinstance(name, str) else None
         if fmt is None:
             what = "no 'format'" if name is None else f"unknown format {name!r}"
-            return None, None, [
+            return None, [
                 f"{what} in the header; known: {', '.join(sorted(known))}"
             ]
     if fmt.records is not None:
-        return fmt, lines, check_lines(fmt, lines)
+        return fmt, check_lines(fmt, lines)
     if unparsed:
-        return fmt, None, [unparsed]
-    return fmt, document, check_document(fmt, document)
+        return fmt, [unparsed]
+    return fmt, check_document(fmt, document)
 
 
 def add_validate_arguments(parser) -> None:
@@ -513,40 +424,17 @@ def add_validate_arguments(parser) -> None:
         help="exported files to check; each is dispatched on the "
              "'format' its own header declares",
     )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=f"a committed {BENCH.name} file: every (pipeline, n) cell "
-             f"shared with it must keep at least "
-             f"{1.0 - BASELINE_TOLERANCE:g}x its speedup",
-    )
-
-
-def _bench_only(fmt: Format) -> List[str]:
-    if fmt is BENCH:
-        return []
-    return [f"--baseline compares {BENCH.name} files; this is {fmt.name}"]
 
 
 def run(args) -> int:
     """Execute one ``validate`` invocation; returns the exit status."""
-    checked = []
-    baseline = None
-    if args.baseline is not None:
-        fmt, payload, problems = validate_file(args.baseline)
-        problems = problems or _bench_only(fmt)
-        if not problems:
-            baseline = payload
-        checked.append((args.baseline, fmt, problems))
+    status = 0
     for path in args.artifacts:
-        fmt, payload, problems = validate_file(path)
-        if args.baseline is not None and not problems:
-            problems = _bench_only(fmt)
-            if baseline is not None and not problems:
-                problems = bench_regressions(payload, baseline, args.baseline)
-        checked.append((path, fmt, problems))
-    for path, fmt, problems in checked:
+        fmt, problems = validate_file(path)
         for problem in problems:
             print(f"{path}: {problem}")
-        if not problems:
+        if problems:
+            status = 1
+        else:
             print(f"{path}: ok ({fmt.name})")
-    return 1 if any(problems for _, _, problems in checked) else 0
+    return status

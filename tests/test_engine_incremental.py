@@ -27,7 +27,12 @@ from repro.automata.signature import Signature
 from repro.chaos import conformance_corpus
 from repro.clocks.sources import DriftingClockSource
 from repro.components.base import Entity
-from repro.components.pinger import pinger_process_factory, pinger_topology
+from repro.components.pinger import (
+    EchoProcess,
+    PingerProcess,
+    pinger_process_factory,
+    pinger_topology,
+)
 from repro.core.pipeline import (
     build_clock_system,
     build_mmt_system,
@@ -35,6 +40,7 @@ from repro.core.pipeline import (
 )
 from repro.faults.crash import CrashableEntity, CrashSchedule
 from repro.faults.models import BernoulliFaults
+from repro.network.topology import Topology
 from repro.registers.system import (
     baseline_register_system,
     clock_register_system,
@@ -73,6 +79,34 @@ def _pinger_mmt():
     return build_mmt_system(
         pinger_topology(), pinger_process_factory(6, 1.0), 0.05, 0.2, 0.6,
         0.1, lambda i: DriftingClockSource(0.05, 1.004, 10.0),
+    )
+
+
+def _pairs(pipeline, n=32):
+    """n/2 independent pinger/echo pairs, 6 pings each every 0.5.
+
+    At every ping instant n/2 pingers are enabled together, so the
+    scheduler picks among many simultaneous candidates and the routing
+    table serves n keys.
+    """
+    topology = Topology(n, [
+        edge for k in range(0, n, 2) for edge in ((k, k + 1), (k + 1, k))
+    ])
+
+    def make(i):
+        if i % 2 == 0:
+            return PingerProcess(i, i + 1, 6, 0.5)
+        return EchoProcess(i, i - 1)
+
+    if pipeline == "timed":
+        return build_timed_system(topology, make, 0.2, 0.6)
+    if pipeline == "clock":
+        return build_clock_system(
+            topology, make, 0.05, 0.2, 0.6, driver_factory("mixed", 0.05, seed=5)
+        )
+    return build_mmt_system(
+        topology, make, 0.05, 0.2, 0.6, 0.25,
+        lambda i: DriftingClockSource(0.05, 1.004, 10.0),
     )
 
 
@@ -124,6 +158,10 @@ CORPUS = [
     ("pinger-timed", _pinger_timed),
     ("pinger-clock", _pinger_clock),
     ("pinger-mmt", _pinger_mmt),
+    ("pairs-timed", lambda: _pairs("timed")),
+    ("pairs-clock", lambda: _pairs("clock")),
+    # every MMT node ticks until the horizon, so fewer pairs
+    ("pairs-mmt", lambda: _pairs("mmt", n=16)),
     ("register-timed", _timed_register),
     ("register-clock", _clock_register),
     ("register-baseline", _baseline_register),

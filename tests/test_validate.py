@@ -18,7 +18,6 @@ from repro.cli import main
 from repro.obs.schema import validate_metrics
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_ENGINE = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
 
 def validate(capsys, *argv):
@@ -75,25 +74,6 @@ def chaos_report(mutate=None):
     if mutate is not None:
         mutate(report)
     return report
-
-
-def mode(**fields):
-    return dict(
-        {"steps_per_sec": 1e4, "wall_s": 0.1, "allocs_per_step": 2.0}, **fields
-    )
-
-
-def cell(pipeline, n, speedup, **fields):
-    record = {"pipeline": pipeline, "n": n, "steps": 1000,
-              "speedup": speedup, "traces_identical": True,
-              "incremental": mode(), "full": mode()}
-    record.update(fields)
-    return record
-
-
-def bench(*cells):
-    return {"format": "repro-bench-engine", "version": 1,
-            "results": list(cells)}
 
 
 def result(**fields):
@@ -156,6 +136,8 @@ MALFORMED = UNGUARDED + [
     ("no-format", "no 'format'", {"version": 1}),
     ("unknown-format", "unknown format 'repro-nonsense'",
      {"format": "repro-nonsense", "version": 1}),
+    ("retired-bench-engine-format", "unknown format 'repro-bench-engine'",
+     {"format": "repro-bench-engine", "version": 1, "results": []}),
     ("top-level-is-a-list", "no 'format'", [1, 2]),
     # repro-metrics
     ("v1-snapshot-with-sketches", "mixed-version", metrics(version=1)),
@@ -225,15 +207,6 @@ MALFORMED = UNGUARDED + [
          lambda r: r["widened_bounds"].update(d2_prime=0.52 + 1e-6))),
     ("report-eps-adjusted-below-measured", "eps_adjusted below",
      chaos_report(lambda r: r.update(eps_measured=0.02))),
-    # repro-bench-engine
-    ("bench-traces-diverge", "clock n=32: traces diverge",
-     bench(cell("timed", 32, 5.0),
-           cell("clock", 32, 5.0, traces_identical=False))),
-    ("bench-n32-speedup-2.9", "timed n=32: speedup 2.90x below",
-     bench(cell("timed", 32, 2.9), cell("timed", 128, 9.0))),
-    ("bench-no-results", "results is empty", bench()),
-    ("bench-negative-wall", "full.wall_s: must not be negative",
-     bench(cell("timed", 32, 5.0, full=mode(wall_s=-1.0)))),
     # repro-bench-result
     ("result-row-one-cell-short", "rows[1]: 1 cells, the table has 2 columns",
      result(table={"title": "X", "columns": ["a", "b"],
@@ -295,12 +268,6 @@ class TestProducersValidate:
         ))
         assert validate(capsys, path)[0] == 0
 
-    def test_committed_bench_alone_and_as_its_own_baseline(self, capsys):
-        assert validate(capsys, BENCH_ENGINE)[0] == 0
-        assert validate(
-            capsys, BENCH_ENGINE, "--baseline", BENCH_ENGINE
-        )[0] == 0
-
     def test_torn_final_checkpoint_line_is_legal(self, tmp_path, capsys):
         path = write(tmp_path, "checkpoint.jsonl",
                      jsonl(CHECKPOINT, POINT).rstrip("\n") + '\n{"k": "poi')
@@ -311,7 +278,6 @@ class TestProducersValidate:
             write(tmp_path, "metrics.json", metrics(
                 histograms={"h": histogram()}, sketches={"s": sketch()})),
             write(tmp_path, "report.json", chaos_report()),
-            write(tmp_path, "bench.json", bench(cell("timed", 32, 5.0))),
             write(tmp_path, "aggregate.jsonl", jsonl(AGGREGATE, SUMMARY)),
             write(tmp_path, "plan.json", plan({"kind": "heal", "t": 1.0})),
             write(tmp_path, "result.json", result()),
@@ -346,24 +312,8 @@ class TestMalformedCorpus:
         for name in ("repro-metrics", "repro-obs-trace",
                      "repro-campaign-aggregate", "repro-campaign-checkpoint",
                      "repro-fault-plan", "repro-live-chaos-report",
-                     "repro-bench-engine", "repro-bench-result"):
+                     "repro-bench-result"):
             assert name in lines[0]
-
-    def test_baseline_gate(self, tmp_path, capsys):
-        base = write(tmp_path, "base.json",
-                     bench(cell("timed", 32, 10.0), cell("clock", 32, 5.0)))
-        held = write(tmp_path, "held.json", bench(cell("timed", 32, 8.0)))
-        fell = write(tmp_path, "fell.json", bench(cell("timed", 32, 7.9)))
-        apart = write(tmp_path, "apart.json", bench(cell("mmt", 64, 9.0)))
-        assert validate(capsys, held, "--baseline", base)[0] == 0
-        status, lines = validate(capsys, fell, "--baseline", base)
-        assert status == 1 and "regressed" in lines[-1]
-        status, lines = validate(capsys, apart, "--baseline", base)
-        assert status == 1 and "in common" in lines[-1]
-        # A baseline is a bench file, and so is what is compared with it.
-        other = write(tmp_path, "metrics.json", metrics())
-        assert validate(capsys, held, "--baseline", other)[0] == 1
-        assert validate(capsys, other, "--baseline", base)[0] == 1
 
     def test_no_arguments_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as raised:
