@@ -416,7 +416,7 @@ def _sweep(args) -> int:
 def _chaos_live(args) -> int:
     """``chaos --live``: lower the plan onto a loopback LiveCluster."""
     from repro.chaos import FaultPlan
-    from repro.live import chaos_params, demo_live_plan, run_live_chaos
+    from repro.live import chaos_params, demo_live_plan, run_load
     from repro.live.load import live_workload
     from repro.obs.metrics import NULL_METRICS
 
@@ -443,7 +443,7 @@ def _chaos_live(args) -> int:
         plan = demo_live_plan(args.n)
     metrics = MetricsRegistry() if args.metrics_out else NULL_METRICS
     workload = live_workload(operations=args.ops, seed=args.seed)
-    report = run_live_chaos(params, workload, plan, metrics=metrics)
+    report = run_load(params, workload, metrics=metrics, plan=plan)
     print(f"plan {plan.name!r}: {len(plan)} event(s), lowered onto a "
           f"live n={params.n} cluster")
     for event in plan.events:
@@ -460,9 +460,7 @@ def _chaos_live(args) -> int:
         report.write_payload(args.report_out)
         print(f"report  -> {args.report_out}")
     violated = bool(report.violations)
-    status = 0
-    if not report.linearization.ok or report.unattributed:
-        status = 1
+    status = 0 if report.ok else 1
     if args.expect == "violation":
         return 0 if violated else 1
     if args.expect == "clean":
@@ -696,7 +694,7 @@ def _serve(args) -> int:
 
 
 def _load(args) -> int:
-    from repro.live import run_live_chaos, run_load, sim_replay
+    from repro.live import run_load, sim_replay
     from repro.live.load import live_workload
     from repro.live.params import read_manifest
     from repro.obs.metrics import NULL_METRICS
@@ -711,32 +709,18 @@ def _load(args) -> int:
         seed=args.seed, think_min=args.think_min, think_max=args.think_max,
     )
     metrics = MetricsRegistry() if args.metrics_out else NULL_METRICS
+    plan = None
     if args.plan:
-        # fault-injected load: the chaos controller needs in-process
-        # nodes to crash and shim, so it always self-hosts
-        if args.connect:
-            print("--plan drives a self-hosted cluster; it cannot be "
-                  "combined with --connect", file=sys.stderr)
-            return 2
         from repro.chaos import FaultPlan
 
         plan = FaultPlan.load(args.plan)
-        report = run_live_chaos(
-            params, workload, plan, metrics=metrics, slack=args.slack,
-            max_nodes=args.max_nodes, clients_per_node=args.clients_per_node,
-        )
-    else:
-        report = run_load(
-            params, workload, addresses=addresses, metrics=metrics,
-            slack=args.slack, max_nodes=args.max_nodes,
-            clients_per_node=args.clients_per_node,
-        )
+    report = run_load(
+        params, workload, addresses=addresses, metrics=metrics,
+        slack=args.slack, max_nodes=args.max_nodes,
+        clients_per_node=args.clients_per_node, plan=plan,
+    )
     print(report.render(assert_bounds=args.assert_bounds))
-    status = 0
-    if not report.linearization.ok:
-        status = 1
-    if args.plan and report.unattributed:
-        status = 1
+    status = 0 if report.ok else 1
     if args.assert_bounds and not report.bounds_ok:
         status = 1
     if args.cross_check:
@@ -959,8 +943,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--live", action="store_true",
                    help="lower the plan onto a live loopback cluster "
                         "(crash/recover via snapshots, partitions and "
-                        "drop bursts via the wire shim, clock faults via "
-                        "FaultyClockDriver) instead of the simulator")
+                        "drop bursts by dropping peer frames, clock "
+                        "faults via FaultyClockDriver) instead of the "
+                        "simulator")
     p.add_argument("--n", type=int, default=3,
                    help="[--live] cluster size")
     p.add_argument("--ops", type=int, default=6,

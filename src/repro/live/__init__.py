@@ -19,16 +19,18 @@ sockets on real (wall-clock) time:
   identical operation streams;
 - :mod:`repro.live.service` — cluster lifecycle (start, peer wiring,
   manifest for out-of-process load generators, stats RPC);
-- :mod:`repro.live.load` — the load generator: run the schedules, record
-  the timed history, and cross-validate against a simulated replay;
+- :mod:`repro.live.load` — the load generator: run the schedules (under
+  an optional fault plan), record the timed history, and cross-validate
+  against a simulated replay;
 - :mod:`repro.live.report` — linearizability verdict, latency quantiles,
-  and the Theorem 6.5 bound check with *measured* ``eps`` substituted;
+  and the Theorem 6.5 bound check with *measured* ``eps`` substituted
+  (degraded mode and plan-attributed violations under a fault plan);
 - :mod:`repro.live.chaos` — the fault-injection bridge: lowers a
   declarative :class:`~repro.chaos.plan.FaultPlan` onto a running
   cluster (crash/recover via state snapshots, partitions and drop
-  bursts via a wire shim, clock faults via
-  :class:`~repro.sim.clock_drivers.FaultyClockDriver`), with
-  plan-attributed safety monitors and a degraded-mode report.
+  bursts via drop windows on each node's peer writes, clock faults via
+  :class:`~repro.sim.clock_drivers.FaultyClockDriver`), and attributes
+  the nodes' monitor observations to plan events.
 
 Driven from the CLI as ``python -m repro serve`` / ``python -m repro
 load`` / ``python -m repro chaos --live`` (see
@@ -37,10 +39,9 @@ load`` / ``python -m repro chaos --live`` (see
 
 from repro.live.chaos import (
     LiveChaosController,
-    WireFaultInjector,
     chaos_params,
+    collect_violations,
     demo_live_plan,
-    run_live_chaos,
     validate_for_live,
 )
 from repro.live.client import ClientRecord, LiveLoadClient
@@ -48,7 +49,7 @@ from repro.live.clock import LiveClock
 from repro.live.load import build_operations, run_load, sim_replay
 from repro.live.node import LiveRegisterNode
 from repro.live.params import LiveParams
-from repro.live.report import BoundCheck, LiveChaosReport, LiveReport
+from repro.live.report import BoundCheck, LiveReport
 from repro.live.service import LiveCluster, fetch_stats
 
 __all__ = [
@@ -63,12 +64,10 @@ __all__ = [
     "sim_replay",
     "build_operations",
     "LiveReport",
-    "LiveChaosReport",
     "BoundCheck",
     "LiveChaosController",
-    "WireFaultInjector",
     "chaos_params",
+    "collect_violations",
     "demo_live_plan",
-    "run_live_chaos",
     "validate_for_live",
 ]

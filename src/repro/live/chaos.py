@@ -15,12 +15,12 @@ plan event                live mechanism
                           the ``encode_state`` snapshot protocol and the
                           restored clock jumps to the ``C_eps`` envelope
                           edge on its first post-recovery read
-``partition`` / ``heal``  a :class:`WireFaultInjector` shim consulted by
-                          the node's framing layer on every outgoing
-                          peer frame — severed edges silently drop, the
-                          unchanged ``AlgorithmSProcess`` and Figure 2
-                          buffers are what is being stressed
-``drop_burst``            same shim, single directed edge
+``partition`` / ``heal``  the plan's drop windows, checked by each node's
+                          ``_wire_send`` on every outgoing peer frame —
+                          severed edges silently drop, the unchanged
+                          ``AlgorithmSProcess`` and Figure 2 buffers are
+                          what is being stressed
+``drop_burst``            same windows, single directed edge
 ``clock_fault``           the node's :class:`~repro.live.clock.LiveClock`
                           driver wrapped in the simulator's own
                           :class:`~repro.sim.clock_drivers.FaultyClockDriver`
@@ -39,15 +39,20 @@ turning faulted channels into *eventually-delivering* channels whose effective b
 ``params.d2`` to cover the longest plan outage plus one retransmission
 interval and the algorithm's correctness argument goes through
 unchanged; deliveries that still land outside ``[d1, d2]`` are recorded
-by the node's channel monitor and attributed to the responsible plan
-event, exactly as in sim mode.
+by the node's channel monitor, reported in its stats, and attributed to
+the responsible plan event by :func:`collect_violations`, exactly as in
+sim mode.
+
+A fault-injected load is :func:`~repro.live.load.run_load` with a
+``plan``: it arms a :class:`LiveChaosController` on its self-hosted
+cluster and returns the same :class:`~repro.live.report.LiveReport`.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import List, Tuple
+from typing import Dict, List, Sequence
 
 from repro.chaos.monitors import Violation, attribute_violations
 from repro.chaos.plan import (
@@ -60,52 +65,9 @@ from repro.chaos.plan import (
 )
 from repro.constants import INFINITY
 from repro.errors import LiveServiceError
-from repro.faults.partition import DropWindow
-from repro.faults.retransmit import BackoffPolicy
-from repro.live.client import LiveLoadClient
 from repro.live.params import LiveParams
-from repro.live.report import DEFAULT_SLACK, LiveChaosReport
 from repro.live.service import LiveCluster
-from repro.obs.metrics import NULL_METRICS
-from repro.registers.opstream import OpSchedule
-from repro.registers.system import INITIAL_VALUE
-from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import FaultyClockDriver
-from repro.traces.linearizability import (
-    DEFAULT_NODE_BUDGET,
-    analyze_linearizability,
-)
-
-
-class WireFaultInjector:
-    """The wire-layer fault shim: drops frames on severed edges.
-
-    One injector is shared by every node of a cluster; the node's
-    ``_wire_send`` asks :meth:`drops` before writing each outgoing peer
-    frame. Dropping on the *send* side (rather than mangling sockets)
-    keeps the TCP streams intact, so what is faulted is exactly the
-    paper's channel — message loss on a directed edge — and nothing
-    else.
-    """
-
-    def __init__(
-        self, windows: Tuple[DropWindow, ...], metrics=NULL_METRICS
-    ):
-        self.windows = tuple(windows)
-        self.dropped = 0
-        self._counter = metrics.counter("repro.live.wire.dropped")
-
-    def severed(self, src: int, dst: int, now: float) -> bool:
-        """Whether the directed edge ``src -> dst`` is cut at ``now``."""
-        return any(w.severs((src, dst), now) for w in self.windows)
-
-    def drops(self, src: int, dst: int, now: float) -> bool:
-        """Consulted per outgoing frame; counts what it swallows."""
-        if self.severed(src, dst, now):
-            self.dropped += 1
-            self._counter.inc()
-            return True
-        return False
 
 
 def validate_for_live(plan: FaultPlan, n: int) -> None:
@@ -141,18 +103,13 @@ class LiveChaosController:
     relative to the cluster epoch.
     """
 
-    def __init__(
-        self, plan: FaultPlan, cluster: LiveCluster, metrics=NULL_METRICS
-    ):
+    def __init__(self, plan: FaultPlan, cluster: LiveCluster):
         validate_for_live(plan, cluster.params.n)
         self.plan = plan
         self.cluster = cluster
         self.compiled = plan.compile()
-        self.injector = WireFaultInjector(
-            self.compiled.drop_windows, metrics
-        )
         for node in cluster.nodes:
-            node.attach_faults(self.injector)
+            node.attach_faults(self.compiled.drop_windows)
         for i, windows in self.compiled.clock_windows.items():
             clock = cluster.nodes[i].clock
             clock.driver = FaultyClockDriver(clock.driver, list(windows))
@@ -197,56 +154,59 @@ class LiveChaosController:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
 
-    # -- end-of-run monitor sweep -------------------------------------------
 
-    def collect_violations(
-        self, linearizable: bool, horizon: float, counter=None
-    ) -> List[Violation]:
-        """Gather node-side monitor observations, attributed to the plan.
+def collect_violations(
+    plan: FaultPlan,
+    params: LiveParams,
+    node_stats: Sequence[Dict[str, object]],
+    linearizable: bool,
+    horizon: float,
+) -> List[Violation]:
+    """Gather the node-side monitor observations, attributed to the plan.
 
-        The live stack's twin of the sim-mode
-        :class:`~repro.chaos.monitors.MonitorTracer` sweep: clock
-        ``C_eps`` excursions (recorded edge-triggered by each
-        :class:`~repro.live.clock.LiveClock` against its *base*
-        envelope), channel ``[d1, d2]`` excursions (end-to-end
-        first-transmission-to-delivery lateness recorded per node), and
-        the end-of-run linearizability verdict. Every violation goes
-        through the same :func:`~repro.chaos.monitors.attribute_violations`
-        step as sim mode.
-        """
-        p = self.cluster.params
-        violations: List[Violation] = []
-        for node in self.cluster.nodes:
-            for real, skew in node.clock.excursions:
-                violations.append(Violation(
-                    monitor="live_clock",
-                    kind="clock_predicate",
-                    time=real,
-                    node=node.node,
-                    detail=(
-                        f"|now - clock| = {skew:g} > eps = {p.eps:g} "
-                        f"at node {node.node}"
-                    ),
-                ))
-            for real, src, total in node.delay_excursions:
-                violations.append(Violation(
-                    monitor="live_channel",
-                    kind="channel_bound",
-                    time=real,
-                    edge=(src, node.node),
-                    detail=(
-                        f"end-to-end delivery delay {total:g} outside "
-                        f"[{p.d1:g}, {p.d2:g}]"
-                    ),
-                ))
-        if not linearizable:
+    The live stack's twin of the sim-mode
+    :class:`~repro.chaos.monitors.MonitorTracer` sweep, read from each
+    node's stats: clock ``C_eps`` excursions (``clock_excursions``,
+    recorded edge-triggered by each :class:`~repro.live.clock.LiveClock`
+    against its *base* envelope), channel ``[d1, d2]`` excursions
+    (``delay_excursions``, end-to-end first-transmission-to-delivery
+    lateness), and the end-of-run linearizability verdict. Every
+    violation goes through the same
+    :func:`~repro.chaos.monitors.attribute_violations` step as sim mode.
+    """
+    violations: List[Violation] = []
+    for stats in node_stats:
+        node = stats["node"]
+        for real, skew in stats.get("clock_excursions", ()):
             violations.append(Violation(
-                monitor="live_linearizability",
-                kind="linearizability",
-                time=horizon,
-                detail="no linearization of the recorded history exists",
+                monitor="live_clock",
+                kind="clock_predicate",
+                time=real,
+                node=node,
+                detail=(
+                    f"|now - clock| = {skew:g} > eps = {params.eps:g} "
+                    f"at node {node}"
+                ),
             ))
-        return attribute_violations(self.plan, violations, counter=counter)
+        for real, src, total in stats.get("delay_excursions", ()):
+            violations.append(Violation(
+                monitor="live_channel",
+                kind="channel_bound",
+                time=real,
+                edge=(src, node),
+                detail=(
+                    f"end-to-end delivery delay {total:g} outside "
+                    f"[{params.d1:g}, {params.d2:g}]"
+                ),
+            ))
+    if not linearizable:
+        violations.append(Violation(
+            monitor="live_linearizability",
+            kind="linearizability",
+            time=horizon,
+            detail="no linearization of the recorded history exists",
+        ))
+    return attribute_violations(plan, violations)
 
 
 def demo_live_plan(n: int = 3) -> FaultPlan:
@@ -286,92 +246,4 @@ def chaos_params(
     return LiveParams(
         n=n, d2=d2, eps=eps, c=0.02, delta=0.005, seed=seed,
         op_timeout=2.5, retry_max=6, retry_base=0.05,
-    )
-
-
-async def _run_chaos_async(
-    params: LiveParams,
-    schedules: List[OpSchedule],
-    plan: FaultPlan,
-    metrics,
-):
-    cluster = LiveCluster(params, metrics=metrics)
-    controller = LiveChaosController(plan, cluster, metrics=metrics)
-    retry = BackoffPolicy(seed=params.seed)
-    try:
-        addresses = await cluster.start()
-        controller.start()
-        clients = [
-            LiveLoadClient(
-                schedule.node,
-                schedule,
-                addresses[schedule.node % params.n],
-                cluster.epoch,
-                cid=f"c{schedule.node}",
-                op_timeout=params.op_timeout,
-                retry=retry,
-                max_attempts=params.retry_max,
-                retry_base=params.retry_base,
-            )
-            for schedule in schedules
-        ]
-        results = await asyncio.gather(
-            *(c.run() for c in clients), controller.wait()
-        )
-        per_client = results[:-1]
-        stats = cluster.stats()
-        records = [r for batch in per_client for r in batch]
-        retries = sum(c.retries for c in clients)
-        return records, stats, controller, retries
-    finally:
-        await controller.stop()
-        await cluster.stop()
-
-
-def run_live_chaos(
-    params: LiveParams,
-    workload: RegisterWorkload,
-    plan: FaultPlan,
-    metrics=NULL_METRICS,
-    slack: float = DEFAULT_SLACK,
-    max_nodes: int = DEFAULT_NODE_BUDGET,
-    clients_per_node: int = 1,
-) -> LiveChaosReport:
-    """Run a fault-injected live load and return the chaos report.
-
-    Self-hosts a loopback cluster, arms the plan on it, drives one
-    fault-tolerant client per node (``clients_per_node`` of them, with
-    distinct ``cid``/write-value spaces), waits for both the workload
-    and the fault timeline to complete, then checks and attributes.
-    """
-    schedules = [
-        OpSchedule.generate(i + params.n * k, workload)
-        for k in range(clients_per_node)
-        for i in range(params.n)
-    ]
-    records, stats, controller, retries = asyncio.run(
-        _run_chaos_async(params, schedules, plan, metrics)
-    )
-    from repro.live.load import build_operations
-
-    horizon = max((r.res_time for r in records), default=0.0)
-    operations = build_operations(records, horizon=horizon)
-    linearization = analyze_linearizability(
-        operations, initial_value=INITIAL_VALUE, max_nodes=max_nodes
-    )
-    counter = metrics.counter("repro.chaos.violations")
-    violations = controller.collect_violations(
-        linearization.ok, horizon, counter=counter
-    )
-    return LiveChaosReport(
-        params=params,
-        operations=operations,
-        linearization=linearization,
-        node_stats=stats,
-        slack=slack,
-        plan=plan,
-        violations=violations,
-        records=records,
-        retries=retries,
-        dropped=controller.injector.dropped,
     )

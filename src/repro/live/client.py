@@ -27,7 +27,7 @@ failure. Chaos runs arm three extra layers:
   and the next attempt re-dials, riding out node crash/recovery.
 
 A timed-out *write* may still take effect later (the node executes it
-but the response is lost); the chaos report handles that by treating
+but the response is lost); the load generator handles that by treating
 timed-out writes as possibly-effective when building the
 linearizability history.
 """
@@ -107,8 +107,6 @@ class LiveLoadClient:
         self.retry_base = retry_base
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        #: attempts beyond the first, summed over all ops (report fodder)
-        self.retries = 0
 
     def _now(self) -> float:
         return time.monotonic() - self.epoch
@@ -188,7 +186,6 @@ class LiveLoadClient:
         inv = self._now()
         for attempt in range(self.max_attempts):
             if attempt > 0:
-                self.retries += 1
                 gap = self.retry_base
                 if self.retry is not None:
                     gap = self.retry.gap(

@@ -1,16 +1,19 @@
 """The load generator: seeded schedules over sockets, checked histories.
 
-:func:`run_load` is the whole pipeline in one call:
+:func:`run_load` is the whole pipeline in one call, with or without a
+fault plan:
 
 1. materialize one :class:`~repro.registers.opstream.OpSchedule` per
-   node from the workload seed (the same pure generator the simulator's
-   replay-mode clients use);
-2. run one :class:`~repro.live.client.LiveLoadClient` per node
+   client from the workload seed (the same pure generator the
+   simulator's replay-mode clients use);
+2. run one :class:`~repro.live.client.LiveLoadClient` per schedule
    concurrently against the cluster — self-hosting a loopback
    :class:`~repro.live.service.LiveCluster` when no addresses are given,
    or connecting to an external service (``--connect``) otherwise;
-3. collect the timed history, fetch node-side measurements over the
-   stats RPC, and run the budgeted linearizability checker;
+   a ``plan`` arms a :class:`~repro.live.chaos.LiveChaosController` on
+   the self-hosted cluster and makes the clients retry;
+3. collect the timed history and the node-side measurements, and run
+   the budgeted linearizability checker;
 4. package everything as a :class:`~repro.live.report.LiveReport`.
 
 :func:`sim_replay` runs the *same* schedules through the virtual-time
@@ -25,6 +28,10 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.chaos.plan import FaultPlan
+from repro.errors import LiveServiceError
+from repro.faults.retransmit import BackoffPolicy
+from repro.live.chaos import LiveChaosController
 from repro.live.client import ClientRecord, LiveLoadClient
 from repro.live.params import LiveParams
 from repro.live.report import DEFAULT_SLACK, LiveReport
@@ -66,15 +73,14 @@ def build_operations(
 ) -> List[Operation]:
     """Turn client records into checker operations, ids in real-time order.
 
-    With ``horizon`` set (chaos runs), timed-out records get the
-    standard open-window treatment: a timed-out *read* returned nothing
-    checkable and is excluded; a timed-out *write* may still have taken
-    effect server-side, so it stays in the history as a
+    With ``horizon`` set (as :func:`run_load` always does), timed-out
+    records get the standard open-window treatment: a timed-out *read*
+    returned nothing checkable and is excluded; a timed-out *write* may
+    still have taken effect server-side, so it stays in the history as a
     possibly-effective operation whose window extends to the run
     horizon — the checker can linearize it after every read (never
     executed) or wherever a read's value demands (executed, response
-    lost). Without ``horizon`` (fault-free runs) records pass through
-    unchanged.
+    lost). Without ``horizon`` records pass through unchanged.
     """
     ordered = sorted(records, key=lambda r: (r.inv_time, r.node, r.index))
     operations: List[Operation] = []
@@ -95,30 +101,49 @@ async def _run_load_async(
     schedules: List[OpSchedule],
     addresses: Optional[List[Tuple[str, int]]],
     metrics,
+    plan: Optional[FaultPlan] = None,
 ) -> Tuple[List[ClientRecord], List[Dict[str, object]]]:
-    cluster = None
+    cluster = controller = None
     if addresses is None:
         cluster = LiveCluster(params, metrics=metrics)
+        if plan is not None:
+            # arming precedes binding (ARQ machines, faulted clocks)
+            controller = LiveChaosController(plan, cluster)
         addresses = await cluster.start()
     try:
-        epoch = time.monotonic()
-        multi = len(schedules) > len(addresses)
+        # self-hosted: the nodes' (and the plan's) real-time axis
+        epoch = cluster.epoch if cluster is not None else time.monotonic()
+        # cid-tagged frames only with concurrent clients per node or
+        # retrying clients — single-client traffic stays byte-identical
+        tagged = plan is not None or len(schedules) > len(addresses)
+        retry = BackoffPolicy(seed=params.seed)
         clients = [
             LiveLoadClient(
                 schedule.node,
                 schedule,
                 addresses[schedule.node % params.n],
                 epoch,
-                # cid-tagged frames only with concurrent clients per
-                # node — single-client traffic stays byte-identical
-                cid=f"c{schedule.node}" if multi else None,
+                cid=f"c{schedule.node}" if tagged else None,
                 op_timeout=params.op_timeout,
+                retry=retry,
+                max_attempts=params.retry_max if plan is not None else 1,
+                retry_base=params.retry_base,
             )
             for schedule in schedules
         ]
-        per_client = await asyncio.gather(*(c.run() for c in clients))
-        stats = await fetch_stats(addresses)
+        runs = [client.run() for client in clients]
+        if controller is not None:
+            controller.start()
+            runs.append(controller.wait())
+        per_client = (await asyncio.gather(*runs))[:len(clients)]
+        # in-process when self-hosted: a plan may leave a node down
+        if cluster is not None:
+            stats = cluster.stats()
+        else:
+            stats = await fetch_stats(addresses)
     finally:
+        if controller is not None:
+            await controller.stop()
         if cluster is not None:
             await cluster.stop()
     records = [record for batch in per_client for record in batch]
@@ -133,6 +158,7 @@ def run_load(
     slack: float = DEFAULT_SLACK,
     max_nodes: int = DEFAULT_NODE_BUDGET,
     clients_per_node: int = 1,
+    plan: Optional[FaultPlan] = None,
 ) -> LiveReport:
     """Run the live workload and return the checked, measured report.
 
@@ -145,18 +171,30 @@ def run_load(
     ``i + n*k``, so every client owns a distinct seeded op stream and a
     distinct write-value space, and the node serializes them under the
     per-client alternation rule.
+
+    ``plan`` runs the load under a fault plan: it needs in-process nodes
+    to crash and cut, so it self-hosts; the clients retry up to
+    ``params.retry_max`` attempts per operation, the run lasts until both
+    the workload and the plan's timeline are done, and the report is in
+    degraded mode.
     """
     if clients_per_node < 1:
         raise ValueError("clients_per_node must be at least 1")
+    if plan is not None and addresses is not None:
+        raise LiveServiceError(
+            "a fault plan drives a self-hosted cluster; it cannot be "
+            "combined with external addresses (--connect)"
+        )
     schedules = [
         OpSchedule.generate(i + params.n * k, workload)
         for k in range(clients_per_node)
         for i in range(params.n)
     ]
     records, stats = asyncio.run(
-        _run_load_async(params, schedules, addresses, metrics)
+        _run_load_async(params, schedules, addresses, metrics, plan)
     )
-    operations = build_operations(records)
+    horizon = max((r.res_time for r in records), default=0.0)
+    operations = build_operations(records, horizon=horizon)
     linearization = analyze_linearizability(
         operations, initial_value=INITIAL_VALUE, max_nodes=max_nodes
     )
@@ -166,6 +204,8 @@ def run_load(
         linearization=linearization,
         node_stats=stats,
         slack=slack,
+        records=records,
+        plan=plan,
     )
 
 

@@ -63,6 +63,7 @@ from repro.automata.actions import Action
 from repro.constants import INFINITY
 from repro.core.clock_transform import ClockMachine
 from repro.errors import LiveServiceError, TransitionError
+from repro.faults.partition import DropWindow
 from repro.faults.retransmit import ReliableAdapter, arq_frame
 from repro.live.clock import LiveClock
 from repro.live.params import LiveParams
@@ -102,7 +103,6 @@ class LiveRegisterNode:
         epoch: float,
         host: str = "127.0.0.1",
         metrics=NULL_METRICS,
-        wire_faults=None,
     ):
         peers = list(range(params.n))
         self.node = node
@@ -131,7 +131,8 @@ class LiveRegisterNode:
         self._waiting: Deque[dict] = deque()
         self._inflight: Dict[object, dict] = {}
         self._done: Dict[str, Tuple[object, dict]] = {}
-        self.wire_faults = wire_faults
+        #: the fault plan's drop windows (partitions, drop bursts)
+        self.drop_windows: Tuple[DropWindow, ...] = ()
         #: first-attempt real time per ARQ ``(dst, seq)``; None: unarmed
         self._first_sent: Optional[Dict[Tuple[int, int], float]] = None
         # crash recovery
@@ -142,6 +143,7 @@ class LiveRegisterNode:
         self.inputs_lost = 0
         self.retransmits = 0
         self.wire_errors = 0
+        self.dropped = 0
         self.orphan_responses = 0
         #: first-crossing ``[d1, d2]`` lateness excursions, as
         #: ``(real, src, end_to_end_delay)`` — the live channel monitor
@@ -164,6 +166,7 @@ class LiveRegisterNode:
         self._recoveries_counter = metrics.counter("repro.chaos.recoveries")
         self._wire_sketch = metrics.sketch("repro.live.wire.delay")
         self.clock.skew_sketch = metrics.sketch("repro.live.clock.skew")
+        self._metrics = metrics
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -172,8 +175,8 @@ class LiveRegisterNode:
         """Whether the node is currently crashed."""
         return self._down
 
-    def attach_faults(self, injector) -> None:
-        """Arm the wire fault shim and the peer ARQ layer (chaos runs).
+    def attach_faults(self, drop_windows: Tuple[DropWindow, ...]) -> None:
+        """Arm the plan's drop windows and the peer ARQ layer (chaos runs).
 
         Must be called before :meth:`start`; fault-free clusters never
         call it, which keeps their peer traffic byte-identical to the
@@ -183,7 +186,10 @@ class LiveRegisterNode:
             raise LiveServiceError(
                 f"node {self.node}: attach_faults after start"
             )
-        self.wire_faults = injector
+        self.drop_windows = tuple(drop_windows)
+        self._dropped_counter = self._metrics.counter(
+            "repro.live.wire.dropped"
+        )
         self.machine = ClockMachine(
             ReliableAdapter(
                 self.process, retransmit_interval=self.params.retry_base,
@@ -598,16 +604,18 @@ class LiveRegisterNode:
         return s0, True
 
     def _wire_send(self, dst: int, frame: dict) -> bool:
-        """Write one frame to a peer, through the fault shim.
+        """Write one frame to a peer, unless a drop window severs the edge.
 
-        Returns False when the frame was dropped (severed edge) or the
-        link is down; the ARQ adapter retransmits, and a down link is
-        re-dialed.
+        Returns False when the frame was dropped (severed edge, counted)
+        or the link is down; the ARQ adapter retransmits, and a down
+        link is re-dialed.
         """
-        if self.wire_faults is not None and self.wire_faults.drops(
-            self.node, dst, self.clock.real_now()
-        ):
-            return False
+        if self.drop_windows:
+            edge, now = (self.node, dst), self.clock.real_now()
+            if any(w.severs(edge, now) for w in self.drop_windows):
+                self.dropped += 1
+                self._dropped_counter.inc()
+                return False
         reader, writer = self._peer_links.get(dst, (None, None))
         if writer is None or writer.is_closing() or reader.at_eof():
             if self._peer_addresses is None:
@@ -685,8 +693,11 @@ class LiveRegisterNode:
     def stats(self) -> Dict[str, object]:
         """The node-side measurements the load generator's report needs.
 
-        Fault counters appear only when nonzero, so a fault-free run's
-        stats frame is byte-identical to the pre-chaos protocol.
+        Fault counters and the monitors' excursion lists (``[real, skew]``
+        clock and ``[real, src, delay]`` channel observations) appear
+        only when nonzero, so the stats frame of a fault-free run that
+        keeps the ``[d1, d2]`` premise is byte-identical to the
+        pre-chaos protocol.
         """
         real, clk = self.clock.read()
         payload: Dict[str, object] = {
@@ -706,6 +717,9 @@ class LiveRegisterNode:
             ("recoveries", self.recoveries),
             ("retransmits", self.retransmits),
             ("inputs_lost", self.inputs_lost),
+            ("dropped", self.dropped),
+            ("clock_excursions", list(self.clock.excursions)),
+            ("delay_excursions", list(self.delay_excursions)),
         ):
             if value:
                 payload[key] = value

@@ -217,7 +217,7 @@ PLAN = Format(
 
 # -- repro-live-chaos-report --------------------------------------------------
 # The rule table of ``repro chaos --live --report-out``
-# (:meth:`repro.live.report.LiveChaosReport.to_payload`).
+# (:meth:`repro.live.report.LiveReport.to_payload` of a run under a plan).
 
 
 def _run_healthy(report: dict) -> List[str]:

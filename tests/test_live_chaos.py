@@ -34,7 +34,7 @@ from repro.live import (
     LiveCluster,
     LiveLoadClient,
     LiveParams,
-    run_live_chaos,
+    collect_violations,
     run_load,
     validate_for_live,
 )
@@ -80,8 +80,8 @@ class TestLiveChaosEndToEnd(unittest.TestCase):
     def setUpClass(cls):
         params, plan = demo_plan_and_params(seed=7)
         cls.plan = plan
-        cls.report = run_live_chaos(
-            params, live_workload(operations=6, seed=7), plan
+        cls.report = run_load(
+            params, live_workload(operations=6, seed=7), plan=plan
         )
 
     def test_every_op_accounted_for(self):
@@ -151,8 +151,8 @@ class TestClockFaultAttribution(unittest.TestCase):
             events=(clock_fault(1, 0.05, 0.35, excess=0.05),),
             name="clock-only",
         )
-        report = run_live_chaos(
-            params, live_workload(operations=4, seed=3), plan
+        report = run_load(
+            params, live_workload(operations=4, seed=3), plan=plan
         )
         clock_violations = [
             v for v in report.violations if v.kind == "clock_predicate"
@@ -175,9 +175,9 @@ class TestTimeoutOutcome(unittest.TestCase):
             op_timeout=0.3, retry_max=2, retry_base=0.02,
         )
         plan = FaultPlan(events=(crash(1, 0.05),), name="crash-stop")
-        report = run_live_chaos(
+        report = run_load(
             params, live_workload(operations=3, seed=1, think_max=0.01),
-            plan,
+            plan=plan,
         )
         outcomes = report.outcomes
         self.assertEqual(sum(outcomes.values()), 2 * 3)
@@ -643,7 +643,7 @@ class TestLiveChannelMonitor(unittest.TestCase):
 
         async def scenario():
             cluster = LiveCluster(params)
-            controller = LiveChaosController(plan, cluster)
+            LiveChaosController(plan, cluster)
             await cluster.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -668,10 +668,13 @@ class TestLiveChannelMonitor(unittest.TestCase):
                 await asyncio.sleep(3 * params.retry_base)
             finally:
                 await cluster.stop()
-            return controller, peer
+            return cluster.stats(), peer
 
-        controller, peer = asyncio.run(scenario())
-        violations = controller.collect_violations(True, horizon=1.0)
+        stats, peer = asyncio.run(scenario())
+        # the sender counted the frames the burst cut; nothing else did
+        self.assertGreater(stats[0]["dropped"], 0)
+        self.assertNotIn("dropped", stats[1])
+        violations = collect_violations(plan, params, stats, True, 1.0)
         channel = [v for v in violations if v.monitor == "live_channel"]
         self.assertEqual(len(channel), 1)
         violation = channel[0]
@@ -697,7 +700,7 @@ class TestLiveChannelMonitor(unittest.TestCase):
 
         async def scenario():
             cluster = LiveCluster(params)
-            controller = LiveChaosController(plan, cluster)
+            LiveChaosController(plan, cluster)
             await cluster.start()
             try:
                 reader, writer = await asyncio.open_connection(
@@ -718,14 +721,14 @@ class TestLiveChannelMonitor(unittest.TestCase):
                     await asyncio.sleep(0.02)
             finally:
                 await cluster.stop()
-            return controller, sender, peer
+            return cluster.stats(), sender, peer
 
-        controller, sender, peer = asyncio.run(scenario())
+        stats, sender, peer = asyncio.run(scenario())
         self.assertNotIn((1, 0), sender.state.proc_state.outbox)
         self.assertGreater(sender.retransmits, 0)
         self.assertEqual(peer.delay_excursions, [])
         self.assertEqual(peer._wire_count, 1)  # the first copy only
-        violations = controller.collect_violations(True, horizon=1.0)
+        violations = collect_violations(plan, params, stats, True, 1.0)
         self.assertEqual(
             [v for v in violations if v.monitor == "live_channel"], []
         )
