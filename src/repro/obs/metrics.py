@@ -81,6 +81,9 @@ class _NullInstrument:
     def observe(self, value: float) -> None:
         pass
 
+    def merge(self, other) -> None:
+        pass
+
     @property
     def value(self) -> float:
         return 0.0
