@@ -1,9 +1,10 @@
 """Online safety monitors for chaos runs.
 
-A :class:`MonitorTracer` plugs into the engine's tracer slot
-(:class:`~repro.obs.trace.Tracer` hooks) and feeds every fired action to
-a set of :class:`ChaosMonitor` instances, each watching one guarantee of
-the paper:
+A :class:`MonitorTracer` plugs into a tracer slot
+(:class:`~repro.obs.trace.Tracer` hooks) — the simulator engine's, or a
+live cluster's, whose nodes report every machine action on the same
+hook — and feeds every fired action to a set of :class:`ChaosMonitor`
+instances, each watching one guarantee of the paper:
 
 - :class:`ClockPredicateMonitor` — the ``C_eps`` envelope
   ``|now - clock| <= eps`` (Section 4's standing assumption; scripted
@@ -35,13 +36,15 @@ from typing import Dict, List, Optional, Tuple
 from repro.automata.actions import Action
 from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
 from repro.chaos.plan import FaultEvent, FaultPlan
+from repro.errors import TransitionError
 from repro.faults.recovery import RecoverySchedule
+from repro.faults.retransmit import arq_frame
 from repro.obs.trace import Tracer
 
 Edge = Tuple[int, int]
 
 # |now - clock| may legitimately exceed eps by float-clamp noise; the
-# clock-predicate monitor only flags genuine excursions.
+# clock-predicate monitor only flags genuine breaches.
 _SKEW_SLOP = 1e-6
 
 
@@ -77,12 +80,11 @@ def attribute_violations(
 ) -> List[Violation]:
     """Attribute each violation to the responsible plan event, in place.
 
-    The shared collection step of every chaos engine — the sim-mode
-    :class:`MonitorTracer` and the live controller's end-of-run sweep
-    both route through here, so "every violation is attributed and
-    counted" means the same thing in both stacks. Violations that
-    already carry an event are left alone; ``counter`` (if given) is
-    incremented once per violation.
+    The collection step of :class:`MonitorTracer` on either backend, and
+    of the live report's end-of-run linearizability verdict, so "every
+    violation is attributed and counted" means the same thing
+    everywhere. Violations that already carry an event are left alone;
+    ``counter`` (if given) is incremented once per violation.
     """
     for violation in violations:
         if plan is not None and violation.event is None:
@@ -125,25 +127,32 @@ class ChaosMonitor:
 
 
 class ClockPredicateMonitor(ChaosMonitor):
-    """Flags ``|now - clock| > eps`` the first time each node breaks it."""
+    """Flags ``|now - clock| > eps`` once per excursion of each node.
+
+    Edge-triggered: a node is flagged by the first action that observes
+    it outside the envelope, and again only after an observed action
+    back inside it — so a second clock fault on one node is a violation
+    of its own instead of hiding behind the first.
+    """
 
     name = "clock_predicate"
 
     def __init__(self, eps: float):
         self.eps = eps
-        self._flagged: set = set()
+        self._outside: set = set()
 
     def on_action(self, now, owner, action, clock, visible) -> List[Violation]:
         if clock is None:
             return []
-        skew = abs(now - clock)
-        if skew <= self.eps + _SKEW_SLOP:
-            return []
         node = action.params[0] if action.params else None
         key = node if node is not None else owner
-        if key in self._flagged:
+        skew = abs(now - clock)
+        if skew <= self.eps + _SKEW_SLOP:
+            self._outside.discard(key)
             return []
-        self._flagged.add(key)
+        if key in self._outside:
+            return []
+        self._outside.add(key)
         return [
             Violation(
                 monitor=self.name,
@@ -161,13 +170,23 @@ class ClockPredicateMonitor(ChaosMonitor):
 class ChannelBoundMonitor(ChaosMonitor):
     """Checks every channel delivery against the ``[d1, d2]`` window.
 
-    Sends are logged from the ``SENDMSG``/``ESENDMSG`` actions; a
-    delivery (``RECVMSG``/``ERECVMSG`` fired by a channel entity) is
-    matched to *some* outstanding send of the same payload on the edge.
-    Under loss and retransmission several identical sends can be
-    outstanding, so a delivery is a violation only when **no** candidate
-    send explains it within bounds — sound, and robust to drops (an
-    unmatched send is legal, channels may lose; it is never reported).
+    Sends are the ``SENDMSG``/``ESENDMSG`` actions of processes,
+    deliveries the ``RECVMSG``/``ERECVMSG`` actions of channel entities.
+    Two matching rules, by payload:
+
+    - an ARQ ``DATA`` frame (:func:`~repro.faults.retransmit.arq_frame`)
+      is one message however often it is sent: it is keyed by
+      ``(src, dst, seq)``, timed from its *first* attempt and checked at
+      its first delivery only, so later copies (retransmissions, channel
+      duplicates) are skipped. That end-to-end delay is what
+      :func:`~repro.faults.retransmit.effective_delay_bounds` bounds: a
+      drop burst that holds a message past ``d2`` is one violation,
+      although the copy that got through crossed the wire in time;
+    - any other payload (an ``ACK``, a raw message) is matched to *some*
+      outstanding send of the same payload on the edge, and a delivery
+      is a violation only when **no** candidate explains it in bounds.
+
+    An unmatched send is legal (channels may lose) and never reported.
     """
 
     name = "channel_bound"
@@ -176,10 +195,21 @@ class ChannelBoundMonitor(ChaosMonitor):
         self.d1 = d1
         self.d2 = d2
         self._outstanding: Dict[tuple, List[float]] = {}
+        self._delivered: set = set()  # ARQ frames past their first delivery
 
     @staticmethod
-    def _payload_key(payload: object) -> str:
-        return repr(payload)
+    def _key(name: str, src: int, dst: int, payload) -> Tuple[tuple, bool]:
+        """The message a send or delivery is about, and whether it is an
+        ARQ ``DATA`` frame: ``(src, dst, seq)`` for one (the ``E`` actions
+        carry ``(m, stamp)``, the frame is ``m``), else the payload."""
+        external = name[0] == "E"
+        try:
+            _, seq = arq_frame(payload[0] if external else payload)
+        except TransitionError:
+            seq = None
+        if seq is None:
+            return (src, dst, repr(payload)), False
+        return (src, dst, external, seq), True
 
     def on_action(self, now, owner, action, clock, visible) -> List[Violation]:
         name = action.name
@@ -187,14 +217,20 @@ class ChannelBoundMonitor(ChaosMonitor):
             ("chan[", "lossychan[")
         ):
             src, dst, payload = action.params[0], action.params[1], action.params[2]
-            key = (src, dst, self._payload_key(payload))
-            self._outstanding.setdefault(key, []).append(now)
+            key, frame = self._key(name, src, dst, payload)
+            sends = self._outstanding.setdefault(key, [])
+            if not (frame and sends):  # a frame keeps its first attempt
+                sends.append(now)
             return []
         if name in ("RECVMSG", "ERECVMSG") and owner.startswith(
             ("chan[", "lossychan[")
         ):
             dst, src, payload = action.params[0], action.params[1], action.params[2]
-            key = (src, dst, self._payload_key(payload))
+            key, frame = self._key(name, src, dst, payload)
+            if frame:
+                if key in self._delivered:
+                    return []  # a copy after the frame's first delivery
+                self._delivered.add(key)
             sends = self._outstanding.get(key, [])
             if not sends:
                 return [

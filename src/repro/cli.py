@@ -51,12 +51,16 @@ a correctness check fails, so the CLI doubles as a smoke harness.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 from typing import List, Optional
 
 from repro.clocks.sync import CristianSimulation, HardwareClock, achievable_epsilon
 from repro.obs import JsonlTracer, MetricsRegistry, SKEW_BUCKETS
 from repro.obs.dashboard import render_dashboard, summarize_trace
+from repro.obs.trace import NULL_TRACER
 from repro.detector import build_detector_system, detector_timeout
 from repro.errors import ReproError
 from repro.faults import CrashSchedule, CrashableEntity
@@ -112,7 +116,8 @@ def _finish_obs(args, metrics, tracer) -> None:
     """Flush the requested observability exports to disk."""
     if tracer is not None:
         tracer.close()
-        print(f"trace   -> {args.trace_out}")
+        if args.trace_out:
+            print(f"trace   -> {args.trace_out}")
     if metrics is not None:
         metrics.dump(args.metrics_out)
         print(f"metrics -> {args.metrics_out}")
@@ -368,8 +373,6 @@ def _sweep_grid(args):
 
 
 def _sweep(args) -> int:
-    import os
-
     from repro.campaign import Aggregator, CampaignRunner, Checkpoint
 
     grid = _sweep_grid(args)
@@ -413,14 +416,41 @@ def _sweep(args) -> int:
     return 0 if summary["failed"] == 0 else 1
 
 
-def _chaos_live(args) -> int:
+def _live_tracer(path, params):
+    """The JSONL tracer a live cluster writes ``path`` through (the null
+    tracer without a path), stamped with the run's parameters so
+    ``repro trace`` can analyze the file on its own."""
+    if not path:
+        return NULL_TRACER
+    tracer = JsonlTracer(path)
+    tracer.meta({"workload": "live-register", "model": "clock",
+                 **params.to_dict()})
+    return tracer
+
+
+@contextlib.contextmanager
+def _chaos_trace_path(args):
+    """Where a chaos run writes its trace: ``--trace-out``, or, when only
+    ``--causal`` needs one, a temporary file removed afterwards."""
+    if args.trace_out or not args.causal:
+        yield args.trace_out
+        return
+    fd, path = tempfile.mkstemp(prefix="repro-chaos-", suffix=".jsonl")
+    os.close(fd)
+    try:
+        yield path
+    finally:
+        os.unlink(path)
+
+
+def _chaos_live(args, trace_path) -> int:
     """``chaos --live``: lower the plan onto a loopback LiveCluster."""
-    from repro.chaos import FaultPlan
+    from repro.chaos import FaultPlan, causal_attribution
     from repro.live import chaos_params, demo_live_plan, run_load
     from repro.live.load import live_workload
     from repro.obs.metrics import NULL_METRICS
 
-    for flag in ("shrink", "conformance", "causal", "full_scan"):
+    for flag in ("shrink", "conformance", "full_scan"):
         if getattr(args, flag):
             print(f"--{flag.replace('_', '-')} is sim-only "
                   "(not supported with --live)", file=sys.stderr)
@@ -443,7 +473,13 @@ def _chaos_live(args) -> int:
         plan = demo_live_plan(args.n)
     metrics = MetricsRegistry() if args.metrics_out else NULL_METRICS
     workload = live_workload(operations=args.ops, seed=args.seed)
-    report = run_load(params, workload, metrics=metrics, plan=plan)
+    tracer = _live_tracer(trace_path, params)
+    try:
+        report = run_load(
+            params, workload, metrics=metrics, plan=plan, tracer=tracer
+        )
+    finally:
+        tracer.close()
     print(f"plan {plan.name!r}: {len(plan)} event(s), lowered onto a "
           f"live n={params.n} cluster")
     for event in plan.events:
@@ -454,8 +490,9 @@ def _chaos_live(args) -> int:
         metrics.dump(args.metrics_out)
         print(f"metrics -> {args.metrics_out}")
     if args.trace_out:
-        report.write_trace(args.trace_out)
         print(f"trace   -> {args.trace_out}")
+    if args.causal:
+        print(causal_attribution(trace_path))
     if args.report_out:
         report.write_payload(args.report_out)
         print(f"report  -> {args.report_out}")
@@ -469,12 +506,13 @@ def _chaos_live(args) -> int:
 
 
 def _chaos(args) -> int:
-    import os
-    import tempfile
+    with _chaos_trace_path(args) as trace_path:
+        if args.live:
+            return _chaos_live(args, trace_path)
+        return _chaos_sim(args, trace_path)
 
-    if args.live:
-        return _chaos_live(args)
 
+def _chaos_sim(args, trace_path) -> int:
     from repro.chaos import (
         FaultPlan,
         causal_attribution,
@@ -497,28 +535,15 @@ def _chaos(args) -> int:
     else:
         plan = demo_plan()
     metrics, tracer = _obs(args)
-    causal_path = args.trace_out
-    causal_tmp = False
-    if args.causal and tracer is None:
-        # --causal needs a trace on disk; keep a temporary one
-        fd, causal_path = tempfile.mkstemp(
-            prefix="repro-chaos-", suffix=".jsonl"
-        )
-        os.close(fd)
-        causal_tmp = True
-        tracer = JsonlTracer(causal_path)
+    if tracer is None and trace_path:
+        tracer = JsonlTracer(trace_path)  # --causal's temporary trace
     outcome = run_chaos(
         demo_builder, plan, horizon, monitors_factory=demo_monitors,
         incremental=not args.full_scan, metrics=metrics, tracer=tracer,
     )
-    if causal_tmp:
-        tracer.close()
-        tracer = None
     _finish_obs(args, metrics, tracer)
     if args.causal:
-        print(causal_attribution(causal_path))
-        if causal_tmp:
-            os.unlink(causal_path)
+        print(causal_attribution(trace_path))
     print(f"plan {plan.name!r}: {len(plan)} event(s), horizon {horizon:g}")
     for event in plan.events:
         print(f"  {event.describe()}")
@@ -563,9 +588,6 @@ def _chaos(args) -> int:
 
 def _trace(args) -> int:
     """Analyze a trace file — or run the default workload and analyze that."""
-    import os
-    import tempfile
-
     from repro.obs.causal import CausalTrace, check_bounds
 
     path = args.trace_file
@@ -714,11 +736,16 @@ def _load(args) -> int:
         from repro.chaos import FaultPlan
 
         plan = FaultPlan.load(args.plan)
-    report = run_load(
-        params, workload, addresses=addresses, metrics=metrics,
-        slack=args.slack, max_nodes=args.max_nodes,
-        clients_per_node=args.clients_per_node, plan=plan,
-    )
+    tracer = _live_tracer(args.trace_out, params)
+    try:
+        report = run_load(
+            params, workload, addresses=addresses, metrics=metrics,
+            slack=args.slack, max_nodes=args.max_nodes,
+            clients_per_node=args.clients_per_node, plan=plan,
+            tracer=tracer,
+        )
+    finally:
+        tracer.close()
     print(report.render(assert_bounds=args.assert_bounds))
     status = 0 if report.ok else 1
     if args.assert_bounds and not report.bounds_ok:
@@ -743,7 +770,6 @@ def _load(args) -> int:
         metrics.dump(args.metrics_out)
         print(f"metrics -> {args.metrics_out}")
     if args.trace_out:
-        report.write_trace(args.trace_out)
         print(f"trace   -> {args.trace_out}")
     return status
 

@@ -12,7 +12,9 @@ sockets on real (wall-clock) time:
   ``S_{ij,eps}`` / ``R_{ji,eps}`` buffers reused as wire middleware
   (stamp on send, hold on receive until the local clock catches up);
 - :mod:`repro.live.node` — one asyncio register node: server socket,
-  peer mesh, and a timer loop that fires the process's due actions;
+  peer mesh, and a timer loop that fires the process's due actions; a
+  :class:`~repro.obs.trace.Tracer` source like the simulator's engine,
+  so the chaos monitors and the JSONL trace writer run on it unchanged;
 - :mod:`repro.live.client` — load clients replaying the same
   :class:`~repro.registers.opstream.OpSchedule` objects the simulator's
   clients replay, so a live run and a sim run of one seed issue
@@ -29,8 +31,8 @@ sockets on real (wall-clock) time:
   declarative :class:`~repro.chaos.plan.FaultPlan` onto a running
   cluster (crash/recover via state snapshots, partitions and drop
   bursts via drop windows on each node's peer writes, clock faults via
-  :class:`~repro.sim.clock_drivers.FaultyClockDriver`), and attributes
-  the nodes' monitor observations to plan events.
+  :class:`~repro.sim.clock_drivers.FaultyClockDriver`); the simulator's
+  monitors judge the faulted run on its observation stream.
 
 Driven from the CLI as ``python -m repro serve`` / ``python -m repro
 load`` / ``python -m repro chaos --live`` (see
@@ -40,7 +42,6 @@ load`` / ``python -m repro chaos --live`` (see
 from repro.live.chaos import (
     LiveChaosController,
     chaos_params,
-    collect_violations,
     demo_live_plan,
     validate_for_live,
 )
@@ -67,7 +68,6 @@ __all__ = [
     "BoundCheck",
     "LiveChaosController",
     "chaos_params",
-    "collect_violations",
     "demo_live_plan",
     "validate_for_live",
 ]

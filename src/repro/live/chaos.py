@@ -38,23 +38,25 @@ turning faulted channels into *eventually-delivering* channels whose effective b
 :func:`~repro.faults.retransmit.effective_delay_bounds` widening. Size
 ``params.d2`` to cover the longest plan outage plus one retransmission
 interval and the algorithm's correctness argument goes through
-unchanged; deliveries that still land outside ``[d1, d2]`` are recorded
-by the node's channel monitor, reported in its stats, and attributed to
-the responsible plan event by :func:`collect_violations`, exactly as in
-sim mode.
+unchanged.
 
 A fault-injected load is :func:`~repro.live.load.run_load` with a
 ``plan``: it arms a :class:`LiveChaosController` on its self-hosted
 cluster and returns the same :class:`~repro.live.report.LiveReport`.
+The monitors are the simulator's: the run tees a
+:class:`~repro.chaos.monitors.MonitorTracer` of
+:class:`~repro.chaos.monitors.ClockPredicateMonitor` and
+:class:`~repro.chaos.monitors.ChannelBoundMonitor` into the cluster's
+tracer, so a clock excursion or a delivery outside ``[d1, d2]`` is
+judged and attributed to its plan event exactly as in sim mode.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Sequence
+from typing import List
 
-from repro.chaos.monitors import Violation, attribute_violations
 from repro.chaos.plan import (
     FaultPlan,
     crash,
@@ -153,60 +155,6 @@ class LiveChaosController:
             task.cancel()
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
-
-
-def collect_violations(
-    plan: FaultPlan,
-    params: LiveParams,
-    node_stats: Sequence[Dict[str, object]],
-    linearizable: bool,
-    horizon: float,
-) -> List[Violation]:
-    """Gather the node-side monitor observations, attributed to the plan.
-
-    The live stack's twin of the sim-mode
-    :class:`~repro.chaos.monitors.MonitorTracer` sweep, read from each
-    node's stats: clock ``C_eps`` excursions (``clock_excursions``,
-    recorded edge-triggered by each :class:`~repro.live.clock.LiveClock`
-    against its *base* envelope), channel ``[d1, d2]`` excursions
-    (``delay_excursions``, end-to-end first-transmission-to-delivery
-    lateness), and the end-of-run linearizability verdict. Every
-    violation goes through the same
-    :func:`~repro.chaos.monitors.attribute_violations` step as sim mode.
-    """
-    violations: List[Violation] = []
-    for stats in node_stats:
-        node = stats["node"]
-        for real, skew in stats.get("clock_excursions", ()):
-            violations.append(Violation(
-                monitor="live_clock",
-                kind="clock_predicate",
-                time=real,
-                node=node,
-                detail=(
-                    f"|now - clock| = {skew:g} > eps = {params.eps:g} "
-                    f"at node {node}"
-                ),
-            ))
-        for real, src, total in stats.get("delay_excursions", ()):
-            violations.append(Violation(
-                monitor="live_channel",
-                kind="channel_bound",
-                time=real,
-                edge=(src, node),
-                detail=(
-                    f"end-to-end delivery delay {total:g} outside "
-                    f"[{params.d1:g}, {params.d2:g}]"
-                ),
-            ))
-    if not linearizable:
-        violations.append(Violation(
-            monitor="live_linearizability",
-            kind="linearizability",
-            time=horizon,
-            detail="no linearization of the recorded history exists",
-        ))
-    return attribute_violations(plan, violations)
 
 
 def demo_live_plan(n: int = 3) -> FaultPlan:

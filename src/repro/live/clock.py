@@ -28,12 +28,6 @@ from repro.constants import INFINITY
 from repro.obs.metrics import NULL_SKETCH
 from repro.sim.clock_drivers import ClockDriver
 
-#: Slop before a skew sample counts as a ``C_eps`` excursion.
-_SKEW_SLOP = 1e-6
-
-#: Cap on recorded excursions — bounded memory under a long fault.
-_MAX_EXCURSIONS = 100
-
 
 class LiveClock:
     """A node's local clock, driven inside ``C_eps`` over wall time.
@@ -43,11 +37,11 @@ class LiveClock:
     one epoch, so their real-time axes agree.
 
     A chaos run replaces ``driver`` with a
-    :class:`~repro.sim.clock_drivers.FaultyClockDriver` wrapper; the
-    ``eps`` property and the excursion log below follow the *base*
-    envelope, so every faulted window shows up in :attr:`excursions` as
-    ``(real, skew)`` samples — the live clock-predicate monitor.
-    Edge-triggered: one entry per contiguous excursion, not per read.
+    :class:`~repro.sim.clock_drivers.FaultyClockDriver` wrapper, which
+    may leave the envelope. The clock does not judge that: its node
+    reports every action with the ``(real, clock)`` pair of its last
+    read, and the simulator's
+    :class:`~repro.chaos.monitors.ClockPredicateMonitor` does.
     """
 
     def __init__(self, driver: ClockDriver, epoch: float):
@@ -57,12 +51,6 @@ class LiveClock:
         self._clock = 0.0
         self.max_skew = 0.0
         self.skew_sketch = NULL_SKETCH
-        self.excursions: list = []
-        self._excursion_open = False
-
-    @property
-    def eps(self) -> float:
-        return self.driver.eps
 
     def real_now(self) -> float:
         """Wall-clock time elapsed since the cluster epoch."""
@@ -80,15 +68,6 @@ class LiveClock:
             if skew > self.max_skew:
                 self.max_skew = skew
             self.skew_sketch.observe(skew)
-            if skew > self.eps + _SKEW_SLOP:
-                if (
-                    not self._excursion_open
-                    and len(self.excursions) < _MAX_EXCURSIONS
-                ):
-                    self.excursions.append((real, skew))
-                self._excursion_open = True
-            else:
-                self._excursion_open = False
         return self._real, self._clock
 
     def wall_delay(self, clock_target: float) -> float:

@@ -11,7 +11,8 @@ fault plan:
    :class:`~repro.live.service.LiveCluster` when no addresses are given,
    or connecting to an external service (``--connect``) otherwise;
    a ``plan`` arms a :class:`~repro.live.chaos.LiveChaosController` on
-   the self-hosted cluster and makes the clients retry;
+   the self-hosted cluster, watches its observation stream with the
+   simulator's chaos monitors and makes the clients retry;
 3. collect the timed history and the node-side measurements, and run
    the budgeted linearizability checker;
 4. package everything as a :class:`~repro.live.report.LiveReport`.
@@ -28,6 +29,12 @@ import asyncio
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.chaos.monitors import (
+    ChannelBoundMonitor,
+    ClockPredicateMonitor,
+    MonitorTracer,
+    TeeTracer,
+)
 from repro.chaos.plan import FaultPlan
 from repro.errors import LiveServiceError
 from repro.faults.retransmit import BackoffPolicy
@@ -37,6 +44,7 @@ from repro.live.params import LiveParams
 from repro.live.report import DEFAULT_SLACK, LiveReport
 from repro.live.service import LiveCluster, fetch_stats
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.registers.algorithm_s import theorem_bounds
 from repro.registers.opstream import OpSchedule
 from repro.registers.system import (
@@ -102,10 +110,11 @@ async def _run_load_async(
     addresses: Optional[List[Tuple[str, int]]],
     metrics,
     plan: Optional[FaultPlan] = None,
+    tracer=NULL_TRACER,
 ) -> Tuple[List[ClientRecord], List[Dict[str, object]]]:
     cluster = controller = None
     if addresses is None:
-        cluster = LiveCluster(params, metrics=metrics)
+        cluster = LiveCluster(params, metrics=metrics, tracer=tracer)
         if plan is not None:
             # arming precedes binding (ARQ machines, faulted clocks)
             controller = LiveChaosController(plan, cluster)
@@ -159,6 +168,7 @@ def run_load(
     max_nodes: int = DEFAULT_NODE_BUDGET,
     clients_per_node: int = 1,
     plan: Optional[FaultPlan] = None,
+    tracer=NULL_TRACER,
 ) -> LiveReport:
     """Run the live workload and return the checked, measured report.
 
@@ -176,7 +186,13 @@ def run_load(
     to crash and cut, so it self-hosts; the clients retry up to
     ``params.retry_max`` attempts per operation, the run lasts until both
     the workload and the plan's timeline are done, and the report is in
-    degraded mode.
+    degraded mode, with the violations a
+    :class:`~repro.chaos.monitors.ClockPredicateMonitor` and a
+    :class:`~repro.chaos.monitors.ChannelBoundMonitor` found on the
+    cluster's observation stream.
+
+    ``tracer`` receives that stream: every action of every node, on the
+    cluster epoch. It too needs in-process nodes.
     """
     if clients_per_node < 1:
         raise ValueError("clients_per_node must be at least 1")
@@ -185,13 +201,25 @@ def run_load(
             "a fault plan drives a self-hosted cluster; it cannot be "
             "combined with external addresses (--connect)"
         )
+    if tracer is not NULL_TRACER and addresses is not None:
+        raise LiveServiceError(
+            "a trace is the stream of the cluster's nodes, and with "
+            "external addresses (--connect) they run in the serve process"
+        )
+    monitors = None
+    if plan is not None:
+        monitors = MonitorTracer([
+            ClockPredicateMonitor(params.eps),
+            ChannelBoundMonitor(params.d1, params.d2),
+        ], plan)
+        tracer = TeeTracer(monitors, tracer)
     schedules = [
         OpSchedule.generate(i + params.n * k, workload)
         for k in range(clients_per_node)
         for i in range(params.n)
     ]
     records, stats = asyncio.run(
-        _run_load_async(params, schedules, addresses, metrics, plan)
+        _run_load_async(params, schedules, addresses, metrics, plan, tracer)
     )
     horizon = max((r.res_time for r in records), default=0.0)
     operations = build_operations(records, horizon=horizon)
@@ -206,6 +234,7 @@ def run_load(
         slack=slack,
         records=records,
         plan=plan,
+        violations=monitors.violations if monitors is not None else [],
     )
 
 

@@ -16,6 +16,18 @@ actions over asyncio TCP:
 - a client ``read``/``write`` frame is the process's ``READ``/``WRITE``
   input, and its ``RETURN``/``ACK`` output is the client's response.
 
+**Observation.** The node is a :class:`~repro.obs.trace.Tracer` source,
+like the simulator's engine: every action it fires, every invocation it
+applies and every ``ERECVMSG`` (peer or self-loop) goes to
+``tracer.action(now, owner, action, clock, visible)`` with ``now`` real
+time on the cluster epoch, ``clock`` the machine clock for the node's
+own actions (``None`` for inputs), the owner names the simulator gives
+the same entities (``S(i)^c`` or ``arq(S(i))^c``, ``chan[j->i]^c``,
+``client(i)``), and ``visible`` true for the process's invocation and
+response vocabulary. So the chaos monitors, ``JsonlTracer`` and its
+span book run unchanged on a live cluster; the default null tracer
+costs one no-op call per action and adds nothing to any frame.
+
 A timer task sleeps until the machine's ``clock_deadline``, sets the
 machine's clock from the live clock and drains: it fires enabled
 actions until none is left. Figure 3's one guard is ``scheduled <= now``,
@@ -69,6 +81,7 @@ from repro.live.clock import LiveClock
 from repro.live.params import LiveParams
 from repro.live.wire import decode_frame, encode_frame
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.registers.algorithm_s import AlgorithmSProcess
 from repro.registers.system import INITIAL_VALUE
 from repro.sim.clock_drivers import ClockDriver
@@ -78,12 +91,6 @@ from repro.sim.persistence import decode_state, encode_state
 #: clock has not quite caught up to it (tolerance-edge states) — keeps
 #: the loop from busy-spinning without measurably delaying anything.
 MIN_SLEEP = 1e-4
-
-#: Wire-delay slop before an arrival counts as a ``[d1, d2]`` excursion.
-_DELAY_SLOP = 1e-6
-
-#: Cap on recorded excursions — enough for any report, bounded forever.
-_MAX_EXCURSIONS = 100
 
 
 def _update(m):
@@ -103,6 +110,7 @@ class LiveRegisterNode:
         epoch: float,
         host: str = "127.0.0.1",
         metrics=NULL_METRICS,
+        tracer=NULL_TRACER,
     ):
         peers = list(range(params.n))
         self.node = node
@@ -117,6 +125,17 @@ class LiveRegisterNode:
         )
         self.state = self.machine.initial_state()
         self.clock = LiveClock(driver, epoch)
+        #: real time of the last clock read, the ``now`` of traced actions
+        self._real = 0.0
+        self.tracer = tracer
+        # owners as the simulator names the same entities
+        self._owner = f"{self.process.name}^c"
+        self._chan_owner = {j: f"chan[{j}->{node}]^c" for j in peers}
+        self._client_owner = f"client({node})"
+        self._visible = frozenset((
+            self.process.READ, self.process.WRITE,
+            self.process.RETURN, self.process.ACK,
+        ))
         # a crashed peer's FIN shows only on the reader (the writer
         # stays open), so each outgoing link keeps both
         self._peer_links: Dict[int, tuple] = {}  # dst -> (reader, writer)
@@ -133,8 +152,7 @@ class LiveRegisterNode:
         self._done: Dict[str, Tuple[object, dict]] = {}
         #: the fault plan's drop windows (partitions, drop bursts)
         self.drop_windows: Tuple[DropWindow, ...] = ()
-        #: first-attempt real time per ARQ ``(dst, seq)``; None: unarmed
-        self._first_sent: Optional[Dict[Tuple[int, int], float]] = None
+        self._arq = False
         # crash recovery
         self._down = False
         self._snapshot = None
@@ -145,9 +163,6 @@ class LiveRegisterNode:
         self.wire_errors = 0
         self.dropped = 0
         self.orphan_responses = 0
-        #: first-crossing ``[d1, d2]`` lateness excursions, as
-        #: ``(real, src, end_to_end_delay)`` — the live channel monitor
-        self.delay_excursions: List[Tuple[float, int, float]] = []
         self._kick = asyncio.Event()
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -199,7 +214,8 @@ class LiveRegisterNode:
             in_edges=self.machine.in_edges,
         )
         self.state = self.machine.initial_state()
-        self._first_sent = {}
+        self._arq = True
+        self._owner = f"{self.machine.process.name}^c"
 
     async def start(self) -> Tuple[str, int]:
         """Bind the server socket (ephemeral port) and start the timer."""
@@ -241,8 +257,8 @@ class LiveRegisterNode:
         """Go down abruptly: snapshot stable state, drop every connection.
 
         The snapshot carries the machine state (process state, ARQ
-        outbox, Figure 2 buffers), the response cache, and first-attempt
-        times — the node's "stable storage", exactly what the simulator's
+        outbox, Figure 2 buffers) and the response cache — the node's
+        "stable storage", exactly what the simulator's
         :class:`~repro.faults.recovery.RecoverableEntity` persists.
         Volatile memory (queued invocations, live sockets) is lost.
         """
@@ -261,7 +277,6 @@ class LiveRegisterNode:
             "state": self.state,
             "done": self._done,
             "active": active_meta,
-            "first_sent": self._first_sent,
         })
         # volatile memory: in-flight invocations are simply gone
         self.inputs_lost += len(self._waiting)
@@ -299,7 +314,6 @@ class LiveRegisterNode:
         snap = decode_state(self._snapshot)
         self.state = snap["state"]
         self._done = snap["done"]
-        self._first_sent = snap["first_sent"]
         self._active = None
         meta = snap["active"]
         if meta is not None:
@@ -410,20 +424,22 @@ class LiveRegisterNode:
         src = frame["src"]
         # tuplified by decode_frame; checked here, because a malformed
         # message would raise later, inside the timer's drain
-        if self._first_sent is None:
-            message, first = _update(frame["m"]), True
-        else:
+        if self._arq:
             message, seq = arq_frame(frame["m"], _update)
             # only a DATA frame's first copy is measured: an ACK, or a
             # copy the adapter has delivered already, is not
             delivered = self.state.proc_state.delivered.get(src, ())
             first = seq is not None and seq not in delivered
+        else:
+            message, first = _update(frame["m"]), True
         real = self._read_clock()
-        # the machine refuses a src with no edge into this node
-        # (TransitionError) before anything is measured
-        self.machine.apply_input(self.state, Action(
+        action = Action(
             "ERECVMSG", (self.node, src, (message, frame["stamp"]))
-        ))
+        )
+        # the machine refuses a src with no edge into this node
+        # (TransitionError) before anything is measured or traced
+        self.machine.apply_input(self.state, action)
+        self.tracer.action(real, self._chan_owner[src], action, None, False)
         self._kick.set()
         if not first:
             return
@@ -434,15 +450,6 @@ class LiveRegisterNode:
             self._wire_max = delay
         self._wire_sketch.observe(delay)
         self._msgs_received.inc()
-        # end-to-end lateness, measured from the *first* transmission
-        # attempt: a dropped-then-retransmitted frame shows up here as a
-        # delivery outside [d1, d2] — the live channel-bound monitor
-        total = max(0.0, real - frame.get("s0", frame.get("sr", real)))
-        if (
-            total > self.params.d2 + _DELAY_SLOP
-            and len(self.delay_excursions) < _MAX_EXCURSIONS
-        ):
-            self.delay_excursions.append((real, src, total))
 
     def _on_invocation(self, kind, frame, writer) -> None:
         cid = frame.get("cid")
@@ -491,20 +498,21 @@ class LiveRegisterNode:
         process = self.process
         while self._active is None and self._waiting:
             entry = self._waiting.popleft()
-            self._read_clock()
+            real = self._read_clock()
             if entry["kind"] == "read":
                 action = Action(process.READ, (self.node,))
             else:
                 action = Action(process.WRITE, (self.node, entry["value"]))
             self.machine.apply_input(self.state, action)
+            self.tracer.action(real, self._client_owner, action, None, True)
             self._active = entry
 
     # -- the timer loop ------------------------------------------------------
 
     def _read_clock(self) -> float:
         """Set the machine's clock from the live clock; returns real time."""
-        real, self.state.clock = self.clock.read()
-        return real
+        self._real, self.state.clock = self.clock.read()
+        return self._real
 
     async def _run_timer(self) -> None:
         while not self._stopped.is_set():
@@ -541,6 +549,7 @@ class LiveRegisterNode:
         would return the pre-update value.
         """
         machine, state, process = self.machine, self.state, self.process
+        trace, owner, visible = self.tracer.action, self._owner, self._visible
         progressed = False
         while True:
             actions = machine.enabled(state)
@@ -550,6 +559,10 @@ class LiveRegisterNode:
             deliveries = [a for a in actions if a.name == "RECVMSG"]
             for action in deliveries or actions:
                 machine.fire(state, action)
+                # a response below may pump the next invocation, which
+                # reads the clock again: read the pair per action
+                trace(self._real, owner, action, state.clock,
+                      action.name in visible)
                 if action.name == "ESENDMSG":
                     self._transmit(action.params[1], action.params[2])
                 elif action.name == process.RETURN:
@@ -558,50 +571,38 @@ class LiveRegisterNode:
                     self._respond({"t": "ack"})
 
     def _transmit(self, dst: int, payload) -> None:
-        """Carry one ``ESENDMSG`` payload ``(m, stamp)`` to peer ``dst``;
-        a repeated ARQ ``DATA`` frame that is written is a retransmission."""
+        """Carry one ``ESENDMSG`` payload ``(m, stamp)`` to peer ``dst``.
+
+        Under ARQ, a ``DATA`` frame whose outbox entry has made one
+        attempt is a first send (the adapter counted this one when its
+        ``SENDMSG`` fired); any other copy that is written is a
+        retransmission, and an ``ACK`` is neither.
+        """
         message, stamp = payload
-        s0, fresh = None, True
-        if self._first_sent is not None:
-            s0, fresh = self._note_attempt(dst, message)
+        fresh, retransmit = True, False
+        if self._arq:
+            fresh = False
+            if message[0] == "DATA":
+                entry = self.state.proc_state.outbox.get((dst, message[1]))
+                fresh = entry is not None and entry.attempts == 1
+                retransmit = not fresh
         if fresh:
             self._msgs_sent.inc()
         if dst == self.node:
             # self-loop edge: the message re-enters as this node's input
-            self.machine.apply_input(
-                self.state, Action("ERECVMSG", (self.node, dst, payload))
+            action = Action("ERECVMSG", (self.node, dst, payload))
+            self.machine.apply_input(self.state, action)
+            self.tracer.action(
+                self._real, self._chan_owner[dst], action, None, False
             )
             return
         frame = {
             "t": "msg", "src": self.node, "m": list(message),
             "stamp": stamp, "sr": self.clock.real_now(),
         }
-        if s0 is not None:
-            frame["s0"] = s0
-        if self._wire_send(dst, frame) and s0 is not None and not fresh:
+        if self._wire_send(dst, frame) and retransmit:
             self.retransmits += 1
             self._retransmits_counter.inc()
-
-    def _note_attempt(self, dst: int, message) -> Tuple[Optional[float], bool]:
-        """``(s0, fresh)`` for one outgoing ARQ frame: the real time of a
-        ``DATA`` frame's first attempt (``None`` for an ``ACK``), for the
-        channel monitor, and whether this is that first attempt."""
-        _, seq = arq_frame(message)
-        if seq is None:
-            return None, False
-        key = (dst, seq)
-        s0 = self._first_sent.get(key)
-        if s0 is not None:
-            return s0, False
-        # forget dst's attempts the adapter no longer retransmits (the
-        # send buffer is FIFO: none is queued behind this fresh frame)
-        outbox = self.state.proc_state.outbox
-        self._first_sent = {
-            k: v for k, v in self._first_sent.items()
-            if k[0] != dst or k in outbox
-        }
-        s0 = self._first_sent[key] = self.clock.real_now()
-        return s0, True
 
     def _wire_send(self, dst: int, frame: dict) -> bool:
         """Write one frame to a peer, unless a drop window severs the edge.
@@ -693,11 +694,10 @@ class LiveRegisterNode:
     def stats(self) -> Dict[str, object]:
         """The node-side measurements the load generator's report needs.
 
-        Fault counters and the monitors' excursion lists (``[real, skew]``
-        clock and ``[real, src, delay]`` channel observations) appear
-        only when nonzero, so the stats frame of a fault-free run that
-        keeps the ``[d1, d2]`` premise is byte-identical to the
-        pre-chaos protocol.
+        Fault counters appear only when nonzero, so the stats frame of a
+        fault-free run is byte-identical to the pre-chaos protocol. The
+        monitors' observations are not here: they are on the node's
+        tracer.
         """
         real, clk = self.clock.read()
         payload: Dict[str, object] = {
@@ -718,8 +718,6 @@ class LiveRegisterNode:
             ("retransmits", self.retransmits),
             ("inputs_lost", self.inputs_lost),
             ("dropped", self.dropped),
-            ("clock_excursions", list(self.clock.excursions)),
-            ("delay_excursions", list(self.delay_excursions)),
         ):
             if value:
                 payload[key] = value

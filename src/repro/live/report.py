@@ -19,14 +19,16 @@ Three layers, in order of authority:
 
 A run under a fault plan gets the same report with its ``plan`` set:
 the gate runs in **degraded mode** (Simulation 1 widening at the
-fault-adjusted ``eps``, plus a retry allowance), every monitor violation
-carries its plan-event attribution, and :meth:`LiveReport.to_payload`
-writes the machine-readable ``repro-live-chaos-report``.
+fault-adjusted ``eps``, plus a retry allowance), the violations the
+simulator's monitors found on the cluster's observation stream, plus the
+report's own linearizability verdict, carry their plan-event
+attribution, and :meth:`LiveReport.to_payload` writes the
+machine-readable ``repro-live-chaos-report``.
 
-The report also exports: a version-2 metrics snapshot (counters, gauges,
-latency quantile sketches under ``repro.live.*``) and a version-2 JSONL
-trace of ``op`` span records, both conforming to the schemas
-:mod:`repro.obs.schema` enforces in CI.
+The report exports a version-2 metrics snapshot (counters, gauges,
+latency quantile sketches under ``repro.live.*``) conforming to the
+schema :mod:`repro.obs.schema` enforces in CI. The run's trace is not
+the report's: it is the cluster's tracer stream (``--trace-out``).
 """
 
 from __future__ import annotations
@@ -35,15 +37,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.chaos.monitors import Violation
+from repro.chaos.monitors import Violation, attribute_violations
 from repro.chaos.plan import FaultPlan
 from repro.core.pipeline import simulation1_delay_bounds
 from repro.faults.retransmit import BackoffPolicy
-from repro.live.chaos import collect_violations
 from repro.live.client import ClientRecord
 from repro.live.params import LiveParams
 from repro.obs.sketch import QuantileSketch
-from repro.obs.trace import TRACE_FORMAT, TRACE_VERSION
 from repro.registers.algorithm_s import theorem_bounds
 from repro.traces.linearizability import LinearizationReport, Operation
 
@@ -99,8 +99,9 @@ class LiveReport:
       costs at most ``op_timeout`` plus its backoff gap), with every
       widening term recorded in the check's detail and in
       :meth:`to_payload`;
-    - the node-side monitor observations in ``node_stats`` become
-      :attr:`violations`, each attributed to a plan event;
+    - :attr:`violations` holds the monitors' violations from the run's
+      observation stream, plus a ``linearizability`` violation when the
+      history does not linearize, each attributed to a plan event;
       :attr:`unattributed` must be zero for a healthy chaos run.
     """
 
@@ -111,6 +112,7 @@ class LiveReport:
     slack: float = DEFAULT_SLACK
     records: List[ClientRecord] = field(default_factory=list)
     plan: Optional[FaultPlan] = None
+    violations: List[Violation] = field(default_factory=list)
 
     def __post_init__(self):
         self.read_sketch = QuantileSketch("repro.live.op.read_latency")
@@ -122,12 +124,17 @@ class LiveReport:
                     else self.write_sketch
                 )
                 sketch.observe(record.latency)
-        self.violations: List[Violation] = []
-        if self.plan is not None:
-            self.violations = collect_violations(
-                self.plan, self.params, self.node_stats,
-                self.linearization.ok, self.horizon,
-            )
+        if self.plan is None:
+            return
+        found = list(self.violations)
+        if not self.linearization.ok:
+            found.append(Violation(
+                monitor="linearizability",
+                kind="linearizability",
+                time=self.horizon,
+                detail="no linearization of the recorded history exists",
+            ))
+        self.violations = attribute_violations(self.plan, found)
 
     # -- measurements --------------------------------------------------------
 
@@ -365,7 +372,9 @@ class LiveReport:
 
     def to_metrics(self, registry) -> None:
         """Publish the run into a v2 metrics registry."""
-        registry.counter("repro.live.ops.completed").inc(len(self.operations))
+        registry.counter("repro.live.ops.completed").inc(
+            sum(1 for record in self.records if record.completed)
+        )
         registry.counter("repro.live.ops.reads").inc(len(self.reads))
         registry.counter("repro.live.ops.writes").inc(len(self.writes))
         registry.counter("repro.live.linearizability.visited").inc(
@@ -391,35 +400,6 @@ class LiveReport:
         )
         for key, value in self.outcomes.items():
             registry.counter(f"repro.live.chaos.outcome.{key}").inc(value)
-
-    def write_trace(self, path: str) -> None:
-        """Write the history as a version-2 JSONL trace of ``op`` spans."""
-        horizon = self.horizon
-        with open(path, "w") as handle:
-            def emit(record):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-            emit({"format": TRACE_FORMAT, "version": TRACE_VERSION})
-            emit({"k": "run_start", "horizon": horizon})
-            emit({"k": "meta", "m": {
-                "workload": "live-register", **self.params.to_dict(),
-            }})
-            events = []
-            for op in self.operations:
-                sid = f"L{op.node}-{op.op_id}"
-                events.append((op.inv_time, {
-                    "k": "span", "span": "op", "sid": sid, "ph": "inv",
-                    "now": op.inv_time, "node": op.node, "kind": op.kind,
-                }))
-                events.append((op.res_time, {
-                    "k": "span", "span": "op", "sid": sid, "ph": "res",
-                    "now": op.res_time, "node": op.node, "kind": op.kind,
-                    "latency": op.latency,
-                }))
-            for _, record in sorted(events, key=lambda pair: pair[0]):
-                emit(record)
-            emit({"k": "run_end", "now": horizon,
-                  "steps": 2 * len(self.operations)})
 
     def to_payload(self) -> Dict[str, object]:
         """The machine-readable report ``python -m repro validate``

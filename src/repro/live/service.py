@@ -4,7 +4,9 @@ A :class:`LiveCluster` owns one :class:`~repro.live.node.LiveRegisterNode`
 per processor, all sharing a single epoch (so their real-time axes — and
 hence the ``C_eps`` envelopes — agree) and a
 :func:`~repro.sim.clock_drivers.driver_factory` assignment of clock
-adversaries by node index, exactly as the simulator assigns them.
+adversaries by node index, exactly as the simulator assigns them. The
+nodes also share one tracer, so a cluster emits one observation stream
+on one real-time axis, as a simulator run does.
 
 Startup is two-phase, mirroring the paper's composition: first every
 node binds its server socket (ephemeral ports, so parallel test runs
@@ -23,6 +25,7 @@ from repro.live.node import LiveRegisterNode
 from repro.live.params import LiveParams, write_manifest
 from repro.live.wire import decode_frame, encode_frame
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.trace import NULL_TRACER
 from repro.sim.clock_drivers import driver_factory
 
 
@@ -30,7 +33,11 @@ class LiveCluster:
     """``n`` live register nodes on loopback, sharing one epoch."""
 
     def __init__(
-        self, params: LiveParams, host: str = "127.0.0.1", metrics=NULL_METRICS
+        self,
+        params: LiveParams,
+        host: str = "127.0.0.1",
+        metrics=NULL_METRICS,
+        tracer=NULL_TRACER,
     ):
         self.params = params
         self.host = host
@@ -39,7 +46,7 @@ class LiveCluster:
         self.nodes: List[LiveRegisterNode] = [
             LiveRegisterNode(
                 i, params, make_driver(i), self.epoch, host=host,
-                metrics=metrics,
+                metrics=metrics, tracer=tracer,
             )
             for i in range(params.n)
         ]

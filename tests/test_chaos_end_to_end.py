@@ -3,6 +3,7 @@
 import pytest
 
 from repro.chaos import (
+    ChannelBoundMonitor,
     FaultPlan,
     apply_plan,
     conformance_check,
@@ -23,6 +24,8 @@ from repro.chaos.runner import DEMO_HORIZON
 from repro.chaos.shrink import shrink_plan
 from repro.errors import SpecificationError
 from repro.obs.metrics import MetricsRegistry
+from repro.registers.system import lossy_clock_register_system
+from repro.registers.workload import RegisterWorkload
 
 
 class TestDemo:
@@ -133,6 +136,38 @@ class TestOtherFaultKinds:
         plan = FaultPlan.of([crash(7, 1.0)])
         with pytest.raises(SpecificationError):
             apply_plan(demo_builder(), plan)
+
+
+class TestArqChannelBound:
+    """The simulator twin of the live drop-burst lateness test."""
+
+    def test_drop_burst_lateness_from_first_attempt(self):
+        # node 0 writes at t = 0; its DATA frame to node 1 is dropped
+        # until the burst ends and a retransmission (every 0.5) lands
+        d1, d2, burst_end = 0.1, 1.0, 1.2
+
+        def build():
+            return lossy_clock_register_system(
+                n=2, d1=d1, d2=d2, c=0.0, eps=0.1, p_drop=0.0, max_drops=3,
+                workload=RegisterWorkload(
+                    operations=1, read_fraction=0.0, seed=0
+                ),
+                driver="perfect",
+            )
+
+        plan = FaultPlan.of([drop_burst((0, 1), 0.0, burst_end)], name="burst")
+        outcome = run_chaos(
+            build, plan, 10.0, monitors=[ChannelBoundMonitor(d1, d2)]
+        )
+        (violation,) = outcome.violations
+        assert violation.kind == "channel_bound"
+        assert violation.edge == (0, 1)
+        assert violation.event.kind == "drop_burst"
+        assert violation.event_index == 0
+        # delivered after the burst by a copy that departed after it, yet
+        # measured from the first attempt at t = 0
+        assert violation.time >= burst_end
+        assert f"delivery delay {violation.time:g} outside" in violation.detail
 
 
 class TestConformanceCorpus:

@@ -35,6 +35,18 @@ class TestClockPredicateMonitor:
         # but a different node is
         assert len(monitor.on_action(5.2, "n", Action("X", (2,)), 5.9, True)) == 1
 
+    def test_reflags_after_reentry(self):
+        # edge-triggered: an action back inside the envelope re-arms the
+        # node, so a second excursion is a violation of its own
+        monitor = ClockPredicateMonitor(eps=0.1)
+        assert len(monitor.on_action(5.0, "n", Action("X", (1,)), 5.5, True)) == 1
+        assert monitor.on_action(6.0, "n", Action("X", (1,)), 6.05, True) == []
+        (second,) = monitor.on_action(9.0, "n", Action("X", (1,)), 8.5, True)
+        assert second.node == 1 and second.time == 9.0
+        # an input (no clock) observes nothing and re-arms nothing
+        assert monitor.on_action(9.5, "n", Action("X", (1,)), None, True) == []
+        assert monitor.on_action(9.6, "n", Action("X", (1,)), 9.0, True) == []
+
 
 class TestChannelBoundMonitor:
     def send(self, monitor, t, payload="m"):
@@ -66,12 +78,66 @@ class TestChannelBoundMonitor:
 
     def test_retransmitted_payload_matches_any_candidate(self):
         # two identical sends outstanding: a delivery in bounds of either
-        # is legal (ARQ retransmissions), and drops are never reported
+        # is legal (a raw payload sent twice), and drops are never reported
         monitor = ChannelBoundMonitor(0.1, 1.0)
         self.send(monitor, 0.0)
         self.send(monitor, 2.0)
         assert self.deliver(monitor, 2.5) == []  # explained by the second
         assert monitor.on_run_end(10.0) == []  # unmatched first send: legal
+
+    def esend(self, monitor, t, frame, stamp):
+        return monitor.on_action(
+            t, "arq(S(0))^c", Action("ESENDMSG", (0, 1, (frame, stamp))),
+            stamp, False,
+        )
+
+    def erecv(self, monitor, t, frame, stamp):
+        return monitor.on_action(
+            t, "chan[0->1]^c", Action("ERECVMSG", (1, 0, (frame, stamp))),
+            None, False,
+        )
+
+    def test_data_frame_timed_from_first_attempt(self):
+        # one DATA frame, three attempts: the copy that gets through is
+        # 0.5 on the wire, but the message is 2.5 late end to end
+        monitor = ChannelBoundMonitor(0.1, 1.0)
+        frame = ("DATA", 0, (("v", 0, 1), 0.0))
+        for t in (0.0, 1.0, 2.0):
+            assert self.esend(monitor, t, frame, t) == []
+        (violation,) = self.erecv(monitor, 2.5, frame, 2.0)
+        assert violation.edge == (0, 1)
+        assert "delivery delay 2.5 outside" in violation.detail
+        # a frame delivered in bounds of its first attempt is clean
+        frame = ("DATA", 1, (("v", 0, 2), 3.0))
+        self.esend(monitor, 3.0, frame, 3.0)
+        self.esend(monitor, 3.2, frame, 3.2)
+        assert self.erecv(monitor, 3.9, frame, 3.2) == []
+
+    def test_late_copies_after_delivery_not_reported(self):
+        # delivered on time; its acks were lost, so copies keep coming
+        monitor = ChannelBoundMonitor(0.1, 1.0)
+        frame = ("DATA", 0, (("v", 0, 1), 0.0))
+        self.esend(monitor, 0.0, frame, 0.0)
+        assert self.erecv(monitor, 0.5, frame, 0.0) == []
+        for t in (1.0, 2.0, 3.0):
+            self.esend(monitor, t, frame, t)
+            assert self.erecv(monitor, t + 2.0, frame, t) == []
+
+    def test_data_frame_without_send_flagged(self):
+        monitor = ChannelBoundMonitor(0.1, 1.0)
+        (violation,) = self.erecv(monitor, 1.0, ("DATA", 4, "m"), 0.5)
+        assert "no matching send" in violation.detail
+
+    def test_ack_matches_its_own_send(self):
+        # an ACK is not a DATA frame: each copy is matched to an
+        # outstanding send of the same payload, as a raw message is
+        monitor = ChannelBoundMonitor(0.1, 1.0)
+        ack = ("ACK", 0)
+        self.esend(monitor, 0.0, ack, 0.0)
+        self.esend(monitor, 2.0, ack, 2.0)
+        assert self.erecv(monitor, 2.5, ack, 2.0) == []
+        (violation,) = self.erecv(monitor, 3.0, ack, 0.0)
+        assert "delivery delay 3 outside" in violation.detail
 
 
 class TestHeartbeatMonitor:

@@ -32,6 +32,7 @@ from repro.live.wire import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_metrics, validate_trace_lines
+from repro.obs.trace import JsonlTracer, Tracer
 from repro.sim.clock_drivers import driver_factory
 
 
@@ -208,13 +209,21 @@ class TestEndToEnd:
     expensive part; one run can answer every question)."""
 
     @pytest.fixture(scope="class")
-    def report(self):
+    def trace_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("live") / "live-trace.jsonl"
+
+    @pytest.fixture(scope="class")
+    def report(self, trace_path):
         params = LiveParams(n=3, seed=4)
         workload = live_workload(
             operations=10, read_fraction=0.5, seed=4,
             think_min=0.0, think_max=0.01,
         )
-        return run_load(params, workload, slack=1.0)
+        tracer = JsonlTracer(str(trace_path))
+        try:
+            return run_load(params, workload, slack=1.0, tracer=tracer)
+        finally:
+            tracer.close()
 
     def test_history_is_linearizable(self, report):
         assert report.linearization.ok
@@ -252,13 +261,15 @@ class TestEndToEnd:
         assert validate_metrics(snapshot) == []
         assert snapshot["counters"]["repro.live.ops.completed"] == 30
 
-    def test_trace_export_conforms_to_schema(self, report, tmp_path):
-        path = tmp_path / "live-trace.jsonl"
-        report.write_trace(str(path))
-        lines = path.read_text().splitlines()
+    def test_trace_export_conforms_to_schema(self, report, trace_path):
+        lines = trace_path.read_text().splitlines()
         assert validate_trace_lines(lines) == []
-        spans = [json.loads(l) for l in lines if '"span"' in l]
+        records = [json.loads(line) for line in lines[1:]]
+        spans = [r for r in records if r["k"] == "span" and r["span"] == "op"]
         assert len(spans) == 60  # inv + res per operation
+        # the stream is the simulator's vocabulary, owners included
+        owners = {r["owner"] for r in records if r["k"] == "action"}
+        assert {"S(0)^c", "chan[1->0]^c", "client(2)"} <= owners
 
     def test_sim_replay_of_same_seed_linearizes(self, report):
         workload = live_workload(
@@ -277,14 +288,21 @@ class TestStatsRpc:
         from repro.live.service import LiveCluster, fetch_stats
         from repro.live.wire import encode_frame
 
+        stream = []
+
+        class Recording(Tracer):
+            def action(self, now, owner, action, clock, visible):
+                stream.append((owner, action.name))
+
         async def both():
-            cluster = LiveCluster(LiveParams(n=2, seed=1))
+            cluster = LiveCluster(LiveParams(n=2, seed=1), tracer=Recording())
             addresses = await cluster.start()
             try:
-                node = cluster.nodes[1]
-                node.clock.excursions.append((0.2, 0.03))
-                node.delay_excursions.append((0.3, 0, 0.5))
-                node.dropped = 2
+                reader, writer = await asyncio.open_connection(*addresses[1])
+                writer.write(encode_frame({"t": "write", "value": ["v", 1, 0]}))
+                await asyncio.wait_for(reader.readline(), 5.0)
+                writer.close()
+                cluster.nodes[1].dropped = 2
                 return cluster.stats(), await fetch_stats(addresses)
             finally:
                 await cluster.stop()
@@ -295,8 +313,13 @@ class TestStatsRpc:
             for key in drifting:
                 mine.pop(key), theirs.pop(key)
             assert decode_frame(encode_frame(mine)) == theirs
-        assert remote[1]["clock_excursions"] == ((0.2, 0.03),)
-        assert remote[1]["delay_excursions"] == ((0.3, 0, 0.5),)
+        # the node's observations are on its stream, not in the frame
+        assert ("client(1)", "WRITE") in stream
+        assert ("S(1)^c", "ACK") in stream
+        assert set(remote[1]) == {
+            "t", "node", "eps", "wire_count", "wire_sum", "wire_max",
+            "dropped",
+        }
         assert remote[1]["dropped"] == 2
         assert "dropped" not in remote[0]
 
@@ -304,13 +327,15 @@ class TestStatsRpc:
 class TestReportWithoutRun:
     """Report mechanics that need no cluster."""
 
-    def make_report(self, ops, stats=(), records=(), plan=None):
+    def make_report(self, ops, stats=(), records=(), plan=None,
+                    violations=()):
         from repro.traces.linearizability import analyze_linearizability
 
         lin = analyze_linearizability(ops, initial_value=("v", -1, 0))
         return LiveReport(
             params=LiveParams(), operations=ops, linearization=lin,
             node_stats=list(stats), records=list(records), plan=plan,
+            violations=list(violations),
         )
 
     def test_empty_history_is_ok(self):
@@ -328,6 +353,7 @@ class TestReportWithoutRun:
         assert report.eps_measured == 0.005
 
     def test_plan_attributes_the_node_stats_observations(self):
+        from repro.chaos.monitors import Violation
         from repro.chaos.plan import FaultPlan, clock_fault
 
         plan = FaultPlan(
@@ -335,14 +361,18 @@ class TestReportWithoutRun:
         )
         stats = [
             {"node": 0, "max_skew": 0.004, "wire_max": 0.001},
-            {"node": 1, "max_skew": 0.03, "wire_max": 0.001,
-             "clock_excursions": [[0.2, 0.03]], "dropped": 2},
+            {"node": 1, "max_skew": 0.03, "wire_max": 0.001, "dropped": 2},
         ]
+        # what the clock monitor reports on node 1's stream
+        skew = Violation(
+            monitor="clock_predicate", kind="clock_predicate", time=0.2,
+            node=1, detail="|now - clock| = 0.03 > eps = 0.01",
+        )
         records = [
             ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1, "retried", 2),
             ClientRecord(1, 0, "R", None, 0.2, 0.5, "timeout", 3),
         ]
-        report = self.make_report([], stats, records, plan)
+        report = self.make_report([], stats, records, plan, [skew])
         (violation,) = report.violations
         assert violation.node == 1
         assert violation.event.kind == "clock_fault"
@@ -377,6 +407,22 @@ class TestReportWithoutRun:
         assert sketches["repro.live.op.write_latency"]["count"] == 1
         assert sketches["repro.live.op.read_latency"]["count"] == 0
 
+    def test_completed_counts_completed_records(self):
+        # a timed-out write stays in the history, open to the horizon,
+        # but it did not complete
+        records = [
+            ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1),
+            ClientRecord(0, 1, "W", ("v", 0, 1), 0.3, 1.3, "timeout"),
+        ]
+        ops = build_operations(records, horizon=1.3)
+        report = self.make_report(ops, records=records)
+        assert len(report.operations) == 2
+        registry = MetricsRegistry()
+        report.to_metrics(registry)
+        counters = registry.snapshot()["counters"]
+        assert counters["repro.live.ops.completed"] == 1
+        assert counters["repro.live.ops.writes"] == 2
+
     def test_plan_refuses_external_addresses(self):
         from repro.chaos.plan import FaultPlan, crash
 
@@ -386,3 +432,26 @@ class TestReportWithoutRun:
                 LiveParams(n=1), live_workload(operations=1),
                 addresses=[("127.0.0.1", 1)], plan=plan,
             )
+
+    def test_connect_refuses_trace_out(self, tmp_path, capsys):
+        # the nodes, and so their stream, live in the serve process
+        from repro.cli import main
+
+        manifest = str(tmp_path / "manifest.json")
+        write_manifest(manifest, LiveParams(n=1), [("127.0.0.1", 1)])
+        status = main([
+            "load", "--connect", manifest, "--ops", "1",
+            "--trace-out", str(tmp_path / "trace.jsonl"),
+        ])
+        assert status == 2
+        assert "serve process" in capsys.readouterr().err
+
+    def test_live_chaos_prints_its_causal_attribution(self, capsys):
+        from repro.cli import main
+
+        status = main(["chaos", "--live", "--seed", "7", "--ops", "2",
+                       "--causal"])
+        out = capsys.readouterr().out
+        assert status == 0, out
+        assert "causal attribution:" in out
+        assert "happens-before DAG: acyclic, sound" in out

@@ -20,6 +20,7 @@ import time
 import unittest
 from pathlib import Path
 
+from repro.chaos.monitors import ChannelBoundMonitor, MonitorTracer, TeeTracer
 from repro.chaos.plan import (
     FaultPlan,
     clock_fault,
@@ -34,7 +35,6 @@ from repro.live import (
     LiveCluster,
     LiveLoadClient,
     LiveParams,
-    collect_violations,
     run_load,
     validate_for_live,
 )
@@ -43,6 +43,7 @@ from repro.live.load import build_operations, live_workload
 from repro.live.wire import decode_frame, encode_frame
 from repro.errors import LiveServiceError
 from repro.obs import MetricsRegistry
+from repro.obs.trace import Tracer
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -630,8 +631,26 @@ class TestPeerLinkAfterPeerRestart(unittest.TestCase):
         asyncio.run(scenario())
 
 
+class _FirstAttempts(Tracer):
+    """The stream's first ``ESENDMSG`` time per ARQ ``DATA`` frame."""
+
+    def __init__(self):
+        self.first = {}
+
+    def action(self, now, owner, action, clock, visible):
+        if action.name == "ESENDMSG" and action.params[2][0][0] == "DATA":
+            src, dst, ((_, seq, _), _) = action.params
+            self.first.setdefault((src, dst, seq), now)
+
+
 class TestLiveChannelMonitor(unittest.TestCase):
     """A retransmitted update delivered past ``d2`` is one violation."""
+
+    @staticmethod
+    def _monitors(params, plan):
+        return MonitorTracer(
+            [ChannelBoundMonitor(params.d1, params.d2)], plan
+        )
 
     def test_drop_burst_lateness_from_first_attempt(self):
         params = LiveParams(n=2, d2=0.1, eps=0.005, seed=4,
@@ -640,9 +659,12 @@ class TestLiveChannelMonitor(unittest.TestCase):
         plan = FaultPlan(
             events=(drop_burst((0, 1), 0.0, burst_end),), name="burst"
         )
+        monitors, attempts = self._monitors(params, plan), _FirstAttempts()
 
         async def scenario():
-            cluster = LiveCluster(params)
+            cluster = LiveCluster(
+                params, tracer=TeeTracer(monitors, attempts)
+            )
             LiveChaosController(plan, cluster)
             await cluster.start()
             try:
@@ -659,34 +681,33 @@ class TestLiveChannelMonitor(unittest.TestCase):
                 )
                 self.assertEqual(ack["t"], "ack")
                 writer.close()
-                peer = cluster.nodes[1]
                 for _ in range(100):
-                    if peer.delay_excursions:
+                    if monitors.violations:
                         break
                     await asyncio.sleep(0.02)
                 # room for a duplicate copy to land, were one ever sent
                 await asyncio.sleep(3 * params.retry_base)
             finally:
                 await cluster.stop()
-            return cluster.stats(), peer
+            return cluster.stats()
 
-        stats, peer = asyncio.run(scenario())
+        stats = asyncio.run(scenario())
         # the sender counted the frames the burst cut; nothing else did
         self.assertGreater(stats[0]["dropped"], 0)
         self.assertNotIn("dropped", stats[1])
-        violations = collect_violations(plan, params, stats, True, 1.0)
-        channel = [v for v in violations if v.monitor == "live_channel"]
+        channel = [
+            v for v in monitors.violations if v.monitor == "channel_bound"
+        ]
         self.assertEqual(len(channel), 1)
         violation = channel[0]
         self.assertEqual(violation.edge, (0, 1))
         self.assertEqual(violation.event.kind, "drop_burst")
-        (real, src, total), = peer.delay_excursions
-        self.assertEqual(src, 0)
-        self.assertGreater(total, params.d2)
+        real, first = violation.time, attempts.first[(0, 1, 0)]
+        self.assertGreater(real - first, params.d2)
         # delivered after the burst, yet measured from an attempt that
         # departed inside it, over a retransmission interval earlier
         self.assertGreaterEqual(real, burst_end)
-        self.assertLess(real - total, burst_end - params.retry_base)
+        self.assertLess(first, burst_end - params.retry_base)
 
     def test_late_duplicates_of_an_on_time_delivery_are_not_violations(self):
         params = LiveParams(n=2, d2=0.1, eps=0.005, seed=4,
@@ -697,9 +718,10 @@ class TestLiveChannelMonitor(unittest.TestCase):
         plan = FaultPlan(
             events=(drop_burst((1, 0), 0.0, burst_end),), name="ack-loss"
         )
+        monitors = self._monitors(params, plan)
 
         async def scenario():
-            cluster = LiveCluster(params)
+            cluster = LiveCluster(params, tracer=monitors)
             LiveChaosController(plan, cluster)
             await cluster.start()
             try:
@@ -721,16 +743,15 @@ class TestLiveChannelMonitor(unittest.TestCase):
                     await asyncio.sleep(0.02)
             finally:
                 await cluster.stop()
-            return cluster.stats(), sender, peer
+            return sender, peer
 
-        stats, sender, peer = asyncio.run(scenario())
+        sender, peer = asyncio.run(scenario())
         self.assertNotIn((1, 0), sender.state.proc_state.outbox)
         self.assertGreater(sender.retransmits, 0)
-        self.assertEqual(peer.delay_excursions, [])
         self.assertEqual(peer._wire_count, 1)  # the first copy only
-        violations = collect_violations(plan, params, stats, True, 1.0)
         self.assertEqual(
-            [v for v in violations if v.monitor == "live_channel"], []
+            [v for v in monitors.violations if v.monitor == "channel_bound"],
+            [],
         )
 
 

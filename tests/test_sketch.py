@@ -75,19 +75,19 @@ class TestQuantileAccuracy:
 
 
 class TestMergeDeterminism:
-    def _sharded_json(self, samples, shards):
-        """Merged to_dict JSON after splitting samples across shards."""
-        parts = [QuantileSketch("lat") for _ in range(shards)]
+    def _merged_json(self, samples, workers):
+        """Merged to_dict JSON after splitting samples across workers."""
+        parts = [QuantileSketch("lat") for _ in range(workers)]
         for index, value in enumerate(samples):
-            parts[index % shards].observe(value)
+            parts[index % workers].observe(value)
         merged = QuantileSketch("lat")
         for part in parts:
             merged.merge(part)
         return json.dumps(merged.to_dict(), sort_keys=True)
 
-    def test_byte_identical_across_shard_counts(self):
+    def test_byte_identical_across_worker_counts(self):
         samples = _samples(400)
-        texts = {self._sharded_json(samples, shards) for shards in (1, 2, 4, 8)}
+        texts = {self._merged_json(samples, workers) for workers in (1, 2, 4, 8)}
         assert len(texts) == 1
 
     def test_merge_order_does_not_matter(self):
@@ -104,7 +104,7 @@ class TestMergeDeterminism:
         assert forward.to_dict() == backward.to_dict()
 
     def test_merging_an_empty_sketch_is_an_exact_no_op(self):
-        # regression: an empty shard registry merged into a populated one
+        # regression: an empty worker registry merged into a populated one
         # must not disturb min/max/zero (the empty sketch's inf/-inf
         # sentinels and zero counters must never leak into the result)
         sketch = QuantileSketch("lat")
@@ -134,7 +134,7 @@ class TestMergeDeterminism:
         assert a.minimum == 0.0 and a.maximum == 0.0
         assert a.quantile(0.5) == 0.0
 
-    def test_zero_bucket_counts_accumulate_across_shards(self):
+    def test_zero_bucket_counts_accumulate_across_workers(self):
         parts = [QuantileSketch("lat") for _ in range(3)]
         for index, value in enumerate((0.0, -0.5, 0.0, 1.0, 0.0, -2.0)):
             parts[index % 3].observe(value)
@@ -145,8 +145,8 @@ class TestMergeDeterminism:
         assert merged.count == 6
         assert merged.minimum == 0.0  # negatives clamp into the zero bucket
 
-    def test_canonical_sum_invariant_under_shuffled_shard_orders(self):
-        # property-style: whatever order per-shard registries merge in,
+    def test_canonical_sum_invariant_under_shuffled_worker_orders(self):
+        # property-style: whatever order per-worker registries merge in,
         # the exported sum (and the whole dict) is byte-identical —
         # _canonical_sum recomputes from sorted buckets, so float
         # addition order cannot leak through
@@ -201,10 +201,10 @@ class TestRegistryIntegration:
         assert rebuilt.snapshot() == snapshot
 
     def test_merge_snapshots_byte_identical_across_worker_counts(self):
-        """The acceptance criterion: sharded campaign aggregation."""
+        """The acceptance criterion: campaign aggregation across workers."""
         samples = _samples(300)
 
-        def shard_snapshots(workers):
+        def worker_snapshots(workers):
             registries = [MetricsRegistry() for _ in range(workers)]
             for index, value in enumerate(samples):
                 registries[index % workers].sketch("lat").observe(value)
@@ -212,7 +212,7 @@ class TestRegistryIntegration:
             return [r.snapshot() for r in registries]
 
         texts = {
-            json.dumps(merge_snapshots(shard_snapshots(w)), sort_keys=True)
+            json.dumps(merge_snapshots(worker_snapshots(w)), sort_keys=True)
             for w in (1, 2, 3, 6)
         }
         assert len(texts) == 1
