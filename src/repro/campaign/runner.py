@@ -316,8 +316,8 @@ class CampaignRunner:
                         return
                     child_conn.close()
                     running[parent_conn] = _Running(
-                        # repro: lint-ignore[DET002] -- wall-clock budget
-                        # for reaping hung workers; never enters results
+                        # wall-clock budget for reaping hung workers;
+                        # never enters results
                         point, attempt, process, time.monotonic()
                     )
 
@@ -348,8 +348,8 @@ class CampaignRunner:
 
                 # Reap attempts over their wall-clock budget.
                 if self.timeout is not None:
-                    # repro: lint-ignore[DET002] -- timeout reaping is
-                    # wall-clock by definition; never enters results
+                    # timeout reaping is wall-clock by definition;
+                    # never enters results
                     now = time.monotonic()
                     for conn, info in list(running.items()):
                         if now - info.started <= self.timeout:

@@ -127,8 +127,8 @@ def run_point(point: Dict) -> Dict:
     _apply_chaos(point)
     config = point["config"]
     run_params = point["run"]
-    # repro: lint-ignore[DET002] -- wall-time measurement around the run;
-    # reported as volatile metadata, never part of the deterministic result
+    # wall-time measurement around the run; reported as volatile
+    # metadata, never part of the deterministic result
     start = time.perf_counter()
     spec = _build_system(config, run_params)
     metrics = MetricsRegistry()
@@ -136,7 +136,7 @@ def run_point(point: Dict) -> Dict:
         spec, float(run_params["horizon"]), max_steps=MAX_STEPS,
         metrics=metrics,
     )
-    wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
+    wall = time.perf_counter() - start
     linearizable = run.linearizable()
     result = {
         "key": point_key(config),

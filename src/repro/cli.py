@@ -36,9 +36,9 @@ Commands:
     check the recorded history for linearizability, and gate latency
     percentiles on the Theorem 6.5 bounds.
 ``lint``
-    Statically check the determinism discipline, the scheduling-contract
-    declarations, and entity isolation across the source tree; exits
-    non-zero on new findings.
+    Statically check the source tree for set iteration into ordered
+    results and un-copied received payloads; exits non-zero on new
+    findings or stale suppressions.
 ``validate``
     Check exported artifacts (metrics, traces, campaign files, fault
     plans, live-chaos reports, experiment results) against the format
@@ -1067,8 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="statically check determinism, scheduling-contract, and "
-             "isolation invariants",
+        help="statically check set-iteration order and payload aliasing",
     )
     add_lint_arguments(p)
     p.set_defaults(func=_lint)

@@ -222,7 +222,8 @@ class TimedNodeEntity(Entity):
         self.process = process
         # The node's scheduling contract is exactly its process's — all
         # three flags. (Dropping one here once silently pinned every
-        # timed node to the Entity default; CON004 now guards this.)
+        # timed node to the Entity default; TestContractForwarding in
+        # tests/test_components_base.py now guards this.)
         self.pure_enabled = getattr(process, "pure_enabled", True)
         self.static_deadline = getattr(process, "static_deadline", False)
         self.wakes_at_deadline = getattr(process, "wakes_at_deadline", False)

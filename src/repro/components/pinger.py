@@ -121,10 +121,10 @@ class PingerProcess(Process):
 
     def deadline(self, state: PingerState, ctx: ProcessContext) -> float:
         if state.pending_send is not None or state.pending_pongs:
-            # repro: lint-ignore[CON002] -- ctx.time is returned only
-            # while actions are enabled ("fire now"): the engine fires
-            # before advancing time, so this branch is never cached
-            # across an advance; the idle branch is state-only
+            # ctx.time is returned only while actions are enabled ("fire
+            # now"): the engine fires before advancing time, so this branch
+            # is never cached across an advance; the idle branch is
+            # state-only
             return ctx.time
         return self._next_ping_time(state)
 
@@ -176,8 +176,8 @@ class EchoProcess(Process):
         state.answered += 1
 
     def deadline(self, state: EchoState, ctx: ProcessContext) -> float:
-        # repro: lint-ignore[CON002] -- ctx.time is returned only while
-        # replies are enabled (fired before time advances); idle is INFINITY
+        # ctx.time is returned only while replies are enabled (fired
+        # before time advances); idle is INFINITY
         return ctx.time if state.pending else INFINITY
 
 

@@ -112,11 +112,11 @@ def run_experiment_task(point: Dict) -> Dict[str, object]:
     returns ``{"result": ..., "wall": ...}``. The wall time is reported
     beside the record, never inside it.
     """
-    # repro: lint-ignore[DET002] -- wall-time bracket around the experiment;
-    # the figure is printed by run_all.py and stored nowhere
+    # wall-time bracket around the experiment; the figure is printed by
+    # run_all.py and stored nowhere
     start = time.perf_counter()
     result = run_experiment(point["exp"])
-    wall = time.perf_counter() - start  # repro: lint-ignore[DET002] -- volatile wall-time figure
+    wall = time.perf_counter() - start
     return {"result": result, "wall": wall}
 
 

@@ -1,8 +1,8 @@
 """``python -m repro lint`` — the analyzer's command-line front end.
 
 Exit status: 0 when the tree is clean (no new findings, no stale
-baseline entries), 1 when it is not, 2 on unusable input — the same
-convention as the other repro commands, so CI can gate on it directly.
+suppressions), 1 when it is not, 2 on unusable input — the same
+convention as the other repro commands.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from __future__ import annotations
 import sys
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline, apply_baseline
 from repro.lint.core import LintResult, run_lint
-from repro.lint.report import render_json, render_rules, render_text
+from repro.lint.report import render_rules, render_text
 
 
 def add_lint_arguments(parser) -> None:
@@ -20,20 +19,6 @@ def add_lint_arguments(parser) -> None:
     parser.add_argument(
         "paths", nargs="*", default=None, metavar="PATH",
         help="files or directories to scan (default: src)",
-    )
-    parser.add_argument(
-        "--format", dest="fmt", choices=["text", "json"], default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="grandfather findings listed in FILE; stale entries fail "
-             "the run",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write a baseline covering every currently-new finding, "
-             "then exit 0",
     )
     parser.add_argument(
         "--root", default=None,
@@ -45,7 +30,7 @@ def add_lint_arguments(parser) -> None:
     )
     parser.add_argument(
         "--verbose", action="store_true",
-        help="text format: also list suppressed/baselined findings",
+        help="also list suppressed findings",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -64,23 +49,7 @@ def run(args) -> int:
         if args.select else None
     )
     result: LintResult = run_lint(paths, root=args.root, select=select)
-
-    if args.write_baseline:
-        baseline = Baseline.from_result(result)
-        baseline.save(args.write_baseline)
-        print(
-            f"baseline -> {args.write_baseline} "
-            f"({len(baseline.entries)} entries)"
-        )
-        return 0
-
-    if args.baseline:
-        apply_baseline(result, Baseline.load(args.baseline))
-
-    if args.fmt == "json":
-        sys.stdout.write(render_json(result))
-    else:
-        sys.stdout.write(render_text(result, verbose=args.verbose))
+    sys.stdout.write(render_text(result, verbose=args.verbose))
     return 0 if result.ok else 1
 
 
@@ -92,8 +61,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="static invariant analysis (determinism, scheduling "
-                    "contracts, entity isolation)",
+        description="static analysis: set-iteration order (DET004) and "
+                    "payload aliasing (ISO003)",
     )
     add_lint_arguments(parser)
     args = parser.parse_args(argv)

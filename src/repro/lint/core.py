@@ -10,39 +10,24 @@ runs over the same tree produce byte-identical reports.
 
 Cross-file knowledge lives in :class:`ProjectIndex`: a name-based class
 graph good enough to answer "is this class an Entity/Process subclass?"
-and "what is its effective ``pure_enabled``?" without imports or a real
-type checker. Name resolution is heuristic — a base name is looked up
-among all project classes — which is exactly right for a codebase lint
-(false negatives on exotic metaprogramming are acceptable; determinism
-of the answer is not).
+without imports or a real type checker. Name resolution is heuristic —
+a base name is looked up among all project classes — which is exactly
+right for a codebase lint (false negatives on exotic metaprogramming
+are acceptable; determinism of the answer is not).
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
+import io
 import os
 import re
+import tokenize
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.lint.rules import is_known_rule
-
-#: Sentinel for a contract flag assigned a non-constant expression
-#: (e.g. forwarded via ``getattr``): statically unknowable, so contract
-#: rules that require a definite ``True`` skip the class.
-DYNAMIC = "dynamic"
-
-CONTRACT_FLAGS = ("pure_enabled", "static_deadline", "wakes_at_deadline")
-
-#: Root-class defaults, per kind (mirrors ``repro/components/base.py``).
-FLAG_DEFAULTS = {
-    "entity": {"pure_enabled": True, "static_deadline": False,
-               "wakes_at_deadline": False},
-    "process": {"pure_enabled": True, "static_deadline": False,
-                "wakes_at_deadline": False},
-}
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*lint-ignore\[([A-Za-z0-9_,\s]*)\]\s*(?:--\s*|:\s*)?(.*)$"
@@ -50,17 +35,12 @@ _SUPPRESS_RE = re.compile(
 
 
 class LintConfigError(ReproError):
-    """Unusable lint input: missing path, unparseable file, bad baseline."""
+    """Unusable lint input: missing path, unparseable file, unknown rule."""
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One diagnostic, position-stable and fingerprint-stable.
-
-    The fingerprint deliberately excludes the line number so baselines
-    survive unrelated edits above the finding; ``scope`` (the enclosing
-    ``Class.method`` or ``module``) disambiguates repeated messages.
-    """
+    """One diagnostic; ``scope`` is the enclosing ``Class.method``."""
 
     rule: str
     path: str  # posix-style path relative to the scan root
@@ -68,11 +48,6 @@ class Finding:
     col: int
     scope: str
     message: str
-
-    @property
-    def fingerprint(self) -> str:
-        blob = f"{self.rule}|{self.path}|{self.scope}|{self.message}"
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def sort_key(self) -> Tuple[str, int, int, str, str]:
         """The deterministic report ordering."""
@@ -85,21 +60,26 @@ class Finding:
 
 @dataclass
 class AssessedFinding:
-    """A finding plus its disposition after suppressions and baseline."""
+    """A finding plus its disposition after inline suppressions."""
 
     finding: Finding
-    status: str  # "new" | "suppressed" | "baselined"
+    status: str  # "new" | "suppressed"
     justification: str = ""
 
 
 @dataclass
 class LintResult:
-    """Everything one lint run produced, in deterministic order."""
+    """Everything one lint run produced, in deterministic order.
+
+    ``stale_suppressions`` holds one ``path:line: ...`` problem per
+    suppressed rule id that is unknown or covered no finding (checked
+    only in runs over the whole catalog, i.e. without ``select``).
+    """
 
     root: str
     files_scanned: int
     assessed: List[AssessedFinding]
-    stale_baseline: List[Dict[str, Any]] = field(default_factory=list)
+    stale_suppressions: List[str] = field(default_factory=list)
 
     @property
     def new(self) -> List[AssessedFinding]:
@@ -110,12 +90,8 @@ class LintResult:
         return [a for a in self.assessed if a.status == "suppressed"]
 
     @property
-    def baselined(self) -> List[AssessedFinding]:
-        return [a for a in self.assessed if a.status == "baselined"]
-
-    @property
     def ok(self) -> bool:
-        return not self.new and not self.stale_baseline
+        return not self.new and not self.stale_suppressions
 
 
 @dataclass
@@ -125,6 +101,7 @@ class Suppression:
     rules: Tuple[str, ...]
     justification: str
     line: int
+    used: Set[str] = field(default_factory=set)  # rules that covered a finding
 
     def covers(self, rule: str) -> bool:
         """Whether this comment suppresses ``rule``."""
@@ -133,14 +110,17 @@ class Suppression:
 
 @dataclass
 class SourceModule:
-    """One parsed source file plus its suppression comments."""
+    """One parsed source file plus its suppression comments.
+
+    Suppressions are read from ``COMMENT`` tokens, so a marker inside a
+    string literal or docstring is not one.
+    """
 
     path: str
     relpath: str
-    text: str
-    lines: List[str]
     tree: ast.Module
     suppressions: Dict[int, Suppression]
+    comment_lines: Set[int]  # lines holding nothing but a comment
 
     @classmethod
     def load(cls, path: str, relpath: str) -> "SourceModule":
@@ -154,10 +134,15 @@ class SourceModule:
             tree = ast.parse(text, filename=path)
         except SyntaxError as exc:
             raise LintConfigError(f"cannot parse {relpath}: {exc}")
-        lines = text.splitlines()
         suppressions: Dict[int, Suppression] = {}
-        for lineno, raw in enumerate(lines, start=1):
-            match = _SUPPRESS_RE.search(raw)
+        comment_lines: Set[int] = set()
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type != tokenize.COMMENT:
+                continue
+            lineno, col = token.start
+            if not token.line[:col].strip():
+                comment_lines.add(lineno)
+            match = _SUPPRESS_RE.search(token.string)
             if match is None:
                 continue
             rules = tuple(
@@ -169,14 +154,9 @@ class SourceModule:
                 line=lineno,
             )
         return cls(
-            path=path, relpath=relpath, text=text, lines=lines, tree=tree,
-            suppressions=suppressions,
+            path=path, relpath=relpath, tree=tree,
+            suppressions=suppressions, comment_lines=comment_lines,
         )
-
-    def _is_standalone_comment(self, lineno: int) -> bool:
-        if not 1 <= lineno <= len(self.lines):
-            return False
-        return self.lines[lineno - 1].lstrip().startswith("#")
 
     def suppression_for(self, lineno: int, rule: str) -> Optional[Suppression]:
         """The suppression covering ``rule`` at ``lineno``, if any.
@@ -189,7 +169,7 @@ class SourceModule:
         if found is not None and found.covers(rule):
             return found
         above = lineno - 1
-        while above >= 1 and self._is_standalone_comment(above):
+        while above in self.comment_lines:
             found = self.suppressions.get(above)
             if found is not None and found.covers(rule):
                 return found
@@ -209,197 +189,72 @@ def _base_name(node: ast.expr) -> Optional[str]:
     return None
 
 
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                     ast.SetComp)
-_MUTABLE_CTORS = {"list", "dict", "set", "deque", "defaultdict",
-                  "OrderedDict", "Counter"}
-
-
-def _is_mutable_literal(node: ast.expr) -> bool:
-    if isinstance(node, _MUTABLE_LITERALS):
-        return True
-    if isinstance(node, ast.Call):
-        name = _base_name(node.func)
-        return name in _MUTABLE_CTORS
-    return False
-
-
 @dataclass
 class ClassDecl:
-    """One class definition with the facts the contract/ISO passes need."""
+    """One class definition: its module, base names and methods."""
 
     name: str
     module: SourceModule
     node: ast.ClassDef
     base_names: List[str]
     methods: Dict[str, ast.FunctionDef]
-    class_flag_values: Dict[str, Any]      # flag -> True/False/DYNAMIC
-    init_flag_values: Dict[str, Any]       # flag -> True/False/DYNAMIC
-    forwarded_flags: Set[str]              # flags assigned from the wrapped obj
-    class_mutable_attrs: Set[str]          # class-level mutable-literal attrs
-
-    @property
-    def qualname(self) -> str:
-        return f"{self.module.relpath}:{self.name}"
-
-
-def _value_forwards_flag(value: ast.expr, flag: str) -> bool:
-    """Whether ``value`` reads ``flag`` off another object.
-
-    Matches ``getattr(x, "flag", ...)`` and ``x.flag`` anywhere inside
-    the assigned expression.
-    """
-    for sub in ast.walk(value):
-        if isinstance(sub, ast.Call) and _base_name(sub.func) == "getattr":
-            if len(sub.args) >= 2 and isinstance(sub.args[1], ast.Constant):
-                if sub.args[1].value == flag:
-                    return True
-        if isinstance(sub, ast.Attribute) and sub.attr == flag:
-            return True
-    return False
-
-
-def _collect_class(module: SourceModule, node: ast.ClassDef) -> ClassDecl:
-    methods: Dict[str, ast.FunctionDef] = {}
-    class_flags: Dict[str, Any] = {}
-    class_mutable: Set[str] = set()
-    for stmt in node.body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if isinstance(stmt, ast.FunctionDef):
-                methods[stmt.name] = stmt
-            continue
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id in CONTRACT_FLAGS:
-                if isinstance(value, ast.Constant):
-                    class_flags[target.id] = bool(value.value)
-                else:
-                    class_flags[target.id] = DYNAMIC
-            if value is not None and _is_mutable_literal(value):
-                class_mutable.add(target.id)
-
-    init_flags: Dict[str, Any] = {}
-    forwarded: Set[str] = set()
-    init = methods.get("__init__")
-    if init is not None:
-        for stmt in ast.walk(init):
-            if not isinstance(stmt, ast.Assign):
-                continue
-            for target in stmt.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"
-                    and target.attr in CONTRACT_FLAGS
-                ):
-                    if isinstance(stmt.value, ast.Constant):
-                        init_flags[target.attr] = bool(stmt.value.value)
-                    else:
-                        init_flags[target.attr] = DYNAMIC
-                    if _value_forwards_flag(stmt.value, target.attr):
-                        forwarded.add(target.attr)
-
-    return ClassDecl(
-        name=node.name,
-        module=module,
-        node=node,
-        base_names=[
-            name for name in (_base_name(b) for b in node.bases)
-            if name is not None
-        ],
-        methods=methods,
-        class_flag_values=class_flags,
-        init_flag_values=init_flags,
-        forwarded_flags=forwarded,
-        class_mutable_attrs=class_mutable,
-    )
 
 
 class ProjectIndex:
     """All classes in the scanned tree, linked by (heuristic) base names."""
 
     def __init__(self, modules: Sequence[SourceModule]):
-        self.modules = list(modules)
         self.classes: List[ClassDecl] = []
         self.by_name: Dict[str, List[ClassDecl]] = {}
-        for module in self.modules:
+        for module in modules:
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef):
-                    decl = _collect_class(module, node)
+                    decl = ClassDecl(
+                        name=node.name,
+                        module=module,
+                        node=node,
+                        base_names=[
+                            name for name in map(_base_name, node.bases)
+                            if name is not None
+                        ],
+                        methods={
+                            stmt.name: stmt for stmt in node.body
+                            if isinstance(stmt, ast.FunctionDef)
+                        },
+                    )
                     self.classes.append(decl)
                     self.by_name.setdefault(decl.name, []).append(decl)
         self.classes.sort(key=lambda d: (d.module.relpath, d.node.lineno))
-        self._kind_memo: Dict[int, Optional[str]] = {}
-
-    # -- hierarchy ---------------------------------------------------------
 
     def ancestors(self, decl: ClassDecl) -> List[ClassDecl]:
-        """Project-resolvable ancestors, nearest first (DFS, de-duplicated)."""
+        """Project-resolvable ancestors, nearest first (BFS, de-duplicated)."""
         out: List[ClassDecl] = []
         seen: Set[int] = {id(decl)}
-        stack: List[ClassDecl] = [decl]
-        while stack:
-            current = stack.pop(0)
+        queue: List[ClassDecl] = [decl]
+        while queue:
+            current = queue.pop(0)
             for base in current.base_names:
                 for candidate in self.by_name.get(base, []):
                     if id(candidate) in seen:
                         continue
                     seen.add(id(candidate))
                     out.append(candidate)
-                    stack.append(candidate)
+                    queue.append(candidate)
         return out
 
-    def kind_of(self, decl: ClassDecl) -> Optional[str]:
-        """``"entity"``/``"process"`` if the class descends from one."""
-        memo = self._kind_memo.get(id(decl))
-        if memo is not None or id(decl) in self._kind_memo:
-            return memo
-        names = {decl.name} | {a.name for a in self.ancestors(decl)}
-        base_reach = set(decl.base_names)
-        for ancestor in self.ancestors(decl):
-            base_reach.update(ancestor.base_names)
-        kind: Optional[str] = None
-        if decl.name != "Entity" and ("Entity" in names or "Entity" in base_reach):
-            kind = "entity"
-        elif decl.name != "Process" and (
-            "Process" in names or "Process" in base_reach
-        ):
-            kind = "process"
-        self._kind_memo[id(decl)] = kind
-        return kind
+    def is_automaton(self, decl: ClassDecl) -> bool:
+        """Whether the class descends from ``Entity`` or ``Process``.
 
-    # -- contract flags ----------------------------------------------------
-
-    def effective_flag(self, decl: ClassDecl, flag: str) -> Any:
-        """The statically-resolved flag value (or :data:`DYNAMIC`).
-
-        ``__init__`` assignments shadow class attributes, nearer classes
-        shadow ancestors, and the kind default closes the walk.
+        The roots themselves do not count; a base named ``Entity`` or
+        ``Process`` counts even when it is outside the scanned tree.
         """
-        chain = [decl] + self.ancestors(decl)
-        for current in chain:
-            if flag in current.init_flag_values:
-                return current.init_flag_values[flag]
-            if flag in current.class_flag_values:
-                return current.class_flag_values[flag]
-        kind = self.kind_of(decl) or "entity"
-        return FLAG_DEFAULTS[kind][flag]
-
-    def find_method(
-        self, decl: ClassDecl, name: str
-    ) -> Optional[Tuple[ClassDecl, ast.FunctionDef]]:
-        """The nearest project definition of ``name`` in the MRO chain."""
-        for current in [decl] + self.ancestors(decl):
-            if name in current.methods:
-                return current, current.methods[name]
-        return None
+        reach = set(decl.base_names)
+        for ancestor in self.ancestors(decl):
+            reach.add(ancestor.name)
+            reach.update(ancestor.base_names)
+        return decl.name not in ("Entity", "Process") and bool(
+            reach & {"Entity", "Process"}
+        )
 
 
 # -- shared AST helpers -------------------------------------------------------
@@ -416,33 +271,6 @@ def dotted_name(node: ast.expr) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def attribute_root(node: ast.expr) -> Optional[str]:
-    """The base Name of an attribute/subscript chain (``state`` of
-    ``state.buffer[0].x``)."""
-    current = node
-    while isinstance(current, (ast.Attribute, ast.Subscript)):
-        current = current.value
-    if isinstance(current, ast.Name):
-        return current.id
-    return None
-
-
-#: Method names that mutate their receiver in place.
-MUTATOR_METHODS = {
-    "append", "appendleft", "add", "insert", "extend", "extendleft",
-    "remove", "discard", "pop", "popleft", "popitem", "clear", "update",
-    "setdefault", "sort", "reverse", "rotate",
-}
-
-#: ``random.Random`` draw methods (and the module-level twins).
-RNG_METHODS = {
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
-    "betavariate", "triangular", "getrandbits", "vonmisesvariate",
-    "paretovariate", "weibullvariate", "lognormvariate", "seed",
-}
 
 
 def scope_name(stack: Sequence[str]) -> str:
@@ -503,6 +331,7 @@ def _apply_suppressions(
         if module is not None:
             suppression = module.suppression_for(finding.line, finding.rule)
         if suppression is not None:
+            suppression.used.add(finding.rule)
             assessed.append(
                 AssessedFinding(
                     finding, "suppressed",
@@ -514,6 +343,21 @@ def _apply_suppressions(
     return assessed
 
 
+def _stale_suppressions(modules: Sequence[SourceModule]) -> List[str]:
+    """Suppressed rule ids that are unknown or covered no finding."""
+    stale: List[str] = []
+    for module in modules:
+        for line in sorted(module.suppressions):
+            suppression = module.suppressions[line]
+            for rule in suppression.rules:
+                where = f"{module.relpath}:{line}"
+                if not is_known_rule(rule):
+                    stale.append(f"{where}: suppression names unknown rule {rule!r}")
+                elif rule not in suppression.used:
+                    stale.append(f"{where}: suppression of {rule} covers no finding")
+    return stale
+
+
 def run_lint(
     paths: Sequence[str],
     root: Optional[str] = None,
@@ -522,19 +366,17 @@ def run_lint(
     """Run every pass over ``paths`` and fold in inline suppressions.
 
     ``select`` restricts the run to the given rule IDs (handy for
-    fixture tests); baselines are applied separately by
-    :func:`repro.lint.baseline.apply_baseline` so library callers can
-    inspect the raw result.
+    fixture tests); such a run does not check for stale suppressions,
+    since the rules it leaves out produce no findings to cover.
     """
     # late imports: the passes import helpers from this module
-    from repro.lint import contracts, determinism, isolation
+    from repro.lint import determinism, isolation
 
     modules = load_modules(paths, root=root)
     index = ProjectIndex(modules)
     findings: List[Finding] = []
     for module in modules:
         findings.extend(determinism.check_module(module))
-    findings.extend(contracts.check_project(index))
     findings.extend(isolation.check_project(index))
     if select is not None:
         wanted = set(select)
@@ -547,4 +389,5 @@ def run_lint(
         root=os.path.abspath(root or os.getcwd()),
         files_scanned=len(modules),
         assessed=assessed,
+        stale_suppressions=[] if select is not None else _stale_suppressions(modules),
     )

@@ -1,66 +1,30 @@
-"""Determinism lint (``DET001``–``DET004``).
+"""Set-order lint (``DET004``).
 
-Simulation code must be a pure function of its seeds: the trace archive,
-the campaign aggregator's byte-identical resumes, and the chaos
-shrinker's oracle replays all assume that re-running a configuration
-reproduces it exactly. These rules flag the four ways Python code
-silently breaks that:
+Simulation and campaign outputs must be a pure function of their
+seeds: the trace archive, the campaign aggregator's byte-identical
+resumes, and the chaos shrinker's oracle replays all assume that
+re-running a configuration reproduces it exactly. Iterating a set
+(literal, constructor, comprehension, set algebra — including
+dict-view unions like ``a.keys() | b.keys()``) yields a
+PYTHONHASHSEED-dependent order once str elements are involved, and
+same-process double runs cannot see it: both runs share one hash seed.
+Flagged in ordering-sensitive positions (``for`` targets,
+``list()``/``tuple()``/``enumerate()``); ``sorted(...)``, membership
+tests, and order-insensitive folds (``min``/``sum``/``len``) are fine.
+Plain ``dict``/``.keys()`` iteration is exempt: insertion order is
+deterministic.
 
-``DET001``
-    Calls on the process-global RNG (``random.random()``,
-    ``random.shuffle()``, …) share hidden state across every caller —
-    the draw sequence then depends on unrelated code. Seeded
-    ``random.Random`` instances are the repo-wide discipline
-    (``random.Random(seed)`` constructions are allowed).
-``DET002``
-    Wall-clock reads (``time.time``/``monotonic``/``perf_counter``,
-    ``datetime.now``, ``os.urandom``) inject the host machine into the
-    run. The live backend (``repro/live/``) is the one place model time
-    is *defined* by ``time.monotonic()``, so that call is allowlisted
-    there; profiling-only reads elsewhere carry inline suppressions.
-``DET003``
-    ``sorted(key=id)`` / ``key=hash`` orders by memory address or
-    (for str/bytes) by the per-process hash seed.
-``DET004``
-    Iterating a set (literal, constructor, comprehension, set algebra —
-    including dict-view unions like ``a.keys() | b.keys()``) yields a
-    PYTHONHASHSEED-dependent order once non-int elements are involved.
-    Flagged in ordering-sensitive positions (``for`` targets,
-    ``list()``/``tuple()``/``enumerate()``); ``sorted(...)``,
-    membership tests, and order-insensitive folds (``min``/``sum``/
-    ``len``) are fine. Plain ``dict``/``.keys()`` iteration is exempt:
-    insertion order is deterministic.
+Process-global RNG draws, wall-clock reads and ``id()``/``hash()`` sort
+keys are left to the test suite, which fails on every mutant of theirs
+seeded into the tree (``docs/static-analysis.md``).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Set
 
-from repro.lint.core import (
-    Finding,
-    RNG_METHODS,
-    SourceModule,
-    dotted_name,
-    scope_name,
-)
-
-#: Wall-clock entry points (dotted), including ``from datetime import
-#: datetime`` spellings.
-WALL_CLOCK_CALLS = {
-    "time.time", "time.time_ns",
-    "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns",
-    "time.process_time", "time.process_time_ns",
-    "os.urandom",
-    "datetime.now", "datetime.utcnow", "datetime.today",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "date.today", "datetime.date.today",
-    "uuid.uuid1", "uuid.uuid4",
-}
-
-#: ``time.monotonic`` is the live backend's *definition* of model time.
-LIVE_ALLOWED = {"time.monotonic", "time.monotonic_ns"}
+from repro.lint.core import Finding, SourceModule, scope_name
 
 _SET_OPS = (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
 _ORDER_SENSITIVE_CALLS = {"list", "tuple", "enumerate", "iter", "reversed"}
@@ -92,11 +56,6 @@ def _is_set_expr(node: ast.expr, set_locals: Set[str]) -> bool:
         # ``-``/``|`` never matches.
         return left_setlike and right_setlike
     return False
-
-
-def _is_rng_constructor(node: ast.Call) -> bool:
-    name = dotted_name(node.func)
-    return name in ("random.Random", "random.SystemRandom")
 
 
 class _DeterminismVisitor(ast.NodeVisitor):
@@ -135,18 +94,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
         visit_stmts(getattr(scope, "body", []))
 
-    def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        self.findings.append(
-            Finding(
-                rule=rule,
-                path=self.module.relpath,
-                line=getattr(node, "lineno", 1),
-                col=getattr(node, "col_offset", 0) + 1,
-                scope=scope_name(self.stack),
-                message=message,
-            )
-        )
-
     # -- scope tracking ----------------------------------------------------
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
@@ -166,39 +113,24 @@ class _DeterminismVisitor(ast.NodeVisitor):
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    # -- rules -------------------------------------------------------------
+    # -- the rule ----------------------------------------------------------
+
+    def _flag_unordered(self, iter_node: ast.expr, context: str) -> None:
+        if _is_set_expr(iter_node, self.set_locals[-1]):
+            self.findings.append(
+                Finding(
+                    rule="DET004",
+                    path=self.module.relpath,
+                    line=iter_node.lineno,
+                    col=iter_node.col_offset + 1,
+                    scope=scope_name(self.stack),
+                    message=f"iteration over an unordered set expression in "
+                            f"{context}; wrap in sorted() for a deterministic "
+                            f"order",
+                )
+            )
 
     def visit_Call(self, node: ast.Call) -> None:
-        name = dotted_name(node.func)
-        if name is not None:
-            parts = name.split(".")
-            if (
-                len(parts) == 2
-                and parts[0] == "random"
-                and parts[1] in RNG_METHODS
-            ):
-                self._emit(
-                    "DET001", node,
-                    f"call to the process-global RNG random.{parts[1]}(); "
-                    f"use a seeded random.Random instance",
-                )
-            if name in WALL_CLOCK_CALLS and not (
-                name in LIVE_ALLOWED and "repro/live/" in self.module.relpath
-            ):
-                self._emit(
-                    "DET002", node,
-                    f"wall-clock call {name}() in simulation code",
-                )
-        if name == "sorted" or (
-            isinstance(node.func, ast.Attribute) and node.func.attr == "sort"
-        ):
-            for keyword in node.keywords:
-                if keyword.arg == "key" and self._is_identity_key(keyword.value):
-                    self._emit(
-                        "DET003", node,
-                        "sort key uses id()/hash(): interpreter-dependent "
-                        "ordering",
-                    )
         if (
             isinstance(node.func, ast.Name)
             and node.func.id in _ORDER_SENSITIVE_CALLS
@@ -206,28 +138,6 @@ class _DeterminismVisitor(ast.NodeVisitor):
         ):
             self._flag_unordered(node.args[0], f"{node.func.id}()")
         self.generic_visit(node)
-
-    @staticmethod
-    def _is_identity_key(node: ast.expr) -> bool:
-        if isinstance(node, ast.Name) and node.id in ("id", "hash"):
-            return True
-        if isinstance(node, ast.Lambda):
-            body = node.body
-            if (
-                isinstance(body, ast.Call)
-                and isinstance(body.func, ast.Name)
-                and body.func.id in ("id", "hash")
-            ):
-                return True
-        return False
-
-    def _flag_unordered(self, iter_node: ast.expr, context: str) -> None:
-        if _is_set_expr(iter_node, self.set_locals[-1]):
-            self._emit(
-                "DET004", iter_node,
-                f"iteration over an unordered set expression in {context}; "
-                f"wrap in sorted() for a deterministic order",
-            )
 
     def visit_For(self, node: ast.For) -> None:
         self._flag_unordered(node.iter, "a for loop")
@@ -245,7 +155,7 @@ class _DeterminismVisitor(ast.NodeVisitor):
 
 
 def check_module(module: SourceModule) -> List[Finding]:
-    """All determinism findings (``DET*``) for one source module."""
+    """All ``DET004`` findings for one source module."""
     visitor = _DeterminismVisitor(module)
     visitor.visit(module.tree)
     return visitor.findings

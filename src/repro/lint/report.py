@@ -1,58 +1,14 @@
-"""Renderers for lint results: human text and machine JSON.
+"""The text report of a lint run.
 
-Both renderers are deterministic functions of the :class:`LintResult`
-(already sorted by the driver) — ``tests/test_determinism.py`` asserts
-two runs over ``src/`` produce byte-identical JSON, which is what lets
-CI ``cmp`` committed artifacts against regenerated ones.
+A deterministic function of the :class:`LintResult` (already sorted by
+the driver): ``tests/test_determinism.py`` asserts two runs over
+``src/`` render byte-identical reports.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict
-
 from repro.lint.core import LintResult
 from repro.lint.rules import RULES, rule_family
-
-REPORT_VERSION = 1
-
-
-def render_json(result: LintResult) -> str:
-    """The version-1 JSON report (stable key order, trailing newline)."""
-    findings = []
-    rule_counts: Dict[str, int] = {}
-    for assessed in result.assessed:
-        finding = assessed.finding
-        rule_counts[finding.rule] = rule_counts.get(finding.rule, 0) + 1
-        entry: Dict[str, Any] = {
-            "rule": finding.rule,
-            "family": rule_family(finding.rule),
-            "path": finding.path,
-            "line": finding.line,
-            "col": finding.col,
-            "scope": finding.scope,
-            "message": finding.message,
-            "fingerprint": finding.fingerprint,
-            "status": assessed.status,
-        }
-        if assessed.justification:
-            entry["justification"] = assessed.justification
-        findings.append(entry)
-    payload = {
-        "version": REPORT_VERSION,
-        "files_scanned": result.files_scanned,
-        "summary": {
-            "new": len(result.new),
-            "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
-            "stale_baseline": len(result.stale_baseline),
-            "by_rule": {k: rule_counts[k] for k in sorted(rule_counts)},
-        },
-        "findings": findings,
-        "stale_baseline": result.stale_baseline,
-        "ok": result.ok,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def render_text(result: LintResult, verbose: bool = False) -> str:
@@ -66,18 +22,12 @@ def render_text(result: LintResult, verbose: bool = False) -> str:
         lines.append(
             f"{finding.location()}: {finding.rule}{tag} {finding.message}"
         )
-    for entry in result.stale_baseline:
-        lines.append(
-            f"stale baseline entry {entry['fingerprint']}: "
-            f"{entry.get('rule', '?')} {entry.get('path', '?')} — finding no "
-            f"longer produced; remove it (or --write-baseline)"
-        )
+    lines.extend(result.stale_suppressions)
     lines.append(
         f"{result.files_scanned} files scanned: "
-        f"{len(result.new)} new, {len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined"
-        + (f", {len(result.stale_baseline)} stale baseline entries"
-           if result.stale_baseline else "")
+        f"{len(result.new)} new, {len(result.suppressed)} suppressed"
+        + (f", {len(result.stale_suppressions)} stale suppressions"
+           if result.stale_suppressions else "")
     )
     return "\n".join(lines) + "\n"
 

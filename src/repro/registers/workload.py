@@ -159,9 +159,9 @@ class ClientEntity(Entity):
             if planned.kind == "R":
                 return [Action("READ", (self.node,))]
             return [Action("WRITE", (self.node, planned.value))]
-        # repro: lint-ignore[CON001] -- pure_enabled is True only in
-        # replay mode (schedule set), where the branch above returns
-        # first; this RNG draw is reachable only with pure_enabled=False
+        # pure_enabled is True only in replay mode (schedule set), where
+        # the branch above returns first; this RNG draw is reachable only
+        # with pure_enabled=False
         if self._rng.random() < self.workload.read_fraction:
             return [Action("READ", (self.node,))]
         value = ("v", self.node, self._seq)

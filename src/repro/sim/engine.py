@@ -400,16 +400,15 @@ class Simulator:
         states = {e.name: e.initial_state() for e in self.entities}
         injections = sorted(initial_inputs, key=lambda pair: pair[1])
         loop = _run_incremental if self.incremental else run_reference
-        # repro: lint-ignore[DET002] -- events/sec instrumentation; the
-        # wall figures are published as volatile metrics, excluded from
-        # the deterministic export (see below)
+        # events/sec instrumentation; the wall figures are published as
+        # volatile metrics, excluded from the deterministic export (see below)
         wall_start = time.perf_counter()
         tracer.run_start(horizon)
         tracer.meta({"entities": [e.name for e in self.entities]})
         now, steps = loop(
             self, horizon, states, injections, recorder, metrics, tracer, stop_when
         )
-        wall = time.perf_counter() - wall_start  # repro: lint-ignore[DET002] -- volatile wall-time figure
+        wall = time.perf_counter() - wall_start
         tracer.run_end(now, steps)
 
         # Run-level publishing. Wall-clock figures are volatile (kept out

@@ -1,10 +1,20 @@
-"""Fixture: stores a received payload by reference (one ISO003)."""
+"""Fixture: duplicates that alias the sent payload (one ISO003).
+
+The lossy channel's duplication loop with the copy moved to the first
+delivery: the second and later duplicates share the sender's object,
+so a receiver mutating one delivery corrupts the copies still in
+flight, and the test suite (which duplicates only once) passes.
+"""
+
+import copy
 
 
-class BufferingEntity(Entity):  # noqa: F821 -- parsed, never imported
-    """Retains the sender's object in its state container."""
+class DuplicatingChannel(Entity):  # noqa: F821 -- parsed, never imported
+    """Buffers ``copies`` deliveries of each sent message."""
 
     def apply_input(self, state, action, now):
-        """Aliases action.params[0] between sender and receiver."""
-        message = action.params[0]
-        state.queue.append(message)
+        """All but the first delivery alias ``action.params[2]``."""
+        message = action.params[2]
+        for k in range(self.fault_model.copies(now)):
+            payload = copy.deepcopy(message) if k == 0 else message
+            state.buffer.append(InTransit(payload, now, now + self.d2))  # noqa: F821

@@ -1,26 +1,13 @@
-"""Fixture: determinism-clean counterparts for every ``DET*`` rule."""
-
-import random
+"""Fixture: DET004-clean counterparts."""
 
 
-def pick(items, seed):
-    """Seeded instance RNG — the repo-wide discipline (no DET001)."""
-    return items[random.Random(seed).randrange(len(items))]
-
-
-def stamp(event, now):
-    """Model time is handed in, never read from the host (no DET002)."""
-    event.at = now
-    return event
-
-
-def dedupe(items):
-    """Value ordering, not memory-address ordering (no DET003)."""
-    return sorted(set(items))
+def group_rows(grouped, order):
+    """First-seen order, as the campaign aggregator keeps it."""
+    return [grouped[group_key] for group_key in order]
 
 
 def emit_all(sink, names):
-    """Sorted before iterating (no DET004); dict iteration is exempt."""
+    """Sorted before iterating; dict iteration and folds are exempt."""
     for name in sorted(set(names)):
         sink.emit(name)
     table = {"a": 1, "b": 2}

@@ -1,47 +1,19 @@
-"""Fixture: contract- and isolation-clean entity classes."""
+"""Fixture: ISO003-clean entity classes."""
 
 import copy
 
 
-class KeptPromisesEntity(Entity):  # noqa: F821 -- parsed, never imported
-    """Every declared promise matches the method bodies."""
-
-    pure_enabled = True
-    static_deadline = True
-    wakes_at_deadline = True
-
-    def __init__(self):
-        self.cache = {}  # instance-rebound: not a shared class default
-
-    def enabled(self, state, now):
-        """Pure: reads state and now only."""
-        if state.pending and now >= state.due:
-            return list(state.pending)
-        return []
+class CopyingEntity(Entity):  # noqa: F821 -- parsed, never imported
+    """Copies every payload it retains."""
 
     def apply_input(self, state, action, now):
-        """Copies the payload before retaining it (no ISO003)."""
-        state.queue.append(copy.deepcopy(action.params[0]))
+        """Each delivery is a fresh object (no ISO003)."""
+        message = action.params[2]
+        for k in range(state.copies):
+            state.buffer.append(copy.deepcopy(message))
+        state.count += len(action.params)
+        state.last_kind = action.name
 
     def fire(self, state, action, now):
-        """Writes its own state only (no ISO001/ISO002)."""
-        state.fired += 1
-        self.cache.update({action.name: now})
-
-    def deadline(self, state, now):
-        """State-only, as static_deadline promises."""
-        return state.due
-
-    def advance(self, state, old_now, new_now):
-        """Touches nothing deadline() reads."""
-        state.elapsed += new_now - old_now
-
-
-class FullWrapper(Entity):  # noqa: F821 -- parsed, never imported
-    """Forwards the complete contract (no CON004)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.pure_enabled = getattr(inner, "pure_enabled", True)
-        self.static_deadline = getattr(inner, "static_deadline", False)
-        self.wakes_at_deadline = getattr(inner, "wakes_at_deadline", False)
+        """Retains a fresh object built from the payload, not the payload."""
+        state.log.append(action.params[0] + 1)

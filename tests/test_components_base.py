@@ -103,7 +103,8 @@ class TestContractForwarding:
     three flags were copied: the engine then scheduled every timed node
     with ``Entity``'s defaults, silently disabling deadline-skip
     optimizations (and, for an impure process, wrongly caching
-    ``enabled()``). Mirrors lint rule CON004.
+    ``enabled()``). The forwarding mutants listed in
+    ``docs/static-analysis.md`` fail here or in ``tests/test_recovery.py``.
     """
 
     def make_process(self):
