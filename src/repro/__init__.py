@@ -212,14 +212,10 @@ from repro.objects import (  # noqa: E402
     GrowSetSpec,
     LWWMapSpec,
     MaxRegisterSpec,
-    ObjectWorkload,
     PNCounterSpec,
     RegisterSpec,
     SequentialSpec,
-    clock_object_system,
     is_object_linearizable,
-    run_object_experiment,
-    timed_object_system,
 )
 from repro.tdma import (  # noqa: E402
     TDMAProcess,
@@ -241,8 +237,7 @@ __all__ += [
     "CrashSchedule",
     "SequentialSpec", "RegisterSpec", "CounterSpec", "PNCounterSpec",
     "MaxRegisterSpec", "GrowSetSpec", "LWWMapSpec",
-    "BlindUpdateObjectProcess", "ObjectWorkload", "timed_object_system",
-    "clock_object_system", "run_object_experiment", "is_object_linearizable",
+    "BlindUpdateObjectProcess", "is_object_linearizable",
     "TDMAProcess", "build_tdma_system", "critical_intervals", "max_overlap",
     "is_sequentially_consistent",
 ]

@@ -70,10 +70,6 @@ from repro.objects import (
     LWWMapSpec,
     MaxRegisterSpec,
     PNCounterSpec,
-    ObjectWorkload,
-    clock_object_system,
-    run_object_experiment,
-    timed_object_system,
 )
 from repro.registers.system import register_system, run_register_experiment
 from repro.registers.workload import RegisterWorkload
@@ -149,15 +145,21 @@ def _build_register_spec(args):
     )
 
 
-def _register(args) -> int:
-    spec = _build_register_spec(args)
+def _run(args, system, meta=None, spec=None):
+    """Run a built register or object system with the requested exports."""
     metrics, tracer = _obs(args)
-    if tracer is not None:
-        tracer.meta(_register_params(args))
+    if tracer is not None and meta is not None:
+        tracer.meta(meta)
     run = run_register_experiment(
-        spec, args.horizon, max_steps=3_000_000, metrics=metrics, tracer=tracer
+        system, args.horizon, max_steps=3_000_000, metrics=metrics,
+        tracer=tracer, spec=spec,
     )
     _finish_obs(args, metrics, tracer)
+    return run
+
+
+def _register(args) -> int:
+    run = _run(args, _build_register_spec(args), meta=_register_params(args))
     linearizable = run.linearizable()
     print(f"model={args.model} n={args.n} eps={args.eps:g} c={args.c:g}")
     print(f"operations: {len(run.operations)} "
@@ -169,35 +171,24 @@ def _register(args) -> int:
 
 
 def _object(args) -> int:
+    if not 0.0 <= args.update_fraction <= 1.0:
+        raise ValueError("update_fraction must be in [0, 1]")
     spec = OBJECT_SPECS[args.type]()
-    workload = ObjectWorkload(
-        operations=args.ops, update_fraction=args.update_fraction,
-        seed=args.seed,
+    workload = RegisterWorkload(
+        operations=args.ops, read_fraction=1.0 - args.update_fraction,
+        think_min=0.3, think_max=1.5, seed=args.seed,
     )
-    delay = UniformDelay(seed=args.seed)
-    if args.model == "timed":
-        system = timed_object_system(
-            spec, n=args.n, d1_prime=args.d1, d2_prime=args.d2, c=args.c,
-            workload=workload, eps=args.eps, delay_model=delay,
-        )
-    else:
-        system = clock_object_system(
-            spec, n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
-            workload=workload,
-            drivers=driver_factory(args.driver, args.eps, seed=args.seed),
-            delay_model=delay,
-        )
-    metrics, tracer = _obs(args)
-    run = run_object_experiment(
-        system, spec, args.horizon, metrics=metrics, tracer=tracer
+    system = register_system(
+        args.model, n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
+        workload=workload, driver=args.driver, step_bound=None, spec=spec,
     )
-    _finish_obs(args, metrics, tracer)
+    run = _run(args, system, spec=spec)
     linearizable = run.linearizable()
     print(f"object={spec.name} model={args.model} n={args.n}")
     print(f"operations: {len(run.operations)} "
-          f"({len(run.queries)} queries, {len(run.updates)} updates)")
-    print(f"max query latency : {run.max_query_latency():.4f}")
-    print(f"max update latency: {run.max_update_latency():.4f}")
+          f"({len(run.reads)} queries, {len(run.writes)} updates)")
+    print(f"max query latency : {run.max_read_latency():.4f}")
+    print(f"max update latency: {run.max_write_latency():.4f}")
     print(f"linearizable      : {linearizable}")
     return 0 if linearizable else 1
 

@@ -637,7 +637,6 @@ def exp_ext1_objects(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     with the register's latency bounds."""
     from repro.objects import (
         CounterSpec, GrowSetSpec, LWWMapSpec, MaxRegisterSpec, PNCounterSpec,
-        ObjectWorkload, clock_object_system, run_object_experiment,
     )
 
     eps, c = 0.1, 0.3
@@ -651,26 +650,29 @@ def exp_ext1_objects(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     update_bound = (d2 + 2 * eps - c) + 2 * eps
     for spec in (CounterSpec(), PNCounterSpec(), MaxRegisterSpec(),
                  GrowSetSpec(), LWWMapSpec()):
-        workload = ObjectWorkload(operations=6, update_fraction=0.5, seed=14)
-        system = clock_object_system(
-            spec, n=3, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
-            drivers=driver_factory("mixed", eps, seed=14),
-            delay_model=UniformDelay(seed=14),
+        workload = RegisterWorkload(
+            operations=6, read_fraction=0.5, think_min=0.3, think_max=1.5,
+            seed=14,
         )
-        run = run_object_experiment(
-            system, spec, 90.0, scheduler=RandomScheduler(seed=14)
+        system = clock_register_system(
+            n=3, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
+            drivers=driver_factory("mixed", eps, seed=14),
+            delay_model=UniformDelay(seed=14), spec=spec,
+        )
+        run = run_register_experiment(
+            system, 90.0, scheduler=RandomScheduler(seed=14), spec=spec
         )
         linearizable = run.linearizable()
         within = (
-            run.max_query_latency() <= query_bound + 1e-9
-            and run.max_update_latency() <= update_bound + 1e-9
+            run.max_read_latency() <= query_bound + 1e-9
+            and run.max_write_latency() <= update_bound + 1e-9
         )
         shapes["all_linearizable"] &= linearizable
         shapes["all_within"] &= within
         table.add_row(
-            spec.name, len(run.queries), len(run.updates),
-            run.max_query_latency(), query_bound,
-            run.max_update_latency(), update_bound,
+            spec.name, len(run.reads), len(run.writes),
+            run.max_read_latency(), query_bound,
+            run.max_write_latency(), update_bound,
             "yes" if linearizable else "NO",
         )
     table.add_note("same machinery as the register: blind updates applied "

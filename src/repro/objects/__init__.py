@@ -19,8 +19,17 @@ This subpackage provides:
   the register process itself
   (:class:`~repro.registers.algorithm_l.RegisterProcess`) under the
   object vocabulary, its value hooks bound to a spec;
-- :mod:`repro.objects.system` — clients and one-call system builders
-  for the timed and clock models.
+- :mod:`repro.objects.system` — the payload generator of each built-in
+  spec, what a client asks of the object.
+
+An object runs on the register's harness: the register builders
+(:func:`~repro.registers.system.timed_register_system`,
+:func:`~repro.registers.system.clock_register_system`,
+:func:`~repro.registers.system.register_system`) take the object's spec
+as ``spec=``, one :class:`~repro.registers.workload.ClientEntity` drives
+each node in the object vocabulary, and
+:func:`~repro.registers.system.run_register_experiment` returns a
+:class:`~repro.registers.system.RegisterRun` checked against the spec.
 
 Latency bounds carry over verbatim from Lemma 6.2 / Theorem 6.5:
 queries cost ``2*eps + c + delta``, updates ``d2' - c``.
@@ -43,13 +52,6 @@ from repro.objects.specs import (
     RegisterSpec,
     SequentialSpec,
 )
-from repro.objects.system import (
-    ObjectRun,
-    ObjectWorkload,
-    clock_object_system,
-    run_object_experiment,
-    timed_object_system,
-)
 
 __all__ = [
     "SequentialSpec",
@@ -65,9 +67,4 @@ __all__ = [
     "is_object_linearizable",
     "is_object_superlinearizable",
     "BlindUpdateObjectProcess",
-    "ObjectWorkload",
-    "ObjectRun",
-    "timed_object_system",
-    "clock_object_system",
-    "run_object_experiment",
 ]

@@ -1,36 +1,17 @@
-"""Clients, workloads, and system builders for generalized objects."""
+"""Payload generators: what a client asks of each built-in object.
+
+An object runs on the register's harness
+(:mod:`repro.registers.workload` and :mod:`repro.registers.system`):
+the builders take the object's spec, build
+:class:`~repro.objects.algorithm.BlindUpdateObjectProcess` nodes and
+attach clients in its ``ASK`` / ``DO`` vocabulary, and the clients draw
+each invocation's argument from :func:`default_payloads`.
+"""
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
-
-from repro.automata.actions import Action, ActionPattern, PatternActionSet
-from repro.automata.signature import Signature
-from repro.components.base import Entity, Process
-from repro.core.pipeline import (
-    SystemSpec,
-    build_clock_system,
-    build_timed_system,
-    simulation1_delay_bounds,
-)
-from repro.errors import TransitionError
-from repro.network.topology import Topology
-from repro.objects.algorithm import BlindUpdateObjectProcess
-from repro.objects.history import (
-    is_object_linearizable,
-    is_object_superlinearizable,
-)
 from repro.objects.specs import SequentialSpec
-from repro.sim.delay import DelayModel
-from repro.sim.engine import SimulationResult
-from repro.sim.scheduler import Scheduler
-
-from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
-
-PayloadGenerator = Callable[[random.Random, int, int, bool], Tuple]
-"""``f(rng, node, seq, is_update) -> payload`` for workload generation."""
+from repro.registers.workload import PayloadGenerator
 
 
 def default_payloads(spec: SequentialSpec) -> PayloadGenerator:
@@ -80,243 +61,6 @@ def default_payloads(spec: SequentialSpec) -> PayloadGenerator:
     if spec.name not in table:
         raise ValueError(
             f"no default payload generator for spec {spec.name!r}; "
-            f"pass payloads= explicitly"
+            f"give its clients one with ClientEntity(..., payloads=)"
         )
     return table[spec.name]
-
-
-@dataclass
-class ObjectWorkload:
-    """Closed-loop workload over a generalized object."""
-
-    operations: int = 8
-    update_fraction: float = 0.5
-    think_min: float = 0.3
-    think_max: float = 1.5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.update_fraction <= 1.0:
-            raise ValueError("update_fraction must be in [0, 1]")
-        if self.think_min < 0 or self.think_max < self.think_min:
-            raise ValueError("invalid think time range")
-
-
-@dataclass
-class CompletedObjOp:
-    kind: str            # "U" or "Q"
-    payload: Tuple
-    response: object
-    inv_time: float
-    res_time: float
-
-    @property
-    def latency(self) -> float:
-        return self.res_time - self.inv_time
-
-
-@dataclass
-class ObjectClientState:
-    next_inv_time: float = 0.0
-    issued: int = 0
-    pending: Optional[Tuple[str, Tuple, float]] = None
-    completed: List[CompletedObjOp] = field(default_factory=list)
-
-
-class ObjectClientEntity(Entity):
-    """Closed-loop client issuing DO/ASK invocations for node ``i``."""
-
-    # enabled() draws from the workload RNG (operation and payload
-    # choice), so the engine must re-evaluate it every round to keep the
-    # draw sequence identical across execution strategies.
-    pure_enabled = False
-
-    def __init__(self, node: int, workload: ObjectWorkload,
-                 payloads: PayloadGenerator):
-        signature = Signature(
-            inputs=PatternActionSet(
-                [ActionPattern("DONE", (node,)), ActionPattern("REPLY", (node,))]
-            ),
-            outputs=PatternActionSet(
-                [ActionPattern("DO", (node,)), ActionPattern("ASK", (node,))]
-            ),
-        )
-        super().__init__(f"objclient({node})", signature)
-        self.node = node
-        self.workload = workload
-        self.payloads = payloads
-        self._rng = random.Random(workload.seed * 99_991 + node)
-        self._seq = 0
-
-    def initial_state(self) -> ObjectClientState:
-        return ObjectClientState()
-
-    def enabled(self, state: ObjectClientState, now: float) -> List[Action]:
-        if state.pending is not None or state.issued >= self.workload.operations:
-            return []
-        if now + _TOLERANCE < state.next_inv_time:
-            return []
-        is_update = self._rng.random() < self.workload.update_fraction
-        payload = self.payloads(self._rng, self.node, self._seq, is_update)
-        name = "DO" if is_update else "ASK"
-        return [Action(name, (self.node, payload))]
-
-    def fire(self, state: ObjectClientState, action: Action, now: float) -> None:
-        kind = "U" if action.name == "DO" else "Q"
-        state.pending = (kind, action.params[1], now)
-        state.issued += 1
-        self._seq += 1
-
-    def apply_input(self, state: ObjectClientState, action: Action, now: float) -> None:
-        if state.pending is None:
-            raise TransitionError(f"{self.name}: response with nothing pending")
-        kind, payload, inv_time = state.pending
-        if action.name == "DONE":
-            if kind != "U":
-                raise TransitionError(f"{self.name}: DONE answers a query")
-            state.completed.append(CompletedObjOp("U", payload, None, inv_time, now))
-        elif action.name == "REPLY":
-            if kind != "Q":
-                raise TransitionError(f"{self.name}: REPLY answers an update")
-            # repro: lint-ignore[ISO003] -- the reply value is recorded
-            # for the offline history checker, which only reads it
-            state.completed.append(
-                CompletedObjOp("Q", payload, action.params[1], inv_time, now)
-            )
-        else:
-            raise TransitionError(f"{self.name}: unexpected input {action}")
-        state.pending = None
-        state.next_inv_time = now + self._rng.uniform(
-            self.workload.think_min, self.workload.think_max
-        )
-
-    def deadline(self, state: ObjectClientState, now: float) -> float:
-        if state.pending is not None or state.issued >= self.workload.operations:
-            return INFINITY
-        return max(state.next_inv_time, now)
-
-
-def _object_factory(
-    spec: SequentialSpec, n: int, d2_prime: float, c: float, eps: float,
-    delta: float,
-) -> Callable[[int], Process]:
-    peers = list(range(n))
-
-    def make(i: int) -> Process:
-        return BlindUpdateObjectProcess(
-            i, peers, spec, d2_prime, c, eps=eps, delta=delta
-        )
-
-    return make
-
-
-def timed_object_system(
-    spec: SequentialSpec,
-    n: int,
-    d1_prime: float,
-    d2_prime: float,
-    c: float,
-    workload: ObjectWorkload,
-    eps: float = 0.0,
-    delta: float = 0.01,
-    delay_model: Optional[DelayModel] = None,
-    payloads: Optional[PayloadGenerator] = None,
-) -> SystemSpec:
-    """The generalized object in the timed model (Lemma 6.2 analogue)."""
-    topology = Topology.complete(n, self_loops=True)
-    system = build_timed_system(
-        topology,
-        _object_factory(spec, n, d2_prime, c, eps, delta),
-        d1_prime, d2_prime, delay_model,
-    )
-    generator = payloads or default_payloads(spec)
-    clients = [ObjectClientEntity(i, workload, generator) for i in range(n)]
-    return system.add(*clients)
-
-
-def clock_object_system(
-    spec: SequentialSpec,
-    n: int,
-    d1: float,
-    d2: float,
-    c: float,
-    eps: float,
-    workload: ObjectWorkload,
-    drivers,
-    delta: float = 0.01,
-    delay_model: Optional[DelayModel] = None,
-    payloads: Optional[PayloadGenerator] = None,
-) -> SystemSpec:
-    """The generalized object in the clock model (Theorem 6.5 analogue)."""
-    _, d2_prime = simulation1_delay_bounds(d1, d2, eps)
-    topology = Topology.complete(n, self_loops=True)
-    system = build_clock_system(
-        topology,
-        _object_factory(spec, n, d2_prime, c, eps, delta),
-        eps, d1, d2, drivers, delay_model,
-    )
-    generator = payloads or default_payloads(spec)
-    clients = [ObjectClientEntity(i, workload, generator) for i in range(n)]
-    return system.add(*clients)
-
-
-@dataclass
-class ObjectRun:
-    """Outcome of one generalized-object experiment."""
-
-    result: SimulationResult
-    operations: List[CompletedObjOp]
-    spec: SequentialSpec
-
-    @property
-    def updates(self) -> List[CompletedObjOp]:
-        return [op for op in self.operations if op.kind == "U"]
-
-    @property
-    def queries(self) -> List[CompletedObjOp]:
-        return [op for op in self.operations if op.kind == "Q"]
-
-    def max_update_latency(self) -> float:
-        """Worst completed-update latency."""
-        return max((op.latency for op in self.updates), default=0.0)
-
-    def max_query_latency(self) -> float:
-        """Worst completed-query latency."""
-        return max((op.latency for op in self.queries), default=0.0)
-
-    def linearizable(self) -> bool:
-        """Spec-driven linearizability of the run's trace."""
-        return is_object_linearizable(self.result.trace, self.spec)
-
-    def superlinearizable(self, eps: float) -> bool:
-        """Spec-driven eps-superlinearizability of the run's trace."""
-        return is_object_superlinearizable(self.result.trace, self.spec, eps)
-
-    def __repr__(self) -> str:
-        return (
-            f"<ObjectRun[{self.spec.name}]: {len(self.queries)} queries, "
-            f"{len(self.updates)} updates>"
-        )
-
-
-def run_object_experiment(
-    spec_obj: SystemSpec,
-    spec: SequentialSpec,
-    horizon: float,
-    scheduler: Optional[Scheduler] = None,
-    max_steps: int = 1_000_000,
-    recorder=None,
-    metrics=None,
-    tracer=None,
-) -> ObjectRun:
-    """Run a built object system and collect per-operation results."""
-    result = spec_obj.run(
-        horizon, scheduler=scheduler, max_steps=max_steps,
-        recorder=recorder, metrics=metrics, tracer=tracer,
-    )
-    operations: List[CompletedObjOp] = []
-    for name, state in result.final_states.items():
-        if name.startswith("objclient(") and hasattr(state, "completed"):
-            operations.extend(state.completed)
-    operations.sort(key=lambda op: op.inv_time)
-    return ObjectRun(result=result, operations=operations, spec=spec)

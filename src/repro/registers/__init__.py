@@ -14,12 +14,13 @@
   ``d2 + 3u`` with ``u = 2*eps``), the Section 6.3 comparison point.
 - :mod:`repro.registers.spec` — the problems ``P`` (linearizability)
   and ``Q`` (eps-superlinearizability).
-- :mod:`repro.registers.workload` — client entities generating
-  alternating invocations.
+- :mod:`repro.registers.workload` — the one closed-loop client, for
+  the register and every blind-update object, and its workload.
 - :mod:`repro.registers.opstream` — engine-agnostic seeded op
   schedules, replayed identically by sim and live clients.
 - :mod:`repro.registers.system` — one-call builders for register
-  systems in all three models.
+  systems in all three models (and object systems in the timed and
+  clock models), and the run type of both.
 """
 
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterProcess

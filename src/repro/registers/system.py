@@ -5,9 +5,16 @@ self-loops (algorithm S updates the sender's own copy by message),
 channels with the model-appropriate payloads, per-node clients, and — in
 the clock/MMT models — clock drivers or tick sources.
 
+The timed and clock builders also build any blind-update object: given
+a :class:`~repro.objects.specs.SequentialSpec` as ``spec``, the nodes
+are :class:`~repro.objects.algorithm.BlindUpdateObjectProcess` over it
+and the clients speak its ``ASK`` / ``DO`` vocabulary, drawing their
+arguments from :func:`~repro.objects.system.default_payloads`.
+
 :func:`run_register_experiment` runs a built system and packages the
 outcome as a :class:`RegisterRun`: completed operations, latency
-summaries, and correctness checks against the problems ``P`` and ``Q``.
+summaries, and correctness checks against the problems ``P`` and ``Q``
+(for an object, against its spec).
 """
 
 from __future__ import annotations
@@ -28,18 +35,27 @@ from repro.core.pipeline import (
 )
 from repro.faults import BernoulliFaults, ReliableAdapter, effective_delay_bounds
 from repro.network.topology import Topology
+from repro.objects.algorithm import BlindUpdateObjectProcess
+from repro.objects.history import is_object_superlinearizable
+from repro.objects.specs import SequentialSpec
+from repro.objects.system import default_payloads
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterProcess
 from repro.registers.algorithm_s import (
     AlgorithmSProcess,
     NaiveSuperlinearizableProcess,
 )
 from repro.registers.baseline import SlottedRegisterProcess
-from repro.registers.workload import ClientEntity, CompletedOp, RegisterWorkload
+from repro.registers.workload import (
+    ClientEntity,
+    CompletedOp,
+    RegisterWorkload,
+    register_payloads,
+)
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import DelayModel, UniformDelay
 from repro.sim.engine import SimulationResult
 from repro.sim.scheduler import Scheduler
-from repro.traces.linearizability import is_linearizable, is_superlinearizable
+from repro.traces.linearizability import READ, is_superlinearizable
 
 INITIAL_VALUE = ("v", -1, 0)
 """Default initial register value ``v0`` (distinct from client values)."""
@@ -56,10 +72,15 @@ def _register_process_factory(
     eps: float,
     delta: float,
     initial_value: object,
+    spec: Optional[SequentialSpec] = None,
 ) -> Callable[[int], Process]:
     peers = list(range(n))
 
     def make(i: int) -> Process:
+        if spec is not None:
+            return BlindUpdateObjectProcess(
+                i, peers, spec, d2_prime, c, eps=eps, delta=delta
+            )
         if algorithm == "L":
             return AlgorithmLProcess(
                 i, peers, d2_prime, c, delta=delta, initial_value=initial_value
@@ -80,15 +101,24 @@ def _register_process_factory(
 
 
 def _attach_clients(
-    spec: SystemSpec, n: int, workload: RegisterWorkload, schedules=None
+    system: SystemSpec,
+    n: int,
+    workload: RegisterWorkload,
+    schedules=None,
+    spec: Optional[SequentialSpec] = None,
 ) -> SystemSpec:
     if schedules is not None and len(schedules) != n:
         raise ValueError(f"need {n} schedules, got {len(schedules)}")
+    vocabulary, payloads = RegisterProcess, register_payloads
+    if spec is not None:
+        vocabulary, payloads = BlindUpdateObjectProcess, default_payloads(spec)
     clients = [
-        ClientEntity(i, workload, schedule=schedules[i] if schedules else None)
+        ClientEntity(
+            i, workload, schedules[i] if schedules else None, vocabulary, payloads
+        )
         for i in range(n)
     ]
-    return spec.add(*clients)
+    return system.add(*clients)
 
 
 def timed_register_system(
@@ -103,20 +133,25 @@ def timed_register_system(
     delay_model: Optional[DelayModel] = None,
     initial_value: object = INITIAL_VALUE,
     schedules=None,
+    spec: Optional[SequentialSpec] = None,
 ) -> SystemSpec:
     """``D_T(G, L/S, E_{[d1',d2']})`` with clients (Lemmas 6.1, 6.2).
 
     ``schedules`` (optional): one precomputed
     :class:`~repro.registers.opstream.OpSchedule` per node, replayed
     instead of the online workload draws — the sim side of sim/live
-    cross-validation.
+    cross-validation. ``spec`` (optional): run that blind-update object
+    instead of the register (``algorithm`` is then ignored; the object
+    is S-style, eps-superlinearizable with ``eps``).
     """
     topology = Topology.complete(n, self_loops=True)
     factory = _register_process_factory(
-        algorithm, n, d2_prime, c, eps, delta, initial_value
+        algorithm, n, d2_prime, c, eps, delta, initial_value, spec
     )
-    spec = build_timed_system(topology, factory, d1_prime, d2_prime, delay_model)
-    return _attach_clients(spec, n, workload, schedules)
+    system = build_timed_system(
+        topology, factory, d1_prime, d2_prime, delay_model
+    )
+    return _attach_clients(system, n, workload, schedules, spec)
 
 
 def clock_register_system(
@@ -132,6 +167,7 @@ def clock_register_system(
     delay_model: Optional[DelayModel] = None,
     initial_value: object = INITIAL_VALUE,
     schedules=None,
+    spec: Optional[SequentialSpec] = None,
 ) -> SystemSpec:
     """``D_C(G, S^c_eps, E^c_{[d1,d2]})`` with clients (Theorem 6.5).
 
@@ -139,17 +175,18 @@ def clock_register_system(
     ``[d1', d2'] = [max(d1 - 2*eps, 0), d2 + 2*eps]``; the physical
     channels run at ``[d1, d2]``. ``schedules`` (optional) replays
     precomputed per-node op schedules — the sim side of sim/live
-    cross-validation (see :mod:`repro.live`).
+    cross-validation (see :mod:`repro.live`). ``spec`` (optional) runs
+    that blind-update object instead of the register.
     """
     _, d2_prime = simulation1_delay_bounds(d1, d2, eps)
     topology = Topology.complete(n, self_loops=True)
     factory = _register_process_factory(
-        algorithm, n, d2_prime, c, eps, delta, initial_value
+        algorithm, n, d2_prime, c, eps, delta, initial_value, spec
     )
-    spec = build_clock_system(
+    system = build_clock_system(
         topology, factory, eps, d1, d2, drivers, delay_model
     )
-    return _attach_clients(spec, n, workload, schedules)
+    return _attach_clients(system, n, workload, schedules, spec)
 
 
 def baseline_register_system(
@@ -228,27 +265,31 @@ def register_system(
     driver: str,
     step_bound: float,
     delta: float = 0.01,
+    spec: Optional[SequentialSpec] = None,
 ) -> SystemSpec:
     """The register system of ``model`` under one seed's environment.
 
-    What ``repro register --model`` and a campaign grid point both run:
-    the workload's seed also draws the message delays and the clock
-    drivers of kind ``driver``; the MMT nodes read clock sources
-    alternating between the two edges of ``C_eps`` and step per a
-    per-node seeded policy.
+    What ``repro register --model``, ``repro object`` and a campaign
+    grid point run: the workload's seed also draws the message delays
+    and the clock drivers of kind ``driver``; the MMT nodes read clock
+    sources alternating between the two edges of ``C_eps`` and step per
+    a per-node seeded policy. With an object ``spec`` the model is
+    ``timed`` or ``clock``.
     """
+    if spec is not None and model not in ("timed", "clock"):
+        raise ValueError(f"an object runs in the timed or clock model, not {model!r}")
     seed = workload.seed
     delay = UniformDelay(seed=seed)
     if model == "timed":
         return timed_register_system(
             n=n, d1_prime=d1, d2_prime=d2, c=c, workload=workload,
-            algorithm="L", delta=delta, delay_model=delay,
+            algorithm="L", eps=eps, delta=delta, delay_model=delay, spec=spec,
         )
     drivers = driver_factory(driver, eps, seed=seed)
     if model == "clock":
         return clock_register_system(
             n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
-            drivers=drivers, delta=delta, delay_model=delay,
+            drivers=drivers, delta=delta, delay_model=delay, spec=spec,
         )
     if model == "baseline":
         return baseline_register_system(
@@ -309,11 +350,18 @@ def lossy_clock_register_system(
 
 @dataclass
 class RegisterRun:
-    """Outcome of one register experiment."""
+    """Outcome of one register or blind-update object experiment.
+
+    ``vocabulary`` is the process class its clients speak; it picks the
+    checker: the register's for ``READ`` / ``WRITE``, the object
+    ``spec``'s otherwise (reads are queries, writes updates).
+    """
 
     result: SimulationResult
     operations: List[CompletedOp]
     initial_value: object
+    vocabulary: type = RegisterProcess
+    spec: Optional[SequentialSpec] = None
 
     @property
     def reads(self) -> List[CompletedOp]:
@@ -343,11 +391,13 @@ class RegisterRun:
 
     def linearizable(self) -> bool:
         """Membership of the run's trace in problem ``P``."""
-        return is_linearizable(self.result.trace, self.initial_value)
+        return self.superlinearizable(0.0)
 
     def superlinearizable(self, eps: float) -> bool:
         """Membership of the run's trace in problem ``Q``."""
-        return is_superlinearizable(self.result.trace, eps, self.initial_value)
+        if self.vocabulary.READ == READ:
+            return is_superlinearizable(self.result.trace, eps, self.initial_value)
+        return is_object_superlinearizable(self.result.trace, self.spec, eps)
 
     def __repr__(self) -> str:
         return (
@@ -358,7 +408,7 @@ class RegisterRun:
 
 
 def run_register_experiment(
-    spec: SystemSpec,
+    system: SystemSpec,
     horizon: float,
     scheduler: Optional[Scheduler] = None,
     initial_value: object = INITIAL_VALUE,
@@ -366,9 +416,23 @@ def run_register_experiment(
     recorder=None,
     metrics=None,
     tracer=None,
+    spec: Optional[SequentialSpec] = None,
 ) -> RegisterRun:
-    """Run a built register system and collect per-operation results."""
-    result = spec.run(
+    """Run a built register system and collect per-operation results.
+
+    An object system's run needs its ``spec``, the one it was built
+    with, to be checked.
+    """
+    vocabulary = next(
+        (e.vocabulary for e in system.entities if isinstance(e, ClientEntity)),
+        RegisterProcess,
+    )
+    if vocabulary.READ != READ and spec is None:
+        raise ValueError(
+            f"the clients speak {vocabulary.READ}/{vocabulary.WRITE}: "
+            f"pass the object's spec"
+        )
+    result = system.run(
         horizon, scheduler=scheduler, max_steps=max_steps,
         recorder=recorder, metrics=metrics, tracer=tracer,
     )
@@ -378,5 +442,6 @@ def run_register_experiment(
             operations.extend(state.completed)
     operations.sort(key=lambda op: op.inv_time)
     return RegisterRun(
-        result=result, operations=operations, initial_value=initial_value
+        result=result, operations=operations, initial_value=initial_value,
+        vocabulary=vocabulary, spec=spec,
     )

@@ -1,21 +1,30 @@
-"""Register clients and workload generation.
+"""Closed-loop clients and workloads for every blind-update object.
 
-A :class:`ClientEntity` drives one node with an alternating sequence of
-invocations (satisfying the alternation condition of Section 6.1):
-``READ_i`` / ``WRITE_i(v)`` outputs, ``RETURN_i(v)`` / ``ACK_i`` inputs.
-Written values are globally unique (``(node, seq)`` pairs), which both
-matches the paper's unique-message assumption and makes linearizability
-checking unambiguous.
+One :class:`ClientEntity` drives one node of any
+:class:`~repro.registers.algorithm_l.RegisterProcess` — the register
+itself, or a generalized object
+(:class:`~repro.objects.algorithm.BlindUpdateObjectProcess`) — with an
+alternating sequence of invocations (the alternation condition of
+Section 6.1). It speaks the process class's vocabulary: ``READ`` /
+``WRITE`` outputs and ``RETURN`` / ``ACK`` inputs for the register,
+``ASK`` / ``DO`` and ``REPLY`` / ``DONE`` for an object. A payload
+generator ``f(rng, node, seq, is_update)`` supplies each invocation's
+argument; the register's draws nothing: written values are the globally
+unique ``("v", node, seq)`` tuples, which both match the paper's
+unique-message assumption and make linearizability checking
+unambiguous, and a read carries no argument.
 
 Clients record every completed operation with invocation and response
-times, so latency analysis does not have to re-parse the trace.
+times, so latency analysis does not have to re-parse the trace. A query
+is recorded as a read (``"R"``, with its response) and an update as a
+write (``"W"``, with its argument).
 
 Two modes of schedule generation:
 
-- **online** (default, historical behavior): the read-vs-write choice is
-  drawn inside ``enabled()`` and the think time inside ``apply_input``,
-  so the sequence depends on engine polling. Kept byte-identical for
-  every existing seeded experiment.
+- **online** (default, historical behavior): the query-vs-update choice
+  and the payload are drawn inside ``enabled()`` and the think time
+  inside ``apply_input``, so the sequence depends on engine polling.
+  Kept byte-identical for every existing seeded register experiment.
 - **replay**: pass a precomputed
   :class:`~repro.registers.opstream.OpSchedule` and the client follows
   it exactly — the mode the live backend shares, so a sim run and a
@@ -24,22 +33,36 @@ Two modes of schedule generation:
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
 from repro.automata.signature import Signature
 from repro.components.base import Entity
 from repro.errors import TransitionError
 from repro.obs.metrics import NULL_SKETCH
+from repro.registers.algorithm_l import RegisterProcess
 from repro.registers.opstream import OpSchedule, client_rng
 
 from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
 
+PayloadGenerator = Callable[[random.Random, int, int, bool], object]
+"""``f(rng, node, seq, is_update) -> argument`` of the next invocation
+(``seq`` counts the client's updates; a ``None`` query argument means
+the query carries none)."""
+
+
+def register_payloads(
+    rng: random.Random, node: int, seq: int, is_update: bool
+) -> object:
+    """The register's payloads: ``("v", node, seq)`` writes, bare reads."""
+    return ("v", node, seq) if is_update else None
+
 
 @dataclass
 class RegisterWorkload:
-    """Parameters of a closed-loop register workload."""
+    """Parameters of a closed-loop workload (queries are reads)."""
 
     operations: int = 10
     read_fraction: float = 0.5
@@ -59,8 +82,8 @@ class RegisterWorkload:
 class CompletedOp:
     """One completed operation as seen by the client."""
 
-    kind: str  # "R" or "W"
-    value: object
+    kind: str  # "R" (a query) or "W" (an update)
+    value: object  # the response of an R, the argument of a W
     inv_time: float
     res_time: float
 
@@ -78,19 +101,22 @@ class ClientState:
 
 
 class ClientEntity(Entity):
-    """Closed-loop client for node ``i``.
+    """Closed-loop client for node ``i`` of a ``vocabulary`` process.
 
-    With ``schedule=None`` (the default), operations are drawn online
-    from the workload RNG — the historical mode. With a precomputed
+    ``vocabulary`` is the process class whose ``READ`` / ``WRITE`` /
+    ``RETURN`` / ``ACK`` names the client speaks, and ``payloads`` draws
+    each online invocation's argument. With ``schedule=None`` (the
+    default), operations are drawn online from the workload RNG — the
+    historical mode. With a precomputed
     :class:`~repro.registers.opstream.OpSchedule`, the client replays it
     deterministically; ``enabled`` then becomes a pure function of
     ``(state, now)``, which the instance advertises to the engine.
     """
 
-    # In online mode enabled() draws from the workload RNG (read-vs-write
-    # choice), so the engine must re-evaluate it every round to keep the
-    # draw sequence identical across execution strategies. Replay mode
-    # overrides this per instance (see __init__).
+    # In online mode enabled() draws from the workload RNG (query-vs-
+    # update choice and payload), so the engine must re-evaluate it every
+    # round to keep the draw sequence identical across execution
+    # strategies. Replay mode overrides this per instance (see __init__).
     pure_enabled = False
 
     def __init__(
@@ -98,18 +124,24 @@ class ClientEntity(Entity):
         node: int,
         workload: RegisterWorkload,
         schedule: Optional[OpSchedule] = None,
+        vocabulary: type = RegisterProcess,
+        payloads: PayloadGenerator = register_payloads,
     ):
         signature = Signature(
-            inputs=PatternActionSet(
-                [ActionPattern("RETURN", (node,)), ActionPattern("ACK", (node,))]
-            ),
-            outputs=PatternActionSet(
-                [ActionPattern("READ", (node,)), ActionPattern("WRITE", (node,))]
-            ),
+            inputs=PatternActionSet([
+                ActionPattern(vocabulary.RETURN, (node,)),
+                ActionPattern(vocabulary.ACK, (node,)),
+            ]),
+            outputs=PatternActionSet([
+                ActionPattern(vocabulary.READ, (node,)),
+                ActionPattern(vocabulary.WRITE, (node,)),
+            ]),
         )
         super().__init__(f"client({node})", signature)
         self.node = node
         self.workload = workload
+        self.vocabulary = vocabulary
+        self.payloads = payloads
         if schedule is not None and schedule.node != node:
             raise ValueError(
                 f"schedule is for node {schedule.node}, client is node {node}"
@@ -154,25 +186,30 @@ class ClientEntity(Entity):
             return []
         if now + _TOLERANCE < state.next_inv_time:
             return []
+        vocabulary = self.vocabulary
         if self.schedule is not None:
             planned = self.schedule.ops[state.issued]
             if planned.kind == "R":
-                return [Action("READ", (self.node,))]
-            return [Action("WRITE", (self.node, planned.value))]
+                return [Action(vocabulary.READ, (self.node,))]
+            return [Action(vocabulary.WRITE, (self.node, planned.value))]
         # pure_enabled is True only in replay mode (schedule set), where
-        # the branch above returns first; this RNG draw is reachable only
-        # with pure_enabled=False
-        if self._rng.random() < self.workload.read_fraction:
-            return [Action("READ", (self.node,))]
-        value = ("v", self.node, self._seq)
-        return [Action("WRITE", (self.node, value))]
+        # the branch above returns first; these RNG draws are reachable
+        # only with pure_enabled=False
+        rng = self._rng
+        if rng.random() < self.workload.read_fraction:
+            query = self.payloads(rng, self.node, self._seq, False)
+            if query is None:
+                return [Action(vocabulary.READ, (self.node,))]
+            return [Action(vocabulary.READ, (self.node, query))]
+        update = self.payloads(rng, self.node, self._seq, True)
+        return [Action(vocabulary.WRITE, (self.node, update))]
 
     def fire(self, state: ClientState, action: Action, now: float) -> None:
         if state.pending is not None:
             raise TransitionError(f"{self.name}: invocation while pending")
-        if action.name == "READ":
+        if action.name == self.vocabulary.READ:
             state.pending = ("R", None, now)
-        elif action.name == "WRITE":
+        elif action.name == self.vocabulary.WRITE:
             self._seq += 1
             state.pending = ("W", action.params[1], now)
         else:
@@ -183,18 +220,18 @@ class ClientEntity(Entity):
         if state.pending is None:
             raise TransitionError(f"{self.name}: response with nothing pending")
         kind, value, inv_time = state.pending
-        if action.name == "RETURN":
+        if action.name == self.vocabulary.RETURN:
             if kind != "R":
-                raise TransitionError(f"{self.name}: RETURN answers a write")
+                raise TransitionError(f"{self.name}: {action.name} answers a write")
             # repro: lint-ignore[ISO003] -- the returned value is recorded
             # for the offline linearizability checker, which only reads it
             state.completed.append(
                 CompletedOp("R", action.params[1], inv_time, now)
             )
             self._read_lat.observe(now - inv_time)
-        elif action.name == "ACK":
+        elif action.name == self.vocabulary.ACK:
             if kind != "W":
-                raise TransitionError(f"{self.name}: ACK answers a read")
+                raise TransitionError(f"{self.name}: {action.name} answers a read")
             state.completed.append(CompletedOp("W", value, inv_time, now))
             self._write_lat.observe(now - inv_time)
         else:

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import json
 import os
+import re
 
 import pytest
 
@@ -57,6 +59,20 @@ class TestCommands:
         code = main(["object", "--type", "g-set", "--model", "timed",
                      "--ops", "4", "--horizon", "60"])
         assert code == 0
+
+    def test_object_metrics_publish_the_latency_sketches(self, tmp_path, capsys):
+        path = str(tmp_path / "metrics.json")
+        assert main(["object", "--type", "counter", "--metrics-out", path]) == 0
+        out = capsys.readouterr().out
+        assert main(["validate", path]) == 0
+        (line,) = [l for l in out.splitlines() if l.startswith("operations:")]
+        queries, updates = re.search(
+            r"\((\d+) queries, (\d+) updates\)", line
+        ).groups()
+        with open(path) as handle:
+            sketches = json.load(handle)["sketches"]
+        assert sketches["repro.op.read_latency"]["count"] == int(queries) > 0
+        assert sketches["repro.op.write_latency"]["count"] == int(updates) > 0
 
     def test_detector_accurate(self, capsys):
         code = main(["detector", "--driver", "worst"])

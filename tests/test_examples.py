@@ -5,6 +5,7 @@ false suspicions, crossovers), so a clean exit is a real check, not
 just an import test.
 """
 
+import glob
 import os
 import subprocess
 import sys
@@ -13,16 +14,9 @@ import pytest
 
 EXAMPLES_DIR = os.path.join(os.path.dirname(__file__), "..", "examples")
 
-EXAMPLES = [
-    "quickstart.py",
-    "failure_monitor.py",
-    "register_comparison.py",
-    "tdma_scheduler.py",
-    "verify_design.py",
-    "trace_tooling.py",
-    "eps_sweep.py",
-    "realistic_stack.py",  # the slowest: full MMT tower
-]
+EXAMPLES = sorted(
+    os.path.basename(path) for path in glob.glob(os.path.join(EXAMPLES_DIR, "*.py"))
+)
 
 
 @pytest.mark.parametrize("script", EXAMPLES)

@@ -215,7 +215,7 @@ def test_native_recovery_resumes_the_clock_from_the_recovery_instant():
 START_CORNER = (
     "a clock deadline <= beta before the node's first step: the full-scan "
     "reference fires the action earlier than the incremental loop "
-    "(docs/performance.md, Lazy node clocks; ROADMAP item 6)"
+    "(docs/performance.md, Lazy node clocks; ROADMAP item 9)"
 )
 
 

@@ -1,8 +1,14 @@
 """Tests for the generalized blind-update object algorithm."""
 
+import dataclasses
+from types import SimpleNamespace
+
 import pytest
 
+import repro.objects.history
+import repro.traces.linearizability
 from repro.automata.actions import Action
+from repro.automata.executions import TimedEvent, TimedSequence
 from repro.components.base import ProcessContext
 from repro.objects.algorithm import BlindUpdateObjectProcess
 from repro.objects.specs import (
@@ -11,13 +17,14 @@ from repro.objects.specs import (
     LWWMapSpec,
     MaxRegisterSpec,
     PNCounterSpec,
+    RegisterSpec,
 )
-from repro.objects.system import (
-    ObjectWorkload,
-    clock_object_system,
-    run_object_experiment,
-    timed_object_system,
+from repro.registers.system import (
+    clock_register_system,
+    run_register_experiment,
+    timed_register_system,
 )
+from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import MaximalDelay, MinimalDelay, UniformDelay
 from repro.sim.scheduler import RandomScheduler
@@ -25,6 +32,28 @@ from repro.sim.scheduler import RandomScheduler
 D1, D2 = 0.2, 1.0
 DELTA = 0.01
 ALL_SPECS = [CounterSpec, GrowSetSpec, MaxRegisterSpec, LWWMapSpec, PNCounterSpec]
+
+
+def workload(operations, update_fraction, seed):
+    """The objects' closed-loop workload shape (think 0.3-1.5)."""
+    return RegisterWorkload(
+        operations=operations, read_fraction=1.0 - update_fraction,
+        think_min=0.3, think_max=1.5, seed=seed,
+    )
+
+
+def clock_run(spec, seed, operations=5, update_fraction=0.5, c=0.3, eps=0.1,
+              driver="mixed", delay_model=None, horizon=70.0):
+    """One clock-model run on 3 nodes; ``spec=None`` runs the register."""
+    system = clock_register_system(
+        n=3, d1=D1, d2=D2, c=c, eps=eps,
+        workload=workload(operations, update_fraction, seed),
+        drivers=driver_factory(driver, eps, seed=seed), delta=DELTA,
+        delay_model=delay_model or UniformDelay(seed=seed), spec=spec,
+    )
+    return run_register_experiment(
+        system, horizon, scheduler=RandomScheduler(seed=seed), spec=spec
+    )
 
 
 class TestUnitTransitions:
@@ -122,43 +151,32 @@ class TestTimedModel:
     def test_superlinearizable_in_timed_model(self, spec_cls):
         spec = spec_cls()
         eps = 0.1
-        workload = ObjectWorkload(operations=5, update_fraction=0.5, seed=2)
-        system = timed_object_system(
-            spec, n=3, d1_prime=D1, d2_prime=D2, c=0.3, workload=workload,
-            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=2),
+        system = timed_register_system(
+            n=3, d1_prime=D1, d2_prime=D2, c=0.3, workload=workload(5, 0.5, 2),
+            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=2), spec=spec,
         )
-        run = run_object_experiment(system, spec, 70.0,
-                                    scheduler=RandomScheduler(seed=2))
+        run = run_register_experiment(system, 70.0,
+                                      scheduler=RandomScheduler(seed=2), spec=spec)
         assert len(run.operations) >= 10
         assert run.superlinearizable(eps)
 
     def test_latency_bounds(self):
         spec = CounterSpec()
         eps, c = 0.1, 0.3
-        workload = ObjectWorkload(operations=6, update_fraction=0.5, seed=3)
-        system = timed_object_system(
-            spec, n=3, d1_prime=D1, d2_prime=D2, c=c, workload=workload,
-            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=3),
+        system = timed_register_system(
+            n=3, d1_prime=D1, d2_prime=D2, c=c, workload=workload(6, 0.5, 3),
+            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=3), spec=spec,
         )
-        run = run_object_experiment(system, spec, 70.0,
-                                    scheduler=RandomScheduler(seed=3))
-        assert run.max_query_latency() <= c + 2 * eps + DELTA + 1e-9
-        assert run.max_update_latency() <= D2 - c + 1e-9
+        run = run_register_experiment(system, 70.0,
+                                      scheduler=RandomScheduler(seed=3), spec=spec)
+        assert run.max_read_latency() <= c + 2 * eps + DELTA + 1e-9
+        assert run.max_write_latency() <= D2 - c + 1e-9
 
 
 class TestClockModel:
     @pytest.mark.parametrize("spec_cls", ALL_SPECS, ids=lambda c: c.__name__)
     def test_linearizable_under_adversarial_clocks(self, spec_cls):
-        spec = spec_cls()
-        eps = 0.1
-        workload = ObjectWorkload(operations=5, update_fraction=0.5, seed=4)
-        system = clock_object_system(
-            spec, n=3, d1=D1, d2=D2, c=0.3, eps=eps, workload=workload,
-            drivers=driver_factory("mixed", eps, seed=4),
-            delta=DELTA, delay_model=UniformDelay(seed=4),
-        )
-        run = run_object_experiment(system, spec, 70.0,
-                                    scheduler=RandomScheduler(seed=4))
+        run = clock_run(spec_cls(), seed=4)
         assert len(run.operations) >= 10
         assert run.linearizable()
 
@@ -167,35 +185,72 @@ class TestClockModel:
         ids=lambda d: type(d).__name__,
     )
     def test_counter_across_delay_adversaries(self, delay_model):
-        spec = CounterSpec()
-        workload = ObjectWorkload(operations=5, update_fraction=0.7, seed=5)
-        system = clock_object_system(
-            spec, n=3, d1=D1, d2=D2, c=0.2, eps=0.15, workload=workload,
-            drivers=driver_factory("mixed", 0.15, seed=5),
-            delay_model=delay_model,
-        )
-        run = run_object_experiment(system, spec, 70.0,
-                                    scheduler=RandomScheduler(seed=5))
+        run = clock_run(CounterSpec(), seed=5, update_fraction=0.7, c=0.2,
+                        eps=0.15, delay_model=delay_model)
         assert run.linearizable()
 
     def test_final_replicas_agree(self):
         """After quiescence every replica holds the same counter value."""
-        spec = CounterSpec()
-        workload = ObjectWorkload(operations=6, update_fraction=1.0, seed=6)
-        system = clock_object_system(
-            spec, n=3, d1=D1, d2=D2, c=0.3, eps=0.1, workload=workload,
-            drivers=driver_factory("random", 0.1, seed=6),
-            delay_model=UniformDelay(seed=6),
-        )
-        run = run_object_experiment(system, spec, 90.0,
-                                    scheduler=RandomScheduler(seed=6))
+        run = clock_run(CounterSpec(), seed=6, operations=6, update_fraction=1.0,
+                        driver="random", horizon=90.0)
         values = set()
         for name, state in run.result.final_states.items():
             if name.endswith("^c") and hasattr(state, "proc_state"):
                 values.add(state.proc_state.value)
         assert len(values) == 1
         total = sum(
-            op.payload[1] if op.payload[0] == "add" else -op.payload[1]
-            for op in run.updates
+            op.value[1] if op.value[0] == "add" else -op.value[1]
+            for op in run.writes
         )
         assert values == {total}
+
+
+VOCABULARIES = {
+    "register": (None, "RETURN"),
+    "counter": (CounterSpec(), "REPLY"),
+    "register-object": (RegisterSpec(), "REPLY"),
+}
+
+
+class TestVerdictsAreNeverVacuous:
+    """The run's checker reads the vocabulary its clients speak.
+
+    The register read as an object (``BlindUpdateObjectProcess`` over
+    ``RegisterSpec``) speaks ``ASK`` / ``DO``, where the register's
+    operation extractor would find nothing and accept.
+    """
+
+    @pytest.mark.parametrize("name", sorted(VOCABULARIES))
+    def test_checks_every_operation(self, name, monkeypatch):
+        spec, _ = VOCABULARIES[name]
+        run = clock_run(spec, seed=7)
+        assert run.reads and run.writes
+        checked = []
+        search = repro.traces.linearizability.search_linearization
+
+        def spy(ops, *args, **kwargs):
+            checked.append(len(ops))
+            return search(ops, *args, **kwargs)
+
+        for module in (repro.traces.linearizability, repro.objects.history):
+            monkeypatch.setattr(module, "search_linearization", spy)
+        assert run.linearizable()
+        assert checked == [len(run.operations)]
+
+    @pytest.mark.parametrize("name", sorted(VOCABULARIES))
+    def test_a_corrupted_response_is_rejected(self, name):
+        spec, response = VOCABULARIES[name]
+        run = clock_run(spec, seed=7)
+        events = list(run.result.trace)
+        index = next(
+            i for i, event in enumerate(events) if event.action.name == response
+        )
+        node = events[index].action.params[0]
+        events[index] = TimedEvent(
+            Action(response, (node, ("never", "written"))), events[index].time
+        )
+        corrupted = dataclasses.replace(
+            run, result=SimpleNamespace(trace=TimedSequence(events))
+        )
+        assert run.linearizable()
+        assert not corrupted.linearizable()
