@@ -3,8 +3,8 @@
 Simulations are fully deterministic, so traces are artifacts worth
 keeping: this example runs a clock-model register experiment, saves the
 raw event log as JSONL, reloads it, re-verifies linearizability on the
-*reloaded* trace, extracts latencies generically (no clients involved),
-and renders ASCII timelines of both the real-time trace and its
+*reloaded* trace, summarizes per-kind latencies from the operations
+extracted out of it (no clients involved), and renders ASCII timelines of both the real-time trace and its
 clock-stamped ``gamma`` counterpart so the ``=_eps`` perturbation of
 Theorem 4.7 is visible to the naked eye.
 
@@ -21,10 +21,11 @@ from repro import (
     UniformDelay,
     clock_register_system,
     driver_factory,
+    extract_operations,
     is_linearizable,
     run_register_experiment,
 )
-from repro.analysis.latency import REGISTER_RULES, extract_latencies, latency_summaries
+from repro.analysis.stats import summarize
 from repro.analysis.timeline import render_timeline
 from repro.registers.system import INITIAL_VALUE
 from repro.sim.persistence import load_recorder, save_recorder
@@ -55,8 +56,9 @@ def main():
     print(f"reloaded: {len(reloaded)} events; "
           f"linearizable = {is_linearizable(trace, INITIAL_VALUE)}")
 
-    samples = extract_latencies(trace, REGISTER_RULES)
-    for label, summary in sorted(latency_summaries(samples).items()):
+    operations = extract_operations(trace)
+    for kind, label in (("R", "read"), ("W", "write")):
+        summary = summarize(op.latency for op in operations if op.kind == kind)
         print(f"{label:>6s}: n={summary.count} mean={summary.mean:.3f} "
               f"max={summary.maximum:.3f}")
 

@@ -92,7 +92,7 @@ from repro.registers.system import (
     run_register_experiment,
     timed_register_system,
 )
-from repro.registers.workload import ClientEntity, CompletedOp, RegisterWorkload
+from repro.registers.workload import ClientEntity, RegisterWorkload
 from repro.sim.clock_drivers import (
     ClockDriver,
     DriftingClockDriver,
@@ -121,7 +121,6 @@ from repro.sim.scheduler import (
 from repro.traces.linearizability import (
     Operation,
     extract_operations,
-    find_linearization,
     is_linearizable,
     is_superlinearizable,
 )
@@ -156,7 +155,7 @@ __all__ = [
     "RegisterProcess", "AlgorithmLProcess", "AlgorithmSProcess",
     "NaiveSuperlinearizableProcess", "SlottedRegisterProcess",
     "linearizable_register_problem", "superlinearizable_register_problem",
-    "RegisterWorkload", "ClientEntity", "CompletedOp", "RegisterRun",
+    "RegisterWorkload", "ClientEntity", "RegisterRun",
     "timed_register_system", "clock_register_system",
     "baseline_register_system", "mmt_register_system",
     "run_register_experiment",
@@ -169,7 +168,7 @@ __all__ = [
     "Simulator", "SimulationResult",
     "DeterministicScheduler", "RandomScheduler", "RoundRobinScheduler",
     # checkers
-    "Operation", "extract_operations", "find_linearization",
+    "Operation", "extract_operations",
     "is_linearizable", "is_superlinearizable",
     "Problem", "PredicateProblem",
     "equivalent_eps", "shifted_delta", "find_eps_matching",
@@ -215,7 +214,6 @@ from repro.objects import (  # noqa: E402
     PNCounterSpec,
     RegisterSpec,
     SequentialSpec,
-    is_object_linearizable,
 )
 from repro.tdma import (  # noqa: E402
     TDMAProcess,
@@ -237,7 +235,7 @@ __all__ += [
     "CrashSchedule",
     "SequentialSpec", "RegisterSpec", "CounterSpec", "PNCounterSpec",
     "MaxRegisterSpec", "GrowSetSpec", "LWWMapSpec",
-    "BlindUpdateObjectProcess", "is_object_linearizable",
+    "BlindUpdateObjectProcess",
     "TDMAProcess", "build_tdma_system", "critical_intervals", "max_overlap",
     "is_sequentially_consistent",
 ]

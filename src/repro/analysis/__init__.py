@@ -2,31 +2,18 @@
 
 - :mod:`repro.analysis.stats` — summaries (mean/percentiles/stdev);
 - :mod:`repro.analysis.report` — fixed-column text tables;
-- :mod:`repro.analysis.latency` — generic invocation/response latency
-  extraction from traces;
 - :mod:`repro.analysis.timeline` — ASCII per-node timelines;
 - :mod:`repro.analysis.fuzz` — adversary-grid sweeps (empirical
   "for all adversaries").
 """
 
 from repro.analysis.fuzz import AdversaryChoice, FuzzReport, adversary_grid, fuzz
-from repro.analysis.latency import (
-    OBJECT_RULES,
-    PINGER_RULES,
-    REGISTER_RULES,
-    LatencySample,
-    PairingRule,
-    extract_latencies,
-    latency_summaries,
-)
 from repro.analysis.report import Table, format_row
 from repro.analysis.stats import Summary, summarize
 from repro.analysis.timeline import render_timeline
 
 __all__ = [
     "Summary", "summarize", "Table", "format_row",
-    "PairingRule", "LatencySample", "extract_latencies",
-    "latency_summaries", "REGISTER_RULES", "OBJECT_RULES", "PINGER_RULES",
     "render_timeline",
     "AdversaryChoice", "FuzzReport", "adversary_grid", "fuzz",
 ]

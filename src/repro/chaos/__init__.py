@@ -16,7 +16,6 @@ from repro.chaos.monitors import (
     ChaosMonitor,
     ClockPredicateMonitor,
     HeartbeatMonitor,
-    LinearizabilityMonitor,
     MonitorTracer,
     TeeTracer,
     Violation,
@@ -60,7 +59,6 @@ __all__ = [
     "ClockPredicateMonitor",
     "ChannelBoundMonitor",
     "HeartbeatMonitor",
-    "LinearizabilityMonitor",
     "MonitorTracer",
     "TeeTracer",
     "Violation",

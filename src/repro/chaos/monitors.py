@@ -14,9 +14,7 @@ instances, each watching one guarantee of the paper:
 - :class:`HeartbeatMonitor` — detector *accuracy* (never suspect a
   sender that was up when the beat was due; the Theorem 4.7 guarantee
   under ``timeout = d2 + 2*eps``) and *completeness* (a sender that was
-  down at a beat's due time is eventually suspected);
-- :class:`LinearizabilityMonitor` — end-of-run atomicity of the visible
-  register trace via :mod:`repro.traces.linearizability`.
+  down at a beat's due time is eventually suspected).
 
 Each :class:`Violation` is attributed to the plan event most plausibly
 responsible (:meth:`~repro.chaos.plan.FaultPlan.attribute`), so a chaos
@@ -122,7 +120,7 @@ class ChaosMonitor:
         return []
 
     def on_run_end(self, now: float) -> List[Violation]:
-        """End-of-run check (completeness, linearizability, ...)."""
+        """End-of-run check (e.g. heartbeat completeness)."""
         return []
 
 
@@ -358,52 +356,6 @@ class HeartbeatMonitor(ChaosMonitor):
                     )
                 )
         return violations
-
-
-class LinearizabilityMonitor(ChaosMonitor):
-    """End-of-run linearizability of the visible register trace."""
-
-    name = "linearizability"
-
-    def __init__(self, initial_value: object = None):
-        self.initial_value = initial_value
-        self._events: List[Tuple[Action, float]] = []
-
-    def on_action(self, now, owner, action, clock, visible) -> List[Violation]:
-        if visible:
-            self._events.append((action, now))
-        return []
-
-    def on_run_end(self, now: float) -> List[Violation]:
-        from repro.automata.executions import TimedEvent, TimedSequence
-        from repro.errors import SpecificationError
-        from repro.traces.linearizability import (
-            extract_operations,
-            is_linearizable,
-        )
-
-        trace = TimedSequence(
-            TimedEvent(action, t) for action, t in self._events
-        )
-        try:
-            operations = extract_operations(trace)
-        except SpecificationError:
-            return []  # not a register trace; nothing to check
-        if not operations:
-            return []
-        if is_linearizable(operations, initial_value=self.initial_value):
-            return []
-        return [
-            Violation(
-                monitor=self.name,
-                kind="linearizability",
-                time=now,
-                detail=(
-                    f"no linearization of {len(operations)} completed "
-                    "operations exists"
-                ),
-            )
-        ]
 
 
 class MonitorTracer(Tracer):

@@ -45,7 +45,7 @@ from repro.live.chaos import (
     demo_live_plan,
     validate_for_live,
 )
-from repro.live.client import ClientRecord, LiveLoadClient
+from repro.live.client import LiveLoadClient
 from repro.live.clock import LiveClock
 from repro.live.load import build_operations, run_load, sim_replay
 from repro.live.node import LiveRegisterNode
@@ -59,7 +59,6 @@ __all__ = [
     "LiveRegisterNode",
     "LiveCluster",
     "LiveLoadClient",
-    "ClientRecord",
     "fetch_stats",
     "run_load",
     "sim_replay",

@@ -4,7 +4,9 @@ A :class:`LiveLoadClient` is the live twin of the simulator's
 :class:`~repro.registers.workload.ClientEntity` in replay mode: both
 walk the same :class:`~repro.registers.opstream.OpSchedule`, issuing one
 operation at a time (the alternation condition) with the planned think
-time after each response. Invocation and response instants are taken on
+time after each response. Each operation is recorded as a
+:class:`~repro.traces.linearizability.Operation` whose ``op_id`` is its
+schedule index. Invocation and response instants are taken on
 the load generator's own clock — one shared epoch across all clients,
 so the recorded history is a consistent real-time order, which is
 exactly what the linearizability definition quantifies over.
@@ -15,8 +17,8 @@ sends untagged ``read``/``write`` frames and raises on any connection
 failure. Chaos runs arm three extra layers:
 
 - a per-operation timeout (``op_timeout``), so a node that dies
-  mid-operation produces a timed-out :class:`ClientRecord` instead of a
-  hung ``readline`` — the record's ``outcome`` is ``"timeout"`` and its
+  mid-operation produces a timed-out record instead of a hung
+  ``readline`` — the record's ``outcome`` is ``"timeout"`` and its
   ``res_time`` is the instant the client gave up;
 - seeded retry with the chaos layer's
   :class:`~repro.faults.retransmit.BackoffPolicy` (``max_attempts`` per
@@ -36,43 +38,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import LiveServiceError
 from repro.faults.retransmit import BackoffPolicy
 from repro.live.wire import decode_frame, encode_frame
 from repro.registers.opstream import OpSchedule
-
-
-@dataclass(frozen=True)
-class ClientRecord:
-    """One operation as timed by the load generator.
-
-    ``outcome`` is ``"ok"`` (first attempt succeeded), ``"retried"``
-    (succeeded on attempt > 1), or ``"timeout"`` (all attempts failed;
-    ``value`` is ``None`` for reads and the intended value for writes).
-    The defaults keep positional construction of pre-chaos records
-    working unchanged.
-    """
-
-    node: int
-    index: int
-    kind: str  # "R" or "W"
-    value: object  # value read (R) / written (W)
-    inv_time: float
-    res_time: float
-    outcome: str = "ok"
-    attempts: int = 1
-
-    @property
-    def latency(self) -> float:
-        return self.res_time - self.inv_time
-
-    @property
-    def completed(self) -> bool:
-        """Whether the operation got a response."""
-        return self.outcome != "timeout"
+from repro.traces.linearizability import Operation
 
 
 class LiveLoadClient:
@@ -142,7 +114,8 @@ class LiveLoadClient:
         return request
 
     async def _attempt(self, op) -> object:
-        """One request/response round trip; returns the read/ack value.
+        """One request/response round trip; returns the response's value
+        (``None`` for an ack).
 
         Raises ``LiveServiceError``/``OSError``/``TimeoutError`` on any
         failure; the caller decides whether to retry.
@@ -166,11 +139,11 @@ class LiveLoadClient:
                 f"client {self.node}: expected {expected}, got "
                 f"{frame['t']!r}"
             )
-        return frame["value"] if op.kind == "R" else op.value
+        return frame["value"] if op.kind == "R" else None
 
-    async def run(self) -> List[ClientRecord]:
+    async def run(self) -> List[Operation]:
         """Replay the schedule; returns the timed operation records."""
-        records: List[ClientRecord] = []
+        records: List[Operation] = []
         try:
             if self.schedule.start_delay > 0:
                 await asyncio.sleep(self.schedule.start_delay)
@@ -182,7 +155,8 @@ class LiveLoadClient:
             self._disconnect()
         return records
 
-    async def _run_op(self, op) -> ClientRecord:
+    async def _run_op(self, op) -> Operation:
+        arg = None if op.kind == "R" else op.value
         inv = self._now()
         for attempt in range(self.max_attempts):
             if attempt > 0:
@@ -194,7 +168,7 @@ class LiveLoadClient:
                     )
                 await asyncio.sleep(gap)
             try:
-                value = await self._attempt(op)
+                response = await self._attempt(op)
             except (
                 asyncio.TimeoutError,
                 ConnectionError,
@@ -206,13 +180,12 @@ class LiveLoadClient:
                     raise
                 continue
             outcome = "ok" if attempt == 0 else "retried"
-            return ClientRecord(
-                self.node, op.index, op.kind, value, inv, self._now(),
+            return Operation(
+                op.index, self.node, op.kind, arg, response, inv, self._now(),
                 outcome, attempt + 1,
             )
         # every attempt failed: a timed-out record, not a crashed run
-        value = None if op.kind == "R" else op.value
-        return ClientRecord(
-            self.node, op.index, op.kind, value, inv, self._now(),
+        return Operation(
+            op.index, self.node, op.kind, arg, None, inv, self._now(),
             "timeout", self.max_attempts,
         )

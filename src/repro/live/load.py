@@ -26,6 +26,7 @@ operation streams: the cross-validation the live backend exists for.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +40,7 @@ from repro.chaos.plan import FaultPlan
 from repro.errors import LiveServiceError
 from repro.faults.retransmit import BackoffPolicy
 from repro.live.chaos import LiveChaosController
-from repro.live.client import ClientRecord, LiveLoadClient
+from repro.live.client import LiveLoadClient
 from repro.live.params import LiveParams
 from repro.live.report import DEFAULT_SLACK, LiveReport
 from repro.live.service import LiveCluster, fetch_stats
@@ -77,9 +78,10 @@ def live_workload(
 
 
 def build_operations(
-    records: List[ClientRecord], horizon: Optional[float] = None
+    records: List[Operation], horizon: Optional[float] = None
 ) -> List[Operation]:
-    """Turn client records into checker operations, ids in real-time order.
+    """Renumber client records into a checkable history, ids in
+    real-time order (a record's ``op_id`` is its client's schedule index).
 
     With ``horizon`` set (as :func:`run_load` always does), timed-out
     records get the standard open-window treatment: a timed-out *read*
@@ -90,7 +92,7 @@ def build_operations(
     executed) or wherever a read's value demands (executed, response
     lost). Without ``horizon`` records pass through unchanged.
     """
-    ordered = sorted(records, key=lambda r: (r.inv_time, r.node, r.index))
+    ordered = sorted(records, key=lambda r: (r.inv_time, r.node, r.op_id))
     operations: List[Operation] = []
     for r in ordered:
         res_time = r.res_time
@@ -98,8 +100,8 @@ def build_operations(
             if r.kind == "R":
                 continue
             res_time = max(horizon, r.res_time)
-        operations.append(Operation(
-            len(operations), r.node, r.kind, r.value, r.inv_time, res_time
+        operations.append(dataclasses.replace(
+            r, op_id=len(operations), res_time=res_time
         ))
     return operations
 
@@ -111,7 +113,7 @@ async def _run_load_async(
     metrics,
     plan: Optional[FaultPlan] = None,
     tracer=NULL_TRACER,
-) -> Tuple[List[ClientRecord], List[Dict[str, object]]]:
+) -> Tuple[List[Operation], List[Dict[str, object]]]:
     cluster = controller = None
     if addresses is None:
         cluster = LiveCluster(params, metrics=metrics, tracer=tracer)

@@ -34,7 +34,7 @@ class LiveParams:
 
     - ``op_timeout`` — per-operation client timeout (seconds); a node
       that dies mid-operation surfaces as a timed-out
-      :class:`~repro.live.client.ClientRecord`, never a hang;
+      :class:`~repro.traces.linearizability.Operation`, never a hang;
     - ``retry_max`` — client attempts per operation (1 = no retry);
     - ``retry_base`` — base gap of the client's seeded
       :class:`~repro.faults.retransmit.BackoffPolicy`, and the peer

@@ -41,7 +41,6 @@ from repro.chaos.monitors import Violation, attribute_violations
 from repro.chaos.plan import FaultPlan
 from repro.core.pipeline import simulation1_delay_bounds
 from repro.faults.retransmit import BackoffPolicy
-from repro.live.client import ClientRecord
 from repro.live.params import LiveParams
 from repro.obs.sketch import QuantileSketch
 from repro.registers.algorithm_s import theorem_bounds
@@ -110,7 +109,7 @@ class LiveReport:
     linearization: LinearizationReport
     node_stats: List[Dict[str, object]] = field(default_factory=list)
     slack: float = DEFAULT_SLACK
-    records: List[ClientRecord] = field(default_factory=list)
+    records: List[Operation] = field(default_factory=list)
     plan: Optional[FaultPlan] = None
     violations: List[Violation] = field(default_factory=list)
 

@@ -13,8 +13,6 @@ This subpackage provides:
 - :mod:`repro.objects.specs` — sequential object specifications
   (the correctness oracle): register, counter, max-register, G-set,
   PN-counter, LWW-map;
-- :mod:`repro.objects.history` — generic operation extraction and a
-  spec-driven linearizability / eps-superlinearizability checker;
 - :mod:`repro.objects.algorithm` — the generalized Figure 3 automaton:
   the register process itself
   (:class:`~repro.registers.algorithm_l.RegisterProcess`) under the
@@ -30,19 +28,18 @@ as ``spec=``, one :class:`~repro.registers.workload.ClientEntity` drives
 each node in the object vocabulary, and
 :func:`~repro.registers.system.run_register_experiment` returns a
 :class:`~repro.registers.system.RegisterRun` checked against the spec.
+Its history is the register's too: one
+:class:`~repro.traces.linearizability.Operation` per operation (a query
+is an ``"R"``, an update a ``"W"``), extracted from any trace by
+:func:`~repro.traces.linearizability.extract_operations` and checked by
+:func:`~repro.traces.linearizability.analyze_linearizability` with
+``spec=``.
 
 Latency bounds carry over verbatim from Lemma 6.2 / Theorem 6.5:
 queries cost ``2*eps + c + delta``, updates ``d2' - c``.
 """
 
 from repro.objects.algorithm import BlindUpdateObjectProcess
-from repro.objects.history import (
-    ObjOperation,
-    extract_object_operations,
-    find_object_linearization,
-    is_object_linearizable,
-    is_object_superlinearizable,
-)
 from repro.objects.specs import (
     CounterSpec,
     GrowSetSpec,
@@ -61,10 +58,5 @@ __all__ = [
     "GrowSetSpec",
     "PNCounterSpec",
     "LWWMapSpec",
-    "ObjOperation",
-    "extract_object_operations",
-    "find_object_linearization",
-    "is_object_linearizable",
-    "is_object_superlinearizable",
     "BlindUpdateObjectProcess",
 ]

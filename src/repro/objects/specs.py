@@ -5,7 +5,8 @@ an initial state, a transition function for *blind updates* (operations
 whose effect does not read the state's response), and an evaluation
 function for *queries*. Linearizability of a concurrent history is then
 defined against sequential replays of this spec
-(:mod:`repro.objects.history`).
+(:func:`~repro.traces.linearizability.analyze_linearizability` with
+``spec=``).
 
 States must be **hashable values** (tuples, frozensets, numbers) — the
 checker memoizes on them — and update application must be a pure

@@ -8,8 +8,10 @@ ones included. This module turns that flat stream into causal structure:
   ``S_{ij,eps}``), ``ESENDMSG`` (buffer -> channel ``E_{ij,[d1,d2]}``),
   ``ERECVMSG`` (channel -> receive buffer ``R_{ji,eps}``), ``RECVMSG``
   (buffer -> process) — into **message spans** with one timestamped
-  phase per hop, and register invocation/response pairs
-  (``READ``/``WRITE`` -> ``RETURN``/``ACK``) into **operation spans**.
+  phase per hop, and the invocation/response pairs of the register and
+  of every blind-update object
+  (:data:`~repro.traces.linearizability.RESPONSE_OF`) into **operation
+  spans**.
   The book runs *online* inside :class:`~repro.obs.trace.JsonlTracer`
   (emitting versioned ``span`` records as the trace is written) and
   *offline* inside :class:`CausalTrace`, re-deriving identical spans
@@ -41,6 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.constants import TOLERANCE
+from repro.traces.linearizability import QUERIES, RESPONSE_OF, RESPONSES
 
 MSG_PHASES = ("enq", "xmit", "arrive", "dlv")
 """Message-span phases, in lifecycle order."""
@@ -117,14 +120,14 @@ class MessageSpan:
 
 @dataclass
 class OperationSpan:
-    """One register operation's invocation/response round trip."""
+    """One operation's invocation/response round trip, phase-stamped."""
 
     sid: str
     node: int
-    kind: str  # "R" or "W"
+    kind: str  # "R" (a query) or "W" (an update)
     inv: PhaseStamp
     res: Optional[PhaseStamp] = None
-    value: object = None  # written value (W) or returned value (R)
+    value: object = None  # update argument (W) or returned value (R)
 
     @property
     def complete(self) -> bool:
@@ -262,20 +265,21 @@ class SpanBook:
                 self._open_msgs[key].remove(span)
             return [self._msg_record(span, "dlv", when)]
 
-        if name in ("READ", "WRITE") and params:
+        if name in RESPONSE_OF and params:
             node = params[0]
             seq = self._op_seq.get(node, 0)
             self._op_seq[node] = seq + 1
+            query = name in QUERIES
             op = OperationSpan(
                 sid=f"op:{node}:{seq}", node=node,
-                kind="R" if name == "READ" else "W", inv=when,
-                value=params[1] if name == "WRITE" and len(params) > 1 else None,
+                kind="R" if query else "W", inv=when,
+                value=params[1] if not query and len(params) > 1 else None,
             )
             self.ops.append(op)
             self._open_ops[node] = op
             return [self._op_record(op, "inv", when)]
 
-        if name in ("RETURN", "ACK") and params:
+        if name in RESPONSES and params:
             node = params[0]
             op = self._open_ops.pop(node, None)
             if op is None:
@@ -529,11 +533,12 @@ class CausalTrace:
                 continue
             if "enq" not in span.phases:
                 continue
-            if span.phases["enq"].time < op.inv.time - TOLERANCE:
+            enq = span.phases["enq"].time
+            if enq < op.inv.time - TOLERANCE:
                 continue
-            segments = [
-                PathSegment("local_send", op.inv.time, span.phases["enq"].time)
-            ]
+            if op.res is not None and enq > op.res.time + TOLERANCE:
+                continue  # a later update with an equal argument
+            segments = [PathSegment("local_send", op.inv.time, enq)]
             segments.extend(
                 PathSegment(label, start, end)
                 for label, start, end in span.segments()

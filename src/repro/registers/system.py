@@ -36,7 +36,6 @@ from repro.core.pipeline import (
 from repro.faults import BernoulliFaults, ReliableAdapter, effective_delay_bounds
 from repro.network.topology import Topology
 from repro.objects.algorithm import BlindUpdateObjectProcess
-from repro.objects.history import is_object_superlinearizable
 from repro.objects.specs import SequentialSpec
 from repro.objects.system import default_payloads
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterProcess
@@ -47,7 +46,6 @@ from repro.registers.algorithm_s import (
 from repro.registers.baseline import SlottedRegisterProcess
 from repro.registers.workload import (
     ClientEntity,
-    CompletedOp,
     RegisterWorkload,
     register_payloads,
 )
@@ -55,7 +53,7 @@ from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import DelayModel, UniformDelay
 from repro.sim.engine import SimulationResult
 from repro.sim.scheduler import Scheduler
-from repro.traces.linearizability import READ, is_superlinearizable
+from repro.traces.linearizability import READ, Operation, is_superlinearizable
 
 INITIAL_VALUE = ("v", -1, 0)
 """Default initial register value ``v0`` (distinct from client values)."""
@@ -352,23 +350,22 @@ def lossy_clock_register_system(
 class RegisterRun:
     """Outcome of one register or blind-update object experiment.
 
-    ``vocabulary`` is the process class its clients speak; it picks the
-    checker: the register's for ``READ`` / ``WRITE``, the object
-    ``spec``'s otherwise (reads are queries, writes updates).
+    ``operations`` are the clients' records, in invocation order; an
+    object run is checked against its ``spec`` (reads are queries,
+    writes updates).
     """
 
     result: SimulationResult
-    operations: List[CompletedOp]
+    operations: List[Operation]
     initial_value: object
-    vocabulary: type = RegisterProcess
     spec: Optional[SequentialSpec] = None
 
     @property
-    def reads(self) -> List[CompletedOp]:
+    def reads(self) -> List[Operation]:
         return [op for op in self.operations if op.kind == "R"]
 
     @property
-    def writes(self) -> List[CompletedOp]:
+    def writes(self) -> List[Operation]:
         return [op for op in self.operations if op.kind == "W"]
 
     def max_read_latency(self) -> float:
@@ -395,9 +392,9 @@ class RegisterRun:
 
     def superlinearizable(self, eps: float) -> bool:
         """Membership of the run's trace in problem ``Q``."""
-        if self.vocabulary.READ == READ:
-            return is_superlinearizable(self.result.trace, eps, self.initial_value)
-        return is_object_superlinearizable(self.result.trace, self.spec, eps)
+        return is_superlinearizable(
+            self.result.trace, eps, self.initial_value, spec=self.spec
+        )
 
     def __repr__(self) -> str:
         return (
@@ -436,12 +433,12 @@ def run_register_experiment(
         horizon, scheduler=scheduler, max_steps=max_steps,
         recorder=recorder, metrics=metrics, tracer=tracer,
     )
-    operations: List[CompletedOp] = []
+    operations: List[Operation] = []
     for name, state in result.final_states.items():
         if name.startswith("client(") and hasattr(state, "completed"):
             operations.extend(state.completed)
     operations.sort(key=lambda op: op.inv_time)
     return RegisterRun(
         result=result, operations=operations, initial_value=initial_value,
-        vocabulary=vocabulary, spec=spec,
+        spec=spec,
     )

@@ -14,10 +14,12 @@ unique ``("v", node, seq)`` tuples, which both match the paper's
 unique-message assumption and make linearizability checking
 unambiguous, and a read carries no argument.
 
-Clients record every completed operation with invocation and response
-times, so latency analysis does not have to re-parse the trace. A query
-is recorded as a read (``"R"``, with its response) and an update as a
-write (``"W"``, with its argument).
+Clients record every completed operation as the
+:class:`~repro.traces.linearizability.Operation` that
+:func:`~repro.traces.linearizability.extract_operations` finds in the
+trace, so latency analysis does not have to re-parse it: a query is an
+``"R"``, an update a ``"W"``, and ``op_id`` is the client's own
+operation index.
 
 Two modes of schedule generation:
 
@@ -44,6 +46,7 @@ from repro.errors import TransitionError
 from repro.obs.metrics import NULL_SKETCH
 from repro.registers.algorithm_l import RegisterProcess
 from repro.registers.opstream import OpSchedule, client_rng
+from repro.traces.linearizability import Operation
 
 from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
 
@@ -79,25 +82,11 @@ class RegisterWorkload:
 
 
 @dataclass
-class CompletedOp:
-    """One completed operation as seen by the client."""
-
-    kind: str  # "R" (a query) or "W" (an update)
-    value: object  # the response of an R, the argument of a W
-    inv_time: float
-    res_time: float
-
-    @property
-    def latency(self) -> float:
-        return self.res_time - self.inv_time
-
-
-@dataclass
 class ClientState:
     next_inv_time: float = 0.0
     issued: int = 0
-    pending: Optional[Tuple[str, object, float]] = None  # (kind, value, inv)
-    completed: List[CompletedOp] = field(default_factory=list)
+    pending: Optional[Tuple[str, object, float]] = None  # (kind, arg, inv)
+    completed: List[Operation] = field(default_factory=list)
 
 
 class ClientEntity(Entity):
@@ -208,34 +197,37 @@ class ClientEntity(Entity):
         if state.pending is not None:
             raise TransitionError(f"{self.name}: invocation while pending")
         if action.name == self.vocabulary.READ:
-            state.pending = ("R", None, now)
+            kind = "R"
         elif action.name == self.vocabulary.WRITE:
             self._seq += 1
-            state.pending = ("W", action.params[1], now)
+            kind = "W"
         else:
             raise TransitionError(f"{self.name}: cannot fire {action}")
+        params = action.params
+        state.pending = (kind, params[1] if len(params) > 1 else None, now)
         state.issued += 1
 
     def apply_input(self, state: ClientState, action: Action, now: float) -> None:
         if state.pending is None:
             raise TransitionError(f"{self.name}: response with nothing pending")
-        kind, value, inv_time = state.pending
+        kind, arg, inv_time = state.pending
         if action.name == self.vocabulary.RETURN:
             if kind != "R":
                 raise TransitionError(f"{self.name}: {action.name} answers a write")
-            # repro: lint-ignore[ISO003] -- the returned value is recorded
-            # for the offline linearizability checker, which only reads it
-            state.completed.append(
-                CompletedOp("R", action.params[1], inv_time, now)
-            )
+            response = action.params[1]
             self._read_lat.observe(now - inv_time)
         elif action.name == self.vocabulary.ACK:
             if kind != "W":
                 raise TransitionError(f"{self.name}: {action.name} answers a read")
-            state.completed.append(CompletedOp("W", value, inv_time, now))
+            response = None
             self._write_lat.observe(now - inv_time)
         else:
             raise TransitionError(f"{self.name}: unexpected input {action}")
+        # repro: lint-ignore[ISO003] -- the returned value is recorded
+        # for the offline linearizability checker, which only reads it
+        state.completed.append(Operation(
+            state.issued - 1, self.node, kind, arg, response, inv_time, now
+        ))
         state.pending = None
         state.next_inv_time = now + self._think(state)
 

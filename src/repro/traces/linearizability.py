@@ -1,25 +1,32 @@
-"""Linearizability and eps-superlinearizability of register histories.
+"""Linearizability and eps-superlinearizability of object histories.
 
 Section 6 defines linearizability of a timed schedule: a point ``t`` can
 be inserted for every operation, between its invocation and response, such
 that each READ returns the value of the latest preceding WRITE in the
 induced point order. eps-superlinearizability (Section 6.2) additionally
-requires each point to be at least ``2*eps`` after the invocation.
+requires each point to be at least ``2*eps`` after the invocation. The
+paper's closing remark generalizes this to other shared objects: replay
+the operations in point order through the object's sequential
+specification (:class:`~repro.objects.specs.SequentialSpec`) and every
+query must return its recorded response.
 
-Register action conventions (matching :mod:`repro.registers`):
+One operation vocabulary covers the register and every blind-update
+object (:data:`RESPONSE_OF`, :data:`QUERIES`):
 
-- ``READ_i()`` — read invocation at node ``i``;
-- ``RETURN_i(v)`` — read response carrying the returned value;
-- ``WRITE_i(v)`` — write invocation carrying the written value;
-- ``ACK_i()`` — write response.
+- ``READ_i()`` / ``ASK_i(q)`` — query invocation at node ``i``;
+- ``RETURN_i(v)`` / ``REPLY_i(v)`` — query response carrying the value;
+- ``WRITE_i(v)`` / ``DO_i(u)`` — update invocation carrying its argument;
+- ``ACK_i()`` / ``DONE_i()`` — update response.
 
-This module holds the code base's one linearization search
-(:func:`search_linearization`), one alternation checker and
-invocation/response pairing (:func:`paired_events`) and one history
-coercion (:func:`coerce_history`). The search takes the sequential
-specification as a ``step(state, op) -> (legal, new_state)`` callable:
-the register entry points below pass the read/write step and
-:mod:`repro.objects.history` passes a ``SequentialSpec``.
+This module holds the code base's one operation record
+(:class:`Operation`, built by the simulator's and the live backend's
+clients too), one invocation/response pairing and alternation checker
+(:func:`paired_events`), one extractor (:func:`extract_operations`),
+one linearization search (:func:`search_linearization`) and one
+checker entry point (:func:`analyze_linearizability`). The search takes
+the sequential specification as a ``step(state, op) -> (legal,
+new_state)`` callable: the register's read/write step by default, a
+spec's ``evaluate`` / ``apply_update`` when given one.
 
 Given one closed interval ``[lo, hi]`` per operation, the search decides
 whether increasing representative points exist whose order is legal:
@@ -30,7 +37,7 @@ opens before every other remaining window closes.
 
 A pathological history can still cost exponentially many nodes, and
 live histories (:mod:`repro.live`) run to tens of thousands of
-operations, so the register entry points accept a ``max_nodes`` budget:
+operations, so the entry points accept a ``max_nodes`` budget:
 exceeding it raises :class:`SearchBudgetExceeded` rather than spinning,
 and :func:`analyze_linearizability` reports the visited count either way.
 """
@@ -74,33 +81,67 @@ READ = "READ"
 WRITE = "WRITE"
 RETURN = "RETURN"
 ACK = "ACK"
+ASK = "ASK"
+DO = "DO"
+REPLY = "REPLY"
+DONE = "DONE"
+
+RESPONSE_OF = {READ: RETURN, WRITE: ACK, ASK: REPLY, DO: DONE}
+"""Invocation name -> the response name that answers it.
+
+The register's vocabulary and the blind-update objects' are disjoint
+(:class:`~repro.registers.algorithm_l.RegisterProcess` and
+:class:`~repro.objects.algorithm.BlindUpdateObjectProcess` declare
+them), so a trace need not say which one it speaks."""
+
+RESPONSES = frozenset(RESPONSE_OF.values())
+"""The response names."""
+
+QUERIES = frozenset({READ, ASK})
+"""The query invocations; every other invocation is an update."""
 
 
-class TimedOperation:
-    """What the search reads off an operation record besides ``op_id``."""
+@dataclass(frozen=True)
+class Operation:
+    """One operation on a shared object: invocation, response, window.
 
+    ``kind`` is ``"R"`` for a query (the register's read) and ``"W"``
+    for an update (the register's write). ``arg`` is the invocation's
+    argument (``None`` for a bare register read), ``response`` the
+    response's value (``None`` for an update's acknowledgement).
+    ``outcome`` and ``attempts`` are the live client's: ``"ok"``,
+    ``"retried"`` (succeeded on attempt ``attempts > 1``) or
+    ``"timeout"`` (every attempt failed; ``res_time`` is when the
+    client gave up and ``response`` is ``None``).
+    """
+
+    op_id: int
+    node: int
+    kind: str
+    arg: object
+    response: object
     inv_time: float
     res_time: float
+    outcome: str = "ok"
+    attempts: int = 1
 
-    def window(self, min_after_inv: float = 0.0) -> Tuple[float, float]:
-        """The closed interval in which the linearization point may lie."""
-        return (self.inv_time + min_after_inv, self.res_time)
+    @property
+    def value(self) -> object:
+        """The response of an ``R``, the argument of a ``W``."""
+        return self.response if self.kind == "R" else self.arg
 
     @property
     def latency(self) -> float:
         return self.res_time - self.inv_time
 
+    @property
+    def completed(self) -> bool:
+        """Whether the operation got a response."""
+        return self.outcome != "timeout"
 
-@dataclass(frozen=True)
-class Operation(TimedOperation):
-    """One complete register operation extracted from a trace."""
-
-    op_id: int
-    node: int
-    kind: str  # "R" or "W"
-    value: object  # value read (for R) or written (for W)
-    inv_time: float
-    res_time: float
+    def window(self, min_after_inv: float = 0.0) -> Tuple[float, float]:
+        """The closed interval in which the linearization point may lie."""
+        return (self.inv_time + min_after_inv, self.res_time)
 
     def __repr__(self) -> str:
         arrow = "->" if self.kind == "R" else "<-"
@@ -123,53 +164,34 @@ class AlternationViolation(SpecificationError):
         self.by_environment = by_environment
 
 
-REGISTER_RESPONSES = {READ: RETURN, WRITE: ACK}
-"""Name table of the register actions: invocation name -> response name."""
-
-
-def paired_events(
-    trace: TimedSequence, response_of: Dict[str, str]
-) -> Iterator[Tuple[TimedEvent, TimedEvent]]:
+def paired_events(trace: TimedSequence) -> Iterator[Tuple[TimedEvent, TimedEvent]]:
     """Yield ``(invocation event, response event)`` per complete operation.
 
-    ``response_of`` maps each invocation name to the response name that
-    must answer it. Pairs come in response order; operations still
-    pending at the end of the trace are dropped, the usual treatment of
-    a finite prefix. Raises :class:`AlternationViolation` at the first
-    violation of the alternation condition (Section 6.1): an invocation
-    at a node with one outstanding is the environment's, a response that
-    matches no outstanding invocation is the system's.
+    Pairs come in response order; operations still pending at the end
+    of the trace are dropped, the usual treatment of a finite prefix.
+    Raises :class:`AlternationViolation` at the first violation of the
+    alternation condition (Section 6.1): an invocation at a node with
+    one outstanding is the environment's, a response that does not
+    answer the node's outstanding invocation (:data:`RESPONSE_OF`) is
+    the system's.
     """
-    responses = frozenset(response_of.values())
     pending: Dict[int, TimedEvent] = {}
     for ev in trace:
         name = ev.action.name
-        if name in response_of:
+        if name in RESPONSE_OF:
             node = ev.action.params[0]
             if node in pending:
                 raise AlternationViolation(
                     "alternation condition violated by the environment", True
                 )
             pending[node] = ev
-        elif name in responses:
+        elif name in RESPONSES:
             inv = pending.pop(ev.action.params[0], None)
-            if inv is None or response_of[inv.action.name] != name:
+            if inv is None or RESPONSE_OF[inv.action.name] != name:
                 raise AlternationViolation(
                     "alternation condition violated by the system", False
                 )
             yield inv, ev
-
-
-def alternation_verdict(
-    trace: TimedSequence, response_of: Dict[str, str]
-) -> Optional[str]:
-    """``None``, ``"environment"`` or ``"system"``: who broke alternation first."""
-    try:
-        for _ in paired_events(trace, response_of):
-            pass
-    except AlternationViolation as violation:
-        return "environment" if violation.by_environment else "system"
-    return None
 
 
 def check_alternation(trace: TimedSequence) -> Optional[str]:
@@ -179,32 +201,35 @@ def check_alternation(trace: TimedSequence) -> Optional[str]:
     else who violated first: ``"environment"`` (a double invocation) or
     ``"system"`` (a response that matches no pending invocation).
     """
-    return alternation_verdict(trace, REGISTER_RESPONSES)
+    try:
+        for _ in paired_events(trace):
+            pass
+    except AlternationViolation as violation:
+        return "environment" if violation.by_environment else "system"
+    return None
 
 
 def extract_operations(trace: TimedSequence) -> List[Operation]:
     """Pair invocations with responses into :class:`Operation` records
     (what is dropped and what raises: :func:`paired_events`)."""
     ops: List[Operation] = []
-    for inv, res in paired_events(trace, REGISTER_RESPONSES):
-        if inv.action.name == READ:
-            kind, value = "R", res.action.params[1]
-        else:
-            kind, value = "W", inv.action.params[1]
-        node = inv.action.params[0]
-        ops.append(Operation(len(ops), node, kind, value, inv.time, res.time))
+    for inv, res in paired_events(trace):
+        args, results = inv.action.params, res.action.params
+        ops.append(Operation(
+            len(ops), args[0], "R" if inv.action.name in QUERIES else "W",
+            args[1] if len(args) > 1 else None,
+            results[1] if len(results) > 1 else None,
+            inv.time, res.time,
+        ))
     return ops
 
 
-def coerce_history(
-    history: Iterable,
-    extract: Callable[[TimedSequence], list] = extract_operations,
-) -> Optional[list]:
+def coerce_history(history: Iterable) -> Optional[list]:
     """Normalize a trace or operation list; ``None`` means vacuously OK
     (alternation violated by the environment; by the system, it raises)."""
     if isinstance(history, TimedSequence):
         try:
-            return extract(history)
+            return extract_operations(history)
         except AlternationViolation as violation:
             if violation.by_environment:
                 return None
@@ -285,27 +310,8 @@ def search_linearization(
 def _register_step(value: object, op: Operation) -> Tuple[bool, object]:
     """The read/write register as a ``step``: reads return the last write."""
     if op.kind == "W":
-        return True, op.value
-    return op.value == value, value
-
-
-def find_linearization(
-    ops: Sequence[Operation],
-    initial_value: object = None,
-    min_after_inv: float = 0.0,
-    tolerance: float = 1e-9,
-    max_nodes: Optional[int] = None,
-) -> Optional[List[Tuple[int, float]]]:
-    """Find a (super)linearization of complete operations.
-
-    ``min_after_inv`` is ``0`` for plain linearizability and ``2*eps``
-    for eps-superlinearizability (Section 6.2). Returns ``(op_id, point)``
-    pairs in linearization order, or ``None``. ``max_nodes`` (optional)
-    bounds the search; see :class:`SearchBudgetExceeded`.
-    """
-    return analyze_linearizability(
-        ops, initial_value, min_after_inv, tolerance, max_nodes
-    ).linearization
+        return True, op.arg
+    return op.response == value, value
 
 
 @dataclass(frozen=True)
@@ -332,20 +338,40 @@ def analyze_linearizability(
     min_after_inv: float = 0.0,
     tolerance: float = 1e-9,
     max_nodes: Optional[int] = DEFAULT_NODE_BUDGET,
+    spec=None,
 ) -> LinearizationReport:
-    """Budgeted linearizability check with visited-node statistics.
+    """Budgeted (super)linearizability check with visited-node statistics.
 
-    The entry point for long live histories: the search is bounded by
-    ``max_nodes`` (default :data:`DEFAULT_NODE_BUDGET`; ``None``
-    disables the guard) and the report carries the visited count, so a
-    latency report can state how much work the verdict cost. Raises
-    :class:`SearchBudgetExceeded` when the budget is exhausted.
+    ``history`` is a :class:`TimedSequence` (operations are extracted
+    first; a trace whose alternation condition is violated *by the
+    environment* is accepted, per the definition of problem ``P``) or
+    an iterable of :class:`Operation`. With ``spec=None`` the object is
+    the read/write register starting at ``initial_value``; otherwise it
+    is the :class:`~repro.objects.specs.SequentialSpec` ``spec``, from
+    ``spec.initial()``.
+
+    ``min_after_inv`` is ``0`` for plain linearizability and ``2*eps``
+    for eps-superlinearizability (Section 6.2). The report's
+    ``linearization`` holds ``(op_id, point)`` pairs in linearization
+    order, or ``None``. The search is bounded by ``max_nodes`` (default
+    :data:`DEFAULT_NODE_BUDGET`; ``None`` disables the guard), so a
+    long live history gets a verdict or :class:`SearchBudgetExceeded`,
+    and the report carries the visited count either way.
     """
     ops = coerce_history(history)
     if ops is None:
         return LinearizationReport(True, None, 0, 0, max_nodes)
+    if spec is None:
+        step, initial = _register_step, initial_value
+    else:
+        def step(state: Hashable, op: Operation) -> Tuple[bool, Hashable]:
+            if op.kind == "R":
+                return spec.evaluate(state, op.arg) == op.response, state
+            return True, spec.apply_update(state, op.arg)
+
+        initial = spec.initial()
     order, visited = search_linearization(
-        ops, _register_step, initial_value, min_after_inv, tolerance, max_nodes
+        ops, step, initial, min_after_inv, tolerance, max_nodes
     )
     return LinearizationReport(order is not None, order, len(ops), visited, max_nodes)
 
@@ -355,15 +381,13 @@ def is_linearizable(
     initial_value: object = None,
     tolerance: float = 1e-9,
     max_nodes: Optional[int] = None,
+    spec=None,
 ) -> bool:
-    """Whether a history is linearizable (Section 6.1).
-
-    ``history`` may be a :class:`TimedSequence` (operations are extracted
-    first; a trace whose alternation condition is violated *by the
-    environment* is accepted, per the definition of problem ``P``) or an
-    iterable of :class:`Operation`.
-    """
-    return is_superlinearizable(history, 0.0, initial_value, tolerance, max_nodes)
+    """Whether a history is linearizable (Section 6.1); the arguments
+    are :func:`analyze_linearizability`'s."""
+    return is_superlinearizable(
+        history, 0.0, initial_value, tolerance, max_nodes, spec
+    )
 
 
 def is_superlinearizable(
@@ -372,6 +396,7 @@ def is_superlinearizable(
     initial_value: object = None,
     tolerance: float = 1e-9,
     max_nodes: Optional[int] = None,
+    spec=None,
 ) -> bool:
     """Whether a history is eps-superlinearizable (Section 6.2).
 
@@ -379,7 +404,7 @@ def is_superlinearizable(
     operation's invocation and no later than its response.
     """
     return analyze_linearizability(
-        history, initial_value, 2.0 * eps, tolerance, max_nodes
+        history, initial_value, 2.0 * eps, tolerance, max_nodes, spec
     ).ok
 
 

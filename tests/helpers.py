@@ -1,4 +1,4 @@
-"""Shared test processes and builders (compatibility shim).
+"""Shared test processes, builders and register history records.
 
 The pinger/echo pair moved into the installed package as
 :mod:`repro.components.pinger` so benchmarks and campaign workers can
@@ -18,6 +18,15 @@ from repro.components.pinger import (  # noqa: F401
     pinger_process_factory,
     pinger_topology,
 )
+from repro.traces.linearizability import Operation
+
+
+def register_op(op_id, node, kind, value, inv, res):
+    """A register :class:`Operation`: ``value`` is what an ``"R"``
+    returned or what a ``"W"`` wrote."""
+    arg, response = (None, value) if kind == "R" else (value, None)
+    return Operation(op_id, node, kind, arg, response, inv, res)
+
 
 __all__ = [
     "EchoProcess",
@@ -27,4 +36,5 @@ __all__ = [
     "PingerState",
     "pinger_process_factory",
     "pinger_topology",
+    "register_op",
 ]

@@ -12,6 +12,7 @@ from repro.errors import ReproError
 from repro.obs.causal import CausalTrace, SpanBook, check_bounds
 from repro.obs.schema import validate_trace_lines
 from repro.obs.trace import JsonlTracer, read_trace
+from repro.objects.specs import CounterSpec
 from repro.registers.algorithm_s import theorem_bounds
 from repro.registers.system import clock_register_system, run_register_experiment
 from repro.registers.workload import RegisterWorkload
@@ -21,18 +22,19 @@ from repro.sim.delay import UniformDelay
 EPS, C, DELTA, D1, D2 = 0.1, 0.3, 0.01, 0.2, 1.0
 
 
-def _traced_register_run(path, ops=10, horizon=60.0, seed=0):
-    """Run the default clock register workload, tracing to ``path``."""
-    spec = clock_register_system(
+def _traced_register_run(path, ops=10, horizon=60.0, seed=0, spec=None):
+    """Run the default clock register workload, tracing to ``path``;
+    ``spec`` runs that blind-update object instead."""
+    system = clock_register_system(
         n=3, d1=D1, d2=D2, c=C, eps=EPS,
         workload=RegisterWorkload(operations=ops, read_fraction=0.5, seed=seed),
         drivers=driver_factory("mixed", EPS, seed=seed),
-        delta=DELTA, delay_model=UniformDelay(seed=seed),
+        delta=DELTA, delay_model=UniformDelay(seed=seed), spec=spec,
     )
     tracer = JsonlTracer(str(path))
     tracer.meta({"model": "clock", "eps": EPS, "c": C, "delta": DELTA,
                  "d1": D1, "d2": D2})
-    run = run_register_experiment(spec, horizon, tracer=tracer)
+    run = run_register_experiment(system, horizon, tracer=tracer, spec=spec)
     tracer.close()
     return run
 
@@ -110,6 +112,25 @@ class TestReconstruction:
         )
         assert not report.ok
         assert "FAIL" in report.render()
+
+
+@pytest.mark.parametrize(
+    "spec", [None, CounterSpec()], ids=["register", "counter"]
+)
+def test_every_operation_has_a_span(tmp_path, spec):
+    """Operation spans pair every object's vocabulary, not only the
+    register's: one completed span per completed operation, with the
+    clients' latencies, and each update propagates once to each of the
+    3 replicas (a counter node repeats its update arguments)."""
+    path = tmp_path / "ops.jsonl"
+    run = _traced_register_run(path, spec=spec)
+    trace = CausalTrace.from_file(str(path))
+    spans = trace.completed_ops()
+    assert len(spans) == len(run.operations) > 0
+    assert sorted(span.latency for span in spans) == pytest.approx(
+        sorted(op.latency for op in run.operations)
+    )
+    assert {len(trace.propagation(op)) for op in spans if op.kind == "W"} == {3}
 
 
 class TestChaosReconstruction:

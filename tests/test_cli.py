@@ -74,6 +74,14 @@ class TestCommands:
         assert sketches["repro.op.read_latency"]["count"] == int(queries) > 0
         assert sketches["repro.op.write_latency"]["count"] == int(updates) > 0
 
+    def test_object_trace_has_operation_spans(self, tmp_path, capsys):
+        path = str(tmp_path / "trace.jsonl")
+        assert main(["object", "--type", "counter", "--ops", "10",
+                     "--trace-out", path]) == 0
+        assert "operations: 30 " in capsys.readouterr().out
+        assert main(["trace", path, "--analyze"]) == 0
+        assert "30 operation spans" in capsys.readouterr().out
+
     def test_detector_accurate(self, capsys):
         code = main(["detector", "--driver", "worst"])
         out = capsys.readouterr().out

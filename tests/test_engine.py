@@ -5,8 +5,11 @@ import pytest
 from repro.automata.actions import Action, action_set
 from repro.automata.signature import Signature
 from repro.components.base import Entity
+from repro.core.pipeline import build_timed_system
 from repro.errors import ScheduleError, SimulationLimitError, TimelockError
 from repro.sim.engine import Simulator
+
+from helpers import pinger_process_factory, pinger_topology
 
 INFINITY = float("inf")
 
@@ -185,3 +188,25 @@ class TestClockStampedTrace:
         result = Simulator([Beeper("b", 1.0)]).run(2.5)
         gamma = result.clock_trace()
         assert gamma.times() == [1.0, 2.0]
+
+
+class TestEarlyStop:
+    def test_stop_when_ends_run_early(self):
+        spec = build_timed_system(
+            pinger_topology(), pinger_process_factory(10, 1.0), 0.1, 0.5,
+        )
+        sim = spec.simulator()
+        result = sim.run(
+            100.0,
+            stop_when=lambda recorder, now: recorder.count("GOTPONG") >= 3,
+        )
+        assert result.recorder.count("GOTPONG") == 3
+        assert not result.completed()
+        assert result.now < 100.0
+
+    def test_no_stop_when_runs_to_horizon(self):
+        spec = build_timed_system(
+            pinger_topology(), pinger_process_factory(2, 1.0), 0.1, 0.5,
+        )
+        result = spec.simulator().run(10.0)
+        assert result.completed()

@@ -4,6 +4,8 @@ import pytest
 
 from repro.automata.actions import Action
 from repro.automata.executions import timed_sequence
+from repro.objects.algorithm import BlindUpdateObjectProcess
+from repro.registers.algorithm_l import RegisterProcess
 from repro.registers.system import (
     INITIAL_VALUE,
     clock_register_system,
@@ -14,21 +16,19 @@ from repro.sim.clock_drivers import driver_factory
 from repro.traces.linearizability import (
     AlternationViolation,
     DEFAULT_NODE_BUDGET,
-    Operation,
+    QUERIES,
+    RESPONSE_OF,
     SearchBudgetExceeded,
     analyze_linearizability,
     check_alternation,
     extract_operations,
-    find_linearization,
     is_linearizable,
     is_superlinearizable,
     shift_points_earlier,
 )
 from repro.traces.sequential_consistency import is_sequentially_consistent
 
-
-def op(op_id, node, kind, value, inv, res):
-    return Operation(op_id, node, kind, value, inv, res)
+from helpers import register_op as op
 
 
 class TestAlternation:
@@ -70,6 +70,20 @@ class TestAlternation:
 
 
 class TestExtraction:
+    def test_pairing_table_is_the_processes_vocabularies(self):
+        processes = (RegisterProcess, BlindUpdateObjectProcess)
+        assert RESPONSE_OF == {
+            **{p.READ: p.RETURN for p in processes},
+            **{p.WRITE: p.ACK for p in processes},
+        }
+        assert QUERIES == {p.READ for p in processes}
+
+    def test_a_response_of_the_other_vocabulary_is_the_systems(self):
+        trace = timed_sequence(
+            (Action("READ", (0,)), 0.0), (Action("REPLY", (0, "x")), 1.0)
+        )
+        assert check_alternation(trace) == "system"
+
     def test_operations_extracted_in_inv_order(self):
         trace = timed_sequence(
             (Action("WRITE", (0, "v")), 0.0),
@@ -247,9 +261,9 @@ class TestSearchBudget:
 
         assert issubclass(SearchBudgetExceeded, SpecificationError)
 
-    def test_find_linearization_honors_budget(self):
+    def test_bool_binding_honors_budget(self):
         with pytest.raises(SearchBudgetExceeded):
-            find_linearization(_adversarial_ops(6), max_nodes=50)
+            is_linearizable(_adversarial_ops(6), max_nodes=50)
 
     def test_budget_fires_at_exactly_max_nodes_plus_one(self):
         # pinned: the node that breaks the budget is the one reported, and
@@ -292,7 +306,7 @@ class TestLinearizationPoints:
             op(0, 0, "W", "a", 0.0, 1.0),
             op(1, 1, "R", "a", 2.0, 3.0),
         ]
-        lin = find_linearization(ops)
+        lin = analyze_linearizability(ops).linearization
         assert lin is not None
         windows = {o.op_id: (o.inv_time, o.res_time) for o in ops}
         previous = 0.0
@@ -307,9 +321,9 @@ class TestLinearizationPoints:
         assert shifted == [(0, 0.5), (1, 1.5)]
 
     def test_infeasible_window_rejected(self):
-        assert find_linearization(
+        assert analyze_linearizability(
             [op(0, 0, "R", None, 0.0, 0.1)], min_after_inv=0.5
-        ) is None
+        ).linearization is None
 
 
 class TestLongHistories:

@@ -20,7 +20,6 @@ from repro.live import (
     run_load,
     sim_replay,
 )
-from repro.live.client import ClientRecord
 from repro.live.clock import LiveClock
 from repro.live.load import live_workload
 from repro.live.params import read_manifest, write_manifest
@@ -34,6 +33,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_metrics, validate_trace_lines
 from repro.obs.trace import JsonlTracer, Tracer
 from repro.sim.clock_drivers import driver_factory
+from repro.traces.linearizability import Operation
 
 
 class TestLiveClock:
@@ -157,8 +157,8 @@ class TestParams:
 class TestBuildOperations:
     def test_ids_assigned_in_invocation_order(self):
         records = [
-            ClientRecord(1, 0, "W", ("v", 1, 0), 0.5, 0.9),
-            ClientRecord(0, 0, "R", ("v", -1, 0), 0.1, 0.4),
+            Operation(0, 1, "W", ("v", 1, 0), None, 0.5, 0.9),
+            Operation(0, 0, "R", None, ("v", -1, 0), 0.1, 0.4),
         ]
         ops = build_operations(records)
         assert [op.op_id for op in ops] == [0, 1]
@@ -369,8 +369,8 @@ class TestReportWithoutRun:
             node=1, detail="|now - clock| = 0.03 > eps = 0.01",
         )
         records = [
-            ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1, "retried", 2),
-            ClientRecord(1, 0, "R", None, 0.2, 0.5, "timeout", 3),
+            Operation(0, 0, "W", ("v", 0, 0), None, 0.0, 0.1, "retried", 2),
+            Operation(0, 1, "R", None, None, 0.2, 0.5, "timeout", 3),
         ]
         report = self.make_report([], stats, records, plan, [skew])
         (violation,) = report.violations
@@ -389,9 +389,9 @@ class TestReportWithoutRun:
 
     def test_timeout_without_plan_is_not_ok(self):
         records = [
-            ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1),
-            ClientRecord(1, 0, "R", None, 0.2, 1.2, "timeout"),
-            ClientRecord(0, 1, "W", ("v", 0, 1), 0.3, 1.3, "timeout"),
+            Operation(0, 0, "W", ("v", 0, 0), None, 0.0, 0.1),
+            Operation(0, 1, "R", None, None, 0.2, 1.2, "timeout"),
+            Operation(1, 0, "W", ("v", 0, 1), None, 0.3, 1.3, "timeout"),
         ]
         ops = build_operations(records, horizon=1.3)
         report = self.make_report(ops, records=records)
@@ -411,8 +411,8 @@ class TestReportWithoutRun:
         # a timed-out write stays in the history, open to the horizon,
         # but it did not complete
         records = [
-            ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1),
-            ClientRecord(0, 1, "W", ("v", 0, 1), 0.3, 1.3, "timeout"),
+            Operation(0, 0, "W", ("v", 0, 0), None, 0.0, 0.1),
+            Operation(1, 0, "W", ("v", 0, 1), None, 0.3, 1.3, "timeout"),
         ]
         ops = build_operations(records, horizon=1.3)
         report = self.make_report(ops, records=records)

@@ -189,12 +189,12 @@ class TestTimeoutOutcome(unittest.TestCase):
         self.assertTrue(report.linearization.ok)
 
     def test_timed_out_reads_excluded_writes_kept_open(self):
-        from repro.live.client import ClientRecord
+        from repro.traces.linearizability import Operation
 
         records = [
-            ClientRecord(0, 0, "W", ("v", 0, 0), 0.0, 0.1),
-            ClientRecord(0, 1, "R", None, 0.2, 0.5, "timeout", 2),
-            ClientRecord(1, 0, "W", ("v", 1, 0), 0.3, 0.6, "timeout", 2),
+            Operation(0, 0, "W", ("v", 0, 0), None, 0.0, 0.1),
+            Operation(1, 0, "R", None, None, 0.2, 0.5, "timeout", 2),
+            Operation(0, 1, "W", ("v", 1, 0), None, 0.3, 0.6, "timeout", 2),
         ]
         ops = build_operations(records, horizon=1.0)
         self.assertEqual(len(ops), 2)  # the timed-out read is gone

@@ -4,24 +4,24 @@ import pytest
 
 from repro.automata.actions import Action
 from repro.automata.executions import timed_sequence
-from repro.objects.history import (
-    ObjOperation,
-    check_object_alternation,
-    extract_object_operations,
-    find_object_linearization,
-    is_object_linearizable,
-    is_object_superlinearizable,
-)
 from repro.objects.specs import CounterSpec, GrowSetSpec, RegisterSpec
-from repro.traces.linearizability import AlternationViolation
+from repro.traces.linearizability import (
+    AlternationViolation,
+    Operation,
+    analyze_linearizability,
+    check_alternation,
+    extract_operations,
+    is_linearizable,
+    is_superlinearizable,
+)
 
 
 def upd(op_id, node, payload, inv, res):
-    return ObjOperation(op_id, node, "U", payload, None, inv, res)
+    return Operation(op_id, node, "W", payload, None, inv, res)
 
 
 def qry(op_id, node, payload, response, inv, res):
-    return ObjOperation(op_id, node, "Q", payload, response, inv, res)
+    return Operation(op_id, node, "R", payload, response, inv, res)
 
 
 class TestAlternationAndExtraction:
@@ -32,9 +32,9 @@ class TestAlternationAndExtraction:
             (Action("ASK", (0, ("read",))), 2.0),
             (Action("REPLY", (0, 1)), 3.0),
         )
-        assert check_object_alternation(trace) is None
-        ops = extract_object_operations(trace)
-        assert [op.kind for op in ops] == ["U", "Q"]
+        assert check_alternation(trace) is None
+        ops = extract_operations(trace)
+        assert [op.kind for op in ops] == ["W", "R"]
         assert ops[1].response == 1
 
     def test_double_invocation_is_environment(self):
@@ -42,9 +42,9 @@ class TestAlternationAndExtraction:
             (Action("DO", (0, ("add", 1))), 0.0),
             (Action("ASK", (0, ("read",))), 1.0),
         )
-        assert check_object_alternation(trace) == "environment"
+        assert check_alternation(trace) == "environment"
         with pytest.raises(AlternationViolation) as err:
-            extract_object_operations(trace)
+            extract_operations(trace)
         assert err.value.by_environment
 
     def test_wrong_response_kind_is_system(self):
@@ -52,7 +52,7 @@ class TestAlternationAndExtraction:
             (Action("DO", (0, ("add", 1))), 0.0),
             (Action("REPLY", (0, 1)), 1.0),
         )
-        assert check_object_alternation(trace) == "system"
+        assert check_alternation(trace) == "system"
 
 
 class TestCounterLinearizability:
@@ -63,7 +63,7 @@ class TestCounterLinearizability:
             upd(2, 0, ("add", 3), 4.0, 5.0),
             qry(3, 1, ("read",), 5, 6.0, 7.0),
         ]
-        assert is_object_linearizable(ops, CounterSpec())
+        assert is_linearizable(ops, spec=CounterSpec())
 
     def test_concurrent_adds_both_counted(self):
         ops = [
@@ -71,7 +71,7 @@ class TestCounterLinearizability:
             upd(1, 1, ("add", 1), 0.5, 2.5),
             qry(2, 2, ("read",), 2, 3.0, 4.0),
         ]
-        assert is_object_linearizable(ops, CounterSpec())
+        assert is_linearizable(ops, spec=CounterSpec())
 
     def test_lost_update_detected(self):
         """A read of 1 after two non-overlapping +1s is a lost update."""
@@ -80,15 +80,15 @@ class TestCounterLinearizability:
             upd(1, 1, ("add", 1), 2.0, 3.0),
             qry(2, 2, ("read",), 1, 4.0, 5.0),
         ]
-        assert not is_object_linearizable(ops, CounterSpec())
+        assert not is_linearizable(ops, spec=CounterSpec())
 
     def test_concurrent_read_may_see_either(self):
         write = upd(0, 0, ("add", 1), 0.0, 3.0)
-        assert is_object_linearizable(
-            [write, qry(1, 1, ("read",), 0, 1.0, 2.0)], CounterSpec()
+        assert is_linearizable(
+            [write, qry(1, 1, ("read",), 0, 1.0, 2.0)], spec=CounterSpec()
         )
-        assert is_object_linearizable(
-            [write, qry(2, 1, ("read",), 1, 1.0, 2.0)], CounterSpec()
+        assert is_linearizable(
+            [write, qry(2, 1, ("read",), 1, 1.0, 2.0)], spec=CounterSpec()
         )
 
     def test_impossible_value_rejected(self):
@@ -96,7 +96,7 @@ class TestCounterLinearizability:
             upd(0, 0, ("add", 1), 0.0, 1.0),
             qry(1, 1, ("read",), 7, 2.0, 3.0),
         ]
-        assert not is_object_linearizable(ops, CounterSpec())
+        assert not is_linearizable(ops, spec=CounterSpec())
 
 
 class TestGrowSetLinearizability:
@@ -105,14 +105,14 @@ class TestGrowSetLinearizability:
             upd(0, 0, ("add", "x"), 0.0, 1.0),
             qry(1, 1, ("contains", "x"), True, 2.0, 3.0),
         ]
-        assert is_object_linearizable(ops, GrowSetSpec())
+        assert is_linearizable(ops, spec=GrowSetSpec())
 
     def test_forgotten_element_rejected(self):
         ops = [
             upd(0, 0, ("add", "x"), 0.0, 1.0),
             qry(1, 1, ("contains", "x"), False, 2.0, 3.0),
         ]
-        assert not is_object_linearizable(ops, GrowSetSpec())
+        assert not is_linearizable(ops, spec=GrowSetSpec())
 
 
 class TestRegisterSpecAgreement:
@@ -124,28 +124,30 @@ class TestRegisterSpecAgreement:
             qry(1, 1, ("read",), "new", 1.0, 2.0),
             qry(2, 2, ("read",), "old", 3.0, 4.0),
         ]
-        assert not is_object_linearizable(ops, RegisterSpec("old"))
+        assert not is_linearizable(ops, spec=RegisterSpec("old"))
 
     def test_overlapping_read(self):
         ops = [
             upd(0, 0, ("write", "new"), 0.0, 2.0),
             qry(1, 1, ("read",), "old", 1.0, 3.0),
         ]
-        assert is_object_linearizable(ops, RegisterSpec("old"))
+        assert is_linearizable(ops, spec=RegisterSpec("old"))
 
 
 class TestSuperlinearizability:
     def test_margin_required(self):
         ops = [qry(0, 0, ("read",), 0, 0.0, 0.3)]
-        assert is_object_superlinearizable(ops, CounterSpec(), eps=0.1)
-        assert not is_object_superlinearizable(ops, CounterSpec(), eps=0.2)
+        assert is_superlinearizable(ops, eps=0.1, spec=CounterSpec())
+        assert not is_superlinearizable(ops, eps=0.2, spec=CounterSpec())
 
     def test_points_respect_margin(self):
         ops = [
             upd(0, 0, ("add", 1), 0.0, 2.0),
             qry(1, 1, ("read",), 1, 1.0, 3.0),
         ]
-        lin = find_object_linearization(ops, CounterSpec(), min_after_inv=0.5)
+        lin = analyze_linearizability(
+            ops, min_after_inv=0.5, spec=CounterSpec()
+        ).linearization
         assert lin is not None
         windows = {0: (0.5, 2.0), 1: (1.5, 3.0)}
         for op_id, point in lin:
@@ -157,4 +159,4 @@ class TestSuperlinearizability:
             (Action("DO", (0, ("add", 1))), 0.0),
             (Action("DO", (0, ("add", 1))), 1.0),
         )
-        assert is_object_linearizable(trace, CounterSpec())
+        assert is_linearizable(trace, spec=CounterSpec())

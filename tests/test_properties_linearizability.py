@@ -13,9 +13,14 @@ from itertools import permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.objects.history import ObjOperation, find_object_linearization
 from repro.objects.specs import RegisterSpec
-from repro.traces.linearizability import Operation, find_linearization, is_linearizable
+from repro.traces.linearizability import (
+    Operation,
+    analyze_linearizability,
+    is_linearizable,
+)
+
+from helpers import register_op
 
 
 @st.composite
@@ -40,7 +45,7 @@ def oracle_histories(draw, max_ops=7):
         lag = rng.uniform(0.0, 1.5)
         node = rng.randrange(3)
         ops.append(
-            Operation(op_id, node, kind, seen, point - lead, point + lag)
+            register_op(op_id, node, kind, seen, point - lead, point + lag)
         )
     return ops
 
@@ -54,7 +59,7 @@ class TestOracleHistories:
     @given(oracle_histories())
     @settings(max_examples=60, deadline=None)
     def test_found_points_replay_sequentially(self, ops):
-        lin = find_linearization(ops, initial_value=None)
+        lin = analyze_linearizability(ops, initial_value=None).linearization
         assert lin is not None
         by_id = {op.op_id: op for op in ops}
         value = None
@@ -82,11 +87,11 @@ class TestMutations:
             return
         victim = rng.choice(reads)
         end = max(op.res_time for op in ops) + 1.0
-        future_write = Operation(
+        future_write = register_op(
             len(ops), 9, "W", ("future",), end + 1.0, end + 2.0
         )
         mutated = [
-            Operation(
+            register_op(
                 op.op_id, op.node, op.kind,
                 ("future",) if op.op_id == victim.op_id else op.value,
                 op.inv_time, op.res_time,
@@ -104,7 +109,7 @@ class TestMutations:
             return
         victim = reads[0]
         mutated = [
-            Operation(
+            register_op(
                 op.op_id, op.node, op.kind,
                 ("never-written",) if op.op_id == victim.op_id else op.value,
                 op.inv_time, op.res_time,
@@ -117,11 +122,9 @@ class TestMutations:
 def _as_object_operations(ops):
     """The same history in the generic vocabulary of ``RegisterSpec``."""
     return [
-        ObjOperation(op.op_id, op.node, "U", ("write", op.value), None,
-                     op.inv_time, op.res_time)
-        if op.kind == "W"
-        else ObjOperation(op.op_id, op.node, "Q", ("read",), op.value,
-                          op.inv_time, op.res_time)
+        Operation(op.op_id, op.node, op.kind,
+                  ("write", op.arg) if op.kind == "W" else ("read",),
+                  op.response, op.inv_time, op.res_time)
         for op in ops
     ]
 
@@ -158,14 +161,16 @@ class TestOneSearch:
             victim = rng.choice(reads)
             value = rng.choice([None] + [op.value for op in ops if op.kind == "W"])
             histories.append([
-                Operation(op.op_id, op.node, op.kind, value, op.inv_time, op.res_time)
+                register_op(
+                    op.op_id, op.node, op.kind, value, op.inv_time, op.res_time
+                )
                 if op is victim else op
                 for op in ops
             ])
         for history in histories:
-            lin = find_linearization(history, initial_value=None)
-            generic = find_object_linearization(
-                _as_object_operations(history), RegisterSpec(None)
-            )
+            lin = analyze_linearizability(history).linearization
+            generic = analyze_linearizability(
+                _as_object_operations(history), spec=RegisterSpec(None)
+            ).linearization
             assert generic == lin
             assert (lin is not None) == _brute_force_linearizable(history)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.automata.actions import Action
 from repro.components.base import ProcessContext
 from repro.objects.algorithm import BlindUpdateObjectProcess
-from repro.objects.history import ObjOperation, is_object_linearizable
 from repro.objects.specs import (
     CounterSpec,
     GrowSetSpec,
@@ -16,6 +15,7 @@ from repro.objects.specs import (
     RegisterSpec,
 )
 from repro.registers.algorithm_s import AlgorithmSProcess
+from repro.traces.linearizability import Operation, is_linearizable
 
 
 @st.composite
@@ -35,13 +35,13 @@ def counter_histories(draw, max_ops=7):
             amount = rng.randint(1, 4)
             total += amount
             ops.append(
-                ObjOperation(op_id, node, "U", ("add", amount), None,
-                             point - lead, point + lag)
+                Operation(op_id, node, "W", ("add", amount), None,
+                          point - lead, point + lag)
             )
         else:
             ops.append(
-                ObjOperation(op_id, node, "Q", ("read",), total,
-                             point - lead, point + lag)
+                Operation(op_id, node, "R", ("read",), total,
+                          point - lead, point + lag)
             )
     return ops
 
@@ -62,14 +62,14 @@ def gset_histories(draw, max_ops=7):
             element = rng.randrange(5)
             members.add(element)
             ops.append(
-                ObjOperation(op_id, node, "U", ("add", element), None,
-                             point - lead, point + lag)
+                Operation(op_id, node, "W", ("add", element), None,
+                          point - lead, point + lag)
             )
         else:
             element = rng.randrange(5)
             ops.append(
-                ObjOperation(op_id, node, "Q", ("contains", element),
-                             element in members, point - lead, point + lag)
+                Operation(op_id, node, "R", ("contains", element),
+                          element in members, point - lead, point + lag)
             )
     return ops
 
@@ -78,33 +78,33 @@ class TestOracleObjectHistories:
     @given(counter_histories())
     @settings(max_examples=60, deadline=None)
     def test_counter_oracle_histories_linearizable(self, ops):
-        assert is_object_linearizable(ops, CounterSpec())
+        assert is_linearizable(ops, spec=CounterSpec())
 
     @given(gset_histories())
     @settings(max_examples=60, deadline=None)
     def test_gset_oracle_histories_linearizable(self, ops):
-        assert is_object_linearizable(ops, GrowSetSpec())
+        assert is_linearizable(ops, spec=GrowSetSpec())
 
     @given(counter_histories(), st.integers(min_value=1, max_value=1000))
     @settings(max_examples=60, deadline=None)
     def test_inflated_read_rejected(self, ops, extra):
         """A read exceeding the total of all adds can never linearize."""
-        reads = [op for op in ops if op.kind == "Q"]
+        reads = [op for op in ops if op.kind == "R"]
         if not reads:
             return
         ceiling = sum(
-            op.payload[1] for op in ops if op.kind == "U"
+            op.arg[1] for op in ops if op.kind == "W"
         )
         victim = reads[0]
         mutated = [
-            ObjOperation(
-                op.op_id, op.node, op.kind, op.payload,
+            Operation(
+                op.op_id, op.node, op.kind, op.arg,
                 ceiling + extra if op.op_id == victim.op_id else op.response,
                 op.inv_time, op.res_time,
             )
             for op in ops
         ]
-        assert not is_object_linearizable(mutated, CounterSpec())
+        assert not is_linearizable(mutated, spec=CounterSpec())
 
     @given(counter_histories())
     @settings(max_examples=40, deadline=None)
@@ -114,14 +114,14 @@ class TestOracleObjectHistories:
         running = 0
         translated = []
         for op in sorted(ops, key=lambda o: (o.inv_time + o.res_time) / 2):
-            if op.kind == "U":
-                running += op.payload[1]
+            if op.kind == "W":
+                running += op.arg[1]
                 translated.append(
-                    ObjOperation(op.op_id, op.node, "U",
-                                 ("writemax", running), None,
-                                 op.inv_time, op.res_time)
+                    Operation(op.op_id, op.node, "W",
+                              ("writemax", running), None,
+                              op.inv_time, op.res_time)
                 )
-        assert is_object_linearizable(translated, MaxRegisterSpec())
+        assert is_linearizable(translated, spec=MaxRegisterSpec())
 
 
 # -- the register is an object ---------------------------------------------------

@@ -5,15 +5,13 @@ import pytest
 
 from repro.automata.actions import Action
 from repro.automata.executions import timed_sequence
-from repro.traces.linearizability import Operation, is_linearizable
+from repro.traces.linearizability import is_linearizable
 from repro.traces.sequential_consistency import (
     find_sequentialization,
     is_sequentially_consistent,
 )
 
-
-def op(op_id, node, kind, value, inv, res):
-    return Operation(op_id, node, kind, value, inv, res)
+from helpers import register_op as op
 
 
 class TestChecker:

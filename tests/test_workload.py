@@ -4,7 +4,7 @@ import pytest
 
 from repro.automata.actions import Action
 from repro.errors import TransitionError
-from repro.registers.workload import ClientEntity, CompletedOp, RegisterWorkload
+from repro.registers.workload import ClientEntity, RegisterWorkload
 
 
 class TestWorkloadValidation:
