@@ -38,18 +38,19 @@ from repro.automata.actions import NU, Action, ActionPattern, action_set
 from repro.automata.executions import Execution, TimedEvent, TimedSequence
 from repro.automata.signature import Signature
 from repro.components.base import Entity, Process, ProcessContext, TimedNodeEntity
+from repro.components.mmt import (
+    EagerStepPolicy,
+    LazyStepPolicy,
+    TimedFromMMT,
+    UniformStepPolicy,
+)
 from repro.core.buffers import ReceiveBuffer, SendBuffer
 from repro.core.clock_transform import (
     ClockMachine,
     ClockNodeEntity,
     NativeClockNodeEntity,
 )
-from repro.core.mmt_transform import (
-    EagerStepPolicy,
-    LazyStepPolicy,
-    MMTNodeEntity,
-    UniformStepPolicy,
-)
+from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
     SystemSpec,
     build_clock_system,
@@ -143,7 +144,7 @@ __all__ = [
     "Entity", "Process", "ProcessContext", "TimedNodeEntity",
     # core transformations
     "SendBuffer", "ReceiveBuffer", "ClockMachine", "ClockNodeEntity",
-    "NativeClockNodeEntity", "MMTNodeEntity",
+    "NativeClockNodeEntity", "DelayedSimulation", "TimedFromMMT",
     "EagerStepPolicy", "LazyStepPolicy", "UniformStepPolicy",
     "SystemSpec", "build_timed_system", "build_clock_system",
     "build_native_clock_system", "build_mmt_system",

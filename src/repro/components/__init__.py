@@ -13,7 +13,9 @@ discrete-event simulator runs:
   of the simulator (node, channel, client, tick source).
 - :class:`~repro.components.base.TimedNodeEntity` — a node of the timed
   model ``D_T`` (process sees the global ``now``).
-- :mod:`repro.components.mmt` — MMT boundmap machinery and step policies.
+- :mod:`repro.components.mmt` — MMT automata, the step policies, and
+  :class:`~repro.components.mmt.TimedFromMMT`, the one wrapper that
+  gives every MMT automaton (Simulation 2's node included) time.
 - :mod:`repro.components.tick` — the clock subsystem ``C^m`` that feeds
   ``TICK(c)`` actions to MMT nodes.
 - :mod:`repro.components.pinger` — the minimal pinger/echo workload used

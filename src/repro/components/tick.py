@@ -8,6 +8,11 @@ stale, which is one of the sources of the Theorem 5.1 shift bound.
 
 Clock readings come from a :class:`~repro.clocks.sources.ClockSource`
 (hardware-clock models live in :mod:`repro.clocks.sources`).
+
+It is written as a timed entity, not as an
+:class:`~repro.components.mmt.MMTAutomaton` under ``TimedFromMMT``:
+``TICK(c)`` reads the source at real time ``now`` and checks
+``|c - now| <= eps``, and an MMT automaton has no ``now``.
 """
 
 from __future__ import annotations
@@ -45,14 +50,7 @@ class TickEntity(Entity):
     static_deadline = True
     wakes_at_deadline = True
 
-    def __init__(
-        self,
-        node: int,
-        source,
-        tick_interval: float,
-        eps: float,
-        check_envelope: bool = True,
-    ):
+    def __init__(self, node: int, source, tick_interval: float, eps: float):
         if tick_interval <= 0:
             raise ValueError("tick_interval must be positive")
         signature = Signature(
@@ -63,7 +61,6 @@ class TickEntity(Entity):
         self.source = source
         self.tick_interval = tick_interval
         self.eps = eps
-        self.check_envelope = check_envelope
         self._ticks = NULL_COUNTER
         self._skew_hist = NULL_HISTOGRAM
         self._skew_max = NULL_GAUGE
@@ -82,7 +79,7 @@ class TickEntity(Entity):
 
     def _reading(self, state: TickState, now: float) -> float:
         value = self.source.value(now)
-        if self.check_envelope and abs(value - now) > self.eps + _TOLERANCE:
+        if abs(value - now) > self.eps + _TOLERANCE:
             raise ClockEnvelopeError(
                 f"tick({self.node}): source reading {value:g} at now={now:g} "
                 f"is outside the C_{self.eps:g} envelope"

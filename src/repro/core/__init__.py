@@ -19,7 +19,7 @@ from repro.core.clock_transform import (
     ClockNodeEntity,
     NativeClockNodeEntity,
 )
-from repro.core.mmt_transform import MMTNodeEntity, StepPolicy, UniformStepPolicy
+from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
     SystemSpec,
     build_clock_system,
@@ -37,9 +37,7 @@ __all__ = [
     "ClockMachine",
     "ClockNodeEntity",
     "NativeClockNodeEntity",
-    "MMTNodeEntity",
-    "StepPolicy",
-    "UniformStepPolicy",
+    "DelayedSimulation",
     "SystemSpec",
     "build_timed_system",
     "build_clock_system",

@@ -15,9 +15,9 @@ clock machine:
   during catch-up are **queued** on ``pending`` (their effects apply to
   the simulated state immediately, but the externally visible action
   fires later) — this is Definition 5.1's ``frag``/``fragoutputs``;
-- each MMT step (at most ``l`` apart, chosen by a :class:`StepPolicy`)
-  either emits the first pending output or performs the internal ``tau``
-  (a bare catch-up);
+- each MMT step (at most ``l`` apart, chosen by a
+  :class:`~repro.components.mmt.StepPolicy`) either emits the first
+  pending output or performs the internal ``tau`` (a bare catch-up);
 - inputs are applied at the caught-up state (Definition 5.1's
   ``(s.fragstate, a, s'.simstate)``).
 
@@ -25,59 +25,28 @@ Outputs are thereby shifted into the future by at most
 ``k*l + 2*eps + 3*l`` (Theorem 5.1), which
 :func:`repro.core.pipeline.simulation2_shift_bound` computes and the
 THM5.1 benchmark measures.
+
+:class:`DelayedSimulation` is the automaton, with no notion of time;
+:class:`~repro.components.mmt.TimedFromMMT` gives it time like any other
+MMT automaton.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.automata.actions import Action, ActionPattern, PatternActionSet, UnionActionSet
 from repro.automata.signature import Signature
-from repro.components.base import Entity
-from repro.core.clock_transform import ClockMachine, MachineState
+from repro.components.mmt import Boundmap, MMTAutomaton
+from repro.core.clock_transform import ClockMachine, MachineState, _node_signature
 from repro.errors import SimulationLimitError, TransitionError
 
-from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
+from repro.constants import TOLERANCE as _TOLERANCE
 
-
-class StepPolicy:
-    """Chooses when, within ``[0, l]``, the next MMT step happens.
-
-    The boundmap gives the adversary freedom over step times; policies
-    realize different adversaries. :meth:`next_step` returns the
-    absolute time of the next step given the current time.
-    """
-
-    def next_step(self, now: float, upper: float) -> float:
-        """Absolute time of the next step, within ``[now, now+upper]``."""
-        raise NotImplementedError
-
-
-class EagerStepPolicy(StepPolicy):
-    """Steps as fast as possible (lower bound 0 of the boundmap)."""
-
-    def next_step(self, now: float, upper: float) -> float:
-        return now
-
-
-class LazyStepPolicy(StepPolicy):
-    """Always waits the full ``l`` — the worst case of Theorem 5.1."""
-
-    def next_step(self, now: float, upper: float) -> float:
-        return now + upper
-
-
-class UniformStepPolicy(StepPolicy):
-    """Seeded uniform step times over ``[0, l]``."""
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-
-    def next_step(self, now: float, upper: float) -> float:
-        return now + self._rng.uniform(0.0, upper)
+MAX_CATCH_UP = 100_000
+"""Machine steps one catch-up may take before it is reported runaway."""
 
 
 @dataclass
@@ -87,42 +56,25 @@ class MMTState:
     machine_state: MachineState
     mmtclock: float = 0.0
     pending: Deque[Action] = field(default_factory=deque)
-    next_step_time: float = 0.0
-    catch_up_steps: int = 0
 
 
-class MMTNodeEntity(Entity):
-    """``M(A^c_{i,eps}, l)`` as a simulator entity (Simulation 2 node).
+class DelayedSimulation(MMTAutomaton):
+    """``M(A^c_{i,eps}, l)`` (Definition 5.1), the Simulation 2 node.
 
     ``machine`` is the clock machine of Simulation 1 — composing this
-    entity over a transformed timed process realizes Theorem 5.2's
+    automaton over a transformed timed process realizes Theorem 5.2's
     two-simulation pipeline; handing it a natively-clock process's
     machine realizes Theorem 5.1 alone.
     """
 
     TAU = "TAU"
+    STEP = "step"  # the one class: every locally controlled action
 
-    # deadline is next_step_time (or INFINITY when idle) — set by
-    # fire/apply_input, never read off ``now`` — and steps only become
-    # enabled when time reaches it. Step policies draw their RNG inside
-    # fire/apply_input, so queries stay pure.
-    static_deadline = True
-    wakes_at_deadline = True
-
-    def __init__(
-        self,
-        machine: ClockMachine,
-        step_bound: float,
-        step_policy: Optional[StepPolicy] = None,
-        idle_skip: bool = True,
-        max_catch_up: int = 100_000,
-    ):
+    def __init__(self, machine: ClockMachine, step_bound: float):
         if step_bound <= 0:
             raise ValueError("the step bound l must be positive")
         process = machine.process
         node = process.node
-        from repro.core.clock_transform import _node_signature
-
         base = _node_signature(process, node)
         tick = PatternActionSet([ActionPattern("TICK", (node,))])
         tau = PatternActionSet([ActionPattern(self.TAU, (node,))])
@@ -131,16 +83,14 @@ class MMTNodeEntity(Entity):
             outputs=base.outputs,
             internals=UnionActionSet([base.internals, tau]),
         )
-        super().__init__(f"{process.name}^m", signature)
-        # enabled() queries the wrapped machine (and through it the
-        # process), so the purity promise is the process's.
+        super().__init__(signature, name=f"{process.name}^m")
+        # idle() and the catch-up query the wrapped machine (and through
+        # it the process), so the purity promise is the process's.
         self.pure_enabled = getattr(process, "pure_enabled", True)
         self.machine = machine
         self.node = node
         self.step_bound = step_bound
-        self.step_policy = step_policy or EagerStepPolicy()
-        self.idle_skip = idle_skip
-        self.max_catch_up = max_catch_up
+        self._tau = Action(self.TAU, (node,))
 
     def instrument(self, metrics) -> None:
         """Bind the wrapped machine's buffer instruments."""
@@ -156,12 +106,11 @@ class MMTNodeEntity(Entity):
         effects applied to the simulated state immediately.
         """
         ms = state.machine_state
-        for _ in range(self.max_catch_up):
+        for _ in range(MAX_CATCH_UP):
             enabled = self.machine.enabled(ms)
             if enabled:
                 action = enabled[0]
                 self.machine.fire(ms, action)
-                state.catch_up_steps += 1
                 if self.signature.is_output(action):
                     state.pending.append(action)
                 continue
@@ -171,35 +120,26 @@ class MMTNodeEntity(Entity):
                 return
             ms.clock = target
         raise SimulationLimitError(
-            f"node {self.node}: catch-up exceeded {self.max_catch_up} steps"
+            f"node {self.node}: catch-up exceeded {MAX_CATCH_UP} steps"
         )
 
-    def _schedule_step(self, state: MMTState, now: float) -> None:
-        state.next_step_time = self.step_policy.next_step(now, self.step_bound)
-
-    # -- entity interface -----------------------------------------------------
+    # -- MMT automaton interface -----------------------------------------------
 
     def initial_state(self) -> MMTState:
-        state = MMTState(machine_state=self.machine.initial_state())
-        self._schedule_step(state, 0.0)
-        return state
+        return MMTState(machine_state=self.machine.initial_state())
 
-    def apply_input(self, state: MMTState, action: Action, now: float) -> None:
+    def apply_input(self, state: MMTState, action: Action) -> None:
         if action.name == "TICK":
             new_clock = action.params[1]
             if new_clock > state.mmtclock:
                 state.mmtclock = new_clock
-        else:
-            # Definition 5.1: inputs apply at the caught-up state.
-            self._catch_up(state)
-            self.machine.apply_input(state.machine_state, action)
-            self._catch_up(state)
-        # The class timer restarts when the class (re)becomes enabled: a
-        # stale step time would let the next step predate the input.
-        if state.next_step_time < now - _TOLERANCE:
-            self._schedule_step(state, now)
+            return
+        # Definition 5.1: inputs apply at the caught-up state.
+        self._catch_up(state)
+        self.machine.apply_input(state.machine_state, action)
+        self._catch_up(state)
 
-    def _idle(self, state: MMTState) -> bool:
+    def idle(self, state: MMTState) -> bool:
         """Whether a tau step would be a pure stutter."""
         if state.pending:
             return False
@@ -209,39 +149,24 @@ class MMTNodeEntity(Entity):
         cap = self.machine.clock_deadline(ms)
         return min(cap, state.mmtclock) <= ms.clock + _TOLERANCE
 
-    def enabled(self, state: MMTState, now: float) -> List[Action]:
-        if now + _TOLERANCE < state.next_step_time:
-            return []
-        if state.pending:
-            return [state.pending[0]]
-        if self.idle_skip and self._idle(state):
-            return []
-        return [Action(self.TAU, (self.node,))]
+    def enabled(self, state: MMTState) -> List[Action]:
+        return [state.pending[0] if state.pending else self._tau]
 
-    def fire(self, state: MMTState, action: Action, now: float) -> None:
-        if action.name == self.TAU:
-            self._catch_up(state)
-            self._schedule_step(state, now)
-            return
-        if not state.pending or state.pending[0] != action:
-            raise TransitionError(
-                f"node {self.node}: {action} is not the first pending output"
-            )
-        state.pending.popleft()
+    def fire(self, state: MMTState, action: Action) -> None:
+        if action.name != self.TAU:
+            if not state.pending or state.pending[0] != action:
+                raise TransitionError(
+                    f"node {self.node}: {action} is not the first pending output"
+                )
+            state.pending.popleft()
         self._catch_up(state)
-        self._schedule_step(state, now)
 
-    def deadline(self, state: MMTState, now: float) -> float:
-        if state.pending:
-            return state.next_step_time
-        if self.idle_skip and self._idle(state):
-            return INFINITY
-        return state.next_step_time
+    def class_of(self, action: Action) -> str:
+        return self.STEP
 
-    def clock_value(self, state: MMTState, now: float) -> Optional[float]:
+    def boundmap(self) -> Boundmap:
+        return Boundmap({self.STEP: (0.0, self.step_bound)})
+
+    def clock_value(self, state: MMTState) -> Optional[float]:
         """The *simulated* clock: the value the algorithm acts on."""
         return state.machine_state.clock
-
-    def advance(self, state: MMTState, old_now: float, new_now: float) -> None:
-        # Real time flows past the node; it only reacts at steps/TICKs.
-        return

@@ -17,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.automata.actions import ActionSet, UnionActionSet
+from repro.automata.actions import ActionPattern, ActionSet, PatternActionSet, UnionActionSet
 from repro.components.base import Entity, Process, TimedNodeEntity
+from repro.components.mmt import StepPolicy, TimedFromMMT
 from repro.components.tick import TickEntity
 from repro.core.clock_transform import (
     ClockMachine,
     ClockNodeEntity,
     NativeClockNodeEntity,
 )
-from repro.core.mmt_transform import MMTNodeEntity, StepPolicy
+from repro.core.mmt_transform import DelayedSimulation
 from repro.network.channel import ChannelEntity, channel_actions
 from repro.network.topology import Topology
 from repro.sim.clock_drivers import ClockDriver
@@ -223,12 +224,12 @@ def build_mmt_system(
     tick_interval: Optional[float] = None,
     step_policy_factory: Optional[Callable[[int], StepPolicy]] = None,
     delay_model: Optional[DelayModel] = None,
-    idle_skip: bool = True,
 ) -> SystemSpec:
     """``D_M(G, A^m_{eps,l}, E^m_{[d1,d2]})`` via both simulations
     (Theorem 5.2).
 
     Each node is ``M(A^c_{i,eps}, l)`` over the Simulation 1 machine,
+    timed by ``T`` with the node's step policy on its one class, and
     composed with a tick entity reading a per-node clock source.
     ``tick_interval`` defaults to the step bound ``l``.
     """
@@ -241,9 +242,10 @@ def build_mmt_system(
             out_edges=topology.out_neighbors(i),
             in_edges=topology.in_neighbors(i),
         )
-        policy = step_policy_factory(i) if step_policy_factory else None
-        node = MMTNodeEntity(
-            machine, step_bound, step_policy=policy, idle_skip=idle_skip
+        node = TimedFromMMT(
+            DelayedSimulation(machine, step_bound),
+            {DelayedSimulation.STEP: step_policy_factory(i)}
+            if step_policy_factory else None,
         )
         nodes[i] = node
         entities.append(node)
@@ -251,8 +253,6 @@ def build_mmt_system(
             TickEntity(i, sources(i), interval, eps)
         )
     entities += _channels(topology, d1, d2, delay_model, prefix="E")
-    from repro.automata.actions import ActionPattern, PatternActionSet
-
     tick_actions = PatternActionSet([ActionPattern("TICK")])
     return SystemSpec(
         entities=entities,

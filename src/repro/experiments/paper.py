@@ -257,7 +257,7 @@ def exp_thm47(d1: float = 0.3, d2: float = 1.2) -> Tuple[Table, Dict]:
 
 def exp_thm51(eps: float = 0.05) -> Tuple[Table, Dict]:
     """Theorems 5.1/5.2: output shift <= k*l + 2*eps + 3*l."""
-    from repro.core.mmt_transform import LazyStepPolicy
+    from repro.components.mmt import LazyStepPolicy
 
     table = Table(
         "THM5.1: Simulation 2 — measured output shift vs bound k*l + 2*eps + 3*l",

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.constants import TOLERANCE
-from repro.traces.linearizability import QUERIES, RESPONSE_OF, RESPONSES
+from repro.traces.linearizability import QUERIES, RESPONSE_OF, RESPONSES, UPDATES
 
 MSG_PHASES = ("enq", "xmit", "arrive", "dlv")
 """Message-span phases, in lifecycle order."""
@@ -504,7 +504,7 @@ class CausalTrace:
         if self._updates_by_node is None:
             by_node: Dict[int, List[TraceEvent]] = {}
             for ev in self.events:
-                if getattr(ev.action, "name", None) == "UPDATE":
+                if getattr(ev.action, "name", None) in UPDATES:
                     by_node.setdefault(ev.action.params[0], []).append(ev)
             self._updates_by_node = by_node
         return self._updates_by_node.get(node, [])
@@ -514,7 +514,8 @@ class CausalTrace:
 
         Each chain runs invocation -> ``SENDMSG`` (local) -> span
         segments (send buffer / channel / receive buffer) ->
-        ``UPDATE`` (the Figure 3 common-update wait ``t + delta``), and
+        ``UPDATE`` / ``APPLY`` (the Figure 3 common-update wait
+        ``t + delta``, :data:`~repro.traces.linearizability.UPDATES`), and
         its segment durations telescope to the chain total exactly.
         """
         if op.kind != "W" or op.value is None:
@@ -555,7 +556,7 @@ class CausalTrace:
         return chains
 
     def _find_update(self, node, update_base, delta) -> Optional[TraceEvent]:
-        """The ``UPDATE(node, t)`` event with ``t = update_base + delta``.
+        """The update event ``(node, t)`` with ``t = update_base + delta``.
 
         Without a known ``delta`` (a trace with no meta record), take
         the earliest update scheduled at or after the message's common

@@ -24,7 +24,7 @@ from typing import Callable, List, Optional
 
 from repro.clocks.sources import OffsetClockSource
 from repro.components.base import Process
-from repro.core.mmt_transform import StepPolicy, UniformStepPolicy
+from repro.components.mmt import StepPolicy, UniformStepPolicy
 from repro.core.pipeline import (
     SystemSpec,
     build_clock_system,

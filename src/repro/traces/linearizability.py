@@ -85,6 +85,8 @@ ASK = "ASK"
 DO = "DO"
 REPLY = "REPLY"
 DONE = "DONE"
+UPDATE = "UPDATE"
+APPLY = "APPLY"
 
 RESPONSE_OF = {READ: RETURN, WRITE: ACK, ASK: REPLY, DO: DONE}
 """Invocation name -> the response name that answers it.
@@ -96,6 +98,10 @@ them), so a trace need not say which one it speaks."""
 
 RESPONSES = frozenset(RESPONSE_OF.values())
 """The response names."""
+
+UPDATES = frozenset({UPDATE, APPLY})
+"""The replicas' common-update action names (Figure 3's ``UPDATE``, the
+objects' ``APPLY``), each ``name(node, t)``."""
 
 QUERIES = frozenset({READ, ASK})
 """The query invocations; every other invocation is an update."""

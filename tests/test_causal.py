@@ -121,7 +121,8 @@ def test_every_operation_has_a_span(tmp_path, spec):
     """Operation spans pair every object's vocabulary, not only the
     register's: one completed span per completed operation, with the
     clients' latencies, and each update propagates once to each of the
-    3 replicas (a counter node repeats its update arguments)."""
+    3 replicas (a counter node repeats its update arguments), and each
+    delivered update ends in its replica's update wait."""
     path = tmp_path / "ops.jsonl"
     run = _traced_register_run(path, spec=spec)
     trace = CausalTrace.from_file(str(path))
@@ -130,7 +131,11 @@ def test_every_operation_has_a_span(tmp_path, spec):
     assert sorted(span.latency for span in spans) == pytest.approx(
         sorted(op.latency for op in run.operations)
     )
-    assert {len(trace.propagation(op)) for op in spans if op.kind == "W"} == {3}
+    chains = [trace.propagation(op) for op in spans if op.kind == "W"]
+    assert {len(per_write) for per_write in chains} == {3}
+    delivered = [chain for per_write in chains for chain in per_write if chain.span.delivered]
+    assert delivered
+    assert {chain.segments[-1].label for chain in delivered} == {"update_wait"}
 
 
 class TestChaosReconstruction:

@@ -170,11 +170,12 @@ class TestContractForwarding:
             assert entity.wakes_at_deadline is promises, driver
 
     def test_mmt_node_forwards_purity(self):
+        from repro.components.mmt import TimedFromMMT
         from repro.core.clock_transform import ClockMachine
-        from repro.core.mmt_transform import MMTNodeEntity
+        from repro.core.mmt_transform import DelayedSimulation
 
         machine = ClockMachine(self.make_process(), [1], [1])
-        entity = MMTNodeEntity(machine, step_bound=0.5)
+        entity = TimedFromMMT(DelayedSimulation(machine, step_bound=0.5))
         assert entity.pure_enabled is False
         # The MMT machine owns its deadlines regardless of the process.
         assert entity.static_deadline is True

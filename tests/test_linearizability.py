@@ -18,6 +18,7 @@ from repro.traces.linearizability import (
     DEFAULT_NODE_BUDGET,
     QUERIES,
     RESPONSE_OF,
+    UPDATES,
     SearchBudgetExceeded,
     analyze_linearizability,
     check_alternation,
@@ -77,6 +78,7 @@ class TestExtraction:
             **{p.WRITE: p.ACK for p in processes},
         }
         assert QUERIES == {p.READ for p in processes}
+        assert UPDATES == {p.UPDATE for p in processes}
 
     def test_a_response_of_the_other_vocabulary_is_the_systems(self):
         trace = timed_sequence(

@@ -4,13 +4,22 @@ import pytest
 
 from repro.automata.actions import Action, action_set
 from repro.automata.signature import Signature
-from repro.components.mmt import Boundmap, MMTAutomaton, TimedFromMMT
-from repro.core.mmt_transform import EagerStepPolicy, LazyStepPolicy
+from repro.components.mmt import (
+    Boundmap,
+    EagerStepPolicy,
+    LazyStepPolicy,
+    MMTAutomaton,
+    TimedFromMMT,
+    UniformStepPolicy,
+)
+from repro.constants import INFINITY
 from repro.errors import SpecificationError
 from repro.sim.engine import Simulator
 
 WORK = Action("WORK")
 FAST = Action("FAST")
+STEP = Action("STEP")
+OPEN = Action("OPEN")
 
 
 class TwoClassAutomaton(MMTAutomaton):
@@ -106,3 +115,61 @@ class TestTimedFromMMT:
         result = Simulator([entity]).run(10.0)
         fasts = [e for e in result.recorder.events if e.action == FAST]
         assert len(fasts) == 3  # class disabled after three
+
+
+class GateAutomaton(MMTAutomaton):
+    """STEP in class "step" [0, 1]: it works off one OPEN input and is a
+    stutter when none is owed, so the automaton idles between inputs."""
+
+    def __init__(self):
+        super().__init__(
+            Signature(inputs=action_set("OPEN"), outputs=action_set("STEP")),
+            name="gate",
+        )
+
+    def initial_state(self):
+        return {"owed": 0}
+
+    def apply_input(self, state, action):
+        state["owed"] += 1
+
+    def enabled(self, state):
+        return [STEP]
+
+    def fire(self, state, action):
+        state["owed"] = max(state["owed"] - 1, 0)
+
+    def class_of(self, action):
+        return "step"
+
+    def boundmap(self):
+        return Boundmap({"step": (0.0, 1.0)})
+
+    def idle(self, state):
+        return state["owed"] == 0
+
+
+class TestIdleAutomaton:
+    def test_idle_offers_nothing_and_leaves_time_free(self):
+        entity = TimedFromMMT(GateAutomaton(), {"step": LazyStepPolicy()})
+        state = entity.initial_state()
+        assert entity.enabled(state, 3.0) == []
+        assert entity.deadline(state, 3.0) == INFINITY
+        assert "step" in state.timers  # kept while idle
+
+    def test_window_expired_while_idle_restarts_at_next_input(self):
+        entity = TimedFromMMT(GateAutomaton(), {"step": LazyStepPolicy()})
+        state = entity.initial_state()
+        entity.apply_input(state, OPEN, 5.0)
+        assert entity.enabled(state, 5.0) == []
+        assert entity.deadline(state, 5.0) == pytest.approx(6.0)
+        assert entity.enabled(state, 6.0) == [STEP]
+
+    def test_uniform_policy_draws_once_per_restart(self):
+        reference = UniformStepPolicy(seed=3)
+        entity = TimedFromMMT(GateAutomaton(), {"step": UniformStepPolicy(seed=3)})
+        state = entity.initial_state()
+        assert state.timers["step"].target == reference.next_step(0.0, 1.0)
+        entity.apply_input(state, OPEN, 5.0)
+        entity.apply_input(state, OPEN, 5.0)  # the window is live: no draw
+        assert state.timers["step"].target == reference.next_step(5.0, 1.0)

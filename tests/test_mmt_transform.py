@@ -5,13 +5,9 @@ import pytest
 from helpers import PingerProcess, pinger_process_factory, pinger_topology
 from repro.automata.actions import Action
 from repro.clocks.sources import OffsetClockSource, PerfectClockSource
+from repro.components.mmt import EagerStepPolicy, LazyStepPolicy, TimedFromMMT
 from repro.core.clock_transform import ClockMachine
-from repro.core.mmt_transform import (
-    EagerStepPolicy,
-    LazyStepPolicy,
-    MMTNodeEntity,
-    UniformStepPolicy,
-)
+from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import build_mmt_system, simulation2_shift_bound
 from repro.errors import TransitionError
 from repro.sim.delay import ConstantFractionDelay
@@ -21,7 +17,10 @@ INFINITY = float("inf")
 
 def make_node(step_bound=0.1, policy=None, count=2, interval=1.0):
     machine = ClockMachine(PingerProcess(0, 1, count, interval), [1], [1])
-    return MMTNodeEntity(machine, step_bound, step_policy=policy)
+    return TimedFromMMT(
+        DelayedSimulation(machine, step_bound),
+        {DelayedSimulation.STEP: policy} if policy else None,
+    )
 
 
 class TestLazySimulation:
@@ -29,15 +28,15 @@ class TestLazySimulation:
         node = make_node()
         state = node.initial_state()
         node.apply_input(state, Action("TICK", (0, 0.7)), 0.7)
-        assert state.mmtclock == 0.7
-        assert state.machine_state.clock == 0.0  # lazy: not caught up yet
+        assert state.inner.mmtclock == 0.7
+        assert state.inner.machine_state.clock == 0.0  # lazy: not caught up yet
 
     def test_stale_tick_ignored(self):
         node = make_node()
         state = node.initial_state()
         node.apply_input(state, Action("TICK", (0, 0.7)), 0.7)
         node.apply_input(state, Action("TICK", (0, 0.5)), 0.8)
-        assert state.mmtclock == 0.7
+        assert state.inner.mmtclock == 0.7
 
     def test_catch_up_queues_outputs(self):
         node = make_node()
@@ -48,7 +47,7 @@ class TestLazySimulation:
         assert node.enabled(state, 1.0)
         while node.enabled(state, 1.0):
             node.fire(state, node.enabled(state, 1.0)[0], 1.0)
-        assert state.machine_state.clock == pytest.approx(1.0)
+        assert state.inner.machine_state.clock == pytest.approx(1.0)
 
     def test_outputs_fire_from_pending_in_order(self):
         node = make_node(step_bound=0.05)
@@ -88,7 +87,7 @@ class TestLazySimulation:
         node.apply_input(
             state, Action("ERECVMSG", (0, 1, (("pong", 1), 2.0))), 2.5
         )
-        assert state.machine_state.clock == pytest.approx(2.5)
+        assert state.inner.machine_state.clock == pytest.approx(2.5)
 
     def test_clock_value_is_simulated_clock(self):
         node = make_node()

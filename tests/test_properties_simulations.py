@@ -12,8 +12,8 @@ from helpers import pinger_process_factory, pinger_topology
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
 from repro.clocks.sources import OffsetClockSource
 from repro.components.base import ProcessContext
+from repro.components.mmt import LazyStepPolicy
 from repro.core.clock_transform import ClockMachine
-from repro.core.mmt_transform import LazyStepPolicy
 from repro.core.pipeline import (
     build_clock_system,
     build_mmt_system,

@@ -18,7 +18,7 @@ from repro.clocks.sources import (
     PerfectClockSource,
     QuantizedClockSource,
 )
-from repro.core.mmt_transform import (
+from repro.components.mmt import (
     EagerStepPolicy,
     LazyStepPolicy,
     UniformStepPolicy,
