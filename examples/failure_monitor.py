@@ -21,8 +21,8 @@ Run::
     python examples/failure_monitor.py
 """
 
+from repro.chaos import FaultPlan, apply_plan, crash
 from repro.detector import build_detector_system, detector_timeout
-from repro.faults import CrashSchedule, CrashableEntity
 from repro.sim.clock_drivers import FastClockDriver, SlowClockDriver
 from repro.sim.delay import MaximalDelay
 
@@ -74,15 +74,8 @@ def main():
         "clock", period, detector_timeout(d2, eps), count, d1, d2, eps=eps,
         drivers=adversarial_drivers(eps), delay_model=MaximalDelay(),
     )
-    # wrap the sender node in a crash-stop proxy
-    entities = [
-        CrashableEntity(e, CrashSchedule(crash_time=7.0))
-        if e.name.startswith("hbsender") else e
-        for e in spec.entities
-    ]
-    from repro.core.pipeline import SystemSpec
-
-    crashed_spec = SystemSpec(entities=entities, hidden=spec.hidden)
+    # crash the sender (node 0) for good: a crash with no recover
+    crashed_spec = apply_plan(spec, FaultPlan.of([crash(0, 7.0)]))
     result = crashed_spec.run(30.0)
     suspicions = [e for e in result.trace if e.action.name == "SUSPECT"]
     beats = [e for e in result.trace if e.action.name == "BEAT"]

@@ -199,8 +199,6 @@ from repro.detector import (  # noqa: E402
 from repro.faults import (  # noqa: E402
     BernoulliFaults,
     BurstFaults,
-    CrashSchedule,
-    CrashableEntity,
     LossyChannelEntity,
     NoFaults,
     ReliableAdapter,
@@ -232,8 +230,7 @@ __all__ += [
     "HeartbeatSender", "DeadlineMonitor", "build_detector_system",
     "detector_timeout",
     "NoFaults", "BernoulliFaults", "BurstFaults", "LossyChannelEntity",
-    "ReliableAdapter", "effective_delay_bounds", "CrashableEntity",
-    "CrashSchedule",
+    "ReliableAdapter", "effective_delay_bounds",
     "SequentialSpec", "RegisterSpec", "CounterSpec", "PNCounterSpec",
     "MaxRegisterSpec", "GrowSetSpec", "LWWMapSpec",
     "BlindUpdateObjectProcess",

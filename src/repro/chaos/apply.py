@@ -6,7 +6,7 @@ existing fault mechanisms — it composes, it does not reimplement:
 
 - ``crash``/``recover`` wrap the node entity in a
   :class:`~repro.faults.recovery.RecoverableEntity` (stable-storage
-  snapshot/restore by default);
+  snapshot/restore; a ``crash`` with no ``recover`` is crash-stop);
 - ``clock_fault`` wraps the node's clock driver in a
   :class:`~repro.sim.clock_drivers.FaultyClockDriver` (nodes without a
   clock driver — timed-model nodes — cannot host a clock fault);
@@ -76,7 +76,6 @@ def _with_drop_windows(channel: ChannelEntity, windows) -> Entity:
 def apply_plan(
     spec: SystemSpec,
     plan: FaultPlan,
-    restore: str = "snapshot",
     compiled: Optional[CompiledPlan] = None,
 ) -> SystemSpec:
     """A new spec with the plan's faults injected (see module docs)."""
@@ -102,9 +101,7 @@ def apply_plan(
                 replacement = _with_faulty_driver(replacement, windows)
             schedule = compiled.recovery.get(node)
             if schedule is not None and schedule.windows:
-                replacement = RecoverableEntity(
-                    replacement, schedule, restore=restore
-                )
+                replacement = RecoverableEntity(replacement, schedule)
             node_entities[node] = replacement
         elif compiled.drop_windows and isinstance(entity, ChannelEntity):
             replacement = _with_drop_windows(entity, compiled.drop_windows)

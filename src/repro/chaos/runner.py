@@ -93,10 +93,9 @@ def run_chaos(
     max_steps: int = 1_000_000,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    restore: str = "snapshot",
 ) -> ChaosResult:
     """Apply the plan to a fresh system, run it monitored, attribute."""
-    spec = apply_plan(builder(), plan, restore=restore)
+    spec = apply_plan(builder(), plan)
     if monitors_factory is not None:
         monitors = list(monitors_factory(plan))
     monitor_tracer = MonitorTracer(monitors or [], plan)

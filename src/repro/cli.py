@@ -63,7 +63,6 @@ from repro.obs.dashboard import render_dashboard, summarize_trace
 from repro.obs.trace import NULL_TRACER
 from repro.detector import build_detector_system, detector_timeout
 from repro.errors import ReproError
-from repro.faults import CrashSchedule, CrashableEntity
 from repro.objects import (
     CounterSpec,
     GrowSetSpec,
@@ -212,14 +211,10 @@ def _detector(args) -> int:
         eps=args.eps, drivers=drivers, delay_model=delay,
     )
     if args.crash_at is not None:
-        from repro.core.pipeline import SystemSpec
+        from repro.chaos import FaultPlan, apply_plan, crash
 
-        entities = [
-            CrashableEntity(e, CrashSchedule(args.crash_at))
-            if e.name.startswith("hbsender") else e
-            for e in spec.entities
-        ]
-        spec = SystemSpec(entities=entities, hidden=spec.hidden)
+        # node 0 is the sender; a crash with no recover is crash-stop
+        spec = apply_plan(spec, FaultPlan.of([crash(0, args.crash_at)]))
     metrics, tracer = _obs(args)
     result = spec.run(args.horizon, metrics=metrics, tracer=tracer)
     _finish_obs(args, metrics, tracer)
@@ -441,9 +436,9 @@ def _chaos_live(args, trace_path) -> int:
     from repro.live.load import live_workload
     from repro.obs.metrics import NULL_METRICS
 
-    for flag in ("shrink", "conformance", "full_scan"):
+    for flag in ("shrink", "conformance"):
         if getattr(args, flag):
-            print(f"--{flag.replace('_', '-')} is sim-only "
+            print(f"--{flag} is sim-only "
                   "(not supported with --live)", file=sys.stderr)
             return 2
     params = chaos_params(
@@ -530,7 +525,7 @@ def _chaos_sim(args, trace_path) -> int:
         tracer = JsonlTracer(trace_path)  # --causal's temporary trace
     outcome = run_chaos(
         demo_builder, plan, horizon, monitors_factory=demo_monitors,
-        incremental=not args.full_scan, metrics=metrics, tracer=tracer,
+        metrics=metrics, tracer=tracer,
     )
     _finish_obs(args, metrics, tracer)
     if args.causal:
@@ -950,8 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conformance", action="store_true",
                    help="check the run is trace-identical across both "
                         "engine cores")
-    p.add_argument("--full-scan", action="store_true",
-                   help="use the full-scan engine core (default: incremental)")
     p.add_argument("--expect", choices=["violation", "clean"], default=None,
                    help="exit non-zero unless the run matches")
     p.add_argument("--causal", action="store_true",

@@ -11,9 +11,10 @@ detector pair used by the examples and fault tests:
 
 Designed in the timed model with ``timeout = d2'``, the monitor is
 *accurate* (no false suspicions); combined with crash-stop failures
-(:mod:`repro.faults.crash`) it is also *complete* (a crashed sender is
-suspected within one period + timeout). The Theorem 4.7 design rule
-``timeout = d2 + 2*eps`` carries both properties to the clock model.
+(a ``crash`` event with no ``recover``, :mod:`repro.chaos`) it is also
+*complete* (a crashed sender is suspected within one period +
+timeout). The Theorem 4.7 design rule ``timeout = d2 + 2*eps`` carries
+both properties to the clock model.
 """
 
 from repro.detector.heartbeat import (

@@ -19,18 +19,16 @@ implements that extension path:
   behaves like a reliable channel with delay bounds
   ``[d1, d2 + B*R]`` — so every theorem applies with the *effective*
   bounds (:func:`~repro.faults.retransmit.effective_delay_bounds`);
-- :mod:`repro.faults.crash` — crash-stop node failures, so detectors
-  (e.g. ``examples/failure_monitor.py``) can be tested for *true*
-  positives, not just the absence of false ones;
-- :mod:`repro.faults.recovery` — crash–recovery node failures with
-  stable-storage snapshot/restore (the chaos layer's ``crash``/
-  ``recover`` events);
+- :mod:`repro.faults.recovery` — node failures with stable-storage
+  snapshot/restore (the chaos layer's ``crash``/``recover`` events). A
+  ``crash`` event with no ``recover`` is a crash-stop failure, so
+  detectors (e.g. ``examples/failure_monitor.py``) can be tested for
+  *true* positives, not just the absence of false ones;
 - :mod:`repro.faults.partition` — time-varying channel faults: network
   partitions and scripted per-edge drop bursts, composable over any
   stationary fault model.
 """
 
-from repro.faults.crash import CrashableEntity, CrashSchedule
 from repro.faults.lossy_channel import LossyChannelEntity
 from repro.faults.models import (
     BernoulliFaults,
@@ -41,7 +39,6 @@ from repro.faults.models import (
 )
 from repro.faults.partition import (
     EdgeDropWindow,
-    PartitionFaultModel,
     PartitionWindow,
     TimelineFaultModel,
 )
@@ -59,15 +56,12 @@ __all__ = [
     "BurstFaults",
     "ScriptedFaults",
     "TimelineFaultModel",
-    "PartitionFaultModel",
     "PartitionWindow",
     "EdgeDropWindow",
     "LossyChannelEntity",
     "ReliableAdapter",
     "BackoffPolicy",
     "effective_delay_bounds",
-    "CrashableEntity",
-    "CrashSchedule",
     "RecoverableEntity",
     "RecoverySchedule",
 ]

@@ -27,7 +27,6 @@ from repro.errors import SpecificationError
 from repro.faults.models import FaultModel, NoFaults
 
 Edge = Tuple[int, int]
-INFINITY = float("inf")
 
 
 @dataclass(frozen=True)
@@ -131,34 +130,4 @@ class TimelineFaultModel(FaultModel):
         return (
             f"<TimelineFaultModel {len(self.windows)} window(s) "
             f"over {self.base!r}>"
-        )
-
-
-class PartitionFaultModel(TimelineFaultModel):
-    """A single partition window as a standalone fault model.
-
-    Convenience for tests and hand-built systems::
-
-        PartitionFaultModel([(0, 1), (2,)], start=5.0, end=9.0)
-    """
-
-    def __init__(
-        self,
-        groups: Sequence[Sequence[int]],
-        start: float,
-        end: float = INFINITY,
-        base: Optional[FaultModel] = None,
-    ):
-        window = PartitionWindow(
-            start=start, end=end,
-            groups=tuple(tuple(g) for g in groups),
-        )
-        super().__init__([window], base=base)
-        self.groups = window.groups
-
-    def __repr__(self) -> str:
-        window = self.windows[0]
-        return (
-            f"<PartitionFaultModel {list(map(list, self.groups))} "
-            f"[{window.start:g},{window.end:g})>"
         )

@@ -1,9 +1,13 @@
-"""Crash–recovery node failures.
+"""Node failures: crash-stop and crash–recovery.
 
-:class:`RecoverableEntity` extends the crash-stop proxy of
-:mod:`repro.faults.crash` to the crash–recovery model: a node may go
-down and come back, possibly several times, per a
-:class:`RecoverySchedule` of ``[crash, recover)`` windows.
+:class:`RecoverableEntity` proxies any entity and takes it down and back
+up, possibly several times, per a :class:`RecoverySchedule` of
+``[crash, recover)`` windows. A window with ``recover = INFINITY`` is a
+crash-stop failure — what a plan's ``crash`` event with no ``recover``
+lowers to — so this is the one node-crash model. The paper's Section 7.3
+points to Welch [17] for how the first simulation extends to faulty
+processes: operationally, a down node constrains nothing, so the
+transformation machinery is untouched.
 
 Semantics per window:
 
@@ -12,12 +16,10 @@ Semantics per window:
   :func:`repro.sim.persistence.encode_state`) and the node goes silent —
   no enabled actions, inputs fall on deaf ears, no time-passage
   constraints except the window boundaries themselves;
-- at the recovery instant the state is restored from the snapshot
-  (``restore="snapshot"``, the stable-storage model) or reset to a fresh
-  initial state (``restore="initial"``, the amnesia model), and the node
-  resumes. Restoring through the encoding guarantees the revived state
-  shares no mutable structure with anything that escaped before the
-  crash — exactly like re-reading a disk image.
+- at the recovery instant the state is restored from the snapshot and
+  the node resumes. Restoring through the encoding guarantees the
+  revived state shares no mutable structure with anything that escaped
+  before the crash — exactly like re-reading a disk image.
 
 Messages delivered to a down node are lost (the channel still delivers;
 the node ignores the input) — the classic reason crash–recovery is
@@ -29,7 +31,7 @@ node can re-read its hardware clock instead of resuming a stale one.
 Both window boundaries are surfaced as deadlines, so the engine never
 silently advances time across a crash or a recovery, and the proxy works
 identically under the incremental and full-scan engine cores (it makes
-no scheduling promises beyond its inner entity's ``pure_enabled``).
+no scheduling promises at all).
 """
 
 from __future__ import annotations
@@ -103,24 +105,16 @@ class RecoverableState:
 class RecoverableEntity(Entity):
     """An entity that crashes and recovers per a :class:`RecoverySchedule`."""
 
-    def __init__(
-        self,
-        inner: Entity,
-        schedule: RecoverySchedule,
-        restore: str = "snapshot",
-    ):
-        if restore not in ("snapshot", "initial"):
-            raise SpecificationError(f"unknown restore policy {restore!r}")
+    def __init__(self, inner: Entity, schedule: RecoverySchedule):
         super().__init__(inner.name, inner.signature)
         self.inner = inner
         self.schedule = schedule
-        self.restore = restore
-        # Unlike the crash-stop proxy, the enabled set *grows* again at
-        # a recovery boundary with no fire/apply_input to signal it, so
-        # the purity promise must NOT carry over: the incremental core
-        # would keep serving the cached empty set and timelock at the
-        # recovery instant. Impure entities are re-derived every round,
-        # which also keeps both engine cores trace-identical.
+        # The enabled set *grows* again at a recovery boundary with no
+        # fire/apply_input to signal it, so the purity promise must NOT
+        # carry over: the incremental core would keep serving the cached
+        # empty set and timelock at the recovery instant. Impure
+        # entities are re-derived every round, which also keeps both
+        # engine cores trace-identical.
         self.pure_enabled = False
         self._c_crashes = NULL_COUNTER
         self._c_recoveries = NULL_COUNTER
@@ -142,7 +136,7 @@ class RecoverableEntity(Entity):
 
         Idempotent and a pure function of ``(state, now)``, so calling
         it from ``enabled`` preserves the inner entity's ``pure_enabled``
-        promise (the same discipline as ``CrashableEntity._check_crash``).
+        promise.
         """
         down_now = self.schedule.down(now)
         if down_now and not state.down:
@@ -152,10 +146,7 @@ class RecoverableEntity(Entity):
             state.log.append(("crash", now))
             self._c_crashes.inc()
         elif not down_now and state.down:
-            if self.restore == "snapshot" and state.snapshot is not None:
-                state.inner = decode_state(state.snapshot)
-            else:
-                state.inner = self.inner.initial_state()
+            state.inner = decode_state(state.snapshot)
             state.snapshot = None
             state.down = False
             state.recoveries += 1

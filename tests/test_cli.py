@@ -96,9 +96,22 @@ class TestCommands:
 
     def test_detector_crash_detected(self, capsys):
         code = main(["detector", "--driver", "worst", "--crash-at", "7"])
-        out = capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "timeout=1.2 (per Theorem 4.7), sender crashes at 7\n"
+            "heartbeats: 3\n"
+            "suspicions: 5 (first at t=9.1)\n"
+        )
         assert code == 0
-        assert "suspicions: 0" not in out
+
+    def test_detector_naive_crash_verdict(self, capsys):
+        code = main(["detector", "--naive", "--driver", "worst",
+                     "--crash-at", "7"])
+        assert capsys.readouterr().out == (
+            "timeout=1 (naive), sender crashes at 7\n"
+            "heartbeats: 3\n"
+            "suspicions: 8 (first at t=2.9)\n"
+        )
+        assert code == 0
 
     def test_tdma_sufficient_guard(self, capsys):
         code = main(["tdma", "--guard", "0.1", "--eps", "0.1",

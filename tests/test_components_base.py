@@ -181,17 +181,6 @@ class TestContractForwarding:
         assert entity.static_deadline is True
         assert entity.wakes_at_deadline is True
 
-    def test_crashable_forwards_purity_and_pins_deadline_flags(self):
-        from repro.faults.crash import CrashableEntity, CrashSchedule
-
-        inner = TimedNodeEntity(self.make_process())
-        entity = CrashableEntity(inner, CrashSchedule(crash_time=5.0))
-        assert entity.pure_enabled is False
-        # The crash check reads real time, so the wrapper must not
-        # repeat the inner entity's static-deadline promise.
-        assert entity.static_deadline is False
-        assert entity.wakes_at_deadline is False
-
     def test_pure_wrapped_process_stays_pure(self):
         entity = TimedNodeEntity(PingerProcess(0, 1, count=2, interval=1.0))
         assert entity.pure_enabled is True

@@ -1,11 +1,10 @@
-"""Unit tests for crash-stop proxies."""
-
-import pytest
+"""Unit tests for crash-stop: a ``RecoverableEntity`` under a ``[t, INFINITY)``
+window, the one crash model (a crash with no recover)."""
 
 from repro.automata.actions import Action, action_set
 from repro.automata.signature import Signature
 from repro.components.base import Entity
-from repro.faults.crash import CrashSchedule, CrashableEntity
+from repro.faults.recovery import RecoverableEntity, RecoverySchedule
 
 INFINITY = float("inf")
 
@@ -20,7 +19,7 @@ class Chatty(Entity):
         )
 
     def initial_state(self):
-        return {"next": 1.0, "heard": 0, "advanced_to": 0.0}
+        return {"next": 1.0, "heard": 0}
 
     def enabled(self, state, now):
         if abs(now - state["next"]) < 1e-9:
@@ -36,27 +35,28 @@ class Chatty(Entity):
     def deadline(self, state, now):
         return state["next"]
 
-    def advance(self, state, old_now, new_now):
-        state["advanced_to"] = new_now
-
     def clock_value(self, state, now):
         return now
 
 
+def crash_stop(crash_t):
+    return RecoverySchedule.of([(crash_t, INFINITY)])
+
+
 class TestCrashSchedule:
     def test_never_crashes(self):
-        assert not CrashSchedule(None).crashed(1e9)
+        assert not RecoverySchedule().down(1e9)
 
     def test_crash_boundary(self):
-        schedule = CrashSchedule(5.0)
-        assert not schedule.crashed(4.9)
-        assert schedule.crashed(5.0)
-        assert schedule.crashed(6.0)
+        schedule = crash_stop(5.0)
+        assert not schedule.down(4.9)
+        assert schedule.down(5.0)
+        assert schedule.down(6.0)
 
 
 class TestCrashableEntity:
     def test_behaves_normally_before_crash(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(10.0))
+        entity = RecoverableEntity(Chatty(), crash_stop(10.0))
         state = entity.initial_state()
         assert entity.enabled(state, 1.0) == [Action("SAY", (0,))]
         entity.fire(state, Action("SAY", (0,)), 1.0)
@@ -65,39 +65,23 @@ class TestCrashableEntity:
         assert state.inner["heard"] == 1
 
     def test_silent_after_crash(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(1.5))
+        entity = RecoverableEntity(Chatty(), crash_stop(1.5))
         state = entity.initial_state()
         assert entity.enabled(state, 2.0) == []
         entity.apply_input(state, Action("HEAR", (0,)), 2.0)
         assert state.inner["heard"] == 0
+        assert state.lost_inputs == 1
         assert entity.deadline(state, 2.0) == INFINITY
 
     def test_fire_after_crash_is_noop(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(0.5))
+        entity = RecoverableEntity(Chatty(), crash_stop(0.5))
         state = entity.initial_state()
         entity.fire(state, Action("SAY", (0,)), 1.0)
         assert state.inner["next"] == 1.0
 
-    def test_deadline_capped_by_crash_time(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(0.4))
-        state = entity.initial_state()
-        assert entity.deadline(state, 0.0) == pytest.approx(0.4)
-
-    def test_advance_truncated_at_crash(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(2.5))
-        state = entity.initial_state()
-        entity.advance(state, 0.0, 5.0)
-        assert state.inner["advanced_to"] == pytest.approx(2.5)
-        assert state.crashed
-
-    def test_clock_value_still_readable(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(1.0))
-        state = entity.initial_state()
-        assert entity.clock_value(state, 0.5) == 0.5
-
     def test_none_schedule_never_interferes(self):
-        entity = CrashableEntity(Chatty(), CrashSchedule(None))
+        entity = RecoverableEntity(Chatty(), RecoverySchedule())
         state = entity.initial_state()
         assert entity.deadline(state, 0.0) == 1.0
         entity.advance(state, 0.0, 100.0)
-        assert not state.crashed
+        assert not state.down and state.crashes == 0

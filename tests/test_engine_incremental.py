@@ -24,7 +24,7 @@ from repro.automata.actions import (
     PredicateActionSet,
 )
 from repro.automata.signature import Signature
-from repro.chaos import conformance_corpus
+from repro.chaos import FaultPlan, apply_plan, conformance_corpus, crash
 from repro.clocks.sources import DriftingClockSource
 from repro.components.base import Entity
 from repro.components.pinger import (
@@ -38,7 +38,6 @@ from repro.core.pipeline import (
     build_mmt_system,
     build_timed_system,
 )
-from repro.faults.crash import CrashableEntity, CrashSchedule
 from repro.faults.models import BernoulliFaults
 from repro.network.topology import Topology
 from repro.registers.system import (
@@ -140,11 +139,8 @@ def _crashed_pinger():
     spec = build_timed_system(
         pinger_topology(), pinger_process_factory(8, 1.0), 0.2, 0.6
     )
-    spec.entities[:] = [
-        CrashableEntity(e, CrashSchedule(4.5)) if e.name == "echo(1)" else e
-        for e in spec.entities
-    ]
-    return spec
+    # the echo (node 1) crashes for good: a crash with no recover
+    return apply_plan(spec, FaultPlan.of([crash(1, 4.5)]))
 
 
 def _lossy_pinger():

@@ -3,13 +3,12 @@ crash-stop completeness for the heartbeat detector (Section 7.3)."""
 
 import pytest
 
-from repro.core.pipeline import SystemSpec, build_clock_system, simulation1_delay_bounds
+from repro.chaos import FaultPlan, apply_plan, crash
+from repro.core.pipeline import build_clock_system, simulation1_delay_bounds
 from repro.detector import build_detector_system, detector_timeout
 from repro.faults import (
     BernoulliFaults,
     BurstFaults,
-    CrashSchedule,
-    CrashableEntity,
     ReliableAdapter,
     effective_delay_bounds,
 )
@@ -99,12 +98,8 @@ class TestCrashStopDetector:
         )
         if crash_time is None:
             return spec
-        entities = [
-            CrashableEntity(e, CrashSchedule(crash_time))
-            if e.name.startswith("hbsender") else e
-            for e in spec.entities
-        ]
-        return SystemSpec(entities=entities, hidden=spec.hidden)
+        # the sender (node 0) crashes for good: a crash with no recover
+        return apply_plan(spec, FaultPlan.of([crash(0, crash_time)]))
 
     def test_accuracy_without_crash(self):
         result = self.build().run(30.0)

@@ -1,4 +1,4 @@
-"""Crash–recovery proxies: schedules, restore policies, ARQ interplay."""
+"""Node-crash proxies: schedules, crash-stop, snapshot restore, ARQ interplay."""
 
 import pytest
 
@@ -29,7 +29,7 @@ from helpers import EchoProcess, PingerProcess, pinger_topology
 
 
 class Chatty(Entity):
-    """Emits SAY every second; counts inputs (same probe as crash tests)."""
+    """Emits SAY every second; counts inputs; its clock runs 0.25 ahead."""
 
     def __init__(self):
         super().__init__(
@@ -53,6 +53,9 @@ class Chatty(Entity):
 
     def deadline(self, state, now):
         return state["next"]
+
+    def clock_value(self, state, now):
+        return now + 0.25
 
 
 class TestRecoverySchedule:
@@ -84,19 +87,14 @@ class TestRecoverySchedule:
 
     def test_crash_stop_as_special_case(self):
         schedule = RecoverySchedule.of([(4.0, INFINITY)])
-        assert schedule.down(1e9)
+        assert not schedule.down(3.9)
+        assert schedule.down(4.0) and schedule.down(1e9)
         assert schedule.next_boundary(4.0) == INFINITY
 
 
 class TestRecoverableEntity:
-    def entity(self, windows, restore="snapshot"):
-        return RecoverableEntity(
-            Chatty(), RecoverySchedule.of(windows), restore=restore
-        )
-
-    def test_restore_policy_validated(self):
-        with pytest.raises(SpecificationError):
-            self.entity([(1.0, 2.0)], restore="voodoo")
+    def entity(self, windows):
+        return RecoverableEntity(Chatty(), RecoverySchedule.of(windows))
 
     def test_behaves_normally_while_up(self):
         entity = self.entity([(10.0, 11.0)])
@@ -130,16 +128,6 @@ class TestRecoverableEntity:
         assert state.inner["heard"] == 1  # the down-window input is gone
         assert state.crashes == 1 and state.recoveries == 1
         assert [kind for kind, _ in state.log] == ["crash", "recover"]
-
-    def test_initial_restore_is_amnesia(self):
-        entity = self.entity([(1.5, 4.0)], restore="initial")
-        state = entity.initial_state()
-        entity.fire(state, Action("SAY", (0,)), 1.0)
-        entity.apply_input(state, Action("HEAR", (0,)), 1.2)
-        entity.enabled(state, 2.0)
-        entity.enabled(state, 4.0)
-        assert state.inner["next"] == 1.0
-        assert state.inner["heard"] == 0
 
     def test_snapshot_shares_no_structure_with_escaped_state(self):
         entity = self.entity([(2.0, 3.0)])
@@ -175,6 +163,30 @@ class TestRecoverableEntity:
         # fire/apply_input to signal it, so the incremental engine must
         # re-derive it every round
         assert self.entity([(1.0, 2.0)]).pure_enabled is False
+
+
+class TestCrashStop:
+    """A ``[t, INFINITY)`` window: a plan's crash with no recover."""
+
+    def entity(self, crash_t):
+        return RecoverableEntity(
+            Chatty(), RecoverySchedule.of([(crash_t, INFINITY)])
+        )
+
+    def test_deadline_capped_at_the_crash_instant_then_infinite(self):
+        entity = self.entity(0.4)
+        state = entity.initial_state()
+        assert entity.deadline(state, 0.0) == pytest.approx(0.4)
+        assert entity.deadline(state, 0.4) == INFINITY
+        assert entity.deadline(state, 50.0) == INFINITY
+        assert state.crashes == 1 and state.recoveries == 0
+
+    def test_clock_value_delegated(self):
+        entity = self.entity(1.0)
+        state = entity.initial_state()
+        assert entity.clock_value(state, 0.5) == 0.75
+        entity.enabled(state, 2.0)  # down
+        assert entity.clock_value(state, 2.0) == 2.25
 
 
 class TestSendBufferSnapshotRestore:
