@@ -163,6 +163,10 @@ class LiveRegisterNode:
         self.wire_errors = 0
         self.dropped = 0
         self.orphan_responses = 0
+        # per drain: the fault-free broadcast's shared ``msg`` frame per
+        # (update, t, stamp), and the frame ``_wire_send`` encoded last
+        self._frames: Dict[tuple, dict] = {}
+        self._encoded: Tuple[Optional[dict], bytes] = (None, b"")
         self._kick = asyncio.Event()
         self._stopped = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
@@ -532,11 +536,14 @@ class LiveRegisterNode:
                 delay = MIN_SLEEP
             if delay <= 0.0:
                 continue
+            # the deadline and a kick wake the same event; a timer handle
+            # is cheaper than the Task ``asyncio.wait_for`` spawns per sleep
+            wake = asyncio.get_running_loop().call_later(delay, self._kick.set)
             try:
-                await asyncio.wait_for(self._kick.wait(), delay)
-                self._kick.clear()
-            except asyncio.TimeoutError:
-                pass
+                await self._kick.wait()
+            finally:
+                wake.cancel()
+            self._kick.clear()
 
     def _drain(self) -> bool:
         """Fire the machine's enabled actions at its clock until none is left.
@@ -550,6 +557,8 @@ class LiveRegisterNode:
         """
         machine, state, process = self.machine, self.state, self.process
         trace, owner, visible = self.tracer.action, self._owner, self._visible
+        self._frames.clear()
+        self._encoded = (None, b"")
         progressed = False
         while True:
             actions = machine.enabled(state)
@@ -596,13 +605,30 @@ class LiveRegisterNode:
                 self._real, self._chan_owner[dst], action, None, False
             )
             return
-        frame = {
-            "t": "msg", "src": self.node, "m": list(message),
-            "stamp": stamp, "sr": self.clock.real_now(),
-        }
-        if self._wire_send(dst, frame) and retransmit:
+        if self._wire_send(dst, self._peer_frame(message, stamp)) and retransmit:
             self.retransmits += 1
             self._retransmits_counter.inc()
+
+    def _peer_frame(self, message, stamp) -> dict:
+        """The ``msg`` frame carrying ``(message, stamp)`` to a peer.
+
+        A fault-free write's ``ESENDMSG`` to every peer carries one update
+        object with one ``t`` and one stamp, so within a drain they share
+        one frame: ``sr`` is read once and ``_wire_send`` encodes it once.
+        The frame holds the update, so its ``id`` in the key stays unique
+        while the entry lives. An ARQ frame carries its destination's
+        sequence number and gets a frame of its own.
+        """
+        key = None if self._arq else (id(message[0]), message[1], stamp)
+        frame = self._frames.get(key)
+        if frame is None:
+            frame = {
+                "t": "msg", "src": self.node, "m": list(message),
+                "stamp": stamp, "sr": self.clock.real_now(),
+            }
+            if key is not None:
+                self._frames[key] = frame
+        return frame
 
     def _wire_send(self, dst: int, frame: dict) -> bool:
         """Write one frame to a peer, unless a drop window severs the edge.
@@ -626,8 +652,12 @@ class LiveRegisterNode:
                 )
             self._ensure_peer(dst)
             return False
+        last, data = self._encoded
+        if frame is not last:
+            data = encode_frame(frame)
+            self._encoded = (frame, data)
         try:
-            writer.write(encode_frame(frame))
+            writer.write(data)
         except (ConnectionError, RuntimeError, OSError) as exc:
             self._wire_error(exc)
             self._ensure_peer(dst)

@@ -8,7 +8,9 @@ One frame per line, one JSON object per frame, discriminated by ``t``:
 ``hello``  ``src``                                         peer -> peer
 ``msg``    ``src``, ``m`` (``[value, t]``), ``stamp``,     peer -> peer
            ``sr`` (sender's real time, for wire-delay
-           measurement within one shared-epoch process);
+           measurement within one shared-epoch process,
+           read once per broadcast: a write's frames to
+           every peer are one frame, encoded once);
            under a fault plan ``m`` is the simulator's
            ARQ adapter frame, ``["DATA", seq, [value, t]]``
            or ``["ACK", seq]``, and a ``DATA`` frame also
@@ -65,15 +67,20 @@ def tuplify(value):
     comparison. Dicts keep their type (values converted).
     """
     if isinstance(value, list):
-        return tuple(tuplify(item) for item in value)
+        return tuple(map(tuplify, value))
     if isinstance(value, dict):
         return {key: tuplify(item) for key, item in value.items()}
     return value
 
 
+#: ``json.dumps`` with ``separators`` builds an encoder per call; this
+#: one is built once and writes the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(frame: Dict[str, object]) -> bytes:
     """One frame as a newline-terminated JSON line."""
-    return (json.dumps(frame, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_ENCODER.encode(frame) + "\n").encode("utf-8")
 
 
 def decode_frame(line: bytes) -> Dict[str, object]:
@@ -86,4 +93,7 @@ def decode_frame(line: bytes) -> Dict[str, object]:
         raise LiveServiceError(f"malformed frame: {exc}")
     if not isinstance(payload, dict) or "t" not in payload:
         raise LiveServiceError(f"frame is not a tagged object: {payload!r}")
-    return {key: tuplify(value) for key, value in payload.items()}
+    for key, value in payload.items():
+        if isinstance(value, (list, dict)):
+            payload[key] = tuplify(value)
+    return payload

@@ -37,6 +37,7 @@ instead of owing a deadline nothing can discharge.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -71,6 +72,9 @@ class RegisterState:
     # updates: update-time -> [(sender index, update)] in sender order,
     # the order every replica applies a same-instant bucket in.
     updates: Dict[float, List[Tuple[int, object]]] = field(default_factory=dict)
+    # the keys of ``updates`` in ascending order: at the fast-write end
+    # hundreds are pending, and the next or latest due one is a bisection
+    instants: List[float] = field(default_factory=list)
 
     def mintime(self) -> float:
         """The derived ``mintime`` variable: the next urgent instant."""
@@ -81,8 +85,8 @@ class RegisterState:
             candidates.append(self.send_time)
         if self.write_status == ACK_PENDING:
             candidates.append(self.ack_time)
-        if self.updates:
-            candidates.append(min(self.updates))
+        if self.instants:
+            candidates.append(self.instants[0])
         return min(candidates) if candidates else INFINITY
 
 
@@ -197,6 +201,8 @@ class RegisterProcess(Process):
             sender = action.params[1]
             update, t = action.params[2]
             instant = t + self.delta
+            if instant not in state.updates:
+                insort(state.instants, instant)
             # repro: lint-ignore[ISO003] -- the update is held read-only
             # until its apply time, then handed to ``apply_update`` by value
             state.updates[instant] = sorted(
@@ -230,9 +236,10 @@ class RegisterProcess(Process):
             actions.append(Action(self.ACK, (self.node,)))
         # One UPDATE brings the replica up to the latest due instant, so
         # several overdue instants cannot be fired out of order.
-        due = max((t for t in state.updates if t <= horizon), default=None)
-        if due is not None:
-            actions.append(Action(self.UPDATE, (self.node, due)))
+        due = bisect_right(state.instants, horizon)
+        if due:
+            latest = state.instants[due - 1]
+            actions.append(Action(self.UPDATE, (self.node, latest)))
         elif state.read_status == ACTIVE and state.read_time <= horizon:
             # Figure 3's RETURN guard: pending same-instant updates
             # apply first (the register reads the *post-update* value).
@@ -264,9 +271,11 @@ class RegisterProcess(Process):
             if t not in state.updates:
                 raise TransitionError(f"{self.name}: no update at {t:g}")
             # every bucket up to ``t``, in the agreed (instant, sender) order
-            for instant in sorted(k for k in state.updates if k <= t):
+            due = bisect_right(state.instants, t)
+            for instant in state.instants[:due]:
                 for _, update in state.updates.pop(instant):
                     state.value = self.apply_update(state.value, update)
+            del state.instants[:due]
         else:
             raise TransitionError(f"{self.name}: cannot fire {action}")
 

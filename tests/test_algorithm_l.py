@@ -1,6 +1,10 @@
 """Tests for algorithm L in the timed model (Lemma 6.1)."""
 
+from operator import itemgetter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterState
 from repro.registers.system import (
@@ -13,6 +17,8 @@ from repro.sim.delay import MaximalDelay, MinimalDelay, UniformDelay
 from repro.sim.scheduler import RandomScheduler
 from repro.automata.actions import Action
 from repro.components.base import ProcessContext
+from repro.constants import INFINITY, TOLERANCE
+from repro.sim.persistence import decode_state, encode_state
 
 D1P, D2P = 0.2, 1.0
 DELTA = 0.01
@@ -129,6 +135,105 @@ class TestUnitTransitions:
         proc = self.process()
         state = proc.initial_state()
         assert state.mintime() == float("inf")
+
+
+class _ScanReference:
+    """Figure 3's pending updates as an unordered dict, every question
+    answered by a scan over all of them."""
+
+    def __init__(self):
+        self.updates = {}
+        self.value = None
+
+    def receive(self, sender, update, instant):
+        self.updates[instant] = sorted(
+            [*self.updates.get(instant, ()), (sender, update)],
+            key=itemgetter(0),
+        )
+
+    def due(self, now):
+        horizon = now + TOLERANCE
+        return max((t for t in self.updates if t <= horizon), default=None)
+
+    def apply(self, t):
+        for instant in sorted(k for k in self.updates if k <= t):
+            for _, update in self.updates.pop(instant):
+                self.value = update
+
+    def enabled(self, state, now):
+        due = self.due(now)
+        if due is not None:
+            return [Action("UPDATE", (0, due))]
+        if state.read_status == "active" and state.read_time <= now + TOLERANCE:
+            return [Action("RETURN", (0, self.value))]
+        return []
+
+    def deadline(self, state):
+        candidates = [min(self.updates)] if self.updates else []
+        if state.read_status == "active":
+            candidates.append(state.read_time)
+        return min(candidates, default=INFINITY)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        # a RECVMSG from one of three senders whose instant lies on a
+        # coarse grid: duplicate instants, several senders per instant,
+        # arrivals after later instants and after their own instant
+        st.tuples(st.just("recv"), st.integers(0, 2), st.integers(0, 12)),
+        # time passes without firing, so several buckets fall overdue
+        st.tuples(st.just("wait"), st.sampled_from([0.25, 0.5, 1.5, 4.0])),
+        st.just(("fire",)),
+        st.just(("read",)),
+        st.just(("snapshot",)),
+    ),
+    max_size=60,
+)
+
+
+class TestOrderedInstants:
+    """``RegisterState.instants`` against the O(P) scan it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_STEPS)
+    def test_matches_the_scan_after_every_step(self, steps):
+        proc = AlgorithmLProcess(0, [0, 1, 2], D2P, 0.3, delta=DELTA)
+        state = proc.initial_state()
+        ref = _ScanReference()
+        now = 0.0
+        for index, step in enumerate(steps):
+            ctx = ProcessContext(now)
+            kind = step[0]
+            if kind == "recv":
+                _, sender, slot = step
+                t, update = slot * 0.5, ("u", index)
+                proc.apply_input(
+                    state, Action("RECVMSG", (0, sender, (update, t))), ctx
+                )
+                ref.receive(sender, update, t + DELTA)
+            elif kind == "wait":
+                now += step[1]
+                ctx = ProcessContext(now)
+            elif kind == "fire":
+                actions = proc.enabled(state, ctx)
+                if actions:
+                    proc.fire(state, actions[0], ctx)
+                    if actions[0].name == "UPDATE":
+                        ref.apply(actions[0].params[1])
+            elif kind == "read":
+                if state.read_status == "inactive":
+                    proc.apply_input(state, Action("READ", (0,)), ctx)
+            else:
+                restored = decode_state(encode_state(state))
+                assert restored.instants == state.instants
+                assert restored.instants is not state.instants
+                assert restored.updates == state.updates
+                state = restored
+            assert state.instants == sorted(state.updates)
+            assert state.updates == ref.updates
+            assert state.value == ref.value
+            assert proc.enabled(state, ctx) == ref.enabled(state, now)
+            assert proc.deadline(state, ctx) == ref.deadline(state)
 
 
 class TestLemma61:

@@ -111,6 +111,74 @@ class TestWire:
             decode_frame(huge)
 
 
+def _tuplify_recursive(value):
+    """The generator-based ``tuplify`` the codec used to run."""
+    if isinstance(value, list):
+        return tuple(_tuplify_recursive(item) for item in value)
+    if isinstance(value, dict):
+        return {key: _tuplify_recursive(item) for key, item in value.items()}
+    return value
+
+
+class TestCodecPinned:
+    """The bytes on the wire and the decoded values, fixed literally."""
+
+    @pytest.mark.parametrize("frame, raw", [
+        (
+            {"t": "msg", "src": 0, "m": [("v", 0, 1), 0.25],
+             "stamp": 0.125, "sr": 1.5},
+            b'{"t":"msg","src":0,"m":[["v",0,1],0.25],'
+            b'"stamp":0.125,"sr":1.5}\n',
+        ),
+        (
+            {"t": "write", "value": ("v", [1, {"k": (2, None)}], True),
+             "cid": "c\u00e9", "op": 3},
+            b'{"t":"write","value":["v",[1,{"k":[2,null]}],true],'
+            b'"cid":"c\\u00e9","op":3}\n',
+        ),
+        (
+            {"t": "stats", "node": 1, "real": 2.5, "clock": 2.4995,
+             "max_skew": 0.0005, "eps": 0.001, "wire_count": 3,
+             "wire_sum": 0.0015, "wire_max": 0.001},
+            b'{"t":"stats","node":1,"real":2.5,"clock":2.4995,'
+            b'"max_skew":0.0005,"eps":0.001,"wire_count":3,'
+            b'"wire_sum":0.0015,"wire_max":0.001}\n',
+        ),
+    ], ids=["msg", "write", "stats"])
+    def test_encode_frame_bytes(self, frame, raw):
+        assert encode_frame(frame) == raw
+        assert raw == (json.dumps(frame, separators=(",", ":")) + "\n").encode()
+
+    @pytest.mark.parametrize("line", [
+        b'{"t":"msg","src":2,"m":[["v",2,7],1.25],"stamp":1.0,"sr":0.5}\n',
+        b'{"t":"msg","src":1,"m":["DATA",4,[["v",1,0],0.5]],"stamp":0.25,'
+        b'"sr":0.5,"s0":0.25}\n',
+        b'{"t":"write","value":{"a":[1,[2,{"b":[3]}]],"c":{}},"op":0}\n',
+        b'{"t":"return","value":[]}\n',
+        b'{"t":"stats","node":0,"wire_count":0,"eps":0.001}\n',
+        b'{"t":"error","reason":"operation already pending"}\n',
+    ])
+    def test_decode_frame_matches_the_recursive_decode(self, line):
+        expected = {
+            key: _tuplify_recursive(value)
+            for key, value in json.loads(line.decode("utf-8")).items()
+        }
+        decoded = decode_frame(line)
+        assert decoded == expected
+        assert [type(v) for v in decoded.values()] == [
+            type(v) for v in expected.values()
+        ]
+
+    @pytest.mark.parametrize("line", [
+        b'{"t": "msg"\n',
+        b"\xff\xfe\n",
+        b'["t", "msg"]\n',
+    ], ids=["truncated", "not-utf8", "not-an-object"])
+    def test_more_bad_lines_rejected(self, line):
+        with pytest.raises(LiveServiceError):
+            decode_frame(line)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "manifest.json")
@@ -202,6 +270,211 @@ class TestNodeDrain:
         assert names == ["RETURN", "RECVMSG"]
         assert node._drain()
         assert client.frames == [{"t": "return", "value": ("new", 1, 0)}]
+
+
+async def _await(predicate, timeout=5.0):
+    import asyncio
+
+    loop = asyncio.get_running_loop()
+    give_up = loop.time() + timeout
+    while not predicate():
+        assert loop.time() < give_up, "condition not reached"
+        await asyncio.sleep(0.005)
+
+
+class TestBroadcast:
+    """A write's peer frames: one frame, one encode, unless ARQ is armed."""
+
+    def run_writes(self, monkeypatch, arq, writes=2):
+        import asyncio
+
+        import repro.live.node as live_node
+        from repro.live.service import LiveCluster
+
+        encodes, sends, wire = [], [], []
+        real_encode = live_node.encode_frame
+
+        def encode_spy(frame):
+            data = real_encode(frame)
+            encodes.append((frame, data))
+            return data
+
+        async def scenario():
+            cluster = LiveCluster(LiveParams(n=4, seed=0))
+            if arq:
+                for node in cluster.nodes:
+                    node.attach_faults(())
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                original = node._wire_send
+
+                def send_spy(dst, frame):
+                    sends.append((dst, frame))
+                    return original(dst, frame)
+
+                node._wire_send = send_spy
+                for dst, (_, link) in node._peer_links.items():
+                    def tap(data, dst=dst, write=link.write):
+                        wire.append((dst, data))
+                        write(data)
+
+                    link.write = tap
+                monkeypatch.setattr(live_node, "encode_frame", encode_spy)
+                reader, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                for seq in range(writes):
+                    writer.write(encode_frame(
+                        {"t": "write", "value": ["v", 0, seq]}
+                    ))
+                    assert decode_frame(
+                        await asyncio.wait_for(reader.readline(), 5.0)
+                    ) == {"t": "ack"}
+                writer.close()
+                await _await(lambda: all(
+                    peer.stats()["wire_count"] == writes
+                    for peer in cluster.nodes[1:]
+                ))
+                return [peer.stats()["wire_count"] for peer in cluster.nodes]
+            finally:
+                await cluster.stop()
+
+        counts = asyncio.run(scenario())
+        return counts, encodes, sends, wire
+
+    def test_peer_frames_share_one_encode(self, monkeypatch):
+        counts, encodes, sends, wire = self.run_writes(monkeypatch, arq=False)
+        # one first-copy message per write at every peer, none at home
+        assert counts == [0, 2, 2, 2]
+        broadcasts = [
+            (frame, data) for frame, data in encodes
+            if frame["t"] == "msg" and frame["src"] == 0
+        ]
+        assert len(broadcasts) == 2  # one encode per write
+        assert len(sends) == 6 and len(wire) == 6
+        for index, (frame, data) in enumerate(broadcasts):
+            batch = sends[3 * index:3 * index + 3]
+            assert sorted(dst for dst, _ in batch) == [1, 2, 3]
+            assert all(sent is frame for _, sent in batch)
+            written = wire[3 * index:3 * index + 3]
+            assert [raw for _, raw in written] == [data] * 3
+        # the second write's frame is a new one, read and encoded afresh
+        (first, first_data), (second, second_data) = broadcasts
+        assert first is not second and first_data != second_data
+        assert first["m"][0] == ("v", 0, 0) and second["m"][0] == ("v", 0, 1)
+
+    def test_arq_frames_are_encoded_one_by_one(self, monkeypatch):
+        counts, encodes, sends, _ = self.run_writes(monkeypatch, arq=True)
+        assert counts == [0, 2, 2, 2]
+        # a DATA frame per destination and sequence number...
+        data = {(dst, frame["m"][1]) for dst, frame in sends
+                if frame["m"][0] == "DATA"}
+        assert len(data) == 6
+        # ...and every frame handed to the wire, retransmissions and
+        # ACKs included, is its own object with its own encode
+        assert len({id(frame) for _, frame in sends}) == len(sends)
+        encoded = [frame for frame, _ in encodes
+                   if frame["t"] == "msg" and frame["src"] == 0]
+        assert [id(f) for f in encoded] == [id(f) for _, f in sends]
+
+
+class TestTimer:
+    """The node timer sleeps on a handle and wakes on a kick."""
+
+    def test_peer_msg_during_a_long_sleep_is_delivered_at_its_stamp(self):
+        import asyncio
+
+        from repro.live.service import LiveCluster
+
+        delivered = []
+
+        class Recording(Tracer):
+            def action(self, now, owner, action, clock, visible):
+                if action.name == "RECVMSG" and owner == "S(0)^c":
+                    delivered.append((now, clock, action.params[2]))
+
+        async def scenario():
+            params = LiveParams(n=2, eps=0.001, driver="perfect", seed=0)
+            cluster = LiveCluster(params, tracer=Recording())
+            await cluster.start()
+            try:
+                node = cluster.nodes[0]
+                _, writer = await asyncio.open_connection(
+                    *cluster.addresses[0]
+                )
+                writer.write(encode_frame({"t": "hello", "src": 1}))
+                _, clock = node.clock.read()
+                # an update ten seconds out: the timer sleeps toward it
+                writer.write(encode_frame({
+                    "t": "msg", "src": 1, "m": [["far", 1, 0], clock + 10.0],
+                    "stamp": clock,
+                }))
+                await _await(lambda: len(delivered) == 1)
+                await asyncio.sleep(0.02)
+                assert node.machine.clock_deadline(node.state) > clock + 9.0
+                # a message stamped 50 ms ahead must wake it for its stamp
+                _, clock = node.clock.read()
+                stamp = clock + 0.05
+                writer.write(encode_frame({
+                    "t": "msg", "src": 1, "m": [["near", 1, 1], clock + 1.0],
+                    "stamp": stamp,
+                }))
+                await _await(lambda: len(delivered) == 2, timeout=2.0)
+                writer.close()
+                return stamp
+            finally:
+                await cluster.stop()
+
+        stamp = asyncio.run(scenario())
+        _, at_clock, message = delivered[1]
+        assert message[0] == ("near", 1, 1)
+        assert stamp <= at_clock < stamp + 0.5
+
+    def test_stop_during_a_long_sleep_is_prompt_and_leaves_nothing(self):
+        import asyncio
+        import time
+
+        from repro.live.service import LiveCluster
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            handles = []
+            call_later = loop.call_later
+
+            def recording(delay, callback, *args, **kwargs):
+                handle = call_later(delay, callback, *args, **kwargs)
+                handles.append((callback, handle))
+                return handle
+
+            loop.call_later = recording
+            cluster = LiveCluster(LiveParams(n=2, driver="perfect", seed=0))
+            await cluster.start()
+            node = cluster.nodes[0]
+            _, writer = await asyncio.open_connection(*cluster.addresses[0])
+            writer.write(encode_frame({"t": "hello", "src": 1}))
+            _, clock = node.clock.read()
+            writer.write(encode_frame({
+                "t": "msg", "src": 1, "m": [["far", 1, 0], clock + 60.0],
+                "stamp": clock,
+            }))
+            kicks = {n._kick.set for n in cluster.nodes}
+            await _await(lambda: any(
+                callback in kicks and handle.when() > loop.time() + 30.0
+                for callback, handle in handles
+            ))
+            start = time.perf_counter()
+            await cluster.stop()
+            elapsed = time.perf_counter() - start
+            writer.close()
+            timers = [handle for callback, handle in handles
+                      if callback in kicks]
+            return elapsed, cluster, timers
+
+        elapsed, cluster, timers = asyncio.run(scenario())
+        assert elapsed < 1.0
+        assert all(node._timer_task.done() for node in cluster.nodes)
+        assert timers and all(handle.cancelled() for handle in timers)
 
 
 class TestEndToEnd:
