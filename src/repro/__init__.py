@@ -48,7 +48,7 @@ from repro.core.buffers import ReceiveBuffer, SendBuffer
 from repro.core.clock_transform import (
     ClockMachine,
     ClockNodeEntity,
-    NativeClockNodeEntity,
+    PassThroughMachine,
 )
 from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
@@ -144,7 +144,7 @@ __all__ = [
     "Entity", "Process", "ProcessContext", "TimedNodeEntity",
     # core transformations
     "SendBuffer", "ReceiveBuffer", "ClockMachine", "ClockNodeEntity",
-    "NativeClockNodeEntity", "DelayedSimulation", "TimedFromMMT",
+    "PassThroughMachine", "DelayedSimulation", "TimedFromMMT",
     "EagerStepPolicy", "LazyStepPolicy", "UniformStepPolicy",
     "SystemSpec", "build_timed_system", "build_clock_system",
     "build_native_clock_system", "build_mmt_system",

@@ -37,7 +37,7 @@ from repro.automata.signature import Signature
 from repro.components.base import Process, ProcessContext
 from repro.core.pipeline import SystemSpec
 from repro.components.base import TimedNodeEntity
-from repro.core.clock_transform import NativeClockNodeEntity
+from repro.core.clock_transform import ClockNodeEntity, PassThroughMachine
 from repro.errors import SpecificationError, TransitionError
 from repro.network.channel import ChannelEntity, channel_actions
 from repro.network.topology import Topology
@@ -225,7 +225,9 @@ def build_sync_protocol_system(
         # a long horizon so the driver never clamps
         envelope = abs(rho - 1.0) * 10_000.0 + 1.0
         entities.append(
-            NativeClockNodeEntity(client, DriftingClockDriver(envelope, rho))
+            ClockNodeEntity(
+                PassThroughMachine(client), DriftingClockDriver(envelope, rho)
+            )
         )
     for i, j in sorted(topology.edges):
         entities.append(ChannelEntity(i, j, d1, d2, delay_model=delay_model))

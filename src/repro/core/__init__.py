@@ -17,7 +17,7 @@ from repro.core.buffers import ReceiveBuffer, SendBuffer
 from repro.core.clock_transform import (
     ClockMachine,
     ClockNodeEntity,
-    NativeClockNodeEntity,
+    PassThroughMachine,
 )
 from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
@@ -36,7 +36,7 @@ __all__ = [
     "ReceiveBuffer",
     "ClockMachine",
     "ClockNodeEntity",
-    "NativeClockNodeEntity",
+    "PassThroughMachine",
     "DelayedSimulation",
     "SystemSpec",
     "build_timed_system",

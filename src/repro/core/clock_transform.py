@@ -6,14 +6,16 @@ of Section 4.2: the transformed algorithm ``C(A_i, eps)`` (Definition 4.1
 hands it ``now``) composed with one :class:`~repro.core.buffers.SendBuffer`
 per outgoing edge and one :class:`~repro.core.buffers.ReceiveBuffer` per
 incoming edge, sharing the node clock (Definition 2.7), with the internal
-``SENDMSG``/``RECVMSG`` interface hidden.
+``SENDMSG``/``RECVMSG`` interface hidden. :class:`PassThroughMachine` has
+the same interface for a process designed directly in the clock model
+(the Section 6.3 baseline of [10]): no buffers, raw messages.
 
-:class:`ClockNodeEntity` is the machine plus the engine glue: a
+:class:`ClockNodeEntity` is either machine plus the engine glue: a
 :class:`~repro.sim.clock_drivers.ClockDriver` picks the clock trajectory
 within the ``C_eps`` envelope, and the machine's clock deadlines are
 mapped into real-time deadlines for the simulator.
 
-Both node entities evaluate their clock *lazily*: every method that is
+The node entity evaluates its clock *lazily*: every method that is
 handed ``now`` first steps the clock from the instant it was last
 evaluated (``clock_at`` on the state) up to ``now``. A node observes
 nothing but its own clock (Definition 4.1), so when the driver is
@@ -26,10 +28,6 @@ through the driver's inverse, ``target_now``), and the engine neither
 advances nor re-scans it. Under any other driver the trajectory depends
 on the step sequence, so the promises stay ``False`` and the engine
 keeps stepping the clock once per time advance through ``advance``.
-
-:class:`NativeClockNodeEntity` runs a process *natively* on the clock —
-no buffers, raw messages — for algorithms that were designed directly in
-the clock model (the Section 6.3 baseline of [10]).
 """
 
 from __future__ import annotations
@@ -54,38 +52,6 @@ def _observed_skew(now: float, clock: float, eps: float) -> float:
     if eps < skew <= eps + _TOLERANCE:
         return eps
     return skew
-
-
-def _step_clock(node, state, now: float, cap: float) -> None:
-    """One driver step of a node entity's clock, up to ``now``."""
-    state.clock = node.driver.step(state.clock_at, state.clock, now, cap)
-    state.clock_at = now
-    skew = _observed_skew(now, state.clock, node.driver.eps)
-    node._skew_hist.observe(skew)
-    node._skew_max.set_max(skew)
-
-
-def _evaluated_lazily(process: Process, driver: ClockDriver) -> bool:
-    """Whether nothing but the node's own events moves its clock.
-
-    Read off what the driver and the process declare, at the time the
-    engine asks — the chaos layer swaps drivers on copies of a node.
-
-    The promise leans on the clock being *on* the driver's trajectory
-    whenever a deadline is mapped. A clock below it with the cap within
-    the trajectory's reach (``target_now`` then falls back to
-    ``cap + eps``) would reach the cap at any earlier instant it is
-    stepped at. That takes a clock deadline below a positive offset
-    before the node's first step, or a crash recovery — and recovering
-    nodes live inside a :class:`~repro.faults.recovery.RecoverableEntity`,
-    which promises nothing and re-derives them after every time advance
-    (docs/performance.md, "Lazy node clocks").
-    """
-    return bool(
-        driver.granularity_free
-        and getattr(process, "static_deadline", False)
-        and getattr(process, "wakes_at_deadline", False)
-    )
 
 
 @dataclass
@@ -158,6 +124,8 @@ class ClockMachine:
     ):
         self.process = process
         self.node = process.node
+        self.name = f"{process.name}^c"
+        self.signature = _node_signature(process, process.node)
         self.out_edges = list(out_edges)
         self.in_edges = list(in_edges)
         self._send_rank = _edge_rank(self.out_edges)
@@ -170,6 +138,12 @@ class ClockMachine:
         """Remember the registry so fresh states bind buffer instruments."""
         self._metrics = metrics
 
+    def bind_instruments(self, state: MachineState) -> None:
+        """Bind the state's buffers to the remembered registry, if any."""
+        if self._metrics is not None:
+            for buf in (*state.send_buffers.values(), *state.recv_buffers.values()):
+                buf.bind_instruments(self._metrics)
+
     # -- state ---------------------------------------------------------------
 
     def initial_state(self) -> MachineState:
@@ -180,11 +154,7 @@ class ClockMachine:
             send_buffers={j: SendBuffer(self.node, j) for j in self.out_edges},
             recv_buffers={j: ReceiveBuffer(j, self.node) for j in self.in_edges},
         )
-        if self._metrics is not None:
-            for sbuf in state.send_buffers.values():
-                sbuf.bind_instruments(self._metrics)
-            for rbuf in state.recv_buffers.values():
-                rbuf.bind_instruments(self._metrics)
+        self.bind_instruments(state)
         return state
 
     # -- transitions -----------------------------------------------------------
@@ -312,35 +282,83 @@ def _node_signature(process: Process, node: int) -> Signature:
     return Signature(inputs=inputs, outputs=outputs, internals=internals)
 
 
-class ClockNodeEntity(Entity):
-    """``A^c_{i,eps}`` as a simulator entity (Simulation 1 node).
+class PassThroughMachine:
+    """A process designed *directly* in the clock model, with no buffers.
 
-    The driver chooses the clock trajectory within ``C_eps``; the
-    machine's clock deadlines become real-time deadlines through
-    :meth:`~repro.sim.clock_drivers.ClockDriver.max_now`.
+    The comparison class of Section 6.3: algorithms like [10]'s that
+    were hand-built for inaccurate clocks rather than transformed. The
+    process reads the node clock as its time, and its ``SENDMSG`` /
+    ``RECVMSG`` go straight to the ordinary channels. The interface is
+    :class:`ClockMachine`'s, over a :class:`MachineState` whose buffer
+    maps stay empty, so :class:`ClockNodeEntity` and
+    :class:`~repro.core.mmt_transform.DelayedSimulation` drive it as
+    they drive the buffered machine.
     """
 
-    static_deadline = wakes_at_deadline = property(
-        lambda self: _evaluated_lazily(self.machine.process, self.driver)
-    )
+    def __init__(self, process: Process):
+        self.process = process
+        self.node = process.node
+        self.name = f"{process.name}@clock"
+        self.signature = process.signature
 
-    def __init__(
-        self,
-        process: Process,
-        driver: ClockDriver,
-        out_edges: Sequence[int],
-        in_edges: Sequence[int],
-    ):
-        super().__init__(
-            f"{process.name}^c", _node_signature(process, process.node)
+    def instrument(self, metrics) -> None:
+        """No buffers, so no instruments to bind."""
+
+    def bind_instruments(self, state: MachineState) -> None:
+        """No buffers, so no instruments to bind."""
+
+    def initial_state(self) -> MachineState:
+        """A fresh state: clock 0, no buffers."""
+        return MachineState(
+            clock=0.0,
+            proc_state=self.process.initial_state(),
+            send_buffers={},
+            recv_buffers={},
         )
+
+    def enabled(self, state: MachineState) -> List[Action]:
+        """The process's enabled actions at the current clock."""
+        return self.process.enabled(state.proc_state, ProcessContext(state.clock))
+
+    def fire(self, state: MachineState, action: Action) -> None:
+        """Perform one of the process's actions at the current clock."""
+        self.process.fire(state.proc_state, action, ProcessContext(state.clock))
+
+    def apply_input(self, state: MachineState, action: Action) -> None:
+        """Apply an input (a channel's ``RECVMSG`` too) at the current clock."""
+        self.process.apply_input(
+            state.proc_state, action, ProcessContext(state.clock)
+        )
+
+    def clock_deadline(self, state: MachineState) -> float:
+        """The process's own deadline, on the clock."""
+        return self.process.deadline(state.proc_state, ProcessContext(state.clock))
+
+    def buffering_stats(self, state: MachineState) -> Dict[str, float]:
+        """Nothing is ever held: there are no receive buffers."""
+        return {"messages_held": 0, "total_hold_clock": 0.0}
+
+
+class ClockNodeEntity(Entity):
+    """A node reading a clock inside ``C_eps``, as a simulator entity.
+
+    ``machine`` is a :class:`ClockMachine` (``A^c_{i,eps}``, the
+    Simulation 1 node) or a :class:`PassThroughMachine` (a process
+    designed for the clock model); the entity takes its name and
+    signature from it. The driver chooses the clock trajectory within
+    ``C_eps``; the machine's clock deadlines become real-time deadlines
+    through :meth:`~repro.sim.clock_drivers.ClockDriver.max_now`.
+    """
+
+    def __init__(self, machine, driver: ClockDriver):
+        super().__init__(machine.name, machine.signature)
         # enabled() delegates straight to the wrapped process, so its
         # purity promise is the process's (catching the clock up is
         # idempotent at a given ``now``).
-        self.pure_enabled = getattr(process, "pure_enabled", True)
-        self.machine = ClockMachine(process, out_edges, in_edges)
+        self.pure_enabled = getattr(machine.process, "pure_enabled", True)
+        self.machine = machine
         self.driver = driver
-        self.node = process.node
+        self.node = machine.node
         self._skew_hist = NULL_HISTOGRAM
         self._skew_max = NULL_GAUGE
 
@@ -356,10 +374,42 @@ class ClockNodeEntity(Entity):
     def initial_state(self) -> MachineState:
         return self.machine.initial_state()
 
+    @property
+    def static_deadline(self) -> bool:
+        """Whether nothing but the node's own events moves its clock.
+
+        Read off what the driver and the process declare, at the time the
+        engine asks — the chaos layer swaps drivers on copies of a node.
+
+        The promise leans on the clock being *on* the driver's trajectory
+        whenever a deadline is mapped. A clock below it with the cap within
+        the trajectory's reach (``target_now`` then falls back to
+        ``cap + eps``) would reach the cap at any earlier instant it is
+        stepped at. That takes a clock deadline below a positive offset
+        before the node's first step, or a crash recovery — and recovering
+        nodes live inside a :class:`~repro.faults.recovery.RecoverableEntity`,
+        which promises nothing and re-derives them after every time advance
+        (docs/performance.md, "Lazy node clocks").
+        """
+        process = self.machine.process
+        return bool(
+            self.driver.granularity_free
+            and getattr(process, "static_deadline", False)
+            and getattr(process, "wakes_at_deadline", False)
+        )
+
+    wakes_at_deadline = static_deadline
+
     def _catch_up(self, state: MachineState, now: float) -> None:
         """Step the clock from where it was last evaluated up to ``now``."""
         if now > state.clock_at:
-            _step_clock(self, state, now, self.machine.clock_deadline(state))
+            driver = self.driver
+            cap = self.machine.clock_deadline(state)
+            state.clock = driver.step(state.clock_at, state.clock, now, cap)
+            state.clock_at = now
+            skew = _observed_skew(now, state.clock, driver.eps)
+            self._skew_hist.observe(skew)
+            self._skew_max.set_max(skew)
 
     def apply_input(self, state: MachineState, action: Action, now: float) -> None:
         self._catch_up(state, now)
@@ -406,100 +456,8 @@ class ClockNodeEntity(Entity):
         """
         state.clock = max(state.clock, now - self.driver.eps, 0.0)
         state.clock_at = now
-        if self.machine._metrics is not None:
-            for sbuf in state.send_buffers.values():
-                sbuf.bind_instruments(self.machine._metrics)
-            for rbuf in state.recv_buffers.values():
-                rbuf.bind_instruments(self.machine._metrics)
+        self.machine.bind_instruments(state)
 
     def buffering_stats(self, state: MachineState) -> Dict[str, float]:
         """Receive-buffer hold statistics (Section 7.2)."""
         return self.machine.buffering_stats(state)
-
-
-@dataclass
-class NativeState:
-    """State of a natively-clock node: the clock plus the process state."""
-
-    clock: float
-    proc_state: Any
-    #: real time at which the node entity last evaluated ``clock``
-    clock_at: float = 0.0
-
-
-class NativeClockNodeEntity(Entity):
-    """A process designed *directly* in the clock model (no buffers).
-
-    The process receives the node clock as its time and exchanges raw
-    ``SENDMSG``/``RECVMSG`` messages with ordinary channels. This models
-    the comparison class of Section 6.3: algorithms like [10]'s that
-    were hand-built for inaccurate clocks rather than transformed.
-    """
-
-    static_deadline = wakes_at_deadline = property(
-        lambda self: _evaluated_lazily(self.process, self.driver)
-    )
-
-    def __init__(self, process: Process, driver: ClockDriver):
-        super().__init__(f"{process.name}@clock", process.signature)
-        self.process = process
-        # enabled() delegates to the process at the node's clock time.
-        self.pure_enabled = getattr(process, "pure_enabled", True)
-        self.driver = driver
-        self.node = process.node
-        self._skew_hist = NULL_HISTOGRAM
-        self._skew_max = NULL_GAUGE
-
-    def instrument(self, metrics) -> None:
-        """Publish clock-skew samples against the ``C_eps`` envelope."""
-        self._skew_hist = metrics.histogram("repro.clock.skew", SKEW_BUCKETS)
-        self._skew_max = metrics.gauge("repro.clock.skew_max")
-        eps = getattr(self.driver, "eps", None)
-        if eps is not None:
-            metrics.gauge("repro.clock.eps").set_max(float(eps))
-
-    def initial_state(self) -> NativeState:
-        return NativeState(clock=0.0, proc_state=self.process.initial_state())
-
-    def _catch_up(self, state: NativeState, now: float) -> None:
-        """Step the clock from where it was last evaluated up to ``now``."""
-        if now > state.clock_at:
-            cap = self.process.deadline(
-                state.proc_state, ProcessContext(state.clock)
-            )
-            _step_clock(self, state, now, cap)
-
-    def apply_input(self, state: NativeState, action: Action, now: float) -> None:
-        self._catch_up(state, now)
-        self.process.apply_input(
-            state.proc_state, action, ProcessContext(state.clock)
-        )
-
-    def enabled(self, state: NativeState, now: float) -> List[Action]:
-        self._catch_up(state, now)
-        return self.process.enabled(state.proc_state, ProcessContext(state.clock))
-
-    def fire(self, state: NativeState, action: Action, now: float) -> None:
-        self._catch_up(state, now)
-        self.process.fire(state.proc_state, action, ProcessContext(state.clock))
-
-    def deadline(self, state: NativeState, now: float) -> float:
-        self._catch_up(state, now)
-        cap = self.process.deadline(state.proc_state, ProcessContext(state.clock))
-        return self.driver.target_now(now, state.clock, cap)
-
-    def advance(self, state: NativeState, old_now: float, new_now: float) -> None:
-        self._catch_up(state, new_now)
-
-    def clock_value(self, state: NativeState, now: float) -> Optional[float]:
-        self._catch_up(state, now)
-        return state.clock
-
-    def on_recover(self, state: NativeState, now: float) -> None:
-        """Crash-recovery hook: the restored clock resumes from ``now``.
-
-        Unlike :meth:`ClockNodeEntity.on_recover` the clock value is
-        kept; the first step after the recovery moves it into the
-        envelope.
-        """
-        state.clock_at = now

@@ -40,7 +40,7 @@ from typing import Deque, List, Optional
 from repro.automata.actions import Action, ActionPattern, PatternActionSet, UnionActionSet
 from repro.automata.signature import Signature
 from repro.components.mmt import Boundmap, MMTAutomaton
-from repro.core.clock_transform import ClockMachine, MachineState, _node_signature
+from repro.core.clock_transform import MachineState
 from repro.errors import SimulationLimitError, TransitionError
 
 from repro.constants import TOLERANCE as _TOLERANCE
@@ -62,20 +62,22 @@ class DelayedSimulation(MMTAutomaton):
     """``M(A^c_{i,eps}, l)`` (Definition 5.1), the Simulation 2 node.
 
     ``machine`` is the clock machine of Simulation 1 — composing this
-    automaton over a transformed timed process realizes Theorem 5.2's
-    two-simulation pipeline; handing it a natively-clock process's
-    machine realizes Theorem 5.1 alone.
+    automaton over a transformed timed process (a
+    :class:`~repro.core.clock_transform.ClockMachine`) realizes Theorem
+    5.2's two-simulation pipeline; handing it a process designed for the
+    clock model (a :class:`~repro.core.clock_transform.PassThroughMachine`)
+    realizes Theorem 5.1 alone.
     """
 
     TAU = "TAU"
     STEP = "step"  # the one class: every locally controlled action
 
-    def __init__(self, machine: ClockMachine, step_bound: float):
+    def __init__(self, machine, step_bound: float):
         if step_bound <= 0:
             raise ValueError("the step bound l must be positive")
         process = machine.process
         node = process.node
-        base = _node_signature(process, node)
+        base = machine.signature
         tick = PatternActionSet([ActionPattern("TICK", (node,))])
         tau = PatternActionSet([ActionPattern(self.TAU, (node,))])
         signature = Signature(

@@ -24,7 +24,7 @@ from repro.components.tick import TickEntity
 from repro.core.clock_transform import (
     ClockMachine,
     ClockNodeEntity,
-    NativeClockNodeEntity,
+    PassThroughMachine,
 )
 from repro.core.mmt_transform import DelayedSimulation
 from repro.network.channel import ChannelEntity, channel_actions
@@ -167,12 +167,12 @@ def build_clock_system(
     """
     nodes: Dict[int, Entity] = {}
     for i in topology.nodes():
-        nodes[i] = ClockNodeEntity(
+        machine = ClockMachine(
             processes(i),
-            drivers(i),
             out_edges=topology.out_neighbors(i),
             in_edges=topology.in_neighbors(i),
         )
+        nodes[i] = ClockNodeEntity(machine, drivers(i))
     entities: List[Entity] = list(nodes.values())
     entities += _channels(topology, d1, d2, delay_model, prefix="E",
                           fault_model=fault_model)
@@ -195,12 +195,14 @@ def build_native_clock_system(
 ) -> SystemSpec:
     """A clock-model system whose processes were *designed* for clocks.
 
-    No transformation, no buffers: processes read the node clock
-    directly and exchange raw messages (the Section 6.3 comparison
-    class, e.g. the [10]-style baseline register).
+    No transformation, no buffers: each node is
+    ``ClockNodeEntity(PassThroughMachine(process), driver)``, so
+    processes read the node clock directly and exchange raw messages
+    (the Section 6.3 comparison class, e.g. the [10]-style baseline
+    register).
     """
     nodes: Dict[int, Entity] = {
-        i: NativeClockNodeEntity(processes(i), drivers(i))
+        i: ClockNodeEntity(PassThroughMachine(processes(i)), drivers(i))
         for i in topology.nodes()
     }
     entities: List[Entity] = list(nodes.values())

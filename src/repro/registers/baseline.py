@@ -75,10 +75,11 @@ class SlottedState:
 class SlottedRegisterProcess(Process):
     """Time-sliced register designed natively for the clock model.
 
-    Run it under
-    :class:`~repro.core.clock_transform.NativeClockNodeEntity` (or via
-    :func:`repro.registers.system.baseline_register_system`): the
-    process's notion of time *is* the node clock.
+    Run it as ``ClockNodeEntity(PassThroughMachine(process), driver)``,
+    which is what
+    :func:`~repro.core.pipeline.build_native_clock_system` (and through
+    it :func:`repro.registers.system.baseline_register_system`) builds:
+    no buffers, and the process's notion of time *is* the node clock.
     """
 
     SNAP = "SNAP"

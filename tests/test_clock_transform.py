@@ -102,7 +102,9 @@ class TestClockMachine:
 
 class TestClockNodeEntity:
     def node(self, driver):
-        return ClockNodeEntity(PingerProcess(0, 1, 2, 1.0), driver, [1], [1])
+        return ClockNodeEntity(
+            ClockMachine(PingerProcess(0, 1, 2, 1.0), [1], [1]), driver
+        )
 
     def test_signature_rewiring(self):
         node = self.node(PerfectClockDriver(0.1))

@@ -5,6 +5,11 @@ import pytest
 from helpers import EchoProcess, PingerProcess
 from repro.automata.actions import Action
 from repro.components.base import Entity, Process, ProcessContext, TimedNodeEntity
+from repro.core.clock_transform import (
+    ClockMachine,
+    ClockNodeEntity,
+    PassThroughMachine,
+)
 
 
 class TestProcessContext:
@@ -146,12 +151,11 @@ class TestContractForwarding:
             (MovingDeadline(0, 1, count=2, interval=1.0), perfect, False),
         ]
 
-    def test_clock_node_forwards_purity_and_pins_deadline_flags(self):
-        from repro.core.clock_transform import ClockNodeEntity
+    def check_clock_node(self, make_machine):
         from repro.sim.clock_drivers import FaultyClockDriver
 
         for process, driver, promises in self.clock_node_cases():
-            entity = ClockNodeEntity(process, driver, [1], [1])
+            entity = ClockNodeEntity(make_machine(process), driver)
             assert entity.pure_enabled is False
             assert entity.static_deadline is promises, driver
             assert entity.wakes_at_deadline is promises, driver
@@ -160,18 +164,14 @@ class TestContractForwarding:
             assert entity.static_deadline is False
             assert entity.wakes_at_deadline is False
 
-    def test_native_clock_node_forwards_purity(self):
-        from repro.core.clock_transform import NativeClockNodeEntity
+    def test_clock_node_forwards_purity_and_pins_deadline_flags(self):
+        self.check_clock_node(lambda process: ClockMachine(process, [1], [1]))
 
-        for process, driver, promises in self.clock_node_cases():
-            entity = NativeClockNodeEntity(process, driver)
-            assert entity.pure_enabled is False
-            assert entity.static_deadline is promises, driver
-            assert entity.wakes_at_deadline is promises, driver
+    def test_native_clock_node_forwards_purity(self):
+        self.check_clock_node(PassThroughMachine)
 
     def test_mmt_node_forwards_purity(self):
         from repro.components.mmt import TimedFromMMT
-        from repro.core.clock_transform import ClockMachine
         from repro.core.mmt_transform import DelayedSimulation
 
         machine = ClockMachine(self.make_process(), [1], [1])

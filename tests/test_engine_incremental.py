@@ -24,7 +24,15 @@ from repro.automata.actions import (
     PredicateActionSet,
 )
 from repro.automata.signature import Signature
-from repro.chaos import FaultPlan, apply_plan, conformance_corpus, crash
+from repro.chaos import (
+    ClockPredicateMonitor,
+    FaultPlan,
+    MonitorTracer,
+    apply_plan,
+    conformance_corpus,
+    crash,
+    recover,
+)
 from repro.clocks.sources import DriftingClockSource
 from repro.components.base import Entity
 from repro.components.pinger import (
@@ -135,6 +143,18 @@ def _baseline_register():
     )
 
 
+def _crashed_baseline_register():
+    spec = baseline_register_system(
+        n=3, d1=0.2, d2=1.0, eps=0.1,
+        workload=RegisterWorkload(operations=10, seed=1),
+        drivers=driver_factory("mixed", 0.1, seed=6),
+        delay_model=UniformDelay(seed=6),
+    )
+    # node 1 is down for 0.3 > 2 * eps: its clock must jump back into
+    # C_eps at the recovery, or its deadline maps to a passed real time
+    return apply_plan(spec, FaultPlan.of([crash(1, 5.0), recover(1, 5.3)]))
+
+
 def _crashed_pinger():
     spec = build_timed_system(
         pinger_topology(), pinger_process_factory(8, 1.0), 0.2, 0.6
@@ -161,6 +181,7 @@ CORPUS = [
     ("register-timed", _timed_register),
     ("register-clock", _clock_register),
     ("register-baseline", _baseline_register),
+    ("register-baseline-crash", _crashed_baseline_register),
     ("crash", _crashed_pinger),
     ("lossy", _lossy_pinger),
 ]
@@ -194,6 +215,16 @@ class TestConformance:
         assert res_inc.steps == res_full.steps
         assert res_inc.now == res_full.now
         assert res_inc.stats == res_full.stats
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_recovered_native_node_stays_inside_the_envelope(self, incremental):
+        monitors = MonitorTracer([ClockPredicateMonitor(eps=0.1)], None)
+        _, result = _run(
+            _crashed_baseline_register(), incremental,
+            DeterministicScheduler(), tracer=monitors,
+        )
+        assert result.now == HORIZON
+        assert monitors.violations == []
 
     def test_traces_identical_with_injections(self):
         injections = [

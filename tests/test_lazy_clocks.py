@@ -25,7 +25,7 @@ from repro.components.pinger import (
     pinger_process_factory,
     pinger_topology,
 )
-from repro.core.clock_transform import NativeClockNodeEntity
+from repro.core.clock_transform import ClockNodeEntity, PassThroughMachine
 from repro.core.pipeline import build_clock_system, build_native_clock_system
 from repro.network.topology import Topology
 from repro.registers.opstream import OpSchedule
@@ -190,20 +190,24 @@ def test_recovery_leaves_the_evaluation_instant_at_the_jumped_clock():
     assert node.clock_value(state, 5.5) == pytest.approx(5.5 + EPS)
 
 
-def test_native_recovery_resumes_the_clock_from_the_recovery_instant():
-    """A native node keeps its restored clock value; the next step runs
-    from the recovery instant, not from the crash."""
-    node = NativeClockNodeEntity(
-        PingerProcess(0, 1, 8, 100.0), DriftingClockDriver(EPS, 1.01)
+def test_native_recovery_jumps_the_clock_into_the_envelope():
+    """A node running a process designed for the clock model recovers
+    as every clock node does: its clock jumps to the envelope's lower
+    edge at the recovery instant, so it never reads a clock outside
+    ``C_eps`` after a downtime longer than ``2 * eps``."""
+    node = ClockNodeEntity(
+        PassThroughMachine(PingerProcess(0, 1, 8, 100.0)),
+        DriftingClockDriver(EPS, 1.01),
     )
     state = node.initial_state()
     node.advance(state, 0.0, 1.0)
     assert state.clock == pytest.approx(1.01)
     node.on_recover(state, 5.0)
-    assert node.clock_value(state, 5.0) == pytest.approx(1.01)
+    assert state.clock == pytest.approx(5.0 - EPS)
+    assert node.clock_value(state, 5.0) == pytest.approx(5.0 - EPS)
     node.advance(state, 5.0, 6.0)
-    # one second of drift, then pulled up to the envelope's lower edge
-    assert state.clock == pytest.approx(6.0 - EPS)
+    # one second of drift from the jumped value
+    assert state.clock == pytest.approx(5.0 - EPS + 1.01)
 
 
 # -- the start corner, on ABL4's own system -----------------------------------

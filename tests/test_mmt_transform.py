@@ -6,7 +6,7 @@ from helpers import PingerProcess, pinger_process_factory, pinger_topology
 from repro.automata.actions import Action
 from repro.clocks.sources import OffsetClockSource, PerfectClockSource
 from repro.components.mmt import EagerStepPolicy, LazyStepPolicy, TimedFromMMT
-from repro.core.clock_transform import ClockMachine
+from repro.core.clock_transform import ClockMachine, PassThroughMachine
 from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import build_mmt_system, simulation2_shift_bound
 from repro.errors import TransitionError
@@ -99,6 +99,23 @@ class TestLazySimulation:
     def test_invalid_step_bound(self):
         with pytest.raises(ValueError):
             make_node(step_bound=0.0)
+
+    def test_process_designed_for_clocks_runs_alone_under_theorem_5_1(self):
+        # no Simulation 1 buffers: the process's raw SENDMSG is the output
+        node = TimedFromMMT(DelayedSimulation(
+            PassThroughMachine(PingerProcess(0, 1, 2, 1.0)), 0.1
+        ))
+        assert node.signature.is_output(Action("SENDMSG", (0, 1, ("ping", 1))))
+        assert node.signature.is_input(Action("TICK", (0, 1.0)))
+        state = node.initial_state()
+        for clock in (0.5, 1.0):
+            node.apply_input(state, Action("TICK", (0, clock)), clock)
+        fired = []
+        while node.enabled(state, 1.0):
+            action = node.enabled(state, 1.0)[0]
+            node.fire(state, action, 1.0)
+            fired.append(action.name)
+        assert fired == ["TAU", "PING", "SENDMSG"]
 
 
 class TestShiftBound:

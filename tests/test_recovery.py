@@ -291,7 +291,8 @@ class TestMachineStateSnapshotRestore:
     def test_node_crashing_with_buffered_sends_resumes_emitting(self):
         node = RecoverableEntity(
             ClockNodeEntity(
-                self.process(), FastClockDriver(self.EPS), [0, 1, 2], [0, 1, 2]
+                ClockMachine(self.process(), [0, 1, 2], [0, 1, 2]),
+                FastClockDriver(self.EPS),
             ),
             RecoverySchedule.of([(1.0, 2.0)]),
         )
@@ -438,7 +439,9 @@ class TestFigure3InstantInsideTheCrashWindow:
         self, process, invocation, response
     ):
         node = RecoverableEntity(
-            ClockNodeEntity(process, FastClockDriver(self.EPS), [], []),
+            ClockNodeEntity(
+                ClockMachine(process, [], []), FastClockDriver(self.EPS)
+            ),
             RecoverySchedule.of([self.WINDOW]),
         )
         result = Simulator(
