@@ -1,18 +1,25 @@
 """Trace tooling: archive a run, reload it, re-check it, and draw it.
 
 Simulations are fully deterministic, so traces are artifacts worth
-keeping: this example runs a clock-model register experiment, saves the
-raw event log as JSONL, reloads it, re-verifies linearizability on the
-*reloaded* trace, summarizes per-kind latencies from the operations
-extracted out of it (no clients involved), and renders ASCII timelines of both the real-time trace and its
-clock-stamped ``gamma`` counterpart so the ``=_eps`` perturbation of
-Theorem 4.7 is visible to the naked eye.
+keeping: this example runs a clock-model register experiment with its
+event stream archived the way ``--trace-out`` does (a
+:class:`~repro.obs.trace.JsonlTracer` file), reloads the file into a
+:class:`~repro.sim.recorder.Recorder` with ``Recorder.from_trace``,
+re-verifies linearizability on the *reloaded* trace, summarizes
+per-kind latencies from the operations extracted out of it (no clients
+involved), and renders ASCII timelines of both the real-time trace and
+its clock-stamped ``gamma`` counterpart so the ``=_eps`` perturbation
+of Theorem 4.7 is visible to the naked eye.
 
 Run::
 
     python examples/trace_tooling.py [output.jsonl]
+
+Without an output path the archive goes to a temporary file that is
+removed afterwards.
 """
 
+import os
 import sys
 import tempfile
 
@@ -27,17 +34,20 @@ from repro import (
 )
 from repro.analysis.stats import summarize
 from repro.analysis.timeline import render_timeline
+from repro.obs.trace import JsonlTracer, read_trace
 from repro.registers.system import INITIAL_VALUE
-from repro.sim.persistence import load_recorder, save_recorder
+from repro.sim.recorder import Recorder
 
 
 def main():
-    path = sys.argv[1] if len(sys.argv) > 1 else None
-    if path is None:
-        path = tempfile.NamedTemporaryFile(
-            suffix=".jsonl", delete=False
-        ).name
+    if len(sys.argv) > 1:
+        archive(sys.argv[1])
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        archive(os.path.join(scratch, "trace.jsonl"))
 
+
+def archive(path):
     eps = 0.15
     spec = clock_register_system(
         n=3, d1=0.2, d2=1.0, c=0.3, eps=eps,
@@ -45,12 +55,14 @@ def main():
         drivers=driver_factory("mixed", eps, seed=12),
         delay_model=UniformDelay(seed=12),
     )
-    run = run_register_experiment(spec, 60.0)
+    tracer = JsonlTracer(path)
+    try:
+        run = run_register_experiment(spec, 60.0, tracer=tracer)
+    finally:
+        tracer.close()
+    print(f"archived {len(run.result.recorder)} events to {path}")
 
-    count = save_recorder(run.result.recorder, path)
-    print(f"archived {count} events to {path}")
-
-    reloaded = load_recorder(path)
+    reloaded = Recorder.from_trace(read_trace(path))
     trace = reloaded.timed_trace()
     assert reloaded.events == run.result.recorder.events
     print(f"reloaded: {len(reloaded)} events; "

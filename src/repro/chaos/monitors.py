@@ -37,7 +37,7 @@ from repro.chaos.plan import FaultEvent, FaultPlan
 from repro.errors import TransitionError
 from repro.faults.recovery import RecoverySchedule
 from repro.faults.retransmit import arq_frame
-from repro.obs.trace import Tracer
+from repro.obs.trace import TeeTracer, Tracer
 
 Edge = Tuple[int, int]
 
@@ -401,44 +401,3 @@ class MonitorTracer(Tracer):
         return min(
             enumerate(self.violations), key=lambda pair: (pair[1].time, pair[0])
         )[1]
-
-
-class TeeTracer(Tracer):
-    """Fans every hook out to several tracers (monitors + file export)."""
-
-    enabled = True
-
-    def __init__(self, *tracers: Tracer):
-        self.tracers = [t for t in tracers if t is not None]
-
-    def run_start(self, horizon):
-        for t in self.tracers:
-            t.run_start(horizon)
-
-    def action(self, now, owner, action, clock, visible):
-        for t in self.tracers:
-            t.action(now, owner, action, clock, visible)
-
-    def injection(self, now, action):
-        for t in self.tracers:
-            t.injection(now, action)
-
-    def advance(self, old_now, new_now, blocker):
-        for t in self.tracers:
-            t.advance(old_now, new_now, blocker)
-
-    def timelock(self, now, blocker):
-        for t in self.tracers:
-            t.timelock(now, blocker)
-
-    def run_end(self, now, steps):
-        for t in self.tracers:
-            t.run_end(now, steps)
-
-    def meta(self, payload):
-        for t in self.tracers:
-            t.meta(payload)
-
-    def close(self):
-        for t in self.tracers:
-            t.close()

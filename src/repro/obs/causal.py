@@ -43,6 +43,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.constants import TOLERANCE
+from repro.obs.trace import read_trace
+from repro.sim.recorder import EventRecord, Recorder
 from repro.traces.linearizability import QUERIES, RESPONSE_OF, RESPONSES, UPDATES
 
 MSG_PHASES = ("enq", "xmit", "arrive", "dlv")
@@ -303,18 +305,6 @@ class SpanBook:
 
 
 @dataclass
-class TraceEvent:
-    """One fired action, as reconstructed from a trace record."""
-
-    eid: int
-    time: float
-    owner: str
-    action: object  # repro.automata.actions.Action
-    clock: Optional[float]
-    visible: bool
-
-
-@dataclass
 class PathSegment:
     """One edge of a critical path, with its attribution label."""
 
@@ -344,48 +334,41 @@ class CausalTrace:
     """The happens-before DAG of one run, with latency attribution.
 
     Build with :meth:`from_file` (any trace version) or
-    :meth:`from_records`. Spans are re-derived from the action records
-    through the same :class:`SpanBook` the online tracer uses, so a
-    version-1 trace (no ``span`` records) reconstructs identically; for
-    version-2 traces the embedded span records double as a cross-check
-    (:attr:`span_record_count`).
+    :meth:`from_records`. The events are the
+    :class:`~repro.sim.recorder.EventRecord` values of
+    :meth:`Recorder.from_trace <repro.sim.recorder.Recorder.from_trace>`,
+    so an event id is its record's ``index``. Spans are re-derived from
+    those events through the same :class:`SpanBook` the online tracer
+    uses, so a version-1 trace (no ``span`` records) reconstructs
+    identically; for version-2 traces the embedded span records double
+    as a cross-check (:attr:`span_record_count`).
     """
 
     def __init__(self, events, spans, ops, meta, span_record_count=0):
-        self.events: List[TraceEvent] = events
+        self.events: List[EventRecord] = events
         self.spans: List[MessageSpan] = spans
         self.ops: List[OperationSpan] = ops
         self.meta: Dict[str, object] = meta
         self.span_record_count = span_record_count
         self._edges: Optional[List[Tuple[int, int, str]]] = None
-        self._updates_by_node: Optional[Dict[int, List[TraceEvent]]] = None
+        self._updates_by_node: Optional[Dict[int, List[EventRecord]]] = None
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def from_records(cls, records: Iterable[Dict]) -> "CausalTrace":
-        from repro.sim.persistence import decode_action
-
+        records = list(records)
+        events = Recorder.from_trace(records).events
         book = SpanBook()
-        events: List[TraceEvent] = []
+        for ev in events:
+            book.observe(
+                ev.now, ev.action.name, ev.action.params, ev.clock, event=ev.index
+            )
         meta: Dict[str, object] = {}
         span_records = 0
         for record in records:
             kind = record.get("k")
-            if kind == "action":
-                action = record.get("action")
-                if action is None:
-                    action = decode_action(record["a"])
-                ev = TraceEvent(
-                    eid=len(events), time=record["now"],
-                    owner=record["owner"], action=action,
-                    clock=record.get("clock"), visible=record["vis"],
-                )
-                events.append(ev)
-                book.observe(
-                    ev.time, action.name, action.params, ev.clock, event=ev.eid
-                )
-            elif kind == "meta":
+            if kind == "meta":
                 payload = record.get("m")
                 if isinstance(payload, dict):
                     meta.update(payload)
@@ -395,8 +378,6 @@ class CausalTrace:
 
     @classmethod
     def from_file(cls, path: str) -> "CausalTrace":
-        from repro.obs.trace import read_trace
-
         return cls.from_records(read_trace(path))
 
     # -- the graph -----------------------------------------------------------
@@ -413,8 +394,8 @@ class CausalTrace:
             for ev in self.events:
                 prev = last_by_owner.get(ev.owner)
                 if prev is not None:
-                    edges.append((prev, ev.eid, "program"))
-                last_by_owner[ev.owner] = ev.eid
+                    edges.append((prev, ev.index, "program"))
+                last_by_owner[ev.owner] = ev.index
             for span in self.spans:
                 present = [
                     span.phases[p] for p in MSG_PHASES if p in span.phases
@@ -456,11 +437,11 @@ class CausalTrace:
         if not self.is_acyclic():
             problems.append("causal graph has a cycle")
         for u, v, label in self.edges():
-            if self.events[u].time > self.events[v].time + TOLERANCE:
+            if self.events[u].now > self.events[v].now + TOLERANCE:
                 problems.append(
                     f"{label} edge runs backwards in time: "
-                    f"event {u} (t={self.events[u].time:g}) -> "
-                    f"event {v} (t={self.events[v].time:g})"
+                    f"event {u} (t={self.events[u].now:g}) -> "
+                    f"event {v} (t={self.events[v].now:g})"
                 )
         for span in self.spans:
             if span.delivered and span.orphan:
@@ -500,11 +481,11 @@ class CausalTrace:
             out[seg.label] = out.get(seg.label, 0.0) + seg.duration
         return out
 
-    def _updates(self, node: int) -> List[TraceEvent]:
+    def _updates(self, node: int) -> List[EventRecord]:
         if self._updates_by_node is None:
-            by_node: Dict[int, List[TraceEvent]] = {}
+            by_node: Dict[int, List[EventRecord]] = {}
             for ev in self.events:
-                if getattr(ev.action, "name", None) in UPDATES:
+                if ev.action.name in UPDATES:
                     by_node.setdefault(ev.action.params[0], []).append(ev)
             self._updates_by_node = by_node
         return self._updates_by_node.get(node, [])
@@ -549,20 +530,20 @@ class CausalTrace:
                 if update is not None:
                     segments.append(
                         PathSegment(
-                            "update_wait", span.phases["dlv"].time, update.time
+                            "update_wait", span.phases["dlv"].time, update.now
                         )
                     )
             chains.append(PropagationChain(span.dst, span, segments))
         return chains
 
-    def _find_update(self, node, update_base, delta) -> Optional[TraceEvent]:
+    def _find_update(self, node, update_base, delta) -> Optional[EventRecord]:
         """The update event ``(node, t)`` with ``t = update_base + delta``.
 
         Without a known ``delta`` (a trace with no meta record), take
         the earliest update scheduled at or after the message's common
         update time — exact for Figure 3's unique-stamp messages.
         """
-        best: Optional[TraceEvent] = None
+        best: Optional[EventRecord] = None
         for ev in self._updates(node):
             t = ev.action.params[1]
             if delta is not None:

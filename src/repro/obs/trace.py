@@ -3,14 +3,20 @@
 The engine emits one record per significant event — action fired, time
 advanced (the deadline wait of the ``nu`` semantics), environment
 injection, timelock diagnostic, run start/end — through a
-:class:`Tracer`. The disabled path is the null-object pattern: the base
-:class:`Tracer` *is* the null tracer (every hook is a no-op), so the
-engine calls hooks unconditionally and pays one no-op method call per
-event instead of scattered ``if`` checks.
+:class:`Tracer`. The base :class:`Tracer` *is* the null tracer (every
+hook is a no-op), so a sink overrides only the hooks it needs and the
+engine calls hooks unconditionally instead of scattered ``if`` checks.
+The simulator drives one sink per run: its
+:class:`~repro.sim.recorder.Recorder`, alone or teed (:class:`TeeTracer`,
+recorder first) with an attached tracer such as :class:`JsonlTracer`.
 
-Action payloads reuse the tagged encoding of
-:mod:`repro.sim.persistence`, so a trace file round-trips through the
-same decoder as archived recorder traces.
+This module owns the one on-disk format of an execution. Action
+payloads use a small tagged encoding (:func:`encode_action` /
+:func:`decode_action`) that round-trips the tuple/list distinction JSON
+loses, and a trace file reloads into a
+:class:`~repro.sim.recorder.Recorder` — the simulator's own in-memory
+record, itself a :class:`Tracer` sink — with
+``Recorder.from_trace(read_trace(path))``.
 
 Format version 2 adds two record kinds on top of version 1:
 
@@ -39,6 +45,36 @@ from repro.errors import ReproError
 TRACE_FORMAT = "repro-obs-trace"
 TRACE_VERSION = 2
 SUPPORTED_TRACE_VERSIONS = (1, 2)
+
+
+def _encode_value(value):
+    if isinstance(value, tuple):
+        return {"t": [_encode_value(v) for v in value]}
+    if isinstance(value, list):
+        return {"l": [_encode_value(v) for v in value]}
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise ReproError(f"cannot serialize value of type {type(value).__name__}")
+
+
+def _decode_value(value):
+    if isinstance(value, dict):
+        if "t" in value:
+            return tuple(_decode_value(v) for v in value["t"])
+        if "l" in value:
+            return [_decode_value(v) for v in value["l"]]
+        raise ReproError(f"malformed encoded value: {value!r}")
+    return value
+
+
+def encode_action(action: Action) -> dict:
+    """The tagged JSON encoding of one action's name and parameters."""
+    return {"name": action.name, "params": _encode_value(action.params)}
+
+
+def decode_action(payload: dict) -> Action:
+    """Inverse of :func:`encode_action`."""
+    return Action(payload["name"], _decode_value(payload["params"]))
 
 
 class Tracer:
@@ -97,6 +133,52 @@ class Tracer:
 NULL_TRACER = Tracer()
 
 
+class TeeTracer(Tracer):
+    """Fans every hook out to several tracers, in the order given.
+
+    The simulator tees its :class:`~repro.sim.recorder.Recorder` first,
+    so a recorder overflow raises before a later tracer (a trace file,
+    the chaos monitors) sees the overflowing action.
+    """
+
+    enabled = True
+
+    def __init__(self, *tracers: Tracer):
+        self.tracers = [t for t in tracers if t is not None]
+
+    def run_start(self, horizon):
+        for t in self.tracers:
+            t.run_start(horizon)
+
+    def action(self, now, owner, action, clock, visible):
+        for t in self.tracers:
+            t.action(now, owner, action, clock, visible)
+
+    def injection(self, now, action):
+        for t in self.tracers:
+            t.injection(now, action)
+
+    def advance(self, old_now, new_now, blocker):
+        for t in self.tracers:
+            t.advance(old_now, new_now, blocker)
+
+    def timelock(self, now, blocker):
+        for t in self.tracers:
+            t.timelock(now, blocker)
+
+    def run_end(self, now, steps):
+        for t in self.tracers:
+            t.run_end(now, steps)
+
+    def meta(self, payload):
+        for t in self.tracers:
+            t.meta(payload)
+
+    def close(self):
+        for t in self.tracers:
+            t.close()
+
+
 class JsonlTracer(Tracer):
     """Writes one JSON object per event to a stream or file path.
 
@@ -116,11 +198,6 @@ class JsonlTracer(Tracer):
     enabled = True
 
     def __init__(self, target, spans: bool = True):
-        # avoid a circular import at module load: persistence imports
-        # nothing from obs, but obs.trace is imported by sim.engine.
-        from repro.sim.persistence import encode_action
-
-        self._encode_action = encode_action
         if spans:
             from repro.obs.causal import SpanBook
 
@@ -150,7 +227,7 @@ class JsonlTracer(Tracer):
                 "k": "action",
                 "now": now,
                 "owner": owner,
-                "a": self._encode_action(action),
+                "a": encode_action(action),
                 "clock": clock,
                 "vis": visible,
             }
@@ -161,7 +238,7 @@ class JsonlTracer(Tracer):
 
     def injection(self, now, action) -> None:
         self._write(
-            {"k": "inject", "now": now, "a": self._encode_action(action)}
+            {"k": "inject", "now": now, "a": encode_action(action)}
         )
 
     def advance(self, old_now, new_now, blocker) -> None:
@@ -213,8 +290,6 @@ def read_trace(path: str) -> List[Dict[str, object]]:
     key, alongside the raw payload), and returns the record dicts in
     file order.
     """
-    from repro.sim.persistence import decode_action
-
     records: List[Dict[str, object]] = []
     with open(path) as handle:
         header_line = handle.readline()

@@ -31,12 +31,6 @@ from repro.sim.delay import (
     UniformDelay,
 )
 from repro.sim.engine import SimulationResult, Simulator
-from repro.sim.persistence import (
-    dump_events,
-    load_events,
-    load_recorder,
-    save_recorder,
-)
 from repro.sim.recorder import EventRecord, Recorder
 from repro.sim.scheduler import DeterministicScheduler, RandomScheduler, Scheduler
 
@@ -60,10 +54,6 @@ __all__ = [
     "SimulationResult",
     "Recorder",
     "EventRecord",
-    "dump_events",
-    "load_events",
-    "save_recorder",
-    "load_recorder",
     "Scheduler",
     "DeterministicScheduler",
     "RandomScheduler",

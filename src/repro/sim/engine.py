@@ -60,7 +60,7 @@ from repro.automata.signature import _DifferenceActionSet, _IntersectionActionSe
 from repro.components.base import Entity
 from repro.errors import ScheduleError, SimulationLimitError, TimelockError
 from repro.obs.metrics import MetricsRegistry, stats_from_metrics
-from repro.obs.trace import NULL_TRACER, Tracer
+from repro.obs.trace import NULL_TRACER, TeeTracer, Tracer
 from repro.sim.recorder import Recorder
 from repro.sim.reference import run_reference
 from repro.sim.scheduler import DeterministicScheduler, Scheduler
@@ -386,14 +386,18 @@ class Simulator:
         ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry`
         (one is created when omitted; pass
         :data:`~repro.obs.metrics.NULL_METRICS` to disable collection
-        entirely). ``tracer`` emits structured span/event records; the
-        default null tracer makes every hook a no-op.
+        entirely). ``tracer`` emits structured span/event records. The
+        loop drives one sink: the ``recorder`` alone, or the recorder
+        teed with ``tracer`` when one is attached.
         """
         if recorder is None:  # `or` would discard an empty (falsy) Recorder
             recorder = Recorder()
         if metrics is None:
             metrics = MetricsRegistry()
-        tracer = tracer or NULL_TRACER
+        if tracer is None or tracer is NULL_TRACER:
+            sink: Tracer = recorder
+        else:
+            sink = TeeTracer(recorder, tracer)
         for entity in self.entities:
             entity.instrument(metrics)
         self.scheduler.instrument(metrics)
@@ -403,13 +407,13 @@ class Simulator:
         # events/sec instrumentation; the wall figures are published as
         # volatile metrics, excluded from the deterministic export (see below)
         wall_start = time.perf_counter()
-        tracer.run_start(horizon)
-        tracer.meta({"entities": [e.name for e in self.entities]})
+        sink.run_start(horizon)
+        sink.meta({"entities": [e.name for e in self.entities]})
         now, steps = loop(
-            self, horizon, states, injections, recorder, metrics, tracer, stop_when
+            self, horizon, states, injections, recorder, metrics, sink, stop_when
         )
         wall = time.perf_counter() - wall_start
-        tracer.run_end(now, steps)
+        sink.run_end(now, steps)
 
         # Run-level publishing. Wall-clock figures are volatile (kept out
         # of the deterministic export); everything else is a pure
@@ -450,14 +454,16 @@ def _run_incremental(
     injections: Sequence[Tuple[Action, float]],
     recorder: Recorder,
     metrics: MetricsRegistry,
-    tracer: Tracer,
+    sink: Tracer,
     stop_when: Optional[Callable[[Recorder, float], bool]],
 ) -> Tuple[float, int]:
     """The event-driven loop, from time 0 to ``horizon``.
 
     Same contract as :func:`repro.sim.reference.run_reference`:
     ``states`` maps entity names to their (mutated in place) states,
-    ``injections`` is sorted by time, the result is ``(now, steps)``.
+    ``injections`` is sorted by time, every fired action and injection
+    goes to ``sink`` (which records into ``recorder``), the result is
+    ``(now, steps)``.
     """
     now = 0.0
     steps = 0
@@ -471,9 +477,8 @@ def _run_incremental(
     c_injections = metrics.counter("repro.engine.injections")
     c_visible = metrics.counter("repro.engine.visible_events")
     c_hidden = metrics.counter("repro.engine.hidden_events")
-    trace_action = tracer.action
-    trace_advance = tracer.advance
-    record = recorder.record
+    sink_action = sink.action
+    sink_advance = sink.advance
     pick = sim.scheduler.pick
     strict = sim.strict
     max_steps = sim.max_steps
@@ -539,9 +544,8 @@ def _run_incremental(
                             state_by_idx[info.index], action, now
                         )
                         mark_dirty(info)
-                record(action, now, "environment", None, True)
+                sink.injection(now, action)
                 c_visible.inc()
-                tracer.injection(now, action)
             if stop_when is not None and stop_when(recorder, now):
                 break
 
@@ -578,9 +582,8 @@ def _run_incremental(
             entity.fire(state, action, now)
             is_output = entity.signature.is_output(action)
             visible = is_output and (hidden is None or action not in hidden)
-            record(action, now, entity.name, clock, visible)
+            sink_action(now, entity.name, action, clock, visible)
             (c_visible if visible else c_hidden).inc()
-            trace_action(now, entity.name, action, clock, visible)
             if is_output:
                 for info in route_targets(action):
                     target_entity = info.entity
@@ -632,7 +635,7 @@ def _run_incremental(
         if target <= now + _TOLERANCE:
             if now >= horizon - _TOLERANCE:
                 break
-            tracer.timelock(now, blocker.name if blocker else None)
+            sink.timelock(now, blocker.name if blocker else None)
             raise TimelockError(
                 f"timelock at now={now:g}: entity "
                 f"{blocker.name if blocker else '?'} blocks time passage "
@@ -640,7 +643,7 @@ def _run_incremental(
             )
         for idx in advancing_idx:
             entity_by_idx[idx].advance(state_by_idx[idx], now, target)
-        trace_advance(now, target, blocker.name if blocker else None)
+        sink_advance(now, target, blocker.name if blocker else None)
         now = target
         c_advances.inc()
         # Time moved: re-derive every entity that has not promised its

@@ -1,74 +1,29 @@
-"""Trace persistence: save and reload recorded executions as JSON lines.
+"""Entity-state snapshots: the stable storage of the crash-recovery model.
 
-A recorded run (the :class:`~repro.sim.recorder.Recorder`'s event list)
-round-trips through a JSONL file, so traces can be archived, diffed
-across code versions, and re-checked (linearizability, trace relations)
-without re-simulating. Action parameters are serialized with a small
-tagged encoding that round-trips the tuple/list distinction JSON loses.
+The chaos layer's crash-recovery model (:mod:`repro.faults.recovery`)
+persists a node's state to "stable storage" at the crash instant and
+restores it on recovery. :func:`encode_state` snapshots a state with a
+tagged structural encoding — scalars, tuples, lists, dicts, deques,
+sets, dataclasses, plain objects — so :func:`decode_state` always yields
+a *decoupled* deep copy: no aliasing survives a crash, exactly like real
+serialization to disk, without requiring states to be JSON-text
+serializable (class objects are carried by reference, in memory only).
+
+Recorded executions are persisted elsewhere: a ``--trace-out`` file
+(:class:`repro.obs.trace.JsonlTracer`) reloads into a
+:class:`~repro.sim.recorder.Recorder` with
+``Recorder.from_trace(read_trace(path))``.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-import io
-import json
 import random
-from typing import IO, Any, Iterable, List
+from typing import Any
 
-from repro.automata.actions import Action
-from repro.automata.executions import TimedEvent, TimedSequence
 from repro.errors import ReproError
-from repro.sim.recorder import EventRecord, Recorder
 
-FORMAT_VERSION = 1
-
-
-def _encode_value(value):
-    if isinstance(value, tuple):
-        return {"t": [_encode_value(v) for v in value]}
-    if isinstance(value, list):
-        return {"l": [_encode_value(v) for v in value]}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    raise ReproError(f"cannot serialize value of type {type(value).__name__}")
-
-
-def _decode_value(value):
-    if isinstance(value, dict):
-        if "t" in value:
-            return tuple(_decode_value(v) for v in value["t"])
-        if "l" in value:
-            return [_decode_value(v) for v in value["l"]]
-        raise ReproError(f"malformed encoded value: {value!r}")
-    return value
-
-
-def encode_action(action: Action) -> dict:
-    """The tagged JSON encoding of one action (shared with the obs tracer)."""
-    return {"name": action.name, "params": _encode_value(action.params)}
-
-
-def decode_action(payload: dict) -> Action:
-    """Inverse of :func:`encode_action`."""
-    return Action(payload["name"], _decode_value(payload["params"]))
-
-
-# historical private names, kept for callers of the original API
-_encode_action = encode_action
-_decode_action = decode_action
-
-
-# -- entity-state snapshots (crash-recovery stable storage) ----------------
-#
-# The chaos layer's crash-recovery model (``repro.faults.recovery``)
-# persists a node's state to "stable storage" at the crash instant and
-# restores it on recovery. The snapshot reuses the tagged value encoding
-# above for the scalar/tuple/list core and extends it structurally —
-# dicts, sets, dataclasses, plain objects — so restoring always yields a
-# *decoupled* deep copy: no aliasing survives a crash, exactly like real
-# serialization to disk, without requiring states to be JSON-text
-# serializable (class objects are carried by reference, in memory only).
 
 def _instrument_types():
     from repro.obs.metrics import Counter, Gauge, Histogram, _NullInstrument
@@ -157,86 +112,3 @@ def decode_state(snapshot: Any) -> Any:
             return instance
         raise ReproError(f"malformed state snapshot: {snapshot!r}")
     return snapshot
-
-
-def dump_events(events: Iterable[EventRecord], stream: IO[str]) -> int:
-    """Write event records as JSONL; returns the number written."""
-    stream.write(json.dumps({"format": "repro-trace", "version": FORMAT_VERSION}))
-    stream.write("\n")
-    count = 0
-    for event in events:
-        stream.write(
-            json.dumps(
-                {
-                    "i": event.index,
-                    "a": _encode_action(event.action),
-                    "now": event.now,
-                    "owner": event.owner,
-                    "clock": event.clock,
-                    "vis": event.visible,
-                }
-            )
-        )
-        stream.write("\n")
-        count += 1
-    return count
-
-
-def load_events(stream: IO[str]) -> List[EventRecord]:
-    """Read event records from JSONL written by :func:`dump_events`."""
-    header_line = stream.readline()
-    if not header_line:
-        raise ReproError("empty trace file")
-    header = json.loads(header_line)
-    if header.get("format") != "repro-trace":
-        raise ReproError(f"not a repro trace file: {header!r}")
-    if header.get("version") != FORMAT_VERSION:
-        raise ReproError(f"unsupported trace version {header.get('version')!r}")
-    events: List[EventRecord] = []
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        events.append(
-            EventRecord(
-                index=payload["i"],
-                action=_decode_action(payload["a"]),
-                now=payload["now"],
-                owner=payload["owner"],
-                clock=payload["clock"],
-                visible=payload["vis"],
-            )
-        )
-    return events
-
-
-def save_recorder(recorder: Recorder, path: str) -> int:
-    """Persist a recorder's events to ``path``; returns the count."""
-    with open(path, "w") as handle:
-        return dump_events(recorder.events, handle)
-
-
-def load_recorder(path: str) -> Recorder:
-    """Reload a persisted trace into a fresh :class:`Recorder`."""
-    recorder = Recorder()
-    with open(path) as handle:
-        recorder.events = load_events(handle)
-    return recorder
-
-
-def dumps_timed_sequence(sequence: TimedSequence) -> str:
-    """Serialize a bare timed sequence (no owners/clocks) to a string."""
-    buffer = io.StringIO()
-    records = [
-        EventRecord(i, ev.action, ev.time, "", None, True)
-        for i, ev in enumerate(sequence)
-    ]
-    dump_events(records, buffer)
-    return buffer.getvalue()
-
-
-def loads_timed_sequence(text: str) -> TimedSequence:
-    """Inverse of :func:`dumps_timed_sequence`."""
-    events = load_events(io.StringIO(text))
-    return TimedSequence(TimedEvent(e.action, e.now) for e in events)

@@ -14,16 +14,24 @@ From the raw record it derives the paper's trace notions:
 - :meth:`Recorder.clock_stamped_trace` — the ``gamma'_alpha`` sequence
   of Definition 4.2 (clock stamps instead of real times), plus the
   re-sorted ``gamma_alpha`` used by the Theorem 4.6/4.7 argument.
+
+The recorder is a :class:`~repro.obs.trace.Tracer` sink: the simulator
+calls its :meth:`~Recorder.action` / :meth:`~Recorder.injection` hooks
+once per fired action, alone or teed with a trace-file writer, and
+:meth:`Recorder.from_trace` feeds a trace file's records back through
+the same hooks — so a ``--trace-out`` file reloads into the record of
+the run that wrote it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.automata.actions import Action, ActionSet
 from repro.automata.executions import TimedEvent, TimedSequence
 from repro.errors import SimulationLimitError
+from repro.obs.trace import Tracer
 
 
 @dataclass(frozen=True)
@@ -43,8 +51,11 @@ class EventRecord:
         return f"[{self.index}] {self.action} @now={self.now:g}{clk} by {self.owner}{vis}"
 
 
-class Recorder:
+class Recorder(Tracer):
     """Accumulates :class:`EventRecord` values during a run.
+
+    As a :class:`~repro.obs.trace.Tracer` it takes the ``action`` and
+    ``injection`` hooks; every other hook is the inherited no-op.
 
     By default the event list grows without bound. Long-horizon runs can
     cap it with ``max_events``:
@@ -81,13 +92,40 @@ class Recorder:
             return self._events
         return self._events[self._ring_start:] + self._events[: self._ring_start]
 
-    @events.setter
-    def events(self, records: List[EventRecord]) -> None:
-        # persistence.load_recorder (and tests) assign the list wholesale
-        self._events = list(records)
-        self._ring_start = 0
-        self._next_index = len(self._events)
-        self.dropped = 0
+    @classmethod
+    def from_trace(cls, records: Iterable[Dict[str, object]]) -> "Recorder":
+        """Replay :func:`~repro.obs.trace.read_trace` records (any format
+        version) into a fresh recorder.
+
+        ``action`` and ``inject`` records go through the same hooks the
+        simulator calls; every other record kind is skipped.
+        """
+        recorder = cls()
+        for record in records:
+            kind = record.get("k")
+            if kind == "action":
+                recorder.action(
+                    record["now"], record["owner"], record["action"],
+                    record.get("clock"), record["vis"],
+                )
+            elif kind == "inject":
+                recorder.injection(record["now"], record["action"])
+        return recorder
+
+    # -- sink hooks ---------------------------------------------------------
+
+    def action(
+        self,
+        now: float,
+        owner: str,
+        action: Action,
+        clock: Optional[float],
+        visible: bool,
+    ) -> None:
+        self.record(action, now, owner, clock, visible)
+
+    def injection(self, now: float, action: Action) -> None:
+        self.record(action, now, "environment", None, True)
 
     def record(
         self,

@@ -48,13 +48,15 @@ def run_reference(
     injections: Sequence[Tuple[Action, float]],
     recorder: Recorder,
     metrics: MetricsRegistry,
-    tracer: Tracer,
+    sink: Tracer,
     stop_when: Optional[Callable[[Recorder, float], bool]],
 ) -> Tuple[float, int]:
     """Run ``sim``'s entities from time 0 to ``horizon``, scanning everything.
 
     ``states`` maps entity names to their (mutated in place) states and
-    ``injections`` is sorted by time. Returns ``(now, steps)``.
+    ``injections`` is sorted by time. Every fired action and injection
+    goes to ``sink``, which records into ``recorder`` (the argument
+    ``stop_when`` reads). Returns ``(now, steps)``.
     """
     entities = sim.entities
     hidden = sim.hidden
@@ -78,9 +80,8 @@ def run_reference(
             inject_idx += 1
             c_injections.inc()
             _deliver(entities, states, action, now)
-            recorder.record(action, now, "environment", None, True)
+            sink.injection(now, action)
             c_visible.inc()
-            tracer.injection(now, action)
             injected = True
         if injected and stop_when is not None and stop_when(recorder, now):
             break
@@ -109,9 +110,8 @@ def run_reference(
             entity.fire(state, action, now)
             is_output = signature.is_output(action)
             visible = is_output and (hidden is None or action not in hidden)
-            recorder.record(action, now, entity.name, clock, visible)
+            sink.action(now, entity.name, action, clock, visible)
             (c_visible if visible else c_hidden).inc()
-            tracer.action(now, entity.name, action, clock, visible)
             if is_output:
                 _deliver(entities, states, action, now, sender=entity)
             steps += 1
@@ -136,14 +136,14 @@ def run_reference(
         if target <= now + _TOLERANCE:
             if now >= horizon - _TOLERANCE:
                 break
-            tracer.timelock(now, blocker_name)
+            sink.timelock(now, blocker_name)
             raise TimelockError(
                 f"timelock at now={now:g}: entity {blocker_name or '?'} "
                 f"blocks time passage but nothing is enabled"
             )
         for entity in entities:
             entity.advance(states[entity.name], now, target)
-        tracer.advance(now, target, blocker_name)
+        sink.advance(now, target, blocker_name)
         now = target
         c_advances.inc()
 

@@ -56,6 +56,8 @@ from repro.registers.system import (
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import UniformDelay
+from repro.errors import SimulationLimitError
+from repro.obs.trace import JsonlTracer, Tracer, read_trace
 from repro.sim.engine import Simulator
 from repro.sim.recorder import Recorder
 from repro.sim.scheduler import (
@@ -247,8 +249,6 @@ class TestConformance:
                 spec.entities, hidden=spec.hidden,
                 max_steps=3, incremental=incremental,
             )
-            from repro.errors import SimulationLimitError
-
             with pytest.raises(SimulationLimitError):
                 sim.run(HORIZON)
 
@@ -297,6 +297,55 @@ class TestStopWhenAfterInjection:
         result = sim.run(5.0, stop_when=stop)
         assert result.completed()
         assert calls == []  # no actions, no injections -> never consulted
+
+
+class _CountingTracer(Tracer):
+    def __init__(self):
+        self.actions = 0
+        self.injections = 0
+
+    def action(self, now, owner, action, clock, visible):
+        self.actions += 1
+
+    def injection(self, now, action):
+        self.injections += 1
+
+
+class TestSinkContract:
+    """Each core drives one sink: one call per fired action and per
+    injection, the recorder first when a tracer is teed in."""
+
+    INJECTIONS = [(Action("NOP", (99,)), 0.5), (Action("NOP", (99,)), 3.25)]
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_one_sink_call_per_step_and_injection(self, incremental):
+        counting = _CountingTracer()
+        recorder, result = _run(
+            _pinger_timed(), incremental, DeterministicScheduler(),
+            initial_inputs=self.INJECTIONS, tracer=counting,
+        )
+        assert counting.actions == result.steps > 0
+        assert counting.injections == len(self.INJECTIONS)
+        assert len(recorder) == result.steps + len(self.INJECTIONS)
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_overflow_raises_before_the_file_sees_the_event(
+        self, incremental, tmp_path
+    ):
+        cap = 7
+        path = tmp_path / "capped.jsonl"
+        tracer = JsonlTracer(str(path))
+        spec = _pinger_timed()
+        sim = Simulator(spec.entities, hidden=spec.hidden, incremental=incremental)
+        with pytest.raises(SimulationLimitError):
+            sim.run(
+                HORIZON, recorder=Recorder(max_events=cap), tracer=tracer,
+                initial_inputs=self.INJECTIONS,
+            )
+        tracer.close()
+        kinds = [r["k"] for r in read_trace(str(path))]
+        assert "inject" in kinds
+        assert sum(k in ("action", "inject") for k in kinds) == cap
 
 
 class TestRingRecorderTotals:

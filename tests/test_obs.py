@@ -24,9 +24,9 @@ from repro.obs import (
     stats_from_metrics,
 )
 from repro.obs.schema import validate_metrics, validate_trace_lines
+from repro.obs.trace import decode_action, encode_action
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import UniformDelay
-from repro.sim.persistence import decode_action, encode_action
 from repro.sim.recorder import Recorder
 from repro.sim.scheduler import RandomScheduler
 
@@ -212,7 +212,7 @@ class TestTracer:
         assert kinds[-1] == "run_end"
         actions = [r for r in records if r["k"] == "action"]
         assert len(actions) == result.stats["actions"]
-        # decoded actions agree with the recorder, via the persistence codec
+        # decoded actions agree with the recorder, via the trace codec
         recorded = result.recorder.events
         for record, event in zip(actions, recorded):
             assert record["action"] == event.action
@@ -261,13 +261,6 @@ class TestRecorderLimits:
             Recorder(max_events=0)
         with pytest.raises(ValueError):
             Recorder(max_events=5, on_overflow="bogus")
-
-    def test_events_setter_resets(self):
-        ring = Recorder(max_events=2, on_overflow="ring")
-        _pinger_spec().run(20.0, recorder=ring)
-        ring.events = []
-        assert len(ring) == 0
-        assert ring.dropped == 0
 
 
 # ---------------------------------------------------------------------------
