@@ -23,7 +23,12 @@ import time
 
 from repro.analysis.report import Table
 from repro.obs import JsonlTracer, MetricsRegistry, NULL_METRICS
-from repro.registers.system import run_register_experiment, timed_register_system
+from repro.core.pipeline import Timed, lower
+from repro.registers.system import (
+    register_design,
+    run_register_experiment,
+    with_clients,
+)
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import UniformDelay
 
@@ -39,9 +44,9 @@ def _spec():
         operations=120, read_fraction=0.5, seed=21,
         think_min=0.1, think_max=0.5,
     )
-    return timed_register_system(
-        n=4, d1_prime=0.2, d2_prime=1.0, c=0.3, workload=workload,
-        delay_model=UniformDelay(seed=21),
+    design = register_design(Timed(), 4, 0.2, 1.0, 0.3, 0.0, "L")
+    return with_clients(
+        lower(design, Timed(), UniformDelay(seed=21)), workload
     )
 
 

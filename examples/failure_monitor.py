@@ -22,6 +22,7 @@ Run::
 """
 
 from repro.chaos import FaultPlan, apply_plan, crash
+from repro.core.pipeline import Clock, Timed, simulation1_delay_bounds
 from repro.detector import build_detector_system, detector_timeout
 from repro.sim.clock_drivers import FastClockDriver, SlowClockDriver
 from repro.sim.delay import MaximalDelay
@@ -45,8 +46,8 @@ def main():
 
     print("1) timed-model verification (design bounds):")
     spec = build_detector_system(
-        "timed", period, detector_timeout(d2, eps), count, d1, d2, eps=eps,
-        delay_model=MaximalDelay(),
+        Timed(), period, detector_timeout(d2, eps), count,
+        *simulation1_delay_bounds(d1, d2, eps), delay_model=MaximalDelay(),
     )
     suspicions = count_suspicions(spec.run(30.0))
     print(f"   false suspicions: {suspicions}")
@@ -55,24 +56,24 @@ def main():
     print("2) clock-model deployment with timeout = d2 + 2*eps "
           f"= {detector_timeout(d2, eps):.2f}:")
     spec = build_detector_system(
-        "clock", period, detector_timeout(d2, eps), count, d1, d2, eps=eps,
-        drivers=adversarial_drivers(eps), delay_model=MaximalDelay(),
+        Clock(eps, adversarial_drivers(eps)), period,
+        detector_timeout(d2, eps), count, d1, d2, delay_model=MaximalDelay(),
     )
     correct = count_suspicions(spec.run(30.0))
     print(f"   false suspicions: {correct}")
 
     print(f"3) naive clock-model deployment with timeout = d2 = {d2:.2f}:")
     spec = build_detector_system(
-        "clock", period, d2, count, d1, d2, eps=eps,
-        drivers=adversarial_drivers(eps), delay_model=MaximalDelay(),
+        Clock(eps, adversarial_drivers(eps)), period, d2, count, d1, d2,
+        delay_model=MaximalDelay(),
     )
     naive = count_suspicions(spec.run(30.0))
     print(f"   false suspicions: {naive}")
 
     print("4) sender crashes at t = 7.0 (proper timeout):")
     spec = build_detector_system(
-        "clock", period, detector_timeout(d2, eps), count, d1, d2, eps=eps,
-        drivers=adversarial_drivers(eps), delay_model=MaximalDelay(),
+        Clock(eps, adversarial_drivers(eps)), period,
+        detector_timeout(d2, eps), count, d1, d2, delay_model=MaximalDelay(),
     )
     # crash the sender (node 0) for good: a crash with no recover
     crashed_spec = apply_plan(spec, FaultPlan.of([crash(0, 7.0)]))

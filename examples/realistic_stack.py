@@ -22,12 +22,15 @@ Run::
 """
 
 from repro import (
+    MMT,
     RegisterWorkload,
     UniformDelay,
     UniformStepPolicy,
-    mmt_register_system,
+    lower,
+    register_design,
     run_register_experiment,
     simulation2_shift_bound,
+    with_clients,
 )
 from repro.clocks.sync import SynchronizedClockSource, achievable_epsilon
 
@@ -58,12 +61,12 @@ def main():
         operations=8, read_fraction=0.5, think_min=0.4, think_max=1.8, seed=21
     )
 
-    spec = mmt_register_system(
-        n=n, d1=d1, d2=d2, c=c, eps=eps, step_bound=step_bound,
-        sources=sources, workload=workload,
-        step_policy_factory=lambda i: UniformStepPolicy(seed=i),
-        delay_model=UniformDelay(seed=21),
+    mmt = MMT(
+        eps, step_bound, sources,
+        step_policy=lambda i: UniformStepPolicy(seed=i),
     )
+    design = register_design(mmt, n, d1, d2, c, eps)
+    spec = with_clients(lower(design, mmt, UniformDelay(seed=21)), workload)
 
     run = run_register_experiment(spec, horizon, max_steps=3_000_000)
 

@@ -20,12 +20,16 @@ Run::
 import sys
 
 from repro import (
+    Clock,
+    PassThroughMachine,
     RegisterWorkload,
     UniformDelay,
-    baseline_register_system,
     clock_register_system,
     driver_factory,
+    lower,
+    register_design,
     run_register_experiment,
+    with_clients,
 )
 
 
@@ -50,11 +54,18 @@ def main():
         ),
         "transformed S",
     )
+    # the slotted register is designed for clocks: it runs as is,
+    # through the pass-through machine, with no buffers
+    native = Clock(
+        eps, driver_factory("mixed", eps, seed=11), machine=PassThroughMachine
+    )
     base = measure(
-        lambda wl: baseline_register_system(
-            n=n, d1=d1, d2=d2, eps=eps, workload=wl,
-            drivers=driver_factory("mixed", eps, seed=11),
-            delay_model=UniformDelay(seed=11),
+        lambda wl: with_clients(
+            lower(
+                register_design(native, n, d1, d2, c, eps, "slotted"),
+                native, UniformDelay(seed=11),
+            ),
+            wl,
         ),
         "slotted baseline",
     )

@@ -18,7 +18,7 @@ Run::
     python examples/tdma_scheduler.py
 """
 
-from repro import FastClockDriver, SlowClockDriver
+from repro import Clock, FastClockDriver, SlowClockDriver
 from repro.tdma import (
     build_tdma_system,
     critical_intervals,
@@ -39,8 +39,8 @@ def adversarial(i):
 
 def run(guard):
     spec = build_tdma_system(
-        "clock", n=3, slot_width=SLOT, guard=guard, sections=SECTIONS,
-        eps=EPS, drivers=adversarial,
+        Clock(EPS, adversarial), n=3, slot_width=SLOT, guard=guard,
+        sections=SECTIONS,
     )
     return critical_intervals(spec.run(15.0).trace)
 

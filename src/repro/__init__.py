@@ -52,11 +52,14 @@ from repro.core.clock_transform import (
 )
 from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
+    MMT,
+    Clock,
+    Design,
     SystemSpec,
+    Timed,
     build_clock_system,
-    build_mmt_system,
-    build_native_clock_system,
     build_timed_system,
+    lower,
     simulation1_delay_bounds,
     simulation2_shift_bound,
 )
@@ -87,11 +90,11 @@ from repro.registers.spec import (
 )
 from repro.registers.system import (
     RegisterRun,
-    baseline_register_system,
     clock_register_system,
-    mmt_register_system,
+    register_design,
+    register_system,
     run_register_experiment,
-    timed_register_system,
+    with_clients,
 )
 from repro.registers.workload import ClientEntity, RegisterWorkload
 from repro.sim.clock_drivers import (
@@ -146,8 +149,8 @@ __all__ = [
     "SendBuffer", "ReceiveBuffer", "ClockMachine", "ClockNodeEntity",
     "PassThroughMachine", "DelayedSimulation", "TimedFromMMT",
     "EagerStepPolicy", "LazyStepPolicy", "UniformStepPolicy",
-    "SystemSpec", "build_timed_system", "build_clock_system",
-    "build_native_clock_system", "build_mmt_system",
+    "SystemSpec", "Design", "Timed", "Clock", "MMT", "lower",
+    "build_timed_system", "build_clock_system",
     "simulation1_delay_bounds", "simulation2_shift_bound",
     "check_output_rate", "max_outputs_in_window", "smallest_k",
     # network
@@ -157,9 +160,8 @@ __all__ = [
     "NaiveSuperlinearizableProcess", "SlottedRegisterProcess",
     "linearizable_register_problem", "superlinearizable_register_problem",
     "RegisterWorkload", "ClientEntity", "RegisterRun",
-    "timed_register_system", "clock_register_system",
-    "baseline_register_system", "mmt_register_system",
-    "run_register_experiment",
+    "register_design", "register_system", "clock_register_system",
+    "with_clients", "run_register_experiment",
     # simulation substrate
     "ClockDriver", "PerfectClockDriver", "SkewedClockDriver",
     "FastClockDriver", "SlowClockDriver", "DriftingClockDriver",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
 from repro.automata.signature import Signature
 from repro.components.base import Process, ProcessContext
-from repro.core.pipeline import SystemSpec, build_clock_system, build_timed_system
+from repro.core.pipeline import Design, Lowering, SystemSpec, lower
 from repro.errors import SpecificationError, TransitionError
 from repro.network.topology import Topology
 
@@ -227,51 +227,36 @@ def diameter(topology: Topology) -> int:
 
 
 def build_flood_system(
-    model: str,
+    lowering: Lowering,
     topology: Topology,
     d1: float,
     d2: float,
-    eps: float = 0.0,
-    drivers=None,
     delay_model=None,
 ) -> SystemSpec:
-    """A flooding system in the timed or clock model."""
+    """A flooding system in ``lowering``'s model."""
     def processes(i: int) -> Process:
         return FloodProcess(i, topology.out_neighbors(i))
 
-    if model == "timed":
-        return build_timed_system(topology, processes, d1, d2, delay_model)
-    if model == "clock":
-        return build_clock_system(
-            topology, processes, eps, d1, d2, drivers, delay_model
-        )
-    raise SpecificationError(f"unknown model {model!r}")
+    return lower(Design(topology, processes, d1, d2), lowering, delay_model)
 
 
 def build_leader_system(
-    model: str,
+    lowering: Lowering,
     topology: Topology,
     d1: float,
     d2: float,
-    eps: float = 0.0,
-    drivers=None,
     delay_model=None,
     slack: float = 1e-6,
 ) -> SystemSpec:
-    """Announce time ``T = diameter * d2' + slack`` per the design rule."""
-    d2_design = d2 + 2 * eps if model == "clock" else d2
+    """Announce time ``T = diameter * d2' + slack`` per the design rule,
+    with ``d2'`` the lowering's design bound."""
+    _, d2_design = lowering.design_bounds(d1, d2)
     announce_at = diameter(topology) * d2_design + slack
 
     def processes(i: int) -> Process:
         return LeaderElectProcess(i, topology.out_neighbors(i), announce_at)
 
-    if model == "timed":
-        return build_timed_system(topology, processes, d1, d2, delay_model)
-    if model == "clock":
-        return build_clock_system(
-            topology, processes, eps, d1, d2, drivers, delay_model
-        )
-    raise SpecificationError(f"unknown model {model!r}")
+    return lower(Design(topology, processes, d1, d2), lowering, delay_model)
 
 
 def deliveries(trace) -> Dict[Tuple[int, object], float]:

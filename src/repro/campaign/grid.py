@@ -29,6 +29,7 @@ import json
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import CampaignError
+from repro.registers.system import MODELS as REGISTER_MODELS
 
 AXES: Tuple[str, ...] = (
     "model",
@@ -71,7 +72,7 @@ RUN_DEFAULTS: Dict[str, float] = {
 }
 """Fixed (non-swept) run parameters and their defaults."""
 
-MODELS = ("clock", "timed", "baseline", "mmt")
+MODELS = tuple(REGISTER_MODELS)
 FAULTS = ("none", "lossy", "plan")
 DRIVERS = (
     "perfect", "fast", "slow", "skewed", "mixed", "random", "drift",

@@ -35,11 +35,7 @@ from typing import Dict
 from repro.errors import CampaignError
 from repro.campaign.grid import point_key
 from repro.obs import MetricsRegistry
-from repro.registers.system import (
-    lossy_clock_register_system,
-    register_system,
-    run_register_experiment,
-)
+from repro.registers.system import register_system, run_register_experiment
 from repro.registers.workload import RegisterWorkload
 
 MAX_STEPS = 3_000_000
@@ -76,22 +72,12 @@ def _build_system(config: Dict, run: Dict):
         read_fraction=float(config["read_fraction"]),
         seed=int(config["seed"]),
     )
-    model = config["model"]
     fault = config["fault"]
-    if fault != "none" and model != "clock":
-        raise CampaignError(
-            f"fault model {fault!r} is only wired for model='clock', "
-            f"got {model!r}"
-        )
-    if fault == "lossy":
-        return lossy_clock_register_system(
-            n, d1, d2, c, eps, p_drop=float(config["p_drop"]), max_drops=3,
-            workload=workload, driver=config["driver"], delta=delta,
-        )
     spec = register_system(
-        model, n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
+        config["model"], n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
         driver=config["driver"], step_bound=float(run["step_bound"]),
         delta=delta,
+        p_drop=float(config["p_drop"]) if fault == "lossy" else None,
     )
     if fault == "plan":
         return _with_random_plan(

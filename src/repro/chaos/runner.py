@@ -48,7 +48,7 @@ from repro.chaos.plan import (
     recover,
 )
 from repro.chaos.shrink import ShrinkResult, shrink_plan
-from repro.core.pipeline import SystemSpec
+from repro.core.pipeline import Clock, SystemSpec
 from repro.detector.heartbeat import build_detector_system, detector_timeout
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -217,14 +217,12 @@ def demo_builder() -> SystemSpec:
     plan's doing.
     """
     return build_detector_system(
-        "clock",
+        Clock(DEMO_EPS, driver_factory("perfect", DEMO_EPS)),
         period=DEMO_PERIOD,
         timeout=DEMO_TIMEOUT,
         count=DEMO_COUNT,
         d1=DEMO_D1,
         d2=DEMO_D2,
-        eps=DEMO_EPS,
-        drivers=driver_factory("perfect", DEMO_EPS),
     )
 
 

@@ -61,6 +61,7 @@ from repro.clocks.sync import CristianSimulation, HardwareClock, achievable_epsi
 from repro.obs import JsonlTracer, MetricsRegistry, SKEW_BUCKETS
 from repro.obs.dashboard import render_dashboard, summarize_trace
 from repro.obs.trace import NULL_TRACER
+from repro.core.pipeline import Clock
 from repro.detector import build_detector_system, detector_timeout
 from repro.errors import ReproError
 from repro.objects import (
@@ -70,7 +71,11 @@ from repro.objects import (
     MaxRegisterSpec,
     PNCounterSpec,
 )
-from repro.registers.system import register_system, run_register_experiment
+from repro.registers.system import (
+    MODELS,
+    register_system,
+    run_register_experiment,
+)
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
 from repro.sim.delay import UniformDelay
@@ -179,7 +184,8 @@ def _object(args) -> int:
     )
     system = register_system(
         args.model, n=args.n, d1=args.d1, d2=args.d2, c=args.c, eps=args.eps,
-        workload=workload, driver=args.driver, step_bound=None, spec=spec,
+        workload=workload, driver=args.driver, step_bound=args.step_bound,
+        spec=spec,
     )
     run = _run(args, system, spec=spec)
     linearizable = run.linearizable()
@@ -207,8 +213,8 @@ def _detector(args) -> int:
 
     delay = MaximalDelay() if args.driver == "worst" else UniformDelay(seed=args.seed)
     spec = build_detector_system(
-        "clock", args.period, timeout, args.count, args.d1, args.d2,
-        eps=args.eps, drivers=drivers, delay_model=delay,
+        Clock(args.eps, drivers), args.period, timeout, args.count, args.d1,
+        args.d2, delay_model=delay,
     )
     if args.crash_at is not None:
         from repro.chaos import FaultPlan, apply_plan, crash
@@ -234,9 +240,9 @@ def _detector(args) -> int:
 
 def _tdma(args) -> int:
     spec = build_tdma_system(
-        "clock", n=args.n, slot_width=args.slot, guard=args.guard,
-        sections=args.sections, eps=args.eps,
-        drivers=driver_factory(args.driver, args.eps, seed=args.seed),
+        Clock(args.eps, driver_factory(args.driver, args.eps, seed=args.seed)),
+        n=args.n, slot_width=args.slot, guard=args.guard,
+        sections=args.sections,
     )
     horizon = args.sections * args.n * args.slot + args.slot
     metrics, tracer = _obs(args)
@@ -295,12 +301,15 @@ def _leader(args) -> int:
         "star": Topology.star(args.n),
         "complete": Topology.complete(args.n, self_loops=False),
     }[args.topology]
+    lowering = Clock(
+        args.eps, driver_factory(args.driver, args.eps, seed=args.seed)
+    )
     spec = build_leader_system(
-        "clock", topology, args.d1, args.d2, eps=args.eps,
-        drivers=driver_factory(args.driver, args.eps, seed=args.seed),
+        lowering, topology, args.d1, args.d2,
         delay_model=UniformDelay(seed=args.seed),
     )
-    horizon = diameter(topology) * (args.d2 + 2 * args.eps) + 2.0
+    _, d2_design = lowering.design_bounds(args.d1, args.d2)
+    horizon = diameter(topology) * d2_design + 2.0
     metrics, tracer = _obs(args)
     result = spec.run(horizon, metrics=metrics, tracer=tracer)
     _finish_obs(args, metrics, tracer)
@@ -812,8 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="run a register experiment")
     common(p)
-    p.add_argument("--model", default="clock",
-                   choices=["timed", "clock", "mmt", "baseline"])
+    p.add_argument("--model", default="clock", choices=list(MODELS))
     p.add_argument("--c", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--ops", type=int, default=8)
@@ -842,8 +850,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", default=None,
                    help="keep the freshly generated trace at FILE")
     common(p)
-    p.add_argument("--model", default="clock",
-                   choices=["timed", "clock", "mmt", "baseline"])
+    p.add_argument("--model", default="clock", choices=list(MODELS))
     p.add_argument("--c", type=float, default=0.3)
     p.add_argument("--delta", type=float, default=0.01)
     p.add_argument("--ops", type=int, default=8)
@@ -854,10 +861,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("object", help="run a generalized-object experiment")
     common(p)
     p.add_argument("--type", default="counter", choices=sorted(OBJECT_SPECS))
-    p.add_argument("--model", default="clock", choices=["timed", "clock"])
+    p.add_argument("--model", default="clock", choices=list(MODELS))
     p.add_argument("--c", type=float, default=0.3)
     p.add_argument("--ops", type=int, default=8)
     p.add_argument("--update-fraction", type=float, default=0.5)
+    p.add_argument("--step-bound", type=float, default=0.05)
     p.set_defaults(func=_object)
 
     p = sub.add_parser("detector", help="run the heartbeat failure monitor")

@@ -9,8 +9,8 @@
   a pending-output buffer, driven by ``TICK`` inputs.
 - :mod:`repro.core.rate` — the output-rate ``(k, l)`` restriction of
   Lemma 4.3 / Section 5.3, checked on recorded executions.
-- :mod:`repro.core.pipeline` — system builders assembling ``D_T``,
-  ``D_C``, and ``D_M`` per Theorems 4.7, 5.1, and 5.2.
+- :mod:`repro.core.pipeline` — one :class:`~repro.core.pipeline.Design`
+  lowered to ``D_T``, ``D_C`` or ``D_M`` per Theorems 4.7, 5.1, and 5.2.
 """
 
 from repro.core.buffers import ReceiveBuffer, SendBuffer
@@ -21,11 +21,14 @@ from repro.core.clock_transform import (
 )
 from repro.core.mmt_transform import DelayedSimulation
 from repro.core.pipeline import (
+    MMT,
+    Clock,
+    Design,
     SystemSpec,
+    Timed,
     build_clock_system,
-    build_mmt_system,
-    build_native_clock_system,
     build_timed_system,
+    lower,
     simulation1_delay_bounds,
     simulation2_shift_bound,
 )
@@ -39,10 +42,13 @@ __all__ = [
     "PassThroughMachine",
     "DelayedSimulation",
     "SystemSpec",
+    "Design",
+    "Timed",
+    "Clock",
+    "MMT",
+    "lower",
     "build_timed_system",
     "build_clock_system",
-    "build_native_clock_system",
-    "build_mmt_system",
     "simulation1_delay_bounds",
     "simulation2_shift_bound",
     "check_output_rate",

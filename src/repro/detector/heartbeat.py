@@ -26,7 +26,7 @@ from repro.automata.actions import Action
 from repro.automata.signature import Signature
 from repro.components.base import Process, ProcessContext
 from repro.automata.actions import ActionPattern, PatternActionSet
-from repro.core.pipeline import SystemSpec, build_clock_system, build_timed_system
+from repro.core.pipeline import Design, Lowering, SystemSpec, lower
 from repro.network.topology import Topology
 
 from repro.constants import INFINITY, TOLERANCE as _TOLERANCE
@@ -162,22 +162,21 @@ class DeadlineMonitor(Process):
 
 
 def build_detector_system(
-    model: str,
+    lowering: Lowering,
     period: float,
     timeout: float,
     count: int,
     d1: float,
     d2: float,
-    eps: float = 0.0,
-    drivers=None,
     delay_model=None,
     fault_model=None,
 ) -> SystemSpec:
-    """A two-node sender/monitor system in the timed or clock model.
+    """A two-node sender/monitor system on a ``[d1, d2]`` network, in
+    ``lowering``'s model.
 
-    ``model`` is ``"timed"`` (runs on the *design* bounds
-    ``[max(d1-2*eps,0), d2+2*eps]``) or ``"clock"`` (runs on the real
-    ``[d1, d2]`` with the given drivers).
+    The timed-model verification of a clock deployment runs ``Timed()``
+    on that deployment's design bounds:
+    ``simulation1_delay_bounds(d1, d2, eps)``.
     """
     topology = Topology(2, [(0, 1)])
 
@@ -186,16 +185,6 @@ def build_detector_system(
             return HeartbeatSender(0, 1, period, count)
         return DeadlineMonitor(1, period, timeout, count)
 
-    if model == "timed":
-        d1p, d2p = max(d1 - 2 * eps, 0.0), d2 + 2 * eps
-        return build_timed_system(
-            topology, processes, d1p, d2p, delay_model, fault_model=fault_model
-        )
-    if model == "clock":
-        if drivers is None:
-            raise ValueError("clock model needs a driver factory")
-        return build_clock_system(
-            topology, processes, eps, d1, d2, drivers, delay_model,
-            fault_model=fault_model,
-        )
-    raise ValueError(f"unknown model {model!r}")
+    return lower(
+        Design(topology, processes, d1, d2), lowering, delay_model, fault_model
+    )

@@ -23,20 +23,22 @@ from repro.analysis.report import Table
 from repro.automata.actions import ActionPattern, PatternActionSet
 from repro.clocks.sources import OffsetClockSource
 from repro.components.pinger import pinger_process_factory, pinger_topology
-from repro.core.clock_transform import ClockNodeEntity
+from repro.core.clock_transform import ClockNodeEntity, PassThroughMachine
 from repro.core.pipeline import (
-    build_clock_system,
-    build_mmt_system,
-    build_timed_system,
+    MMT,
+    Clock,
+    Design,
+    Timed,
+    lower,
     simulation1_delay_bounds,
     simulation2_shift_bound,
 )
 from repro.core.rate import smallest_k
 from repro.registers.system import (
-    baseline_register_system,
     clock_register_system,
+    register_design,
     run_register_experiment,
-    timed_register_system,
+    with_clients,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
@@ -74,13 +76,13 @@ def exp_fig1_channel() -> Tuple[Table, Dict]:
     ]
     for d1, d2 in configs:
         for label, make_model in models:
-            spec = build_timed_system(
+            design = Design(
                 pinger_topology(),
                 pinger_process_factory(count=20, interval=max(2 * d2, 0.5)),
                 d1,
                 d2,
-                make_model(),
             )
+            spec = lower(design, Timed(), make_model())
             result = spec.run(25 * max(2 * d2, 0.5))
             sends: Dict[object, float] = {}
             delays: List[float] = []
@@ -119,14 +121,15 @@ def exp_fig2_buffers(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     )
     shapes = {"bounds_hold": True, "activation_matches": True}
     for eps in (0.01, 0.05, 0.1, 0.15, 0.3, 0.5):
-        spec = build_clock_system(
-            pinger_topology(),
-            pinger_process_factory(count=15, interval=2.0),
-            eps,
-            d1,
-            d2,
-            drivers=driver_factory("mixed", eps, seed=3),
-            delay_model=MinimalDelay(),
+        spec = lower(
+            Design(
+                pinger_topology(),
+                pinger_process_factory(count=15, interval=2.0),
+                d1,
+                d2,
+            ),
+            Clock(eps, driver_factory("mixed", eps, seed=3)),
+            MinimalDelay(),
         )
         result = spec.run(40.0)
         lo, hi = simulation1_delay_bounds(d1, d2, eps)
@@ -180,10 +183,9 @@ def exp_fig3_algorithm_s() -> Tuple[Table, Dict]:
     shapes = {"all_super": True}
     for seed in range(6):
         workload = RegisterWorkload(operations=6, read_fraction=0.5, seed=seed)
-        spec = timed_register_system(
-            n=3, d1_prime=d1p, d2_prime=d2p, c=c, workload=workload,
-            algorithm="S", eps=eps, delta=DELTA,
-            delay_model=UniformDelay(seed=seed),
+        design = register_design(Timed(), 3, d1p, d2p, c, eps, "S", DELTA)
+        spec = with_clients(
+            lower(design, Timed(), UniformDelay(seed=seed)), workload
         )
         run = run_register_experiment(
             spec, 60.0, scheduler=RandomScheduler(seed=seed)
@@ -216,12 +218,14 @@ def exp_thm47(d1: float = 0.3, d2: float = 1.2) -> Tuple[Table, Dict]:
     for eps in (0.02, 0.1, 0.25):
         d1p, d2p = simulation1_delay_bounds(d1, d2, eps)
         for driver_kind in ("fast", "slow", "mixed", "random"):
-            spec = build_clock_system(
-                pinger_topology(),
-                pinger_process_factory(count=6, interval=2.5),
-                eps, d1, d2,
-                drivers=driver_factory(driver_kind, eps, seed=11),
-                delay_model=UniformDelay(seed=5),
+            spec = lower(
+                Design(
+                    pinger_topology(),
+                    pinger_process_factory(count=6, interval=2.5),
+                    d1, d2,
+                ),
+                Clock(eps, driver_factory(driver_kind, eps, seed=11)),
+                UniformDelay(seed=5),
             )
             result = spec.run(40.0, scheduler=RandomScheduler(seed=1))
             gamma = result.clock_trace()
@@ -266,13 +270,18 @@ def exp_thm51(eps: float = 0.05) -> Tuple[Table, Dict]:
     shapes = {"all_within": True}
     bounds = []
     for ell in (0.01, 0.05, 0.1, 0.2):
-        spec = build_mmt_system(
-            pinger_topology(),
-            pinger_process_factory(count=6, interval=2.0),
-            eps, d1=0.2, d2=1.0, step_bound=ell,
-            sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
-            step_policy_factory=lambda i: LazyStepPolicy(),
-            delay_model=UniformDelay(seed=2),
+        spec = lower(
+            Design(
+                pinger_topology(),
+                pinger_process_factory(count=6, interval=2.0),
+                0.2, 1.0,
+            ),
+            MMT(
+                eps, ell,
+                sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
+                step_policy=lambda i: LazyStepPolicy(),
+            ),
+            UniformDelay(seed=2),
         )
         result = spec.run(25.0)
         # PING k is scheduled at clock 2k; its real emission may lag.
@@ -315,9 +324,9 @@ def exp_lem61(d1p: float = 0.2, d2p: float = 1.0) -> Tuple[Table, Dict]:
     reads, writes = [], []
     for c in (0.0, 0.2, 0.4, 0.6, 0.8):
         workload = RegisterWorkload(operations=8, read_fraction=0.5, seed=4)
-        spec = timed_register_system(
-            n=3, d1_prime=d1p, d2_prime=d2p, c=c, workload=workload,
-            algorithm="L", delta=DELTA, delay_model=UniformDelay(seed=4),
+        design = register_design(Timed(), 3, d1p, d2p, c, 0.0, "L", DELTA)
+        spec = with_clients(
+            lower(design, Timed(), UniformDelay(seed=4)), workload
         )
         run = run_register_experiment(spec, 80.0, scheduler=RandomScheduler(seed=4))
         read_bound, write_bound = c + DELTA, d2p - c
@@ -352,10 +361,9 @@ def exp_lem62(d1p: float = 0.2, d2p: float = 1.0, c: float = 0.3) -> Tuple[Table
     shapes = {"all_within": True, "all_super": True}
     for eps in (0.0, 0.05, 0.1, 0.2):
         workload = RegisterWorkload(operations=8, read_fraction=0.5, seed=6)
-        spec = timed_register_system(
-            n=3, d1_prime=d1p, d2_prime=d2p, c=c, workload=workload,
-            algorithm="S", eps=eps, delta=DELTA,
-            delay_model=UniformDelay(seed=6),
+        design = register_design(Timed(), 3, d1p, d2p, c, eps, "S", DELTA)
+        spec = with_clients(
+            lower(design, Timed(), UniformDelay(seed=6)), workload
         )
         run = run_register_experiment(spec, 80.0, scheduler=RandomScheduler(seed=6))
         read_bound, write_bound = 2 * eps + c + DELTA, d2p - c
@@ -450,10 +458,16 @@ def exp_tab63(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
             ours_spec, 90.0, scheduler=RandomScheduler(seed=9)
         )
         workload_b = RegisterWorkload(operations=6, read_fraction=0.5, seed=9)
-        base_spec = baseline_register_system(
-            n=3, d1=d1, d2=d2, eps=eps, workload=workload_b,
-            drivers=driver_factory("mixed", eps, seed=9),
-            delay_model=UniformDelay(seed=9),
+        native = Clock(
+            eps, driver_factory("mixed", eps, seed=9),
+            machine=PassThroughMachine,
+        )
+        base_spec = with_clients(
+            lower(
+                register_design(native, 3, d1, d2, c, eps, "slotted"),
+                native, UniformDelay(seed=9),
+            ),
+            workload_b,
         )
         base = run_register_experiment(
             base_spec, 90.0, scheduler=RandomScheduler(seed=9)
@@ -493,10 +507,11 @@ def exp_abl1(d1p: float = 0.2, d2p: float = 1.0, c: float = 0.3) -> Tuple[Table,
         runs = {}
         for algorithm in ("S", "naive"):
             workload = RegisterWorkload(operations=8, read_fraction=0.5, seed=10)
-            spec = timed_register_system(
-                n=3, d1_prime=d1p, d2_prime=d2p, c=c, workload=workload,
-                algorithm=algorithm, eps=eps, delta=DELTA,
-                delay_model=UniformDelay(seed=10),
+            design = register_design(
+                Timed(), 3, d1p, d2p, c, eps, algorithm, DELTA
+            )
+            spec = with_clients(
+                lower(design, Timed(), UniformDelay(seed=10)), workload
             )
             runs[algorithm] = run_register_experiment(
                 spec, 80.0, scheduler=RandomScheduler(seed=10)
@@ -532,12 +547,14 @@ def exp_abl2(d2: float = 1.0) -> Tuple[Table, Dict]:
     shapes = {"no_holds_above_one": True, "holds_below_one": False}
     eps = 0.15
     for d1 in (0.0, 0.1, 0.2, 0.3, 0.45, 0.6):
-        spec = build_clock_system(
-            pinger_topology(),
-            pinger_process_factory(count=15, interval=1.5),
-            eps, d1, d2,
-            drivers=driver_factory("mixed", eps, seed=12),
-            delay_model=MinimalDelay(),
+        spec = lower(
+            Design(
+                pinger_topology(),
+                pinger_process_factory(count=15, interval=1.5),
+                d1, d2,
+            ),
+            Clock(eps, driver_factory("mixed", eps, seed=12)),
+            MinimalDelay(),
         )
         result = spec.run(30.0)
         held, hold_total, total = 0, 0.0, 0
@@ -606,8 +623,8 @@ def exp_abl3_tdma(eps: float = 0.1) -> Tuple[Table, Dict]:
     busy_span = 9.0
     for guard in (0.0, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2):
         spec = build_tdma_system(
-            "clock", n=3, slot_width=1.0, guard=guard, sections=3,
-            eps=eps, drivers=adversarial,
+            Clock(eps, adversarial), n=3, slot_width=1.0, guard=guard,
+            sections=3,
         )
         intervals = critical_intervals(spec.run(15.0).trace)
         overlap = max_overlap(intervals)
@@ -691,7 +708,7 @@ def exp_ext2_faults(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
     from repro.faults import effective_delay_bounds
     from repro.registers.system import (
         ARQ_RETRANSMIT_INTERVAL,
-        lossy_clock_register_system,
+        register_system,
         run_register_experiment,
     )
     from repro.registers.workload import RegisterWorkload
@@ -707,10 +724,11 @@ def exp_ext2_faults(d1: float = 0.2, d2: float = 1.0) -> Tuple[Table, Dict]:
         _, d2e = effective_delay_bounds(
             d1, d2, ARQ_RETRANSMIT_INTERVAL, max_drops
         )
-        spec = lossy_clock_register_system(
-            n, d1, d2, c, eps, p_drop=p_drop, max_drops=max_drops,
-            workload=RegisterWorkload(operations=4, read_fraction=0.5, seed=17),
-            driver="mixed", delta=DELTA,
+        spec = register_system(
+            "clock", n, d1, d2, c, eps,
+            RegisterWorkload(operations=4, read_fraction=0.5, seed=17),
+            driver="mixed", step_bound=None, delta=DELTA,
+            p_drop=p_drop, max_drops=max_drops,
         )
         run = run_register_experiment(
             spec, 130.0, scheduler=RandomScheduler(seed=17),
@@ -780,9 +798,8 @@ def exp_ext3_multihop(d1: float = 0.1, d2: float = 1.0) -> Tuple[Table, Dict]:
         dia = diameter(topology)
         d2_design = d2 + 2 * eps
         spec = build_flood_system(
-            "clock", topology, d1, d2, eps=eps,
-            drivers=driver_factory("mixed", eps, seed=19),
-            delay_model=UniformDelay(seed=19),
+            Clock(eps, driver_factory("mixed", eps, seed=19)),
+            topology, d1, d2, delay_model=UniformDelay(seed=19),
         )
         inject_at = 1.0
         result = spec.simulator().run(
@@ -800,9 +817,8 @@ def exp_ext3_multihop(d1: float = 0.1, d2: float = 1.0) -> Tuple[Table, Dict]:
         shapes["all_in_bound"] &= in_bound
 
         spec = build_leader_system(
-            "clock", topology, d1, d2, eps=eps,
-            drivers=driver_factory("mixed", eps, seed=19),
-            delay_model=UniformDelay(seed=19),
+            Clock(eps, driver_factory("mixed", eps, seed=19)),
+            topology, d1, d2, delay_model=UniformDelay(seed=19),
         )
         result = spec.run(dia * d2_design + 2.0)
         outcomes = election_outcomes(result.trace)

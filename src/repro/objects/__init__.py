@@ -20,9 +20,10 @@ This subpackage provides:
 - :mod:`repro.objects.system` — the payload generator of each built-in
   spec, what a client asks of the object.
 
-An object runs on the register's harness: the register builders
-(:func:`~repro.registers.system.timed_register_system`,
-:func:`~repro.registers.system.clock_register_system`,
+An object runs on the register's harness: the register design
+(:func:`~repro.registers.system.register_design`, lowered to any model
+but the slotted baseline's) and its builders
+(:func:`~repro.registers.system.clock_register_system`,
 :func:`~repro.registers.system.register_system`) take the object's spec
 as ``spec=``, one :class:`~repro.registers.workload.ClientEntity` drives
 each node in the object vocabulary, and

@@ -32,10 +32,10 @@ from repro.registers.spec import (
 )
 from repro.registers.system import (
     RegisterRun,
-    baseline_register_system,
     clock_register_system,
-    mmt_register_system,
-    timed_register_system,
+    register_design,
+    register_system,
+    with_clients,
 )
 from repro.registers.opstream import OpSchedule, PlannedOp
 from repro.registers.workload import ClientEntity, RegisterWorkload
@@ -52,8 +52,8 @@ __all__ = [
     "ClientEntity",
     "RegisterWorkload",
     "RegisterRun",
-    "timed_register_system",
+    "register_design",
+    "register_system",
     "clock_register_system",
-    "baseline_register_system",
-    "mmt_register_system",
+    "with_clients",
 ]

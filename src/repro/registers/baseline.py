@@ -76,10 +76,11 @@ class SlottedRegisterProcess(Process):
     """Time-sliced register designed natively for the clock model.
 
     Run it as ``ClockNodeEntity(PassThroughMachine(process), driver)``,
-    which is what
-    :func:`~repro.core.pipeline.build_native_clock_system` (and through
-    it :func:`repro.registers.system.baseline_register_system`) builds:
-    no buffers, and the process's notion of time *is* the node clock.
+    which is what lowering its design
+    (:func:`repro.registers.system.register_design` with
+    ``algorithm="slotted"``) by
+    ``Clock(eps, drivers, machine=PassThroughMachine)`` builds: no
+    buffers, and the process's notion of time *is* the node clock.
     """
 
     SNAP = "SNAP"

@@ -1,15 +1,20 @@
-"""One-call builders for register systems in all three models.
+"""Register and blind-update object designs, and their systems in all
+four models.
 
-Each builder wires: register processes on a complete topology with
-self-loops (algorithm S updates the sender's own copy by message),
-channels with the model-appropriate payloads, per-node clients, and — in
-the clock/MMT models — clock drivers or tick sources.
+:func:`register_design` writes the register once: register processes
+on a complete topology with self-loops (algorithm S updates the
+sender's own copy by message), parameterized for the lowering's design
+bounds. Given a :class:`~repro.objects.specs.SequentialSpec` as
+``spec``, the nodes are
+:class:`~repro.objects.algorithm.BlindUpdateObjectProcess` over it
+instead. :func:`~repro.core.pipeline.lower` runs the design in a model,
+and :func:`with_clients` adds per-node clients that speak the design's
+vocabulary (an object's ``ASK`` / ``DO``, arguments drawn from
+:func:`~repro.objects.system.default_payloads`).
 
-The timed and clock builders also build any blind-update object: given
-a :class:`~repro.objects.specs.SequentialSpec` as ``spec``, the nodes
-are :class:`~repro.objects.algorithm.BlindUpdateObjectProcess` over it
-and the clients speak its ``ASK`` / ``DO`` vocabulary, drawing their
-arguments from :func:`~repro.objects.system.default_payloads`.
+:func:`register_system` is what the CLI and a campaign grid point run:
+one model name, looked up in :data:`MODELS`, gives the algorithm and
+the lowering; the workload's seed draws the environment.
 
 :func:`run_register_experiment` runs a built system and packages the
 outcome as a :class:`RegisterRun`: completed operations, latency
@@ -20,19 +25,22 @@ summaries, and correctness checks against the problems ``P`` and ``Q``
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.clocks.sources import OffsetClockSource
 from repro.components.base import Process
-from repro.components.mmt import StepPolicy, UniformStepPolicy
+from repro.components.mmt import UniformStepPolicy
+from repro.core.clock_transform import PassThroughMachine
 from repro.core.pipeline import (
+    MMT,
+    Clock,
+    Design,
+    Lowering,
     SystemSpec,
-    build_clock_system,
-    build_mmt_system,
-    build_native_clock_system,
-    build_timed_system,
-    simulation1_delay_bounds,
+    Timed,
+    lower,
 )
+from repro.errors import SpecificationError
 from repro.faults import BernoulliFaults, ReliableAdapter, effective_delay_bounds
 from repro.network.topology import Topology
 from repro.objects.algorithm import BlindUpdateObjectProcess
@@ -59,19 +67,39 @@ INITIAL_VALUE = ("v", -1, 0)
 """Default initial register value ``v0`` (distinct from client values)."""
 
 ARQ_RETRANSMIT_INTERVAL = 0.5
-"""Retransmit period ``R`` of :func:`lossy_clock_register_system`."""
+"""Retransmit period ``R`` of :func:`register_system`'s lossy channels."""
 
 
-def _register_process_factory(
-    algorithm: str,
+def register_design(
+    lowering: Lowering,
     n: int,
-    d2_prime: float,
+    d1: float,
+    d2: float,
     c: float,
     eps: float,
-    delta: float,
-    initial_value: object,
+    algorithm: str = "S",
+    delta: float = 0.01,
+    initial_value: object = INITIAL_VALUE,
     spec: Optional[SequentialSpec] = None,
-) -> Callable[[int], Process]:
+) -> Design:
+    """The register on ``n`` nodes over a ``[d1, d2]`` network, its
+    processes parameterized for ``lowering``'s design bound ``d2'``.
+
+    ``algorithm`` is ``"L"`` (Lemma 6.1), ``"S"`` (Theorem 6.5),
+    ``"naive"`` or ``"slotted"``: the [10]-style baseline, designed for
+    clocks (slot width ``u = 2*eps``, the models' correspondence of
+    Section 6.3), so it runs under
+    ``Clock(eps, drivers, machine=PassThroughMachine)``. ``spec``
+    (optional) makes the design that blind-update object instead
+    (S-style, eps-superlinearizable with ``eps``); the slotted register
+    has no object form.
+    """
+    if spec is not None and algorithm == "slotted":
+        raise SpecificationError(
+            "the slotted register is a different design, not a different "
+            "lowering: it has no blind-update object form"
+        )
+    _, d2_prime = lowering.design_bounds(d1, d2)
     peers = list(range(n))
 
     def make(i: int) -> Process:
@@ -93,18 +121,30 @@ def _register_process_factory(
                 i, peers, d2_prime, c, eps, delta=delta,
                 initial_value=initial_value,
             )
+        if algorithm == "slotted":
+            return SlottedRegisterProcess(
+                i, peers, d2_prime, 2.0 * eps, initial_value=initial_value
+            )
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
-    return make
+    return Design(Topology.complete(n, self_loops=True), make, d1, d2)
 
 
-def _attach_clients(
+def with_clients(
     system: SystemSpec,
-    n: int,
     workload: RegisterWorkload,
     schedules=None,
     spec: Optional[SequentialSpec] = None,
 ) -> SystemSpec:
+    """``system`` plus one client per node, speaking the register's (or
+    the object ``spec``'s) vocabulary.
+
+    ``schedules`` (optional): one precomputed
+    :class:`~repro.registers.opstream.OpSchedule` per node, replayed
+    instead of the online workload draws — the sim side of sim/live
+    cross-validation (see :mod:`repro.live`).
+    """
+    n = len(system.node_entities)
     if schedules is not None and len(schedules) != n:
         raise ValueError(f"need {n} schedules, got {len(schedules)}")
     vocabulary, payloads = RegisterProcess, register_payloads
@@ -117,39 +157,6 @@ def _attach_clients(
         for i in range(n)
     ]
     return system.add(*clients)
-
-
-def timed_register_system(
-    n: int,
-    d1_prime: float,
-    d2_prime: float,
-    c: float,
-    workload: RegisterWorkload,
-    algorithm: str = "L",
-    eps: float = 0.0,
-    delta: float = 0.01,
-    delay_model: Optional[DelayModel] = None,
-    initial_value: object = INITIAL_VALUE,
-    schedules=None,
-    spec: Optional[SequentialSpec] = None,
-) -> SystemSpec:
-    """``D_T(G, L/S, E_{[d1',d2']})`` with clients (Lemmas 6.1, 6.2).
-
-    ``schedules`` (optional): one precomputed
-    :class:`~repro.registers.opstream.OpSchedule` per node, replayed
-    instead of the online workload draws — the sim side of sim/live
-    cross-validation. ``spec`` (optional): run that blind-update object
-    instead of the register (``algorithm`` is then ignored; the object
-    is S-style, eps-superlinearizable with ``eps``).
-    """
-    topology = Topology.complete(n, self_loops=True)
-    factory = _register_process_factory(
-        algorithm, n, d2_prime, c, eps, delta, initial_value, spec
-    )
-    system = build_timed_system(
-        topology, factory, d1_prime, d2_prime, delay_model
-    )
-    return _attach_clients(system, n, workload, schedules, spec)
 
 
 def clock_register_system(
@@ -169,87 +176,38 @@ def clock_register_system(
 ) -> SystemSpec:
     """``D_C(G, S^c_eps, E^c_{[d1,d2]})`` with clients (Theorem 6.5).
 
-    The process is parameterized for the *design* bounds
-    ``[d1', d2'] = [max(d1 - 2*eps, 0), d2 + 2*eps]``; the physical
-    channels run at ``[d1, d2]``. ``schedules`` (optional) replays
-    precomputed per-node op schedules — the sim side of sim/live
-    cross-validation (see :mod:`repro.live`). ``spec`` (optional) runs
-    that blind-update object instead of the register.
+    The register design lowered by ``Clock(eps, drivers)``, with
+    :func:`with_clients`' ``schedules`` and ``spec``. Kept with its
+    positional signature: the frozen benchmark suite calls it.
     """
-    _, d2_prime = simulation1_delay_bounds(d1, d2, eps)
-    topology = Topology.complete(n, self_loops=True)
-    factory = _register_process_factory(
-        algorithm, n, d2_prime, c, eps, delta, initial_value, spec
+    lowering = Clock(eps, drivers)
+    design = register_design(
+        lowering, n, d1, d2, c, eps, algorithm, delta, initial_value, spec
     )
-    system = build_clock_system(
-        topology, factory, eps, d1, d2, drivers, delay_model
+    return with_clients(
+        lower(design, lowering, delay_model), workload, schedules, spec
     )
-    return _attach_clients(system, n, workload, schedules, spec)
 
 
-def baseline_register_system(
-    n: int,
-    d1: float,
-    d2: float,
-    eps: float,
-    workload: RegisterWorkload,
-    drivers,
-    delay_model: Optional[DelayModel] = None,
-    initial_value: object = INITIAL_VALUE,
-) -> SystemSpec:
-    """The [10]-style slotted register, native in the clock model.
-
-    Slot width ``u = 2*eps`` (the models' correspondence of
-    Section 6.3).
-    """
-    topology = Topology.complete(n, self_loops=True)
-    u = 2.0 * eps
-    peers = list(range(n))
-
-    def factory(i: int) -> Process:
-        return SlottedRegisterProcess(i, peers, d2, u, initial_value=initial_value)
-
-    spec = build_native_clock_system(
-        topology, factory, eps, d1, d2, drivers, delay_model
+def _mmt(eps: float, drivers, step_bound: float) -> MMT:
+    """Clock sources alternating between the two edges of ``C_eps``, and
+    a per-node seeded step policy."""
+    return MMT(
+        eps, step_bound,
+        lambda i: OffsetClockSource(eps, eps if i % 2 == 0 else -eps),
+        lambda i: UniformStepPolicy(seed=i),
     )
-    return _attach_clients(spec, n, workload)
 
 
-def mmt_register_system(
-    n: int,
-    d1: float,
-    d2: float,
-    c: float,
-    eps: float,
-    step_bound: float,
-    sources,
-    workload: RegisterWorkload,
-    algorithm: str = "S",
-    delta: float = 0.01,
-    tick_interval: Optional[float] = None,
-    step_policy_factory: Optional[Callable[[int], StepPolicy]] = None,
-    delay_model: Optional[DelayModel] = None,
-    initial_value: object = INITIAL_VALUE,
-) -> SystemSpec:
-    """``D_M`` register system via both simulations (Theorem 5.2)."""
-    _, d2_prime = simulation1_delay_bounds(d1, d2, eps)
-    topology = Topology.complete(n, self_loops=True)
-    factory = _register_process_factory(
-        algorithm, n, d2_prime, c, eps, delta, initial_value
-    )
-    spec = build_mmt_system(
-        topology,
-        factory,
-        eps,
-        d1,
-        d2,
-        step_bound,
-        sources,
-        tick_interval=tick_interval,
-        step_policy_factory=step_policy_factory,
-        delay_model=delay_model,
-    )
-    return _attach_clients(spec, n, workload)
+MODELS: Dict[str, Tuple[str, Callable[..., Lowering]]] = {
+    "clock": ("S", lambda eps, drivers, step_bound: Clock(eps, drivers)),
+    "timed": ("L", lambda eps, drivers, step_bound: Timed()),
+    "baseline": ("slotted", lambda eps, drivers, step_bound: Clock(
+        eps, drivers, machine=PassThroughMachine)),
+    "mmt": ("S", _mmt),
+}
+"""Model name -> (register algorithm, lowering of ``(eps, drivers,
+step_bound)``): what :func:`register_system` runs."""
 
 
 def register_system(
@@ -264,86 +222,52 @@ def register_system(
     step_bound: float,
     delta: float = 0.01,
     spec: Optional[SequentialSpec] = None,
+    p_drop: Optional[float] = None,
+    max_drops: int = 3,
 ) -> SystemSpec:
-    """The register system of ``model`` under one seed's environment.
+    """The register (or object ``spec``) system of ``model`` under one
+    seed's environment.
 
     What ``repro register --model``, ``repro object`` and a campaign
     grid point run: the workload's seed also draws the message delays
     and the clock drivers of kind ``driver``; the MMT nodes read clock
     sources alternating between the two edges of ``C_eps`` and step per
-    a per-node seeded policy. With an object ``spec`` the model is
-    ``timed`` or ``clock``.
+    a per-node seeded policy.
+
+    With a ``p_drop``, the channels drop (and duplicate) per a seeded
+    Bernoulli fault model with at most ``max_drops`` consecutive losses,
+    and every process runs behind the ARQ adapter, designed for the
+    *effective* delay bounds ``d2 + B*R`` (Section 7.3; ``B =
+    max_drops``, ``R`` = :data:`ARQ_RETRANSMIT_INTERVAL`).
     """
-    if spec is not None and model not in ("timed", "clock"):
-        raise ValueError(f"an object runs in the timed or clock model, not {model!r}")
+    if model not in MODELS:
+        raise SpecificationError(
+            f"unknown model {model!r}; known: {', '.join(MODELS)}"
+        )
     seed = workload.seed
-    delay = UniformDelay(seed=seed)
-    if model == "timed":
-        return timed_register_system(
-            n=n, d1_prime=d1, d2_prime=d2, c=c, workload=workload,
-            algorithm="L", eps=eps, delta=delta, delay_model=delay, spec=spec,
-        )
-    drivers = driver_factory(driver, eps, seed=seed)
-    if model == "clock":
-        return clock_register_system(
-            n=n, d1=d1, d2=d2, c=c, eps=eps, workload=workload,
-            drivers=drivers, delta=delta, delay_model=delay, spec=spec,
-        )
-    if model == "baseline":
-        return baseline_register_system(
-            n=n, d1=d1, d2=d2, eps=eps, workload=workload, drivers=drivers,
-            delay_model=delay,
-        )
-    if model == "mmt":
-        return mmt_register_system(
-            n=n, d1=d1, d2=d2, c=c, eps=eps, step_bound=step_bound,
-            sources=lambda i: OffsetClockSource(eps, eps if i % 2 == 0 else -eps),
-            workload=workload, delta=delta,
-            step_policy_factory=lambda i: UniformStepPolicy(seed=i),
-            delay_model=delay,
-        )
-    raise ValueError(f"unknown model {model!r}")
-
-
-def lossy_clock_register_system(
-    n: int,
-    d1: float,
-    d2: float,
-    c: float,
-    eps: float,
-    p_drop: float,
-    max_drops: int,
-    workload: RegisterWorkload,
-    driver: str,
-    delta: float = 0.01,
-) -> SystemSpec:
-    """The clock-model register over lossy channels via the ARQ adapter.
-
-    Processes are parameterized for the *effective* delay bounds
-    ``d2 + B*R`` (Section 7.3; ``B = max_drops``, ``R`` =
-    :data:`ARQ_RETRANSMIT_INTERVAL`); the physical channels drop and
-    duplicate per a Bernoulli fault model. As in :func:`register_system`
-    the workload's seed draws faults, delays and ``driver`` clocks.
-    """
-    seed = workload.seed
-    d1e, d2e = effective_delay_bounds(d1, d2, ARQ_RETRANSMIT_INTERVAL, max_drops)
-    _, d2_prime = simulation1_delay_bounds(d1e, d2e, eps)
-    inner = _register_process_factory(
-        "S", n, d2_prime, c, eps, delta, INITIAL_VALUE
+    algorithm, make_lowering = MODELS[model]
+    lowering = make_lowering(
+        eps, driver_factory(driver, eps, seed=seed), step_bound
     )
-    faults = BernoulliFaults(
-        seed=seed, p_drop=p_drop, p_duplicate=0.1,
-        max_consecutive_drops=max_drops,
+    bounds, faults = (d1, d2), None
+    if p_drop is not None:
+        bounds = effective_delay_bounds(
+            d1, d2, ARQ_RETRANSMIT_INTERVAL, max_drops
+        )
+        faults = BernoulliFaults(
+            seed=seed, p_drop=p_drop, p_duplicate=0.1,
+            max_consecutive_drops=max_drops,
+        )
+    design = register_design(
+        lowering, n, *bounds, c, eps, algorithm, delta, spec=spec
     )
-    spec = build_clock_system(
-        Topology.complete(n, self_loops=True),
-        lambda i: ReliableAdapter(
+    if faults is not None:
+        inner = design.processes
+        design = Design(design.topology, lambda i: ReliableAdapter(
             inner(i), retransmit_interval=ARQ_RETRANSMIT_INTERVAL
-        ),
-        eps, d1, d2, driver_factory(driver, eps, seed=seed),
-        UniformDelay(seed=seed), fault_model=faults,
-    )
-    return _attach_clients(spec, n, workload)
+        ), d1, d2)
+    system = lower(design, lowering, UniformDelay(seed=seed), faults)
+    return with_clients(system, workload, spec=spec)
 
 
 @dataclass

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.automata.actions import Action, ActionPattern, PatternActionSet
 from repro.automata.signature import Signature
 from repro.components.base import Process, ProcessContext
-from repro.core.pipeline import SystemSpec, build_clock_system, build_timed_system
+from repro.core.pipeline import Design, Lowering, SystemSpec, lower
 from repro.errors import SpecificationError, TransitionError
 from repro.network.topology import Topology
 
@@ -112,27 +112,19 @@ class TDMAProcess(Process):
 
 
 def build_tdma_system(
-    model: str,
+    lowering: Lowering,
     n: int,
     slot_width: float,
     guard: float,
     sections: int = 4,
-    eps: float = 0.0,
-    drivers=None,
 ) -> SystemSpec:
-    """A message-free TDMA system in the timed or clock model."""
+    """A message-free TDMA system in ``lowering``'s model."""
     topology = Topology(n, [])  # no links: coordination is purely temporal
 
     def processes(i: int) -> Process:
         return TDMAProcess(i, n, slot_width, guard, sections)
 
-    if model == "timed":
-        return build_timed_system(topology, processes, 0.0, 1.0)
-    if model == "clock":
-        if drivers is None:
-            raise SpecificationError("clock model needs a driver factory")
-        return build_clock_system(topology, processes, eps, 0.0, 1.0, drivers)
-    raise SpecificationError(f"unknown model {model!r}")
+    return lower(Design(topology, processes, 0.0, 1.0), lowering)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,22 @@ from repro.components.pinger import (  # noqa: F401
     pinger_process_factory,
     pinger_topology,
 )
+from repro.core.pipeline import lower
+from repro.registers.system import register_design, with_clients
 from repro.traces.linearizability import Operation
+
+
+def register_spec(
+    lowering, n, d1, d2, c, workload, eps=0.0, algorithm="S", delta=0.01,
+    delay_model=None, spec=None,
+):
+    """The register (or object ``spec``) design on ``n`` nodes, lowered
+    by ``lowering`` onto a ``[d1, d2]`` network, with one client per
+    node."""
+    design = register_design(
+        lowering, n, d1, d2, c, eps, algorithm, delta, spec=spec
+    )
+    return with_clients(lower(design, lowering, delay_model), workload, spec=spec)
 
 
 def register_op(op_id, node, kind, value, inv, res):
@@ -37,4 +52,5 @@ __all__ = [
     "pinger_process_factory",
     "pinger_topology",
     "register_op",
+    "register_spec",
 ]

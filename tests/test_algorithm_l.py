@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.registers.algorithm_l import AlgorithmLProcess, RegisterState
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     INITIAL_VALUE,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import MaximalDelay, MinimalDelay, UniformDelay
@@ -26,9 +27,9 @@ DELTA = 0.01
 
 def run(c, seed=0, n=3, ops=6, delay_model=None, horizon=60.0):
     workload = RegisterWorkload(operations=ops, read_fraction=0.5, seed=seed)
-    spec = timed_register_system(
-        n=n, d1_prime=D1P, d2_prime=D2P, c=c, workload=workload,
-        algorithm="L", delta=DELTA, delay_model=delay_model,
+    spec = register_spec(
+        Timed(), n=n, d1=D1P, d2=D2P, c=c, workload=workload, algorithm="L",
+        delta=DELTA, delay_model=delay_model,
     )
     return run_register_experiment(
         spec, horizon, scheduler=RandomScheduler(seed=seed)

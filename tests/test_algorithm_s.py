@@ -3,9 +3,10 @@ ablation of Section 6.2's remark."""
 
 import pytest
 
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import UniformDelay
@@ -18,10 +19,9 @@ EPS = 0.1
 
 def run(algorithm, c, seed=0, ops=6, horizon=60.0):
     workload = RegisterWorkload(operations=ops, read_fraction=0.5, seed=seed)
-    spec = timed_register_system(
-        n=3, d1_prime=D1P, d2_prime=D2P, c=c, workload=workload,
-        algorithm=algorithm, eps=EPS, delta=DELTA,
-        delay_model=UniformDelay(seed=seed),
+    spec = register_spec(
+        Timed(), n=3, d1=D1P, d2=D2P, c=c, workload=workload, eps=EPS,
+        algorithm=algorithm, delta=DELTA, delay_model=UniformDelay(seed=seed),
     )
     return run_register_experiment(
         spec, horizon, scheduler=RandomScheduler(seed=seed)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from helpers import register_spec
+from repro.core.clock_transform import PassThroughMachine
+from repro.core.pipeline import Clock
 from repro.registers.baseline import SlottedRegisterProcess
 from repro.registers.system import (
-    baseline_register_system,
     clock_register_system,
     run_register_experiment,
 )
@@ -23,9 +25,13 @@ U = 2 * EPS
 def run_baseline(seed=0, driver_kind="mixed", delay_model=None, ops=5,
                  horizon=80.0, eps=EPS):
     workload = RegisterWorkload(operations=ops, read_fraction=0.5, seed=seed)
-    spec = baseline_register_system(
-        n=3, d1=D1, d2=D2, eps=eps, workload=workload,
-        drivers=driver_factory(driver_kind, eps, seed=seed),
+    native = Clock(
+        eps, driver_factory(driver_kind, eps, seed=seed),
+        machine=PassThroughMachine,
+    )
+    spec = register_spec(
+        native, n=3, d1=D1, d2=D2, c=0.0, workload=workload, eps=eps,
+        algorithm="slotted",
         delay_model=delay_model or UniformDelay(seed=seed),
     )
     return run_register_experiment(

@@ -8,7 +8,8 @@ passing vacuously).
 
 import pytest
 
-from repro.core.pipeline import build_native_clock_system
+from repro.core.clock_transform import PassThroughMachine
+from repro.core.pipeline import Clock, Design, lower
 from repro.network.topology import Topology
 from repro.registers.baseline import SlottedRegisterProcess
 from repro.registers.system import INITIAL_VALUE, run_register_experiment
@@ -27,9 +28,12 @@ def slotted_run(u, eps, seed, delay_model=None):
     def factory(i):
         return SlottedRegisterProcess(i, peers, D2, u, initial_value=INITIAL_VALUE)
 
-    spec = build_native_clock_system(
-        Topology.complete(N, True), factory, eps, D1, D2,
-        driver_factory("mixed", eps, seed=seed),
+    spec = lower(
+        Design(Topology.complete(N, True), factory, D1, D2),
+        Clock(
+            eps, driver_factory("mixed", eps, seed=seed),
+            machine=PassThroughMachine,
+        ),
         delay_model or UniformDelay(seed=seed),
     )
     workload = RegisterWorkload(operations=5, read_fraction=0.6, seed=seed,

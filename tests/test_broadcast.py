@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import Clock, Timed
 from repro.automata.actions import Action
 from repro.broadcast import (
     build_flood_system,
@@ -47,7 +48,7 @@ class TestFloodTimed:
     def test_everyone_delivers_within_distance_bound(self, name):
         topology = TOPOLOGIES[name]
         spec = build_flood_system(
-            "timed", topology, D1, D2, delay_model=MaximalDelay()
+            Timed(), topology, D1, D2, delay_model=MaximalDelay(),
         )
         inject_at = 1.0
         result = spec.simulator().run(
@@ -63,7 +64,7 @@ class TestFloodTimed:
     def test_each_node_delivers_exactly_once(self):
         topology = Topology.ring(4)
         spec = build_flood_system(
-            "timed", topology, D1, D2, delay_model=UniformDelay(seed=3)
+            Timed(), topology, D1, D2, delay_model=UniformDelay(seed=3),
         )
         result = spec.simulator().run(
             6.0, initial_inputs=[(Action("BCAST", (0, ("m", 1))), 0.5)]
@@ -76,7 +77,7 @@ class TestFloodTimed:
     def test_two_concurrent_broadcasts(self):
         topology = Topology.ring(4)
         spec = build_flood_system(
-            "timed", topology, D1, D2, delay_model=UniformDelay(seed=4)
+            Timed(), topology, D1, D2, delay_model=UniformDelay(seed=4),
         )
         result = spec.simulator().run(
             8.0,
@@ -94,9 +95,8 @@ class TestFloodClockModel:
     def test_clock_stamped_delivery_within_design_bound(self, name):
         topology = TOPOLOGIES[name]
         spec = build_flood_system(
-            "clock", topology, D1, D2, eps=EPS,
-            drivers=driver_factory("mixed", EPS, seed=5),
-            delay_model=UniformDelay(seed=5),
+            Clock(EPS, driver_factory("mixed", EPS, seed=5)), topology, D1,
+            D2, delay_model=UniformDelay(seed=5),
         )
         inject_at = 1.0
         result = spec.simulator().run(
@@ -117,7 +117,7 @@ class TestLeaderElection:
     def test_timed_agreement_and_simultaneity(self, name):
         topology = TOPOLOGIES[name]
         spec = build_leader_system(
-            "timed", topology, D1, D2, delay_model=MaximalDelay()
+            Timed(), topology, D1, D2, delay_model=MaximalDelay(),
         )
         result = spec.run(diameter(topology) * D2 + 2.0)
         outcomes = election_outcomes(result.trace)
@@ -130,9 +130,8 @@ class TestLeaderElection:
     def test_clock_model_agreement_within_two_eps(self, name):
         topology = TOPOLOGIES[name]
         spec = build_leader_system(
-            "clock", topology, D1, D2, eps=EPS,
-            drivers=driver_factory("mixed", EPS, seed=6),
-            delay_model=UniformDelay(seed=6),
+            Clock(EPS, driver_factory("mixed", EPS, seed=6)), topology, D1,
+            D2, delay_model=UniformDelay(seed=6),
         )
         result = spec.run(diameter(topology) * (D2 + 2 * EPS) + 2.0)
         outcomes = election_outcomes(result.trace)

@@ -24,7 +24,7 @@ from repro.chaos.runner import DEMO_HORIZON
 from repro.chaos.shrink import shrink_plan
 from repro.errors import SpecificationError
 from repro.obs.metrics import MetricsRegistry
-from repro.registers.system import lossy_clock_register_system
+from repro.registers.system import register_system
 from repro.registers.workload import RegisterWorkload
 
 
@@ -147,12 +147,12 @@ class TestArqChannelBound:
         d1, d2, burst_end = 0.1, 1.0, 1.2
 
         def build():
-            return lossy_clock_register_system(
-                n=2, d1=d1, d2=d2, c=0.0, eps=0.1, p_drop=0.0, max_drops=3,
+            return register_system(
+                "clock", n=2, d1=d1, d2=d2, c=0.0, eps=0.1,
                 workload=RegisterWorkload(
                     operations=1, read_fraction=0.0, seed=0
                 ),
-                driver="perfect",
+                driver="perfect", step_bound=None, p_drop=0.0, max_drops=3,
             )
 
         plan = FaultPlan.of([drop_burst((0, 1), 0.0, burst_end)], name="burst")

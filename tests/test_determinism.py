@@ -14,11 +14,12 @@ import sys
 
 import pytest
 
+from helpers import register_spec
+from repro.core.clock_transform import PassThroughMachine
+from repro.core.pipeline import Clock, Timed
 from repro.registers.system import (
-    baseline_register_system,
     clock_register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
@@ -40,10 +41,10 @@ def run_twice(build):
 class TestDeterminism:
     def test_timed_model_deterministic(self):
         def build():
-            return timed_register_system(
-                n=3, d1_prime=0.2, d2_prime=1.0, c=0.3,
+            return register_spec(
+                Timed(), n=3, d1=0.2, d2=1.0, c=0.3,
                 workload=RegisterWorkload(operations=5, seed=4),
-                delay_model=UniformDelay(seed=4),
+                algorithm="L", delay_model=UniformDelay(seed=4),
             )
 
         a, b = run_twice(build)
@@ -63,11 +64,14 @@ class TestDeterminism:
 
     def test_baseline_deterministic(self):
         def build():
-            return baseline_register_system(
-                n=3, d1=0.2, d2=1.0, eps=0.1,
-                workload=RegisterWorkload(operations=4, seed=6),
-                drivers=driver_factory("mixed", 0.1, seed=6),
-                delay_model=UniformDelay(seed=6),
+            native = Clock(
+                0.1, driver_factory("mixed", 0.1, seed=6),
+                machine=PassThroughMachine,
+            )
+            return register_spec(
+                native, n=3, d1=0.2, d2=1.0, c=0.0,
+                workload=RegisterWorkload(operations=4, seed=6), eps=0.1,
+                algorithm="slotted", delay_model=UniformDelay(seed=6),
             )
 
         a, b = run_twice(build)

@@ -41,17 +41,14 @@ from repro.components.pinger import (
     pinger_process_factory,
     pinger_topology,
 )
-from repro.core.pipeline import (
-    build_clock_system,
-    build_mmt_system,
-    build_timed_system,
-)
+from repro.core.clock_transform import PassThroughMachine
+from repro.core.pipeline import MMT, Clock, Design, Timed, lower
 from repro.faults.models import BernoulliFaults
 from repro.network.topology import Topology
 from repro.registers.system import (
-    baseline_register_system,
     clock_register_system,
-    timed_register_system,
+    register_design,
+    with_clients,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
@@ -71,27 +68,30 @@ from test_lazy_clocks import _chaos as chaos_pinger
 HORIZON = 30.0
 
 
-def _pinger_timed():
-    return build_timed_system(
-        pinger_topology(), pinger_process_factory(6, 1.0), 0.2, 0.6
+def _drifting(i):
+    return DriftingClockSource(0.05, 1.004, 10.0)
+
+
+def _pinger(lowering, pings=6, **faults):
+    design = Design(
+        pinger_topology(), pinger_process_factory(pings, 1.0), 0.2, 0.6
     )
+    return lower(design, lowering, **faults)
+
+
+def _pinger_timed():
+    return _pinger(Timed())
 
 
 def _pinger_clock():
-    return build_clock_system(
-        pinger_topology(), pinger_process_factory(6, 1.0), 0.05, 0.2, 0.6,
-        driver_factory("mixed", 0.05, seed=3),
-    )
+    return _pinger(Clock(0.05, driver_factory("mixed", 0.05, seed=3)))
 
 
 def _pinger_mmt():
-    return build_mmt_system(
-        pinger_topology(), pinger_process_factory(6, 1.0), 0.05, 0.2, 0.6,
-        0.1, lambda i: DriftingClockSource(0.05, 1.004, 10.0),
-    )
+    return _pinger(MMT(0.05, 0.1, _drifting))
 
 
-def _pairs(pipeline, n=32):
+def _pairs(lowering, n=32):
     """n/2 independent pinger/echo pairs, 6 pings each every 0.5.
 
     At every ping instant n/2 pingers are enabled together, so the
@@ -107,23 +107,14 @@ def _pairs(pipeline, n=32):
             return PingerProcess(i, i + 1, 6, 0.5)
         return EchoProcess(i, i - 1)
 
-    if pipeline == "timed":
-        return build_timed_system(topology, make, 0.2, 0.6)
-    if pipeline == "clock":
-        return build_clock_system(
-            topology, make, 0.05, 0.2, 0.6, driver_factory("mixed", 0.05, seed=5)
-        )
-    return build_mmt_system(
-        topology, make, 0.05, 0.2, 0.6, 0.25,
-        lambda i: DriftingClockSource(0.05, 1.004, 10.0),
-    )
+    return lower(Design(topology, make, 0.2, 0.6), lowering)
 
 
 def _timed_register():
-    return timed_register_system(
-        n=3, d1_prime=0.2, d2_prime=1.0, c=0.3,
-        workload=RegisterWorkload(operations=5, seed=4),
-        delay_model=UniformDelay(seed=4),
+    design = register_design(Timed(), 3, 0.2, 1.0, 0.3, 0.0, "L")
+    return with_clients(
+        lower(design, Timed(), UniformDelay(seed=4)),
+        RegisterWorkload(operations=5, seed=4),
     )
 
 
@@ -136,39 +127,33 @@ def _clock_register():
     )
 
 
-def _baseline_register():
-    return baseline_register_system(
-        n=3, d1=0.2, d2=1.0, eps=0.1,
-        workload=RegisterWorkload(operations=4, seed=6),
-        drivers=driver_factory("mixed", 0.1, seed=6),
-        delay_model=UniformDelay(seed=6),
+def _baseline_register(operations=4, seed=6):
+    native = Clock(
+        0.1, driver_factory("mixed", 0.1, seed=6), machine=PassThroughMachine
+    )
+    design = register_design(native, 3, 0.2, 1.0, 0.3, 0.1, "slotted")
+    return with_clients(
+        lower(design, native, UniformDelay(seed=6)),
+        RegisterWorkload(operations=operations, seed=seed),
     )
 
 
 def _crashed_baseline_register():
-    spec = baseline_register_system(
-        n=3, d1=0.2, d2=1.0, eps=0.1,
-        workload=RegisterWorkload(operations=10, seed=1),
-        drivers=driver_factory("mixed", 0.1, seed=6),
-        delay_model=UniformDelay(seed=6),
-    )
+    spec = _baseline_register(operations=10, seed=1)
     # node 1 is down for 0.3 > 2 * eps: its clock must jump back into
     # C_eps at the recovery, or its deadline maps to a passed real time
     return apply_plan(spec, FaultPlan.of([crash(1, 5.0), recover(1, 5.3)]))
 
 
 def _crashed_pinger():
-    spec = build_timed_system(
-        pinger_topology(), pinger_process_factory(8, 1.0), 0.2, 0.6
-    )
+    spec = _pinger(Timed(), pings=8)
     # the echo (node 1) crashes for good: a crash with no recover
     return apply_plan(spec, FaultPlan.of([crash(1, 4.5)]))
 
 
 def _lossy_pinger():
-    return build_timed_system(
-        pinger_topology(), pinger_process_factory(8, 1.0), 0.2, 0.6,
-        fault_model=BernoulliFaults(seed=9, p_drop=0.3),
+    return _pinger(
+        Timed(), pings=8, fault_model=BernoulliFaults(seed=9, p_drop=0.3)
     )
 
 
@@ -176,10 +161,11 @@ CORPUS = [
     ("pinger-timed", _pinger_timed),
     ("pinger-clock", _pinger_clock),
     ("pinger-mmt", _pinger_mmt),
-    ("pairs-timed", lambda: _pairs("timed")),
-    ("pairs-clock", lambda: _pairs("clock")),
+    ("pairs-timed", lambda: _pairs(Timed())),
+    ("pairs-clock",
+     lambda: _pairs(Clock(0.05, driver_factory("mixed", 0.05, seed=5)))),
     # every MMT node ticks until the horizon, so fewer pairs
-    ("pairs-mmt", lambda: _pairs("mmt", n=16)),
+    ("pairs-mmt", lambda: _pairs(MMT(0.05, 0.25, _drifting), n=16)),
     ("register-timed", _timed_register),
     ("register-clock", _clock_register),
     ("register-baseline", _baseline_register),
@@ -196,7 +182,9 @@ SCHEDULERS = [
 
 
 def _run(spec, incremental, scheduler, **kwargs):
-    recorder = kwargs.pop("recorder", None) or Recorder()
+    recorder = kwargs.pop("recorder", None)
+    if recorder is None:  # an empty Recorder is falsy: test identity
+        recorder = Recorder()
     sim = Simulator(
         spec.entities, scheduler=scheduler, hidden=spec.hidden,
         incremental=incremental,
@@ -242,6 +230,12 @@ class TestConformance:
         assert runs[0][0].events == runs[1][0].events
         assert runs[0][1].stats["injections"] == 3
 
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_callers_capped_recorder_is_the_one_that_records(self, incremental):
+        with pytest.raises(SimulationLimitError):
+            _run(_pinger_timed(), incremental, DeterministicScheduler(),
+                 recorder=Recorder(max_events=3))
+
     def test_max_steps_equivalent(self):
         spec = _pinger_timed()
         for incremental in (True, False):
@@ -260,9 +254,7 @@ class TestStopWhenAfterInjection:
     def _injection_only_spec(self):
         # A system with no locally controlled actions at all: one echo
         # node that never gets pinged. Only injections generate events.
-        return build_timed_system(
-            pinger_topology(), pinger_process_factory(0, 1.0), 0.2, 0.6
-        )
+        return _pinger(Timed(), pings=0)
 
     @pytest.mark.parametrize("incremental", [True, False])
     def test_injection_only_run_stops(self, incremental):

@@ -60,15 +60,13 @@ class TestStrictMode:
         assert result.recorder.count("GOOD") == 1
 
     def test_register_system_passes_strict(self):
-        from repro.registers.system import (
-            run_register_experiment,
-            timed_register_system,
-        )
+        from helpers import register_spec
+        from repro.core.pipeline import Timed
         from repro.registers.workload import RegisterWorkload
 
-        spec = timed_register_system(
-            n=2, d1_prime=0.2, d2_prime=1.0, c=0.3,
-            workload=RegisterWorkload(operations=3, seed=1),
+        spec = register_spec(
+            Timed(), n=2, d1=0.2, d2=1.0, c=0.3,
+            workload=RegisterWorkload(operations=3, seed=1), algorithm="L",
         )
         simulator = spec.simulator()
         simulator.strict = True

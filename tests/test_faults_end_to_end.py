@@ -4,7 +4,11 @@ crash-stop completeness for the heartbeat detector (Section 7.3)."""
 import pytest
 
 from repro.chaos import FaultPlan, apply_plan, crash
-from repro.core.pipeline import build_clock_system, simulation1_delay_bounds
+from repro.core.pipeline import (
+    Clock,
+    build_clock_system,
+    simulation1_delay_bounds,
+)
 from repro.detector import build_detector_system, detector_timeout
 from repro.faults import (
     BernoulliFaults,
@@ -93,8 +97,8 @@ class TestCrashStopDetector:
 
     def build(self, eps=0.15, d1=0.1, d2=1.0, crash_time=None):
         spec = build_detector_system(
-            "clock", 2.0, detector_timeout(d2, eps), 8, d1, d2, eps=eps,
-            drivers=self.drivers(eps), delay_model=MaximalDelay(),
+            Clock(eps, self.drivers(eps)), 2.0, detector_timeout(d2, eps), 8,
+            d1, d2, delay_model=MaximalDelay(),
         )
         if crash_time is None:
             return spec

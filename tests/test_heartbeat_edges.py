@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import Clock
 from repro.automata.actions import Action
 from repro.components.base import ProcessContext
 from repro.detector.heartbeat import (
@@ -114,8 +115,8 @@ class TestExactTimeoutBoundary:
             return SlowClockDriver(eps) if i == 0 else FastClockDriver(eps)
 
         return build_detector_system(
-            "clock", 2.0, timeout, 8, d1, d2, eps=eps,
-            drivers=drivers, delay_model=MaximalDelay(),
+            Clock(eps, drivers), 2.0, timeout, 8, d1, d2,
+            delay_model=MaximalDelay(),
         )
 
     def test_timeout_exactly_at_the_bound_never_false_suspects(self):

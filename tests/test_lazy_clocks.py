@@ -26,7 +26,7 @@ from repro.components.pinger import (
     pinger_topology,
 )
 from repro.core.clock_transform import ClockNodeEntity, PassThroughMachine
-from repro.core.pipeline import build_clock_system, build_native_clock_system
+from repro.core.pipeline import Clock, Design, build_clock_system, lower
 from repro.network.topology import Topology
 from repro.registers.opstream import OpSchedule
 from repro.registers.system import clock_register_system
@@ -88,8 +88,9 @@ def _pairs(drivers):
 
 
 def _native_pairs(drivers):
-    return build_native_clock_system(
-        _pair_topology(8), _pair_processes(), EPS, D1, D2, drivers
+    return lower(
+        Design(_pair_topology(8), _pair_processes(), D1, D2),
+        Clock(EPS, drivers, machine=PassThroughMachine),
     )
 
 

@@ -17,10 +17,13 @@ import pytest
 
 from helpers import pinger_process_factory, pinger_topology
 from repro.automata.actions import ActionPattern, PatternActionSet
+from repro.core.clock_transform import PassThroughMachine
 from repro.core.pipeline import (
+    Clock,
+    Design,
     build_clock_system,
-    build_native_clock_system,
     build_timed_system,
+    lower,
     simulation1_delay_bounds,
 )
 from repro.core.rate import check_output_rate, smallest_k
@@ -95,10 +98,13 @@ class TestBufferNecessity:
         return FastClockDriver(self.EPS) if i == 0 else SlowClockDriver(self.EPS)
 
     def test_without_buffers_clock_delays_go_negative(self):
-        spec = build_native_clock_system(
-            pinger_topology(), pinger_process_factory(6, 2.0),
-            self.EPS, self.D1, self.D2,
-            drivers=self.drivers, delay_model=MinimalDelay(),
+        spec = lower(
+            Design(
+                pinger_topology(), pinger_process_factory(6, 2.0),
+                self.D1, self.D2,
+            ),
+            Clock(self.EPS, self.drivers, machine=PassThroughMachine),
+            MinimalDelay(),
         )
         delays = one_hop_clock_delays(spec.run(20.0))
         assert delays, "expected completed round trips"

@@ -8,7 +8,7 @@ from repro.clocks.sources import OffsetClockSource, PerfectClockSource
 from repro.components.mmt import EagerStepPolicy, LazyStepPolicy, TimedFromMMT
 from repro.core.clock_transform import ClockMachine, PassThroughMachine
 from repro.core.mmt_transform import DelayedSimulation
-from repro.core.pipeline import build_mmt_system, simulation2_shift_bound
+from repro.core.pipeline import MMT, Design, lower, simulation2_shift_bound
 from repro.errors import TransitionError
 from repro.sim.delay import ConstantFractionDelay
 
@@ -129,16 +129,14 @@ class TestShiftBound:
         """Theorem 5.1: each D_M output is at most the shift bound later
         than its clock-model schedule (clock stamps approximate this)."""
         eps, ell = 0.05, 0.05
-        spec = build_mmt_system(
-            pinger_topology(),
-            pinger_process_factory(4, 2.0),
-            eps=eps,
-            d1=0.2,
-            d2=1.0,
-            step_bound=ell,
-            sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
-            step_policy_factory=lambda i: policy_cls(),
-            delay_model=ConstantFractionDelay(0.5),
+        spec = lower(
+            Design(pinger_topology(), pinger_process_factory(4, 2.0), 0.2, 1.0),
+            MMT(
+                eps, ell,
+                sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
+                step_policy=lambda i: policy_cls(),
+            ),
+            ConstantFractionDelay(0.5),
         )
         result = spec.run(20.0)
         # The pinger schedules PING k at clock time 2k; the MMT node must

@@ -18,10 +18,11 @@ from repro.objects.specs import (
     PNCounterSpec,
     RegisterSpec,
 )
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     clock_register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
@@ -151,9 +152,10 @@ class TestTimedModel:
     def test_superlinearizable_in_timed_model(self, spec_cls):
         spec = spec_cls()
         eps = 0.1
-        system = timed_register_system(
-            n=3, d1_prime=D1, d2_prime=D2, c=0.3, workload=workload(5, 0.5, 2),
-            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=2), spec=spec,
+        system = register_spec(
+            Timed(), n=3, d1=D1, d2=D2, c=0.3, workload=workload(5, 0.5, 2),
+            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=2),
+            spec=spec,
         )
         run = run_register_experiment(system, 70.0,
                                       scheduler=RandomScheduler(seed=2), spec=spec)
@@ -163,9 +165,10 @@ class TestTimedModel:
     def test_latency_bounds(self):
         spec = CounterSpec()
         eps, c = 0.1, 0.3
-        system = timed_register_system(
-            n=3, d1_prime=D1, d2_prime=D2, c=c, workload=workload(6, 0.5, 3),
-            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=3), spec=spec,
+        system = register_spec(
+            Timed(), n=3, d1=D1, d2=D2, c=c, workload=workload(6, 0.5, 3),
+            eps=eps, delta=DELTA, delay_model=UniformDelay(seed=3),
+            spec=spec,
         )
         run = run_register_experiment(system, 70.0,
                                       scheduler=RandomScheduler(seed=3), spec=spec)

@@ -17,10 +17,11 @@ from repro.errors import ReproError
 from repro.network.topology import Topology
 from repro.objects.specs import CounterSpec
 from repro.obs.trace import TRACE_KINDS_V1, JsonlTracer, read_trace
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import UniformDelay
@@ -31,8 +32,8 @@ from repro.traces.linearizability import is_linearizable
 
 def sample_run(tracer=None):
     workload = RegisterWorkload(operations=4, read_fraction=0.5, seed=5)
-    spec = timed_register_system(
-        n=2, d1_prime=0.2, d2_prime=1.0, c=0.3, workload=workload,
+    spec = register_spec(
+        Timed(), n=2, d1=0.2, d2=1.0, c=0.3, workload=workload, algorithm="L",
         delay_model=UniformDelay(seed=5),
     )
     return run_register_experiment(spec, 40.0, tracer=tracer)
@@ -151,7 +152,8 @@ class TestTraceReload:
 
     def test_injections_replay_as_environment_events(self, tmp_path):
         spec = build_flood_system(
-            "timed", Topology.ring(4), 0.1, 1.0, delay_model=UniformDelay(seed=3)
+            Timed(), Topology.ring(4), 0.1, 1.0,
+            delay_model=UniformDelay(seed=3),
         )
         path = tmp_path / "flood.jsonl"
         tracer = JsonlTracer(str(path))

@@ -1,21 +1,42 @@
-"""Tests for the system builders and guarantee bookkeeping."""
+"""Tests for the lowerings and guarantee bookkeeping."""
 
 import pytest
 
 from helpers import pinger_process_factory, pinger_topology
 from repro.automata.actions import Action
+from repro.core.clock_transform import PassThroughMachine
 from repro.core.pipeline import (
-    SystemSpec,
+    MMT,
+    Clock,
+    Design,
+    Timed,
     build_clock_system,
-    build_mmt_system,
-    build_native_clock_system,
     build_timed_system,
+    lower,
     simulation1_delay_bounds,
     simulation2_shift_bound,
 )
 from repro.clocks.sources import PerfectClockSource
+from repro.faults.lossy_channel import LossyChannelEntity
+from repro.faults.models import BernoulliFaults
 from repro.sim.clock_drivers import PerfectClockDriver
 from repro.sim.delay import MinimalDelay
+
+
+def _pinger(pings=1):
+    return Design(pinger_topology(), pinger_process_factory(pings, 1.0), 0.1, 1.0)
+
+
+def _perfect(i):
+    return PerfectClockDriver(0.1)
+
+
+LOWERINGS = {
+    "timed": Timed(),
+    "clock": Clock(0.1, _perfect),
+    "native": Clock(0.1, _perfect, machine=PassThroughMachine),
+    "mmt": MMT(0.1, 0.05, lambda i: PerfectClockSource()),
+}
 
 
 class TestBounds:
@@ -33,70 +54,89 @@ class TestBounds:
             3 * 0.1 + 0.1 + 0.3
         )
 
+    def test_each_lowering_owns_its_design_bounds(self):
+        widened = simulation1_delay_bounds(0.5, 2.0, 0.1)
+        assert LOWERINGS["timed"].design_bounds(0.5, 2.0) == (0.5, 2.0)
+        assert LOWERINGS["native"].design_bounds(0.5, 2.0) == (0.5, 2.0)
+        assert LOWERINGS["clock"].design_bounds(0.5, 2.0) == widened
+        assert LOWERINGS["mmt"].design_bounds(0.5, 2.0) == widened
+
 
 class TestBuilders:
     def test_timed_entities(self):
-        spec = build_timed_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1, 1.0
-        )
+        spec = lower(_pinger(), Timed())
         names = {e.name for e in spec.entities}
         assert "pinger(0)" in names and "echo(1)" in names
         assert "chan[0->1]" in names and "chan[1->0]" in names
         assert set(spec.node_entities) == {0, 1}
 
     def test_clock_entities(self):
-        spec = build_clock_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
-            0.1, 1.0, lambda i: PerfectClockDriver(0.1),
-        )
+        spec = lower(_pinger(), LOWERINGS["clock"])
         names = {e.name for e in spec.entities}
         assert "pinger(0)^c" in names
         assert any(name.startswith("chan[0->1]") for name in names)
 
     def test_native_clock_entities(self):
-        spec = build_native_clock_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
-            0.1, 1.0, lambda i: PerfectClockDriver(0.1),
-        )
+        spec = lower(_pinger(), LOWERINGS["native"])
         assert any("@clock" in e.name for e in spec.entities)
 
     def test_mmt_entities_include_ticks(self):
-        spec = build_mmt_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
-            0.1, 1.0, step_bound=0.05,
-            sources=lambda i: PerfectClockSource(),
-        )
+        spec = lower(_pinger(), LOWERINGS["mmt"])
         names = {e.name for e in spec.entities}
         assert "tick(0)" in names and "tick(1)" in names
         assert "pinger(0)^m" in names
 
     def test_hidden_sets(self):
-        timed = build_timed_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1, 1.0
-        )
+        timed = lower(_pinger(), Timed())
         assert Action("SENDMSG", (0, 1, "m")) in timed.hidden
         assert Action("PING", (0, 1)) not in timed.hidden
 
-        clock = build_clock_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
-            0.1, 1.0, lambda i: PerfectClockDriver(0.1),
-        )
+        clock = lower(_pinger(), LOWERINGS["clock"])
         assert Action("ESENDMSG", (0, 1, ("m", 1.0))) in clock.hidden
 
-        mmt = build_mmt_system(
-            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
-            0.1, 1.0, step_bound=0.05,
-            sources=lambda i: PerfectClockSource(),
-        )
+        mmt = lower(_pinger(), LOWERINGS["mmt"])
         assert Action("TICK", (0, 1.0)) in mmt.hidden
+
+    def test_labels(self):
+        labels = {
+            name: lower(_pinger(), lowering).label
+            for name, lowering in LOWERINGS.items()
+        }
+        assert labels == {
+            "timed": "D_T[0.1,1]",
+            "clock": "D_C[0.1,1] eps=0.1",
+            "native": "native-clock[0.1,1] eps=0.1",
+            "mmt": "D_M[0.1,1] eps=0.1 l=0.05",
+        }
+
+    @pytest.mark.parametrize("name", sorted(LOWERINGS))
+    def test_fault_model_reaches_every_lowering(self, name):
+        spec = lower(
+            _pinger(), LOWERINGS[name],
+            fault_model=BernoulliFaults(seed=1, p_drop=0.5),
+        )
+        channels = [e for e in spec.entities if isinstance(e, LossyChannelEntity)]
+        assert len(channels) == 2
+
+    def test_bindings_are_the_timed_and_clock_lowerings(self):
+        timed = build_timed_system(
+            pinger_topology(), pinger_process_factory(1, 1.0), 0.1, 1.0
+        )
+        clock = build_clock_system(
+            pinger_topology(), pinger_process_factory(1, 1.0), 0.1,
+            0.1, 1.0, _perfect,
+        )
+        assert [e.name for e in timed.entities] == [
+            e.name for e in lower(_pinger(), Timed()).entities
+        ]
+        assert [e.name for e in clock.entities] == [
+            e.name for e in lower(_pinger(), LOWERINGS["clock"]).entities
+        ]
 
 
 class TestSystemSpec:
     def make(self):
-        return build_timed_system(
-            pinger_topology(), pinger_process_factory(2, 1.0), 0.1, 1.0,
-            MinimalDelay(),
-        )
+        return lower(_pinger(pings=2), Timed(), MinimalDelay())
 
     def test_add_returns_new_spec(self):
         spec = self.make()

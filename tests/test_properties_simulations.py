@@ -15,8 +15,10 @@ from repro.components.base import ProcessContext
 from repro.components.mmt import LazyStepPolicy
 from repro.core.clock_transform import ClockMachine
 from repro.core.pipeline import (
+    MMT,
+    Design,
     build_clock_system,
-    build_mmt_system,
+    lower,
     simulation1_delay_bounds,
     simulation2_shift_bound,
 )
@@ -73,12 +75,14 @@ class TestTheorem51Property:
     )
     @settings(max_examples=15, deadline=None)
     def test_output_shift_within_bound(self, eps, ell, seed):
-        spec = build_mmt_system(
-            pinger_topology(), pinger_process_factory(3, 2.0),
-            eps, d1=0.2, d2=1.0, step_bound=ell,
-            sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
-            step_policy_factory=lambda i: LazyStepPolicy(),
-            delay_model=UniformDelay(seed=seed),
+        spec = lower(
+            Design(pinger_topology(), pinger_process_factory(3, 2.0), 0.2, 1.0),
+            MMT(
+                eps, ell,
+                sources=lambda i: OffsetClockSource(eps, eps if i == 0 else -eps),
+                step_policy=lambda i: LazyStepPolicy(),
+            ),
+            UniformDelay(seed=seed),
         )
         result = spec.run(15.0, max_steps=3_000_000)
         k = 3  # a ping burst: PING + SENDMSG (+ reply handling)

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.buffers import ReceiveBuffer
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     clock_register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import (
@@ -93,9 +94,9 @@ class TestRegisterRunsProperties:
             operations=4, read_fraction=read_fraction, seed=seed,
             think_min=0.2, think_max=1.5,
         )
-        spec = timed_register_system(
-            n=3, d1_prime=0.2, d2_prime=1.0, c=0.4, workload=workload,
-            delay_model=UniformDelay(seed=seed),
+        spec = register_spec(
+            Timed(), n=3, d1=0.2, d2=1.0, c=0.4, workload=workload,
+            algorithm="L", delay_model=UniformDelay(seed=seed),
         )
         run = run_register_experiment(
             spec, 50.0, scheduler=RandomScheduler(seed=seed)

@@ -3,6 +3,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.pipeline import Clock
 from repro.clocks.sync import CristianSimulation, HardwareClock, achievable_epsilon
 from repro.sim.clock_drivers import FastClockDriver, SlowClockDriver
 from repro.tdma import build_tdma_system, critical_intervals, max_overlap
@@ -22,8 +23,7 @@ class TestTDMAOverlapFormula:
             return FastClockDriver(eps) if i % 2 == 0 else SlowClockDriver(eps)
 
         spec = build_tdma_system(
-            "clock", n=3, slot_width=1.0, guard=guard, sections=2,
-            eps=eps, drivers=drivers,
+            Clock(eps, drivers), n=3, slot_width=1.0, guard=guard, sections=2,
         )
         intervals = critical_intervals(spec.run(10.0).trace)
         overlap = max_overlap(intervals)
@@ -40,8 +40,7 @@ class TestTDMAOverlapFormula:
             return FastClockDriver(eps) if i % 2 == 0 else SlowClockDriver(eps)
 
         spec = build_tdma_system(
-            "clock", n=3, slot_width=1.0, guard=eps, sections=2,
-            eps=eps, drivers=drivers,
+            Clock(eps, drivers), n=3, slot_width=1.0, guard=eps, sections=2,
         )
         intervals = critical_intervals(spec.run(10.0).trace)
         assert max_overlap(intervals) <= 1e-9

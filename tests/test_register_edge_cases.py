@@ -2,10 +2,11 @@
 
 import pytest
 
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     clock_register_system,
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.clock_drivers import driver_factory
@@ -22,10 +23,9 @@ def run_timed(c, seed=0, n=3, ops=5, read_fraction=0.5, think=(0.5, 2.0),
         operations=ops, read_fraction=read_fraction, seed=seed,
         think_min=think[0], think_max=think[1],
     )
-    spec = timed_register_system(
-        n=n, d1_prime=D1P, d2_prime=D2P, c=c, workload=workload,
-        algorithm=algorithm, eps=eps, delta=DELTA,
-        delay_model=UniformDelay(seed=seed),
+    spec = register_spec(
+        Timed(), n=n, d1=D1P, d2=D2P, c=c, workload=workload, eps=eps,
+        algorithm=algorithm, delta=DELTA, delay_model=UniformDelay(seed=seed),
     )
     return run_register_experiment(
         spec, horizon, scheduler=RandomScheduler(seed=seed)
@@ -104,9 +104,9 @@ class TestConcurrentWritesSameInstant:
             operations=1, read_fraction=0.0, seed=10,
             think_min=0.0, think_max=0.0, start_delay=0.0,
         )
-        spec = timed_register_system(
-            n=4, d1_prime=D1P, d2_prime=D2P, c=0.3, workload=workload,
-            delay_model=UniformDelay(seed=10),
+        spec = register_spec(
+            Timed(), n=4, d1=D1P, d2=D2P, c=0.3, workload=workload,
+            algorithm="L", delay_model=UniformDelay(seed=10),
         )
         run = run_register_experiment(spec, 20.0)
         assert len(run.writes) == 4

@@ -8,6 +8,7 @@ runs comfortably.
 
 import pytest
 
+from repro.core.pipeline import Clock
 from repro.automata.actions import Action
 from repro.broadcast import build_flood_system, deliveries
 from repro.broadcast.flood import _distances, diameter
@@ -58,9 +59,8 @@ class TestBroadcastScale:
         topology = Topology.ring(n)
         eps = 0.05
         spec = build_flood_system(
-            "clock", topology, 0.1, 0.5, eps=eps,
-            drivers=driver_factory("mixed", eps, seed=3),
-            delay_model=UniformDelay(seed=3),
+            Clock(eps, driver_factory("mixed", eps, seed=3)), topology, 0.1,
+            0.5, delay_model=UniformDelay(seed=3),
         )
         horizon = 2.0 + diameter(topology) * (0.5 + 2 * eps)
         result = spec.simulator().run(

@@ -24,10 +24,9 @@ from repro.components.mmt import (
     UniformStepPolicy,
 )
 from repro.core.pipeline import simulation2_shift_bound
-from repro.registers.system import (
-    mmt_register_system,
-    run_register_experiment,
-)
+from helpers import register_spec
+from repro.core.pipeline import MMT
+from repro.registers.system import run_register_experiment
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import UniformDelay
 from repro.sim.scheduler import RandomScheduler
@@ -50,14 +49,14 @@ def mixed_sources(eps):
 def run(eps=0.05, ell=0.02, c=0.3, seed=0, policy_cls=EagerStepPolicy,
         sources=None, ops=4, horizon=70.0):
     workload = RegisterWorkload(operations=ops, read_fraction=0.5, seed=seed)
-    spec = mmt_register_system(
-        n=3, d1=D1, d2=D2, c=c, eps=eps, step_bound=ell,
-        sources=sources or mixed_sources(eps),
-        workload=workload,
-        delta=DELTA,
-        step_policy_factory=lambda i: policy_cls() if policy_cls is not UniformStepPolicy
+    mmt = MMT(
+        eps, ell, sources or mixed_sources(eps),
+        step_policy=lambda i: policy_cls() if policy_cls is not UniformStepPolicy
         else UniformStepPolicy(seed=i),
-        delay_model=UniformDelay(seed=seed),
+    )
+    spec = register_spec(
+        mmt, n=3, d1=D1, d2=D2, c=c, workload=workload, eps=eps,
+        delta=DELTA, delay_model=UniformDelay(seed=seed),
     )
     return run_register_experiment(
         spec, horizon, scheduler=RandomScheduler(seed=seed), max_steps=3_000_000

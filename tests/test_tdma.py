@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import Clock, Timed
 from repro.errors import SpecificationError
 from repro.sim.clock_drivers import (
     FastClockDriver,
@@ -36,15 +37,17 @@ class TestProcess:
             TDMAProcess(0, 3, slot_width=1.0, guard=-0.1)
 
     def test_owns_every_nth_slot(self):
-        spec = build_tdma_system("timed", n=3, slot_width=1.0, guard=0.1,
-                                 sections=3)
+        spec = build_tdma_system(
+            Timed(), n=3, slot_width=1.0, guard=0.1, sections=3,
+        )
         intervals = critical_intervals(spec.run(12.0).trace)
         for node, slot, _, __ in intervals:
             assert slot % 3 == node
 
     def test_enter_exit_times(self):
-        spec = build_tdma_system("timed", n=2, slot_width=2.0, guard=0.25,
-                                 sections=2)
+        spec = build_tdma_system(
+            Timed(), n=2, slot_width=2.0, guard=0.25, sections=2,
+        )
         intervals = critical_intervals(spec.run(10.0).trace)
         node0 = [iv for iv in intervals if iv[0] == 0]
         assert node0[0][2] == pytest.approx(0.25)
@@ -54,14 +57,16 @@ class TestProcess:
 class TestTimedModel:
     @pytest.mark.parametrize("guard", [0.0, 0.1, 0.3])
     def test_mutual_exclusion_any_guard(self, guard):
-        spec = build_tdma_system("timed", n=3, slot_width=1.0, guard=guard,
-                                 sections=3)
+        spec = build_tdma_system(
+            Timed(), n=3, slot_width=1.0, guard=guard, sections=3,
+        )
         intervals = critical_intervals(spec.run(12.0).trace)
         assert max_overlap(intervals) <= 1e-9
 
     def test_gap_is_twice_guard(self):
-        spec = build_tdma_system("timed", n=3, slot_width=1.0, guard=0.2,
-                                 sections=3)
+        spec = build_tdma_system(
+            Timed(), n=3, slot_width=1.0, guard=0.2, sections=3,
+        )
         intervals = critical_intervals(spec.run(12.0).trace)
         assert min_gap(intervals) == pytest.approx(0.4)
 
@@ -69,8 +74,8 @@ class TestTimedModel:
 class TestClockModel:
     def run_clock(self, guard, drivers=adversarial, sections=3):
         spec = build_tdma_system(
-            "clock", n=3, slot_width=1.0, guard=guard, sections=sections,
-            eps=EPS, drivers=drivers,
+            Clock(EPS, drivers), n=3, slot_width=1.0, guard=guard,
+            sections=sections,
         )
         return critical_intervals(spec.run(15.0).trace)
 

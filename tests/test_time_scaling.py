@@ -9,9 +9,10 @@ check: any buried magic number breaks it.
 
 import pytest
 
+from helpers import register_spec
+from repro.core.pipeline import Timed
 from repro.registers.system import (
     run_register_experiment,
-    timed_register_system,
 )
 from repro.registers.workload import RegisterWorkload
 from repro.sim.delay import ConstantFractionDelay
@@ -23,10 +24,9 @@ def run_scaled(k, seed=3, ops=4):
         operations=ops, read_fraction=0.5, seed=seed,
         think_min=0.5 * k, think_max=0.5 * k,  # constant: keep RNG draws equal
     )
-    spec = timed_register_system(
-        n=3, d1_prime=0.2 * k, d2_prime=1.0 * k, c=0.3 * k,
-        workload=workload, delta=0.01 * k,
-        delay_model=ConstantFractionDelay(0.5),
+    spec = register_spec(
+        Timed(), n=3, d1=0.2 * k, d2=1.0 * k, c=0.3 * k, workload=workload,
+        algorithm="L", delta=0.01 * k, delay_model=ConstantFractionDelay(0.5),
     )
     return run_register_experiment(
         spec, 60.0 * k, scheduler=DeterministicScheduler()
