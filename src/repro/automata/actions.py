@@ -52,11 +52,10 @@ class Action:
         return None
 
     def __repr__(self) -> str:
-        if not self.params:
+        params = self.params
+        if not params:
             return f"{self.name}()"
-        head, *rest = self.params
-        inner = ", ".join(repr(p) for p in rest)
-        return f"{self.name}_{head!r}({inner})".replace("'", "'")
+        return f"{self.name}_{params[0]!r}({', '.join(map(repr, params[1:]))})"
 
     def __str__(self) -> str:
         return self.__repr__()

@@ -13,7 +13,7 @@ include self-edges ``(i, i)``.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.errors import SpecificationError
 
@@ -27,11 +27,18 @@ class Topology:
         if n <= 0:
             raise SpecificationError("a topology needs at least one node")
         edge_set = frozenset((int(i), int(j)) for i, j in edges)
+        out: Dict[int, List[int]] = {}
+        into: Dict[int, List[int]] = {}
         for i, j in sorted(edge_set):
             if not (0 <= i < n and 0 <= j < n):
                 raise SpecificationError(f"edge ({i}, {j}) out of range for n={n}")
+            out.setdefault(i, []).append(j)
+            into.setdefault(j, []).append(i)
         self.n = n
         self.edges: FrozenSet[Edge] = edge_set
+        # sorted adjacency, built in edge order: both lists come out sorted
+        self._out = out
+        self._in = into
 
     # -- constructors --------------------------------------------------------
 
@@ -85,11 +92,11 @@ class Topology:
 
     def out_neighbors(self, i: int) -> List[int]:
         """Destinations of edges leaving ``i``, sorted."""
-        return sorted(j for (src, j) in self.edges if src == i)
+        return list(self._out.get(i, ()))
 
     def in_neighbors(self, i: int) -> List[int]:
         """Sources of edges entering ``i``, sorted."""
-        return sorted(src for (src, j) in self.edges if j == i)
+        return list(self._in.get(i, ()))
 
     def has_edge(self, i: int, j: int) -> bool:
         """Whether the directed edge ``(i, j)`` exists."""

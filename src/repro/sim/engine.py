@@ -49,6 +49,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.automata.actions import (
     ANY,
     Action,
+    ActionPattern,
     ActionSet,
     EmptyActionSet,
     FiniteActionSet,
@@ -161,9 +162,10 @@ def _input_action_keys(action_set: ActionSet) -> Optional[Set[Tuple[str, Any]]]:
     decomposed (predicate sets, unknown subclasses) — the owning entity
     is then probed for every routed action, exactly like the full scan.
     The keys may over-approximate the truly accepted actions (e.g. for
-    difference sets); routing always re-checks ``accepts`` on the
-    prefiltered entities, so over-approximation is safe and
-    under-approximation is the only thing that would be a bug.
+    difference sets); routing asks ``accepts`` of the prefiltered
+    entities (once per routed key, see :class:`_Route`), so
+    over-approximation is safe and under-approximation is the only thing
+    that would be a bug.
     """
     if isinstance(action_set, EmptyActionSet):
         return set()
@@ -196,8 +198,45 @@ def _input_action_keys(action_set: ActionSet) -> Optional[Set[Tuple[str, Any]]]:
     return None
 
 
+def _key_depth(action_set: ActionSet) -> Optional[int]:
+    """The ``d`` for which membership is a function of ``(name, params[:d])``.
+
+    A pattern looks at the name and at most ``len(prefix)`` leading
+    parameters (an action shorter than the prefix fails it, and its
+    ``params[:d]`` is then all of its parameters), so ``d`` is the longest
+    prefix in the set. ``None`` when no such ``d`` is known: finite and
+    predicate sets and unknown subclasses keep a direct membership test.
+    """
+    kind = type(action_set)
+    if kind is EmptyActionSet:
+        return 0
+    if kind is PatternActionSet:
+        patterns = action_set.patterns
+        if any(type(p) is not ActionPattern for p in patterns):
+            return None
+        return max((len(p.prefix) for p in patterns), default=0)
+    if kind is UnionActionSet:
+        members: Sequence[ActionSet] = action_set.members
+    elif kind is _DifferenceActionSet or kind is _IntersectionActionSet:
+        members = (action_set._left, action_set._right)
+    else:
+        return None
+    depth = 0
+    for member in members:
+        sub = _key_depth(member)
+        if sub is None:
+            return None
+        depth = max(depth, sub)
+    return depth
+
+
 class _EntityInfo:
-    """Per-entity data precomputed once per :class:`Simulator`."""
+    """Per-entity data precomputed once per :class:`Simulator`.
+
+    The key depths and the fired-action memo are not: the engine sets
+    them the first time the entity is routed to or fires (see
+    :meth:`Simulator._route_targets` and :meth:`Simulator._classify`).
+    """
 
     __slots__ = (
         "entity",
@@ -209,6 +248,11 @@ class _EntityInfo:
         "probe_always",
         "input_keys",
         "advances",
+        # set lazily:
+        "input_depth",  # _key_depth of the inputs (None with probe_always)
+        "routed_exactly",  # input_depth is not None: routing needs no accepts()
+        "fired_depth",  # key depth deciding (is_output, visible)
+        "fired",  # key -> (is_output, visible); None when undecided
     )
 
     def __init__(self, entity: Entity, index: int):
@@ -234,6 +278,18 @@ class _EntityInfo:
             type(entity).advance is not Entity.advance
             and not self.wakes_at_deadline
         )
+
+    def routing_depth(self) -> Optional[int]:
+        """:attr:`input_depth`, computed on first use."""
+        try:
+            return self.input_depth
+        except AttributeError:
+            depth = None if self.probe_always else _key_depth(
+                self.entity.signature.inputs
+            )
+            self.input_depth = depth
+            self.routed_exactly = depth is not None
+            return depth
 
 
 class _RouteIndex:
@@ -276,6 +332,32 @@ class _RouteIndex:
         else:
             named = chain(by_param.get(param, ()), by_param.get(_ANY_FIRST, ()))
         return sorted({*named, *self.probe_always})
+
+
+class _Route:
+    """The route table's entry for one ``(name, first param)`` key.
+
+    ``candidates`` over-approximates the recipients (from the
+    :class:`_RouteIndex`). ``depth`` is the longest input key depth among
+    them, so whether each candidate whose inputs have a depth accepts an
+    action is a function of ``params[:depth]``; ``exact`` memoises, per
+    such prefix, the candidates that accept it plus every candidate
+    without a depth, which must still be asked.
+    """
+
+    __slots__ = ("candidates", "depth", "exact")
+
+    def __init__(self, candidates: Tuple[_EntityInfo, ...]):
+        self.candidates = candidates
+        depths = [info.routing_depth() for info in candidates]
+        self.depth = max((d for d in depths if d is not None), default=0)
+        self.exact: Dict[Tuple, Tuple[_EntityInfo, ...]] = {}
+
+    def resolve(self, action: Action) -> Tuple[_EntityInfo, ...]:
+        return tuple(
+            info for info in self.candidates
+            if not info.routed_exactly or info.entity.accepts(action)
+        )
 
 
 class Simulator:
@@ -324,10 +406,9 @@ class Simulator:
         self.incremental = incremental
         self._infos = [_EntityInfo(e, i) for i, e in enumerate(self.entities)]
         self._route_index = _RouteIndex(self._infos)
-        # (action name, first param) -> tuple of _EntityInfo that may
-        # accept it, in composition order (routing and injection
-        # delivery order); filled per key from the index on first use.
-        self._route_table: Dict[Tuple[str, Any], Tuple[_EntityInfo, ...]] = {}
+        # (action name, first param) -> its _Route, filled per key from
+        # the index on first use; see _route_targets.
+        self._route_table: Dict[Tuple[str, Any], _Route] = {}
         # Which per-round and per-advance sweeps of the incremental loop
         # each entity is part of, by the scheduling contract it declares.
         infos = self._infos
@@ -344,22 +425,68 @@ class Simulator:
     # -- internals ---------------------------------------------------------
 
     def _route_targets(self, action: Action) -> Tuple[_EntityInfo, ...]:
-        """Entities that may accept the action, in composition order."""
+        """The entities an output or injected ``action`` is delivered to,
+        in composition order.
+
+        Those with ``routed_exactly`` accept it; the others (no key
+        depth) must still be asked with ``accepts``. Memoised per
+        ``(name, params[:depth])``, so the signatures are walked once
+        per routed key rather than once per step.
+        """
+        params = action.params
+        try:
+            route = self._route_table[
+                action.name, params[0] if params else _NO_PARAMS
+            ]
+            return route.exact[params[: route.depth]]
+        except (KeyError, TypeError):
+            pass
         name = action.name
         try:
-            key = _first_param_key(name, action.params)
-            targets = self._route_table.get(key)
+            key = _first_param_key(name, params)
+            route = self._route_table.get(key)
         except TypeError:
             # Unhashable first parameter: every entity whose keys
             # mention the name at all.
             key = (name, _ANY_FIRST)
-            targets = self._route_table.get(key)
-        if targets is None:
+            route = self._route_table.get(key)
+        if route is None:
             infos = self._infos
-            targets = self._route_table[key] = tuple(
-                infos[i] for i in self._route_index.consumers(*key)
+            route = self._route_table[key] = _Route(
+                tuple(infos[i] for i in self._route_index.consumers(*key))
             )
+        targets = route.resolve(action)
+        try:
+            route.exact[params[: route.depth]] = targets
+        except TypeError:
+            pass  # an unhashable parameter inside the key: not memoised
         return targets
+
+    def _classify(self, owner: _EntityInfo, action: Action) -> Tuple[bool, bool]:
+        """``(is_output, visible)`` of an action ``owner`` fired.
+
+        Memoised in ``owner.fired`` per ``(name, params[:fired_depth])``,
+        the depth deciding both the owner's outputs and ``hidden``; the
+        incremental loop reads the memo itself and calls this on a miss.
+        """
+        try:
+            fired, depth = owner.fired, owner.fired_depth
+        except AttributeError:  # the owner's first fire
+            depth = _key_depth(owner.entity.signature.outputs)
+            if depth is not None and self.hidden is not None:
+                hidden_depth = _key_depth(self.hidden)
+                depth = None if hidden_depth is None else max(depth, hidden_depth)
+            fired = {} if depth is not None else None
+            owner.fired, owner.fired_depth = fired, depth
+        is_output = owner.entity.signature.is_output(action)
+        hidden = self.hidden
+        visible = is_output and (hidden is None or action not in hidden)
+        if fired is not None:
+            try:
+                fired[action.name, action.params[:depth]] = (is_output, visible)
+            except TypeError:
+                pass  # an unhashable parameter inside the key
+        return is_output, visible
 
     # -- main loop -------------------------------------------------------------
 
@@ -483,7 +610,7 @@ def _run_incremental(
     strict = sim.strict
     max_steps = sim.max_steps
     route_targets = sim._route_targets
-    hidden = sim.hidden
+    classify = sim._classify
 
     infos = sim._infos
     info_by_name = {info.name: info for info in infos}
@@ -539,7 +666,7 @@ def _run_incremental(
                 inject_idx += 1
                 c_injections.inc()
                 for info in route_targets(action):
-                    if info.entity.accepts(action):
+                    if info.routed_exactly or info.entity.accepts(action):
                         info.entity.apply_input(
                             state_by_idx[info.index], action, now
                         )
@@ -580,8 +707,13 @@ def _run_incremental(
             state = state_by_idx[owner.index]
             clock = entity.clock_value(state, now)
             entity.fire(state, action, now)
-            is_output = entity.signature.is_output(action)
-            visible = is_output and (hidden is None or action not in hidden)
+            try:
+                is_output, visible = owner.fired[
+                    action.name, action.params[: owner.fired_depth]
+                ]
+            # first fire (slots unset), new key, or no memo / unhashable key
+            except (AttributeError, KeyError, TypeError):
+                is_output, visible = classify(owner, action)
             sink_action(now, entity.name, action, clock, visible)
             (c_visible if visible else c_hidden).inc()
             if is_output:
@@ -589,7 +721,7 @@ def _run_incremental(
                     target_entity = info.entity
                     if target_entity is entity:
                         continue
-                    if target_entity.accepts(action):
+                    if info.routed_exactly or target_entity.accepts(action):
                         target_entity.apply_input(
                             state_by_idx[info.index], action, now
                         )

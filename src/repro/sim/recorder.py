@@ -25,8 +25,7 @@ the run that wrote it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.automata.actions import Action, ActionSet
 from repro.automata.executions import TimedEvent, TimedSequence
@@ -34,9 +33,8 @@ from repro.errors import SimulationLimitError
 from repro.obs.trace import Tracer
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One recorded action occurrence."""
+class EventRecord(NamedTuple):
+    """One recorded action occurrence (an immutable tuple)."""
 
     index: int
     action: Action
@@ -49,6 +47,9 @@ class EventRecord:
         vis = "" if self.visible else " (hidden)"
         clk = "" if self.clock is None else f", clock={self.clock:g}"
         return f"[{self.index}] {self.action} @now={self.now:g}{clk} by {self.owner}{vis}"
+
+
+_new_record = tuple.__new__  # EventRecord(...) without its Python-level __new__
 
 
 class Recorder(Tracer):
@@ -136,7 +137,9 @@ class Recorder(Tracer):
         visible: bool,
     ) -> None:
         """Append one action occurrence."""
-        entry = EventRecord(self._next_index, action, now, owner, clock, visible)
+        entry = _new_record(
+            EventRecord, (self._next_index, action, now, owner, clock, visible)
+        )
         self._next_index += 1
         if self.max_events is not None and len(self._events) >= self.max_events:
             if self.on_overflow == "raise":

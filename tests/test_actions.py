@@ -39,6 +39,20 @@ class TestAction:
         text = repr(Action("SENDMSG", (0, 1, "m")))
         assert "SENDMSG" in text and "m" in text
 
+    @pytest.mark.parametrize("action,text", [
+        (Action("GLOBAL"), "GLOBAL()"),
+        (Action("READ", (3,)), "READ_3()"),
+        (Action("X", ("it's",)), 'X_"it\'s"()'),
+        (Action("SENDMSG", (0, 1, "m")), "SENDMSG_0(1, 'm')"),
+        (Action("ESENDMSG", (2, 0, ("upd", 4, ("w", 1.5)), 0.25)),
+         "ESENDMSG_2(0, ('upd', 4, ('w', 1.5)), 0.25)"),
+        (Action("Y", ((1, 2), 'say "hi"', "don't", None, [1])),
+         "Y_(1, 2)('say \"hi\"', \"don't\", None, [1])"),
+    ], ids=["zero", "one", "quoted-head", "many", "nested", "quotes"])
+    def test_repr_is_pinned(self, action, text):
+        # the recorder's trace hashes and the scheduler's sort keys read it
+        assert repr(action) == str(action) == text
+
 
 class TestTimePassage:
     def test_nu_is_singleton(self):

@@ -14,9 +14,13 @@ rework: ``stop_when`` after injection delivery, and ring-recorder event
 totals.
 """
 
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.automata.actions import (
+    ANY,
     Action,
     ActionPattern,
     FiniteActionSet,
@@ -44,6 +48,7 @@ from repro.components.pinger import (
 from repro.core.clock_transform import PassThroughMachine
 from repro.core.pipeline import MMT, Clock, Design, Timed, lower
 from repro.faults.models import BernoulliFaults
+from repro.network.channel import ChannelEntity
 from repro.network.topology import Topology
 from repro.registers.system import (
     clock_register_system,
@@ -157,6 +162,16 @@ def _lossy_pinger():
     )
 
 
+def _memo_probe():
+    """Signatures that a key-memoised route or classification must not
+    over-trust (see :func:`_memo_probe_entities`)."""
+    return SimpleNamespace(
+        entities=_memo_probe_entities(),
+        # a 2-parameter prefix: M_0(2, r) is hidden, M_0(1, r) visible
+        hidden=PatternActionSet([ActionPattern("M", (0, 2))]),
+    )
+
+
 CORPUS = [
     ("pinger-timed", _pinger_timed),
     ("pinger-clock", _pinger_clock),
@@ -172,6 +187,7 @@ CORPUS = [
     ("register-baseline-crash", _crashed_baseline_register),
     ("crash", _crashed_pinger),
     ("lossy", _lossy_pinger),
+    ("memo-probe", _memo_probe),
 ]
 
 SCHEDULERS = [
@@ -418,9 +434,10 @@ class TestRoutingTable:
         for spec in specs:
             recorder, _ = _run(spec, True, DeterministicScheduler())
             sim = Simulator(spec.entities, hidden=spec.hidden)
-            actions = {event.action for event in recorder.events}
+            # by repr: an action with an unhashable parameter is no key
+            actions = {repr(e.action): e.action for e in recorder.events}
             assert actions
-            for action in actions:
+            for action in actions.values():
                 routed = [info.index for info in sim._route_targets(action)]
                 assert routed == sorted(set(routed))
                 accepting = {
@@ -478,16 +495,158 @@ class TestRoutingTable:
             _Sink("sniffer", [], PredicateActionSet(lambda a: True)),
         ], hidden=spec.hidden)
         sim._infos = NoScan(sim._infos)
-        for seen, action in enumerate((
-            Action("RECVMSG", (1, 0, "ping")),
-            Action("SENDMSG", (0, 1, "ping")),
-            Action("NOP", ()),
-            Action("RECVMSG", ([1], 0, "ping")),
+        for seen, (action, hashable) in enumerate((
+            (Action("RECVMSG", (1, 0, "ping")), True),
+            (Action("SENDMSG", (0, 1, "ping")), True),
+            (Action("NOP", ()), True),
+            (Action("RECVMSG", ([1], 0, "ping")), False),
         )):
             assert len(sim._route_table) == seen  # each one is a new key
             targets = sim._route_targets(action)
             assert targets[-1].name == "sniffer"
-            assert sim._route_targets(action) is targets  # memoized
+            again = sim._route_targets(action)
+            assert len(sim._route_table) == seen + 1  # the entry is reused
+            if hashable:
+                assert again is targets  # memoized
+            else:  # no key to memoise the exact recipients under
+                assert again == targets
+
+
+class TestMemoisedRouting:
+    """Each set decision is taken once per action key, not per step."""
+
+    def test_channels_are_asked_once_per_routed_key(self, monkeypatch):
+        # Wrapping Entity.accepts itself keeps ChannelEntity on the
+        # inherited method, so the engine routes it as it always does.
+        asked = Counter()
+        inherited = Entity.accepts
+
+        def counting(self, action):
+            if isinstance(self, ChannelEntity):
+                asked[self.name, action.name, action.params[:2]] += 1
+            return inherited(self, action)
+
+        monkeypatch.setattr(Entity, "accepts", counting)
+        spec = clock_register_system(
+            n=4, d1=0.2, d2=1.0, c=0.3, eps=0.1,
+            workload=RegisterWorkload(operations=6, seed=2),
+            drivers=driver_factory("random", 0.1, seed=2),
+            delay_model=UniformDelay(seed=2),
+        )
+        sim = Simulator(spec.entities, hidden=spec.hidden)
+        asked.clear()
+        result = sim.run(HORIZON)
+        routed = {params for _, name, params in asked if name == "ESENDMSG"}
+        assert result.recorder.count("ESENDMSG") > len(routed) > 0  # keys recur
+        assert max(asked.values()) == 1
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_memo_probe_delivers_to_every_kind_of_signature(self, incremental):
+        recorder, _ = _run(_memo_probe(), incremental, DeterministicScheduler())
+        got = Counter(
+            e.action.params[0] for e in recorder.events if e.action.name == "GOT"
+        )
+        # 6 rounds x 2 sources x {hashable, unhashable} second parameter
+        assert recorder.count("M") == 24
+        assert got == {
+            "two-param": 2,  # M_0(1, r), r = 1, 4
+            "any-first": 4,  # M_i(2, r), r = 2, 5
+            "unhashable-prefix": 2,  # M_1([0], r), r = 0, 3
+            "finite": 2,
+            "predicate": 12,  # even payloads
+            "override": 8,  # payloads 1 and 5
+        }
+        hidden = [e.action for e in recorder.events if not e.visible]
+        assert {a.params[:2] for a in hidden} == {(0, 2)}
+
+
+class _Source(Entity):
+    """Emits ``M_node(r % 3, r)`` then ``M_node([r % 3], r)`` at time
+    ``r + offset`` for rounds r = 0..5."""
+
+    ROUNDS = 6
+
+    def __init__(self, node, offset, outputs):
+        super().__init__(f"source-{node}", Signature(outputs=outputs))
+        self.node = node
+        self.offset = offset
+
+    def initial_state(self):
+        return {"sent": 0}
+
+    def enabled(self, state, now):
+        r, unhashable = divmod(state["sent"], 2)
+        if r >= self.ROUNDS or now < r + self.offset:
+            return []
+        key = [r % 3] if unhashable else r % 3
+        return [Action("M", (self.node, key, r))]
+
+    def fire(self, state, action, now):
+        state["sent"] += 1
+
+    def deadline(self, state, now):
+        r = state["sent"] // 2
+        return r + self.offset if r < self.ROUNDS else float("inf")
+
+
+class _Receiver(Entity):
+    """Announces every input it takes with a ``GOT_name(input)`` output."""
+
+    def __init__(self, name, inputs):
+        super().__init__(name, Signature(
+            inputs=inputs,
+            outputs=PatternActionSet([ActionPattern("GOT", (name,))]),
+        ))
+
+    def initial_state(self):
+        return {"got": [], "told": 0}
+
+    def apply_input(self, state, action, now):
+        state["got"].append(repr(action))
+
+    def enabled(self, state, now):
+        if state["told"] == len(state["got"]):
+            return []
+        return [Action("GOT", (self.name, state["got"][state["told"]]))]
+
+    def fire(self, state, action, now):
+        state["told"] += 1
+
+
+class _Override(_Receiver):
+    """Declares every ``M_0`` input but takes payloads 1 mod 4 from anyone."""
+
+    def accepts(self, action):
+        return action.name == "M" and action.params[-1] % 4 == 1
+
+
+def _memo_probe_entities():
+    """Two sources over receivers of every kind of input signature.
+
+    Source 1's outputs are a predicate set, so its fired actions are
+    classified directly. Every ``(name, params[:2])`` key recurs with
+    other payloads, and the finite, predicate and overriding receivers
+    decide on the payload, so a memo that trusted the key for them would
+    change who gets what; the unhashable second parameters cannot key a
+    memo at all.
+    """
+    return [
+        _Source(0, 0.0, PatternActionSet([ActionPattern("M", (0,))])),
+        _Source(1, 0.5, PredicateActionSet(
+            lambda a: a.name == "M" and a.params[:1] == (1,), "M_1"
+        )),
+        _Receiver("two-param", PatternActionSet([ActionPattern("M", (0, 1))])),
+        _Receiver("any-first", PatternActionSet([ActionPattern("M", (ANY, 2))])),
+        _Receiver("unhashable-prefix",
+                  PatternActionSet([ActionPattern("M", (1, [0]))])),
+        _Receiver("finite", FiniteActionSet(
+            [Action("M", (0, 1, 1)), Action("M", (1, 2, 5))]
+        )),
+        _Receiver("predicate", PredicateActionSet(
+            lambda a: a.name == "M" and a.params[-1] % 2 == 0, "even M"
+        )),
+        _Override("override", PatternActionSet([ActionPattern("M", (0,))])),
+    ]
 
 
 class _Emitter(Entity):

@@ -69,3 +69,25 @@ class TestEventRecord:
 
         with pytest.raises(AttributeError):
             record.now = 5.0
+
+    def test_fields_and_repr(self):
+        record = EventRecord(3, Action("A", (1, "m")), 1.5, "n1", 2.25, False)
+        assert record._fields == (
+            "index", "action", "now", "owner", "clock", "visible"
+        )
+        assert (record.index, record.action, record.now, record.owner,
+                record.clock, record.visible) == (
+            3, Action("A", (1, "m")), 1.5, "n1", 2.25, False
+        )
+        assert repr(record) == "[3] A_1('m') @now=1.5, clock=2.25 by n1 (hidden)"
+        assert repr(EventRecord(0, Action("B"), 0.0, "environment", None, True)) \
+            == "[0] B() @now=0 by environment"
+
+    def test_recorder_builds_event_records(self):
+        recorder = Recorder()
+        recorder.record(Action("A", (1,)), 1.0, "n", None, True)
+        recorder.injection(2.0, Action("B", ()))
+        first, second = recorder.events
+        assert type(first) is EventRecord and type(second) is EventRecord
+        assert first == EventRecord(0, Action("A", (1,)), 1.0, "n", None, True)
+        assert second.owner == "environment" and second.index == 1
